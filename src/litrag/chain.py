@@ -258,9 +258,7 @@ def assemble_mode1(original: ChunkRecord, citation_list: list[CitationEntry]) ->
     return out
 
 
-def assemble_mode2(
-    original: ChunkRecord, expanded: Chunk, citation_list: list[CitationEntry]
-) -> tuple[str, str]:
+def assemble_mode2(expanded: Chunk, citation_list: list[CitationEntry]) -> tuple[str, str]:
     """Expanded chunk as context; citation block kept separate for its own
     prompt slot."""
     return expanded.text, format_citation_block(citation_list)
@@ -501,6 +499,12 @@ class QueryChain:
                 dropped.record.chunk_id,
             )
             retrieved = retrieved[:-1]
+        if unresolved:
+            logger.warning(
+                "%d citation marker(s) could not be resolved: %s",
+                len(unresolved),
+                "; ".join(m.display() for m in unresolved[:5]),
+            )
 
         answer_text = chat_completion(cfg, prompt, temperature)
         verification = (

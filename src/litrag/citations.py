@@ -11,22 +11,14 @@ be flagged instead of silently passed through.
 
 from __future__ import annotations
 
-import logging
 import math
 import re
 import unicodedata
 from dataclasses import dataclass, field
 
-from .embedding import EmbeddingConfig, EmbeddingVector, embed_texts
-from .errors import (
-    EmbeddingFailed,
-    LitragError,
-    NoContainingChunk,
-    NoReferenceSection,
-)
+from .embedding import embed_texts  # noqa: F401 - unused; perfbench's trace table hooks this name
+from .errors import NoContainingChunk, NoReferenceSection
 from .ingest import Chunk, Document
-
-logger = logging.getLogger(__name__)
 
 # Expanded chunks target 10-11 per document at 3500-4000 characters each.
 EXPANDED_MIN_CHARS = 3500
@@ -153,11 +145,10 @@ class CitationEntry:
 
 @dataclass(frozen=True)
 class AuxIndex:
-    """Per-document auxiliary index of expanded chunks and their embeddings."""
+    """Per-document auxiliary index of expanded chunks."""
 
     doc_id: str
     expanded_chunks: tuple[Chunk, ...]
-    embeddings: tuple[EmbeddingVector, ...] = ()
 
 
 @dataclass
@@ -235,67 +226,36 @@ def split_expanded_chunks(doc: Document) -> list[Chunk]:
     return chunks
 
 
-def build_auxiliary_index(doc: Document, gateway: EmbeddingConfig | None) -> AuxIndex:
-    """Build the expanded-chunk index for ``doc``.
-
-    When ``gateway`` is None the chunks are indexed without embeddings
-    (offset-based lookup still works; the similarity fallback does not).
-    """
+def build_auxiliary_index(doc: Document) -> AuxIndex:
+    """Build the expanded-chunk index for ``doc``."""
     if not doc.body:
         raise ValueError("document body is empty")
-    chunks = split_expanded_chunks(doc)
-    embeddings: tuple[EmbeddingVector, ...] = ()
-    if gateway is not None:
-        try:
-            embeddings = tuple(embed_texts([c.text for c in chunks], gateway))
-        except LitragError as exc:
-            raise EmbeddingFailed(f"embedding expanded chunks of {doc.doc_id} failed: {exc}") from exc
-    return AuxIndex(doc_id=doc.doc_id, expanded_chunks=tuple(chunks), embeddings=embeddings)
+    return AuxIndex(doc_id=doc.doc_id, expanded_chunks=tuple(split_expanded_chunks(doc)))
 
 
 def locate_expanded_chunk(aux: AuxIndex, original) -> Chunk:
-    """The expanded chunk containing (most of) the original chunk.
-
-    Offsets are the primary key: the expanded chunk with maximal span
-    overlap wins, ties breaking toward the earlier chunk. Embedding
-    similarity is used only when the original carries no offsets.
-    """
+    """The expanded chunk containing (most of) the original chunk: the one
+    with maximal span overlap, ties breaking toward the earlier chunk."""
     if original.doc_id != aux.doc_id:
         raise ValueError(
             f"chunk {original.chunk_id!r} belongs to {original.doc_id!r}, "
             f"index covers {aux.doc_id!r}"
         )
-    if original.start_offset is not None and original.end_offset is not None:
-        best = None
-        best_overlap = 0
-        for chunk in aux.expanded_chunks:
-            overlap = min(chunk.end_offset, original.end_offset) - max(
-                chunk.start_offset, original.start_offset
-            )
-            if overlap > best_overlap:
-                best, best_overlap = chunk, overlap
-        if best is None:
-            raise NoContainingChunk(
-                f"offsets [{original.start_offset}, {original.end_offset}) of "
-                f"{original.chunk_id!r} fall outside document {aux.doc_id!r} "
-                "(stale index?)"
-            )
-        return best
-
-    if not aux.embeddings:
-        raise NoContainingChunk(
-            f"{original.chunk_id!r} has no offsets and the index has no embeddings"
+    best = None
+    best_overlap = 0
+    for chunk in aux.expanded_chunks:
+        overlap = min(chunk.end_offset, original.end_offset) - max(
+            chunk.start_offset, original.start_offset
         )
-    from .store import Metric, similarity  # local import to avoid a module cycle
-
-    cos = Metric.cosine()
-    best_i = 0
-    best_score = -math.inf
-    for i, emb in enumerate(aux.embeddings):
-        score = similarity(original.embedding, emb, cos)
-        if score > best_score:
-            best_i, best_score = i, score
-    return aux.expanded_chunks[best_i]
+        if overlap > best_overlap:
+            best, best_overlap = chunk, overlap
+    if best is None:
+        raise NoContainingChunk(
+            f"offsets [{original.start_offset}, {original.end_offset}) of "
+            f"{original.chunk_id!r} fall outside document {aux.doc_id!r} "
+            "(stale index?)"
+        )
+    return best
 
 
 # --- marker extraction ------------------------------------------------------
@@ -548,12 +508,6 @@ def resolve_citations(
             else:
                 add(match)
 
-    if unresolved:
-        logger.warning(
-            "%d citation marker(s) could not be resolved: %s",
-            len(unresolved),
-            "; ".join(m.display() for m in unresolved[:5]),
-        )
     return citation_list, unresolved
 
 

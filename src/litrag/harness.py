@@ -24,7 +24,7 @@ from .config import EngineConfig
 from .embedding import TokenizerConfig, token_count
 from .errors import EmptyStore, IoFailure, MissingLabel, ScoreOutOfRange
 from .ingest import SplitParams
-from .kb import KnowledgeBase, build_knowledge_base
+from .kb import build_knowledge_base
 from .store import Metric, VectorStore, similarity
 
 logger = logging.getLogger(__name__)
@@ -106,7 +106,6 @@ def sweep_chunking(
     spec: SweepSpec,
     config: EngineConfig,
     workdir: str | Path,
-    build_aux: bool = False,
 ) -> SweepReport:
     """Build one knowledge base per axis value and report chunk statistics.
 
@@ -119,9 +118,7 @@ def sweep_chunking(
         try:
             params = spec.split_params(value, config.split)
             row_config = replace(config, split=params)
-            build_report = build_knowledge_base(
-                spec.corpus_dir, row_config, store_root=store_path, build_aux=build_aux
-            )
+            build_report = build_knowledge_base(spec.corpus_dir, row_config, store_root=store_path)
             store = VectorStore.open(store_path)
             lengths = [len(r.text) for r in store.records()]
             report.rows.append(
@@ -418,8 +415,3 @@ def read_scores_csv(path: str | Path) -> list[ScoreRecord]:
                 )
             )
     return records
-
-
-def knowledge_base_for_row(row: SweepRow) -> KnowledgeBase:
-    """Open the knowledge base a sweep row built."""
-    return KnowledgeBase.open(row.store_path)

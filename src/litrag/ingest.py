@@ -363,6 +363,8 @@ def ingest_corpus(
     """Load and split every document in ``corpus_dir``.
 
     Per-file failures are recorded in the report and do not abort the batch.
+    Document ids are file stems; a file whose stem an earlier file (in sorted
+    order) already took is recorded as a failure, not ingested.
     ``on_document(document, chunks)`` is invoked for each successful document
     in deterministic (sorted path) order, letting callers embed or index the
     chunks as they stream past.
@@ -378,15 +380,21 @@ def ingest_corpus(
         return doc, recursive_split(doc.body, params, doc_id=doc.doc_id)
 
     report = IngestReport()
+    taken: dict[str, Path] = {}
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
         futures = [(path, pool.submit(load_one, path)) for path in paths]
         for path, fut in futures:
             try:
                 doc, chunks = fut.result()
+                if doc.doc_id in taken:
+                    raise ValueError(
+                        f"document id {doc.doc_id!r} is already taken by {taken[doc.doc_id]}"
+                    )
             except Exception as exc:  # noqa: BLE001 - per-file isolation is the contract
                 logger.warning("failed to ingest %s: %s", path, exc)
                 report.failures.append(IngestFailure(path=str(path), error=str(exc)))
                 continue
+            taken[doc.doc_id] = path
             report.documents.append(
                 DocumentResult(doc_id=doc.doc_id, path=str(path), chunk_count=len(chunks))
             )

@@ -2,13 +2,13 @@
 
 A knowledge base is a directory:
 
-    <root>/header.json, records.jsonl, matrix.bin   main chunk store
-    <root>/aux/<doc_id>/...                         expanded-chunk store per document
+    <root>/header.json, records.jsonl, matrix.bin   chunk store
     <root>/docs/<doc_id>.json                       document snapshot (body, title,
                                                     reference-section span)
 
 Document snapshots keep the citation guard exact at query time: reference
-sections are re-parsed from the same text the chunks were cut from.
+sections are re-parsed, and expanded chunks re-cut, from the same text the
+chunks were cut from.
 """
 
 from __future__ import annotations
@@ -59,42 +59,8 @@ class KnowledgeBase:
 
     def aux_index(self, doc_id: str) -> AuxIndex:
         if doc_id not in self._aux:
-            aux_store = VectorStore.open(self.root / "aux" / doc_id)
-            records = sorted(aux_store.records(), key=lambda r: r.chunk_id)
-            self._aux[doc_id] = AuxIndex(
-                doc_id=doc_id,
-                expanded_chunks=tuple(
-                    Chunk(
-                        chunk_id=r.chunk_id,
-                        doc_id=r.doc_id,
-                        text=r.text,
-                        start_offset=r.start_offset,
-                        end_offset=r.end_offset,
-                    )
-                    for r in records
-                ),
-                embeddings=tuple(r.embedding for r in records),
-            )
+            self._aux[doc_id] = build_auxiliary_index(self.document(doc_id))
         return self._aux[doc_id]
-
-
-def _aux_to_store(aux: AuxIndex, dim: int, source: str) -> VectorStore:
-    store = VectorStore(dim)
-    store.upsert(
-        [
-            ChunkRecord(
-                chunk_id=chunk.chunk_id,
-                doc_id=chunk.doc_id,
-                text=chunk.text,
-                start_offset=chunk.start_offset,
-                end_offset=chunk.end_offset,
-                embedding=aux.embeddings[i],
-                metadata={"source": source, "doc_id": chunk.doc_id, "expanded": "true"},
-            )
-            for i, chunk in enumerate(aux.expanded_chunks)
-        ]
-    )
-    return store
 
 
 def build_knowledge_base(
@@ -103,7 +69,6 @@ def build_knowledge_base(
     *,
     store_root: str | Path | None = None,
     extractor: str | None = None,
-    build_aux: bool = True,
     max_workers: int = 4,
 ) -> IngestReport:
     """Ingest, embed and persist a corpus into a knowledge base directory.
@@ -149,11 +114,6 @@ def build_knowledge_base(
                         )
                         for i, chunk in enumerate(chunks)
                     ]
-                )
-            if build_aux:
-                aux = build_auxiliary_index(doc, config.embedding)
-                _aux_to_store(aux, config.embedding.expected_dim, source).persist(
-                    root / "aux" / doc.doc_id
                 )
             (root / "docs" / f"{doc.doc_id}.json").write_text(
                 json.dumps(doc.to_dict(), ensure_ascii=False), encoding="utf-8"

@@ -155,15 +155,16 @@ class ChunkRecord:
     """A stored chunk: text span, embedding and provenance metadata.
 
     ``metadata`` must include a "source" key naming the source document.
-    Offsets may be None for records imported without span information; the
-    citation guard then falls back to embedding-similarity lookup.
+    The offsets are required: ``[start_offset, end_offset)`` is the chunk's
+    span in the document body, and the citation guard maps a chunk onto its
+    expanded chunk by that span alone.
     """
 
     chunk_id: str
     doc_id: str
     text: str
-    start_offset: int | None
-    end_offset: int | None
+    start_offset: int
+    end_offset: int
     embedding: EmbeddingVector
     metadata: dict = field(default_factory=dict)
 
@@ -259,6 +260,12 @@ class VectorStore:
             if "source" not in rec.metadata:
                 raise ValueError(
                     f"record {rec.chunk_id!r} metadata must include a 'source' entry"
+                )
+            start, end = rec.start_offset, rec.end_offset
+            if not (isinstance(start, int) and isinstance(end, int) and 0 <= start <= end):
+                raise ValueError(
+                    f"record {rec.chunk_id!r} needs int offsets with 0 <= start <= end, "
+                    f"got [{start!r}, {end!r})"
                 )
         with self._lock:
             new_rows = []

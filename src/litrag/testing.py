@@ -288,8 +288,8 @@ class DocTruth:
 
 
 def _doc_tag(index: int) -> str:
-    # purely alphabetic so generated words stay single \w tokens
-    return chr(97 + index % 26) + chr(97 + (index * 7 + 3) % 26)
+    # purely alphabetic so generated words stay single \w tokens; unique below 26 * 26
+    return chr(97 + index % 26) + chr(97 + (index * 7 + 3 + index // 26) % 26)
 
 
 def _make_vocab(rng: random.Random, doc_tag: str, size: int) -> list[str]:

@@ -187,7 +187,7 @@ def test_assemble_mode1_empty_list_keeps_marker():
 
 def test_assemble_mode2_separates_block():
     expanded = Chunk(chunk_id="d:aux00", doc_id="d", text="E" * 3800, start_offset=0, end_offset=3800)
-    context, block = assemble_mode2(_record(), expanded, _entries(8))
+    context, block = assemble_mode2(expanded, _entries(8))
     assert context == "E" * 3800
     assert len(block.splitlines()) == 8
     assert CITATION_BLOCK_HEADER not in context
@@ -195,7 +195,7 @@ def test_assemble_mode2_separates_block():
 
 def test_assemble_mode2_zero_entries():
     expanded = Chunk(chunk_id="d:aux00", doc_id="d", text="E", start_offset=0, end_offset=1)
-    context, block = assemble_mode2(_record(), expanded, [])
+    context, block = assemble_mode2(expanded, [])
     assert context == "E"
     assert block == ""
 
@@ -403,3 +403,19 @@ def test_unresolved_markers_are_surfaced(built_kb):
         else:
             pytest.skip("no unresolvable marker landed in the retrieved chunks")
         assert all(m.kind in ("numeric", "author_year") for m in bundle.unresolved_markers)
+
+
+def test_unresolved_warning_logged_once_per_answer(built_kb, caplog):
+    with StubEmbeddingService(dim=DIM) as emb, StubChatService(
+        echo_citations_responder()
+    ) as chat:
+        chain, truths = _chain(built_kb, emb.url, chat.url)
+        question = question_for(truths["paper-00"], random.Random(0))
+        with caplog.at_level("WARNING", logger="litrag"):
+            bundle = chain.answer(question, k=6, mode="mode2")
+    # the budget loop re-assembled the prompt several times ...
+    assert len(bundle.retrieved) < 6
+    assert bundle.unresolved_markers
+    # ... but the final unresolved list is reported once
+    warnings = [r for r in caplog.records if "could not be resolved" in r.getMessage()]
+    assert len(warnings) == 1

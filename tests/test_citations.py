@@ -7,7 +7,6 @@ from litrag.citations import (
     AuxIndex,
     CitationEntry,
     CitationMarker,
-    build_auxiliary_index,
     collapse_ws,
     expanded_chunk_count,
     extract_citation_markers,
@@ -19,15 +18,10 @@ from litrag.citations import (
     title_token_overlap,
     verify_answer_citations,
 )
-from litrag.embedding import EmbeddingConfig, EmbeddingVector
-from litrag.errors import (
-    EmbeddingFailed,
-    NoContainingChunk,
-    NoReferenceSection,
-)
+from litrag.embedding import EmbeddingVector
+from litrag.errors import NoContainingChunk, NoReferenceSection
 from litrag.ingest import Document, load_document
 from litrag.store import ChunkRecord
-from litrag.testing import StubEmbeddingService
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -44,14 +38,14 @@ def _doc(body: str, doc_id: str = "doc") -> Document:
     )
 
 
-def _chunk_record(doc_id, start, end, chunk_id="orig", embedding=None):
+def _chunk_record(doc_id, start, end, chunk_id="orig"):
     return ChunkRecord(
         chunk_id=chunk_id,
         doc_id=doc_id,
-        text="x" * (end - start) if start is not None else "x",
+        text="x" * (end - start),
         start_offset=start,
         end_offset=end,
-        embedding=embedding or EmbeddingVector((1.0, 0.0)),
+        embedding=EmbeddingVector((1.0, 0.0)),
         metadata={"source": f"{doc_id}.txt"},
     )
 
@@ -88,29 +82,6 @@ def test_small_document_is_single_expanded_chunk():
     chunks = split_expanded_chunks(doc)
     assert len(chunks) == 1
     assert chunks[0].text == doc.body
-
-
-def test_build_auxiliary_index_embeds_chunks():
-    with StubEmbeddingService(dim=16) as svc:
-        config = EmbeddingConfig(endpoint_url=svc.url, expected_dim=16)
-        doc = _doc("word " * 8000)
-        aux = build_auxiliary_index(doc, config)
-        assert len(aux.embeddings) == len(aux.expanded_chunks)
-        assert all(e.dim == 16 for e in aux.embeddings)
-
-
-def test_build_auxiliary_index_wraps_gateway_failures():
-    with StubEmbeddingService(dim=16, fail_when=lambda t: True) as svc:
-        import litrag.embedding as embedding_mod
-
-        embedding_mod_retry = embedding_mod._RETRY_BASE_S
-        embedding_mod._RETRY_BASE_S = 0.01
-        try:
-            config = EmbeddingConfig(endpoint_url=svc.url, expected_dim=16)
-            with pytest.raises(EmbeddingFailed):
-                build_auxiliary_index(_doc("word " * 2000), config)
-        finally:
-            embedding_mod._RETRY_BASE_S = embedding_mod_retry
 
 
 # --- locate_expanded_chunk --------------------------------------------------------
@@ -159,20 +130,6 @@ def test_locate_wrong_document_rejected():
     aux = _aux_with_width("d", 3, 1000)
     with pytest.raises(ValueError):
         locate_expanded_chunk(aux, _chunk_record("other", 0, 10))
-
-
-def test_locate_falls_back_to_embedding_similarity():
-    from litrag.ingest import Chunk
-
-    chunks = tuple(_chunk_to_aux("d", i, i * 100, (i + 1) * 100) for i in range(3))
-    embeddings = (
-        EmbeddingVector((1.0, 0.0)),
-        EmbeddingVector((0.0, 1.0)),
-        EmbeddingVector((0.7, 0.7)),
-    )
-    aux = AuxIndex(doc_id="d", expanded_chunks=chunks, embeddings=embeddings)
-    original = _chunk_record("d", None, None, embedding=EmbeddingVector((0.1, 0.99)))
-    assert locate_expanded_chunk(aux, original).chunk_id == "d:aux01"
 
 
 # --- marker extraction ----------------------------------------------------------

@@ -1,10 +1,12 @@
 import csv
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from litrag.chain import QueryChain
 from litrag.config import default_config
 from litrag.embedding import EmbeddingVector, TokenizerConfig
 from litrag.errors import EmptyStore, MissingLabel, ScoreOutOfRange
@@ -23,8 +25,15 @@ from litrag.harness import (
     sweep_chunking,
     token_ratio_table,
 )
+from litrag.kb import KnowledgeBase
 from litrag.store import ChunkRecord, Metric, VectorStore
-from litrag.testing import StubEmbeddingService, make_corpus
+from litrag.testing import (
+    StubChatService,
+    StubEmbeddingService,
+    echo_citations_responder,
+    make_corpus,
+    question_for,
+)
 from reference_impls import brute_force_cluster_stats
 
 DIM = 32
@@ -123,6 +132,23 @@ def test_single_value_sweep(sweep_corpus, tmp_path):
         report = sweep_chunking(spec, cfg, tmp_path / "sweep")
     assert len(report.rows) == 1
     assert report.rows[0].mean_chunk_length <= 700
+
+
+def test_sweep_row_answers_mode2(tmp_path):
+    corpus_dir = tmp_path / "corpus"
+    truths = make_corpus(corpus_dir, n_docs=3, seed=515, paragraphs_per_doc=12)
+    with StubEmbeddingService(dim=DIM) as emb, StubChatService(
+        echo_citations_responder()
+    ) as chat:
+        cfg = _config(emb, tmp_path)
+        cfg = replace(cfg, chat=replace(cfg.chat, endpoint_url=chat.url))
+        spec = SweepSpec(axis="chunk_size", values=(700,), fixed=200, corpus_dir=str(corpus_dir))
+        row = sweep_chunking(spec, cfg, tmp_path / "sweep").rows[0]
+        chain = QueryChain(KnowledgeBase.open(row.store_path), cfg)
+        bundle = chain.answer(question_for(truths["paper-01"], random.Random(3)), mode="mode2")
+    assert row.error is None
+    assert bundle.citation_list
+    assert bundle.verification.flagged == []
 
 
 # --- token ratio table ---------------------------------------------------------------

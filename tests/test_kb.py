@@ -47,7 +47,6 @@ def test_build_and_open_knowledge_base(small_corpus, tmp_path):
 
     aux = kb.aux_index("paper-00")
     assert aux.expanded_chunks
-    assert len(aux.embeddings) == len(aux.expanded_chunks)
     for chunk in aux.expanded_chunks:
         assert chunk.text == doc.body[chunk.start_offset : chunk.end_offset]
 
@@ -67,8 +66,8 @@ def test_layout_on_disk(small_corpus, tmp_path):
     assert (root / "records.jsonl").is_file()
     assert (root / "matrix.bin").is_file()
     for doc_id in truths:
-        assert (root / "aux" / doc_id / "matrix.bin").is_file()
         assert (root / "docs" / f"{doc_id}.json").is_file()
+    assert not (root / "aux").exists()
 
 
 def test_build_records_per_document_failures(small_corpus, tmp_path):
@@ -92,8 +91,28 @@ def test_missing_document_snapshot(small_corpus, tmp_path):
 
 
 def test_build_without_aux(small_corpus, tmp_path):
+    # expanded chunks are cut from the document snapshots at query time, so
+    # ingest embeds the main chunks and nothing else
     corpus_dir, _ = small_corpus
     with StubEmbeddingService(dim=DIM) as svc:
         cfg = _config(svc, tmp_path)
-        build_knowledge_base(corpus_dir, cfg, build_aux=False)
+        report = build_knowledge_base(corpus_dir, cfg)
+        sent = sum(len(r["input"]) for r in svc.requests)
+    assert report.chunk_count > 0
+    assert sent == report.chunk_count
     assert not (Path(cfg.store_path) / "aux").exists()
+
+
+def test_doc_id_collision_is_a_failure_not_silent_loss(small_corpus, tmp_path):
+    corpus_dir, truths = small_corpus
+    body = (corpus_dir / "paper-00.txt").read_text(encoding="utf-8")
+    (corpus_dir / "a.md").write_text(body, encoding="utf-8")
+    (corpus_dir / "a.txt").write_text(body, encoding="utf-8")
+    with StubEmbeddingService(dim=DIM) as svc:
+        cfg = _config(svc, tmp_path)
+        report = build_knowledge_base(corpus_dir, cfg)
+    assert report.document_count == len(truths) + 1
+    assert len(report.failures) == 1
+    assert report.failures[0].path.endswith("a.txt")
+    assert "a.md" in report.failures[0].error
+    assert report.chunk_count == len(KnowledgeBase.open(cfg.store_path).store)

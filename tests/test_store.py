@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -219,6 +220,16 @@ def test_upsert_requires_source_metadata():
     )
     with pytest.raises(ValueError):
         store.upsert([record])
+
+
+@pytest.mark.parametrize("start, end", [(None, 10), (0, None), (-1, 10), (10, 5)])
+def test_upsert_rejects_bad_offsets_and_leaves_store_unchanged(start, end):
+    store = VectorStore(2)
+    store.upsert([_record("a", [1, 2])])
+    bad = replace(_record("b", [3, 4]), start_offset=start, end_offset=end)
+    with pytest.raises(ValueError):
+        store.upsert([_record("c", [5, 6]), bad])
+    assert [r.chunk_id for r in store.records()] == ["a"]
 
 
 # --- top_k ----------------------------------------------------------------------
