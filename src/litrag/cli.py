@@ -183,16 +183,9 @@ def _cmd_stats(args, config) -> int:
 
 def _cmd_export(args, config) -> int:
     store = VectorStore.open(config.store_path)
+    harness.export_embeddings(store, args.out or sys.stdout)
     if args.out:
-        harness.export_embeddings(store, args.out)
         print(json.dumps({"written": args.out, "records": len(store)}))
-    else:
-        import tempfile
-
-        with tempfile.NamedTemporaryFile("r+", suffix=".csv") as tmp:
-            harness.export_embeddings(store, tmp.name)
-            tmp.seek(0)
-            sys.stdout.write(tmp.read())
     return EXIT_OK
 
 

@@ -15,8 +15,10 @@ import csv
 import io
 import json
 import logging
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -120,7 +122,7 @@ def sweep_chunking(
             row_config = replace(config, split=params)
             build_report = build_knowledge_base(spec.corpus_dir, row_config, store_root=store_path)
             store = VectorStore.open(store_path)
-            lengths = [len(r.text) for r in store.records()]
+            lengths = [len(r.text) for r in store.rows()[0]]
             report.rows.append(
                 SweepRow(
                     value=value,
@@ -291,26 +293,24 @@ def cluster_stats(store: VectorStore, label_by: str, m: Metric) -> ClusterStats:
     Records are grouped by the metadata key ``label_by``. Distance metrics
     are used directly; cosine is mapped to the cosine distance (1 - cos).
     """
-    records = store.records()
+    records, matrix = store.rows()
     if not records:
         raise EmptyStore("cannot compute cluster statistics of an empty store")
 
-    groups: dict[str, list[np.ndarray]] = {}
-    for rec in records:
+    groups: dict[str, list[int]] = {}
+    for i, rec in enumerate(records):
         label = rec.metadata.get(label_by)
         if label is None:
             raise MissingLabel(
                 f"record {rec.chunk_id!r} has no metadata key {label_by!r}"
             )
-        groups.setdefault(str(label), []).append(
-            np.asarray(rec.embedding.values, dtype=np.float64)
-        )
+        groups.setdefault(str(label), []).append(i)
 
     labels = sorted(groups)
     per_label: dict[str, LabelStats] = {}
     centroids = {}
     for label in labels:
-        vectors = np.array(groups[label])
+        vectors = matrix[groups[label]].astype(np.float64)
         centroid = vectors.mean(axis=0)
         centroids[label] = centroid
         intra = [_cluster_distance(v, centroid, m) for v in vectors]
@@ -335,26 +335,25 @@ def cluster_stats(store: VectorStore, label_by: str, m: Metric) -> ClusterStats:
 # --- embedding export ---------------------------------------------------------
 
 
-def export_embeddings(store: VectorStore, out_path: str | Path) -> None:
-    """Write chunk_id, doc_id and embedding columns as CSV.
+def export_embeddings(store: VectorStore, out: str | Path | TextIO) -> None:
+    """Write chunk_id, doc_id and embedding columns as CSV to ``out``, a
+    file path or an open text stream.
 
     Values are written with full float32 round-trip precision so external
     projection tools see exactly the stored matrix.
     """
-    records = store.records()
+    records, matrix = store.rows()
     if not records:
         raise EmptyStore("cannot export an empty store")
-    out_path = Path(out_path)
+    is_path = isinstance(out, (str, Path))
     try:
-        with out_path.open("w", encoding="utf-8", newline="") as fh:
+        with open(out, "w", encoding="utf-8", newline="") if is_path else nullcontext(out) as fh:
             writer = csv.writer(fh)
             writer.writerow(["chunk_id", "doc_id"] + [f"e{i}" for i in range(store.dim)])
-            for rec in records:
-                writer.writerow(
-                    [rec.chunk_id, rec.doc_id] + [repr(v) for v in rec.embedding.values]
-                )
+            for rec, row in zip(records, matrix):
+                writer.writerow([rec.chunk_id, rec.doc_id] + [repr(v) for v in row.tolist()])
     except OSError as exc:
-        raise IoFailure(f"cannot write embeddings to {out_path}: {exc}") from exc
+        raise IoFailure(f"cannot write embeddings to {out}: {exc}") from exc
 
 
 # --- expert score recording ---------------------------------------------------

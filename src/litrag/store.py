@@ -2,9 +2,10 @@
 
 The store is an exhaustive exact index (no approximate structures): the
 corpus scale this engine targets is small enough that a full scan is both
-fast and trivially verifiable. Embeddings are quantized to float32 on
-insert, matching the on-disk matrix format, so a persist/open round trip is
-bit-exact.
+fast and trivially verifiable. Each embedding is held once, as its row of a
+read-only float32 matrix that matches the on-disk format, so a persist/open
+round trip is bit-exact. Records handed out rebuild ``embedding`` from
+their row; stored records carry ``embedding=None``.
 
 On-disk layout (one directory per store):
     header.json   {"dimension", "record_count", "format_version", "checksum"}
@@ -18,7 +19,7 @@ import hashlib
 import json
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,9 @@ from .errors import (
 )
 
 FORMAT_VERSION = 1
+
+# The keys of a records.jsonl object, in the order persist writes them.
+_RECORD_FIELDS = ("chunk_id", "doc_id", "text", "start_offset", "end_offset", "metadata")
 
 _DISTANCE_KINDS = {"minkowski", "euclidean", "manhattan", "chebyshev"}
 _SIMILARITY_KINDS = {"cosine", "inner_product"}
@@ -154,6 +158,9 @@ def signed_similarity(value: float, m: Metric) -> float:
 class ChunkRecord:
     """A stored chunk: text span, embedding and provenance metadata.
 
+    ``upsert`` takes records with an embedding. Once stored, the embedding
+    lives only as the record's matrix row: the store keeps the record with
+    ``embedding=None`` and rebuilds the vector from the row on the way out.
     ``metadata`` must include a "source" key naming the source document.
     The offsets are required: ``[start_offset, end_offset)`` is the chunk's
     span in the document body, and the citation guard maps a chunk onto its
@@ -165,7 +172,7 @@ class ChunkRecord:
     text: str
     start_offset: int
     end_offset: int
-    embedding: EmbeddingVector
+    embedding: EmbeddingVector | None
     metadata: dict = field(default_factory=dict)
 
 
@@ -206,16 +213,30 @@ class MMRParams:
         return self.fetch_n if self.fetch_n is not None else 4 * self.k
 
 
-def _quantize(vec: EmbeddingVector) -> EmbeddingVector:
-    """Round values to float32, the store's native precision."""
-    return EmbeddingVector(tuple(float(v) for v in np.asarray(vec.values, dtype=np.float32)))
+def _with_row(rec: ChunkRecord, row: np.ndarray) -> ChunkRecord:
+    """A stored record with its embedding rebuilt from its matrix row."""
+    return replace(rec, embedding=EmbeddingVector(tuple(row.tolist())))
+
+
+def _check_record(rec: ChunkRecord) -> None:
+    """The per-record checks shared by ``upsert`` and ``open``."""
+    if "source" not in rec.metadata:
+        raise ValueError(f"record {rec.chunk_id!r} metadata must include a 'source' entry")
+    start, end = rec.start_offset, rec.end_offset
+    if not (isinstance(start, int) and isinstance(end, int) and 0 <= start <= end):
+        raise ValueError(
+            f"record {rec.chunk_id!r} needs int offsets with 0 <= start <= end, "
+            f"got [{start!r}, {end!r})"
+        )
 
 
 class VectorStore:
     """Exhaustive exact vector index over ChunkRecords.
 
-    Thread safety: concurrent readers are safe against a single writer;
-    reads never observe a partially applied upsert. Persisting requires
+    Row i of the read-only matrix is record i's embedding. An upsert swaps in
+    a new matrix instead of writing the old one, so concurrent readers are
+    safe against a single writer and never observe a partially applied
+    upsert, even through a matrix taken before it. Persisting requires
     quiescence (no in-flight writes), which the internal lock enforces.
     """
 
@@ -227,6 +248,7 @@ class VectorStore:
         self._records: list[ChunkRecord] = []
         self._index: dict[str, int] = {}
         self._matrix = np.empty((0, dim), dtype=np.float32)
+        self._matrix.flags.writeable = False
 
     @property
     def dim(self) -> int:
@@ -236,20 +258,30 @@ class VectorStore:
         with self._lock:
             return len(self._records)
 
-    def records(self) -> list[ChunkRecord]:
+    def rows(self) -> tuple[list[ChunkRecord], np.ndarray]:
+        """One consistent snapshot: the records, each with ``embedding=None``,
+        and the read-only float32 matrix whose row i is record i's embedding."""
         with self._lock:
-            return list(self._records)
+            return list(self._records), self._matrix
+
+    def records(self) -> list[ChunkRecord]:
+        """Every record with its embedding rebuilt from its row (N * dim
+        Python floats; :meth:`rows` is the cheap read)."""
+        records, matrix = self.rows()
+        return [_with_row(rec, row) for rec, row in zip(records, matrix)]
 
     def get(self, chunk_id: str) -> ChunkRecord | None:
         with self._lock:
             i = self._index.get(chunk_id)
-            return self._records[i] if i is not None else None
+            return _with_row(self._records[i], self._matrix[i]) if i is not None else None
 
     def upsert(self, records: list[ChunkRecord]) -> int:
         """Insert or replace records by chunk_id. Returns the count applied.
 
         All records are validated before any mutation, so a failed upsert
-        leaves the store unchanged.
+        leaves the store unchanged. A batch may name each chunk_id once, and
+        no embedding may overflow float32 or round to zero in it (cosine is
+        undefined for a zero row).
         """
         for rec in records:
             if rec.embedding.dim != self._dim:
@@ -257,39 +289,27 @@ class VectorStore:
                     f"record {rec.chunk_id!r} has dimension {rec.embedding.dim}, "
                     f"store expects {self._dim}"
                 )
-            if "source" not in rec.metadata:
-                raise ValueError(
-                    f"record {rec.chunk_id!r} metadata must include a 'source' entry"
-                )
-            start, end = rec.start_offset, rec.end_offset
-            if not (isinstance(start, int) and isinstance(end, int) and 0 <= start <= end):
-                raise ValueError(
-                    f"record {rec.chunk_id!r} needs int offsets with 0 <= start <= end, "
-                    f"got [{start!r}, {end!r})"
-                )
+            _check_record(rec)
+        if len({rec.chunk_id for rec in records}) != len(records):
+            raise ValueError("an upsert batch names the same chunk_id twice")
+        batch = np.array([rec.embedding.values for rec in records], dtype=np.float32)
+        batch = batch.reshape(len(records), self._dim)
+        overflow = np.flatnonzero(~np.isfinite(batch).all(axis=1))
+        if overflow.size:
+            raise ValueError(f"record {records[overflow[0]].chunk_id!r} overflows float32")
+        zero = np.flatnonzero(~batch.any(axis=1))
+        if zero.size:
+            raise ZeroVector(f"record {records[zero[0]].chunk_id!r} has a zero embedding")
         with self._lock:
-            new_rows = []
-            for rec in records:
-                stored = ChunkRecord(
-                    chunk_id=rec.chunk_id,
-                    doc_id=rec.doc_id,
-                    text=rec.text,
-                    start_offset=rec.start_offset,
-                    end_offset=rec.end_offset,
-                    embedding=_quantize(rec.embedding),
-                    metadata=dict(rec.metadata),
-                )
-                row = np.asarray(stored.embedding.values, dtype=np.float32)
-                i = self._index.get(rec.chunk_id)
-                if i is None:
-                    self._index[rec.chunk_id] = len(self._records)
-                    self._records.append(stored)
-                    new_rows.append(row)
-                else:
-                    self._records[i] = stored
-                    self._matrix[i] = row
-            if new_rows:
-                self._matrix = np.vstack([self._matrix, np.array(new_rows, dtype=np.float32)])
+            slots = [self._index.setdefault(rec.chunk_id, len(self._index)) for rec in records]
+            for i, rec in zip(slots, records):
+                # replaces record i, or appends when i is one past the end
+                self._records[i : i + 1] = [replace(rec, embedding=None, metadata=dict(rec.metadata))]
+            matrix = np.empty((len(self._records), self._dim), dtype=np.float32)
+            matrix[: len(self._matrix)] = self._matrix
+            matrix[slots] = batch
+            matrix.flags.writeable = False
+            self._matrix = matrix
             return len(records)
 
     # --- retrieval -------------------------------------------------------
@@ -316,32 +336,39 @@ class VectorStore:
         p = float(m.p)  # type: ignore[arg-type]
         return np.power(np.power(diff, p).sum(axis=1), 1.0 / p)
 
+    def _rank(self, query_vec, k: int, m: Metric) -> tuple[list[int], np.ndarray]:
+        """Indices of the k best rows, best first, and the scores of all
+        rows. The caller holds the lock."""
+        if k <= 0:
+            raise ValueError("k must be positive")
+        if not self._records:
+            raise EmptyStore("cannot search an empty store")
+        query = _as_array(query_vec)
+        if query.shape[0] != self._dim:
+            raise DimensionMismatch(
+                f"query dimension {query.shape[0]} != store dimension {self._dim}"
+            )
+        scores = self._scores(query, m)
+        order = sorted(
+            range(len(self._records)),
+            key=lambda i: (
+                scores[i] if m.is_distance else -scores[i],
+                self._records[i].chunk_id,
+            ),
+        )
+        return order[:k], scores
+
     def top_k(self, query_vec, k: int, m: Metric) -> list[ScoredRecord]:
         """The k most similar records, best first. Exhaustive exact scan.
 
         Ordering is descending for cosine/inner_product and ascending for
         distance metrics; ties break toward the lowest chunk_id.
         """
-        if k <= 0:
-            raise ValueError("k must be positive")
         with self._lock:
-            if not self._records:
-                raise EmptyStore("cannot search an empty store")
-            query = _as_array(query_vec)
-            if query.shape[0] != self._dim:
-                raise DimensionMismatch(
-                    f"query dimension {query.shape[0]} != store dimension {self._dim}"
-                )
-            scores = self._scores(query, m)
-            order = sorted(
-                range(len(self._records)),
-                key=lambda i: (
-                    scores[i] if m.is_distance else -scores[i],
-                    self._records[i].chunk_id,
-                ),
-            )
+            order, scores = self._rank(query_vec, k, m)
             return [
-                ScoredRecord(self._records[i], float(scores[i])) for i in order[:k]
+                ScoredRecord(_with_row(self._records[i], self._matrix[i]), float(scores[i]))
+                for i in order
             ]
 
     def mmr_select(self, query_vec, params: MMRParams) -> list[ScoredRecord]:
@@ -357,38 +384,40 @@ class VectorStore:
         enter the objective negated so that "similar" is consistently high.
         The returned scores are the objective values at selection time.
         """
-        pool = self.top_k(query_vec, params.pool_size(), params.sim1)
+        with self._lock:
+            order, _ = self._rank(query_vec, params.pool_size(), params.sim1)
+            pool = {self._records[i].chunk_id: self._records[i] for i in order}
+            rows = dict(zip(pool, self._matrix[order]))
         query = _as_array(query_vec)
+        vectors = {cid: row.astype(np.float64) for cid, row in rows.items()}
 
         relevance = {
-            sr.record.chunk_id: signed_similarity(
-                similarity(query, sr.record.embedding, params.sim1), params.sim1
-            )
-            for sr in pool
+            cid: signed_similarity(similarity(query, vec, params.sim1), params.sim1)
+            for cid, vec in vectors.items()
         }
-        remaining = {sr.record.chunk_id: sr.record for sr in pool}
-        selected: list[ScoredRecord] = []
+        remaining = set(pool)
+        selected: list[tuple[str, float]] = []
         lam = params.lambda_
 
         while remaining and len(selected) < params.k:
             best_id = None
             best_score = -math.inf
             for cid in sorted(remaining):
-                rec = remaining[cid]
                 penalty = 0.0
                 if selected:
                     penalty = max(
                         signed_similarity(
-                            similarity(rec.embedding, sel.record.embedding, params.sim2),
+                            similarity(vectors[cid], vectors[sel], params.sim2),
                             params.sim2,
                         )
-                        for sel in selected
+                        for sel, _ in selected
                     )
                 score = lam * relevance[cid] - (1.0 - lam) * penalty
                 if score > best_score:
                     best_id, best_score = cid, score
-            selected.append(ScoredRecord(remaining.pop(best_id), best_score))
-        return selected
+            remaining.remove(best_id)
+            selected.append((best_id, best_score))
+        return [ScoredRecord(_with_row(pool[cid], rows[cid]), score) for cid, score in selected]
 
     # --- persistence ---------------------------------------------------------
 
@@ -402,20 +431,8 @@ class VectorStore:
                 (path / "matrix.bin").write_bytes(matrix_bytes)
                 with (path / "records.jsonl").open("w", encoding="utf-8") as fh:
                     for rec in self._records:
-                        fh.write(
-                            json.dumps(
-                                {
-                                    "chunk_id": rec.chunk_id,
-                                    "doc_id": rec.doc_id,
-                                    "text": rec.text,
-                                    "start_offset": rec.start_offset,
-                                    "end_offset": rec.end_offset,
-                                    "metadata": rec.metadata,
-                                },
-                                ensure_ascii=False,
-                            )
-                            + "\n"
-                        )
+                        obj = {key: getattr(rec, key) for key in _RECORD_FIELDS}
+                        fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
                 header = {
                     "dimension": self._dim,
                     "record_count": len(self._records),
@@ -466,25 +483,16 @@ class VectorStore:
                 f"records.jsonl holds {len(record_lines)} records, header says {count}"
             )
 
-        matrix = np.frombuffer(matrix_bytes, dtype="<f4").reshape(count, dim)
         store = cls(dim)
-        records = []
         for i, line in enumerate(record_lines):
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorruptStore(f"records.jsonl line {i + 1} is not valid JSON") from exc
-            records.append(
-                ChunkRecord(
-                    chunk_id=obj["chunk_id"],
-                    doc_id=obj["doc_id"],
-                    text=obj["text"],
-                    start_offset=obj["start_offset"],
-                    end_offset=obj["end_offset"],
-                    embedding=EmbeddingVector(tuple(float(v) for v in matrix[i])),
-                    metadata=obj.get("metadata", {}),
-                )
-            )
-        if records:
-            store.upsert(records)
+                rec = ChunkRecord(embedding=None, **{key: obj[key] for key in _RECORD_FIELDS})
+                _check_record(rec)
+                if store._index.setdefault(rec.chunk_id, i) != i:
+                    raise ValueError(f"chunk_id {rec.chunk_id!r} is repeated")
+            except (ValueError, KeyError, TypeError) as exc:
+                raise CorruptStore(f"records.jsonl line {i + 1} is invalid: {exc!r}") from exc
+            store._records.append(rec)
+        store._matrix = np.frombuffer(matrix_bytes, dtype="<f4").reshape(count, dim)
         return store

@@ -305,5 +305,7 @@ def test_export_to_file_and_stdout(cli_env, tmp_path, capsys):
 
         code = main(["--config", config, "export"])
         assert code == 0
-        stdout_rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+        stdout = capsys.readouterr().out
+        stdout_rows = list(csv.reader(stdout.splitlines()))
         assert stdout_rows[0][:2] == ["chunk_id", "doc_id"]
+        assert stdout.encode("utf-8") == out_path.read_bytes()

@@ -6,6 +6,7 @@ import pytest
 from litrag.config import default_config
 from litrag.errors import IoFailure
 from litrag.kb import KnowledgeBase, build_knowledge_base
+from litrag.store import Metric
 from litrag.testing import StubEmbeddingService, make_corpus
 
 DIM = 32
@@ -116,3 +117,25 @@ def test_doc_id_collision_is_a_failure_not_silent_loss(small_corpus, tmp_path):
     assert report.failures[0].path.endswith("a.txt")
     assert "a.md" in report.failures[0].error
     assert report.chunk_count == len(KnowledgeBase.open(cfg.store_path).store)
+
+
+class _ZeroFirstEmbedding(StubEmbeddingService):
+    """Answers the first text of its first request with a zero vector."""
+
+    def handle_payload(self, payload):
+        status, body = super().handle_payload(payload)
+        if len(self.requests) == 1:
+            body["data"][0]["embedding"] = [0.0] * self.dim
+        return status, body
+
+
+def test_zero_embedding_fails_its_document_not_the_kb(small_corpus, tmp_path):
+    corpus_dir, truths = small_corpus
+    with _ZeroFirstEmbedding(dim=DIM) as svc:
+        cfg = _config(svc, tmp_path)
+        report = build_knowledge_base(corpus_dir, cfg)
+    assert len(report.failures) == 1
+    assert "zero embedding" in report.failures[0].error
+    kb = KnowledgeBase.open(cfg.store_path)
+    assert len(kb.store) == report.chunk_count
+    assert kb.store.top_k([1.0] * DIM, 3, Metric.cosine())

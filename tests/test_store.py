@@ -232,6 +232,53 @@ def test_upsert_rejects_bad_offsets_and_leaves_store_unchanged(start, end):
     assert [r.chunk_id for r in store.records()] == ["a"]
 
 
+def test_upsert_rejects_repeated_chunk_id_and_leaves_store_unchanged():
+    store = VectorStore(2)
+    store.upsert([_record("x", [1, 2])])
+    with pytest.raises(ValueError):
+        store.upsert([_record("a", [1, 0]), _record("a", [0, 1])])
+    assert [r.chunk_id for r in store.records()] == ["x"]
+    assert [sr.record.chunk_id for sr in store.top_k([1, 0], 5, Metric.euclidean())] == ["x"]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+@pytest.mark.parametrize(
+    "values, error", [([0.0, 0.0], ZeroVector), ([1e-50, 0.0], ZeroVector), ([1e39, 1.0], ValueError)]
+)
+def test_upsert_rejects_zero_or_overflowing_rows_and_leaves_store_unchanged(values, error):
+    # 1e-50 is zero once rounded to float32; 1e39 overflows it
+    store = VectorStore(2)
+    store.upsert([_record("a", [1, 0]), _record("b", [0, 1])])
+    with pytest.raises(error):
+        store.upsert([_record("c", [1, 1]), _record("bad", values)])
+    assert [r.chunk_id for r in store.records()] == ["a", "b"]
+    result = store.top_k([1, 0.5], 3, Metric.cosine())
+    assert [sr.record.chunk_id for sr in result] == ["a", "b"]
+
+
+def test_rows_hold_no_embedding_and_a_read_only_matrix():
+    store = VectorStore(2)
+    store.upsert([_record("a", [1.5, -2.0]), _record("b", [0.1, 3.0])])
+    records, matrix = store.rows()
+    assert [r.chunk_id for r in records] == ["a", "b"]
+    assert all(r.embedding is None for r in records)
+    assert matrix.dtype == np.float32
+    assert matrix.tolist() == [list(r.embedding.values) for r in store.records()]
+    with pytest.raises(ValueError):
+        matrix[0, 0] = 7.0
+    assert store.get("a").embedding.values == (1.5, -2.0)
+
+
+def test_rows_snapshot_keeps_the_row_an_upsert_replaces():
+    store = VectorStore(2)
+    store.upsert([_record("a", [1, 0]), _record("b", [0, 1])])
+    records, matrix = store.rows()
+    store.upsert([_record("a", [5, 5])])
+    assert matrix.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    assert [r.chunk_id for r in records] == ["a", "b"]
+    assert store.rows()[1].tolist() == [[5.0, 5.0], [0.0, 1.0]]
+
+
 # --- top_k ----------------------------------------------------------------------
 
 
@@ -323,6 +370,57 @@ def test_concurrent_reads_during_writes():
         t.join()
     assert errors == []
     assert len(store) == 101
+
+
+def test_rows_snapshots_stay_consistent_under_concurrent_upserts():
+    # every row of record "r<j>" written at version v holds the value v + j,
+    # and the record's text names v: a torn or mismatched snapshot breaks it
+    import sys
+    import threading
+
+    def batch(version, n):
+        return [
+            replace(_record(f"r{j}", [version + j] * 4), text=str(version)) for j in range(n)
+        ]
+
+    store = VectorStore(4)
+    store.upsert(batch(1, 5))
+    errors = []
+    done = threading.Event()
+
+    def reader():
+        try:
+            while not done.is_set():
+                records, matrix = store.rows()
+                assert len(records) == len(matrix)
+                for j, rec in enumerate(records):
+                    assert matrix[j].tolist() == [float(int(rec.text) + j)] * 4
+        except Exception as exc:  # noqa: BLE001
+            errors.append(exc)
+
+    def writer():
+        try:
+            for version in range(2, 300):
+                store.upsert(batch(version, 5 + version % 7))
+        except Exception as exc:  # noqa: BLE001
+            errors.append(exc)
+        finally:
+            done.set()
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader) for _ in range(4)]
+        threads.append(threading.Thread(target=writer))
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(store) == 11
 
 
 def test_top_k_tie_break_by_chunk_id():
@@ -434,6 +532,7 @@ def test_round_trip_is_bit_exact(tmp_path):
     loaded = VectorStore.open(tmp_path / "s")
 
     assert len(loaded) == len(store)
+    assert loaded.records() == store.records()
     original = {r.chunk_id: r for r in store.records()}
     for rec in loaded.records():
         src = original[rec.chunk_id]
@@ -478,6 +577,31 @@ def test_corrupt_header_json(tmp_path):
     store.persist(tmp_path / "s")
     (tmp_path / "s" / "header.json").write_text("{not json")
     with pytest.raises(CorruptStore):
+        VectorStore.open(tmp_path / "s")
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda obj: obj.pop("text"),
+        lambda obj: obj.update(chunk_id="c0000"),
+        lambda obj: obj.update(start_offset=9, end_offset=3),
+        lambda obj: obj["metadata"].pop("source"),
+    ],
+    ids=["missing-key", "repeated-chunk-id", "reversed-offsets", "missing-source"],
+)
+def test_malformed_records_line_is_corrupt(tmp_path, edit):
+    import json
+
+    store, _ = _random_store(random.Random(93), 3, 4)
+    store.persist(tmp_path / "s")
+    path = tmp_path / "s" / "records.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    obj = json.loads(lines[1])
+    edit(obj)
+    lines[1] = json.dumps(obj)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(CorruptStore, match="line 2"):
         VectorStore.open(tmp_path / "s")
 
 
