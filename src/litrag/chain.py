@@ -26,11 +26,13 @@ from .citations import (
     CitationEntry,
     CitationMarker,
     VerificationReport,
+    locate_expanded_chunk,
+    verify_answer_citations,
+)
+from .citations import (  # noqa: F401 - unused; perfbench's trace table hooks these names
     extract_citation_markers,
     extract_reference_section,
-    locate_expanded_chunk,
     resolve_citations,
-    verify_answer_citations,
 )
 from .config import EngineConfig
 from .embedding import TokenizerConfig, embed_texts, token_count
@@ -39,7 +41,6 @@ from .errors import (
     ChatServiceFailed,
     EmptyStore,
     MissingSlot,
-    NoReferenceSection,
     RetrievalEmpty,
     UnknownSlot,
 )
@@ -329,15 +330,6 @@ def chat_completion(config: EngineConfig, prompt: str, temperature: float) -> st
         raise ChatServiceFailed(f"malformed chat response: {exc}") from exc
 
 
-@dataclass
-class _DocContext:
-    """Citation material shared by all retrieved chunks of one document."""
-
-    entries: list[CitationEntry]
-    unresolved: list[CitationMarker]
-    expanded_by_chunk: dict[str, Chunk]
-
-
 class QueryChain:
     """The grounded answering pipeline over one knowledge base."""
 
@@ -356,82 +348,51 @@ class QueryChain:
         except EmptyStore as exc:
             raise RetrievalEmpty(str(exc)) from exc
 
-    # -- citation material ------------------------------------------------------
-
-    def _doc_context(self, doc_id: str, chunks: list[ChunkRecord]) -> _DocContext:
-        doc = self.kb.document(doc_id)
-        aux = self.kb.aux_index(doc_id)
-        expanded_by_chunk: dict[str, Chunk] = {}
-        markers: list[CitationMarker] = []
-        seen = set()
-        for rec in chunks:
-            expanded = locate_expanded_chunk(aux, rec)
-            expanded_by_chunk[rec.chunk_id] = expanded
-            for marker in extract_citation_markers(expanded.text):
-                if marker.key() not in seen:
-                    seen.add(marker.key())
-                    markers.append(marker)
-        try:
-            entries = extract_reference_section(doc)
-        except NoReferenceSection:
-            logger.warning(
-                "document %s has no reference section; citation list will be empty", doc_id
-            )
-            entries = []
-        resolved, unresolved = resolve_citations(markers, entries)
-        return _DocContext(
-            entries=resolved, unresolved=unresolved, expanded_by_chunk=expanded_by_chunk
-        )
+    # -- prompt assembly -------------------------------------------------------
 
     def _assemble(
         self, retrieved: list[ScoredRecord], mode: str
     ) -> tuple[str, str | None, list[CitationEntry], list[CitationMarker]]:
-        """Build (context, citation_block, citation_list, unresolved) for a mode."""
+        """Build (context, citation_block, citation_list, unresolved) for a mode.
+
+        Citation material is looked up in each document's memoized aux
+        index. Within a document, entries are deduplicated by value and
+        unresolved markers by ``key()``; both are grouped by document in the
+        order documents first appear among ``retrieved``.
+        """
         if mode == "plain":
             context = "\n\n".join(sr.record.text for sr in retrieved)
             return context, None, [], []
 
-        by_doc: dict[str, list[ChunkRecord]] = {}
+        expanded_texts: dict[str, str] = {}
+        entries_of: dict[str, dict[CitationEntry, None]] = {}
+        unresolved_of: dict[str, dict[tuple, CitationMarker]] = {}
         for sr in retrieved:
-            by_doc.setdefault(sr.record.doc_id, []).append(sr.record)
-        doc_contexts = {
-            doc_id: self._doc_context(doc_id, chunks) for doc_id, chunks in by_doc.items()
-        }
-
-        citation_list: list[CitationEntry] = []
-        seen_entries = set()
-        unresolved: list[CitationMarker] = []
-        for doc_id in by_doc:
-            for entry in doc_contexts[doc_id].entries:
-                key = (entry.doc_id, entry.label, entry.full_text)
-                if key not in seen_entries:
-                    seen_entries.add(key)
-                    citation_list.append(entry)
-            unresolved.extend(doc_contexts[doc_id].unresolved)
+            rec = sr.record
+            aux = self.kb.aux_index(rec.doc_id)
+            expanded = locate_expanded_chunk(aux, rec)
+            expanded_texts.setdefault(expanded.chunk_id, expanded.text)
+            resolved, missing = aux.citations(expanded)
+            entries_of.setdefault(rec.doc_id, {}).update(dict.fromkeys(resolved))
+            doc_unresolved = unresolved_of.setdefault(rec.doc_id, {})
+            for marker in missing:
+                doc_unresolved.setdefault(marker.key(), marker)
+        citation_list = [e for entries in entries_of.values() for e in entries]
+        unresolved = [m for markers in unresolved_of.values() for m in markers.values()]
 
         if mode == "mode1":
             # Each document's citation list rides with its first retrieved chunk
             # so merged lists are not repeated.
-            emitted_docs = set()
-            parts = []
-            for sr in retrieved:
-                doc_id = sr.record.doc_id
-                entries = [] if doc_id in emitted_docs else doc_contexts[doc_id].entries
-                emitted_docs.add(doc_id)
-                parts.append(assemble_mode1(sr.record, entries))
+            parts = [
+                assemble_mode1(sr.record, list(entries_of.pop(sr.record.doc_id, ())))
+                for sr in retrieved
+            ]
             return "\n\n".join(parts), None, citation_list, unresolved
 
         # mode2: expanded chunks replace the originals (each contains its
         # original); the citation block stays out of the context slot.
-        expanded_seen = set()
-        parts = []
-        for sr in retrieved:
-            expanded = doc_contexts[sr.record.doc_id].expanded_by_chunk[sr.record.chunk_id]
-            if expanded.chunk_id not in expanded_seen:
-                expanded_seen.add(expanded.chunk_id)
-                parts.append(expanded.text)
         block = format_citation_block(citation_list)
-        return "\n\n".join(parts), block, citation_list, unresolved
+        return "\n\n".join(expanded_texts.values()), block, citation_list, unresolved
 
     # -- the pipeline ---------------------------------------------------------
 

@@ -11,14 +11,18 @@ be flagged instead of silently passed through.
 
 from __future__ import annotations
 
+import logging
 import math
 import re
 import unicodedata
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .embedding import embed_texts  # noqa: F401 - unused; perfbench's trace table hooks this name
 from .errors import NoContainingChunk, NoReferenceSection
 from .ingest import Chunk, Document
+
+logger = logging.getLogger(__name__)
 
 # Expanded chunks target 10-11 per document at 3500-4000 characters each.
 EXPANDED_MIN_CHARS = 3500
@@ -34,6 +38,7 @@ _DASH_CLASS = "\\-\u2010\u2011\u2012\u2013\u2014\u2212"
 NUMERIC_GROUP_PATTERN = (
     rf"[\[{{]\s*(\d{{1,3}}(?:\s*(?:[,;\u00b7]|[{_DASH_CLASS}])\s*\d{{1,3}})*)\s*[\]}}]"
 )
+_NUMERIC_GROUP_RE = re.compile(NUMERIC_GROUP_PATTERN)
 
 # Unicode superscript digit runs attached to a word, e.g. "X¹".
 _SUPERSCRIPT_DIGITS = "\u2070\u00b9\u00b2\u00b3\u2074\u2075\u2076\u2077\u2078\u2079"
@@ -49,6 +54,7 @@ AUTHOR_YEAR_PATTERN = (
     rf"(?P<names>{_SURNAME}(?:{_NAME_SEP}{_SURNAME})*)"
     rf"(?:\s*,)?\s*(?:\bet\s+al\.?)?\s*\(\s*(?P<year>\d{{4}})[a-z]?\s*\)"
 )
+_AUTHOR_YEAR_RE = re.compile(AUTHOR_YEAR_PATTERN)
 
 # "Surname et al. [26]" pairs an author with a numeric label; used by the
 # verifier to catch mis-attributed labels.
@@ -145,10 +151,31 @@ class CitationEntry:
 
 @dataclass(frozen=True)
 class AuxIndex:
-    """Per-document auxiliary index of expanded chunks."""
+    """A document's citation material, derived once from its snapshot.
+
+    ``expanded_chunks`` divide the body; ``entries`` is the parsed
+    reference section (empty when the document has none). Each expanded
+    chunk's markers are extracted and resolved against ``entries`` on its
+    first use by :meth:`citations` and kept.
+    """
 
     doc_id: str
     expanded_chunks: tuple[Chunk, ...]
+    entries: tuple[CitationEntry, ...] = ()
+    _resolved: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def citations(
+        self, expanded: Chunk
+    ) -> tuple[tuple[CitationEntry, ...], tuple[CitationMarker, ...]]:
+        """``resolve_citations`` of the markers in ``expanded``, computed once.
+
+        Concurrent first uses may both compute it; the results are equal.
+        """
+        if expanded.chunk_id not in self._resolved:
+            markers = extract_citation_markers(expanded.text)
+            resolved, unresolved = resolve_citations(markers, self.entries)
+            self._resolved[expanded.chunk_id] = (tuple(resolved), tuple(unresolved))
+        return self._resolved[expanded.chunk_id]
 
 
 @dataclass
@@ -227,10 +254,21 @@ def split_expanded_chunks(doc: Document) -> list[Chunk]:
 
 
 def build_auxiliary_index(doc: Document) -> AuxIndex:
-    """Build the expanded-chunk index for ``doc``."""
+    """Cut ``doc``'s expanded chunks and parse its reference section."""
     if not doc.body:
         raise ValueError("document body is empty")
-    return AuxIndex(doc_id=doc.doc_id, expanded_chunks=tuple(split_expanded_chunks(doc)))
+    try:
+        entries = extract_reference_section(doc)
+    except NoReferenceSection:
+        logger.warning(
+            "document %s has no reference section; citation list will be empty", doc.doc_id
+        )
+        entries = []
+    return AuxIndex(
+        doc_id=doc.doc_id,
+        expanded_chunks=tuple(split_expanded_chunks(doc)),
+        entries=tuple(entries),
+    )
 
 
 def locate_expanded_chunk(aux: AuxIndex, original) -> Chunk:
@@ -291,11 +329,7 @@ def _split_author_names(names: str) -> list[str]:
     return out
 
 
-def extract_citation_markers(
-    text: str,
-    numeric_patterns: tuple[str, ...] | None = None,
-    author_patterns: tuple[str, ...] | None = None,
-) -> list[CitationMarker]:
+def extract_citation_markers(text: str) -> list[CitationMarker]:
     """Find citation markers in ``text``.
 
     Detects bracketed numeric groups (lists and ranges are expanded to one
@@ -303,41 +337,28 @@ def extract_citation_markers(
     ("Name et al. (YYYY)", "Name & Name (YYYY)", "Name, Name & Name (YYYY)").
     Matching tolerates hyphen variants, middle dots, braces, LaTeX-escaped
     ampersands and diacritics. Duplicates are removed, keeping
-    first-occurrence order. The pattern lists are configurable for corpora
-    with unusual citation styles.
+    first-occurrence order.
     """
-    numeric_res = [re.compile(p) for p in (numeric_patterns or (NUMERIC_GROUP_PATTERN,))]
-    author_res = [re.compile(p) for p in (author_patterns or (AUTHOR_YEAR_PATTERN,))]
-
     found: list[CitationMarker] = []
-    for regex in numeric_res:
-        for m in regex.finditer(text):
-            for n in _expand_numeric_group(m.group(1)):
-                found.append(
-                    CitationMarker(kind="numeric", numbers=(n,), span=m.span())
-                )
+    for m in _NUMERIC_GROUP_RE.finditer(text):
+        for n in _expand_numeric_group(m.group(1)):
+            found.append(CitationMarker(kind="numeric", numbers=(n,), span=m.span()))
     for m in re.finditer(SUPERSCRIPT_PATTERN, text):
         digits = m.group(1).translate(_SUPERSCRIPT_MAP)
         if digits.isdigit() and 0 < int(digits) <= 999:
             found.append(
                 CitationMarker(kind="numeric", numbers=(int(digits),), span=m.span())
             )
-    for regex in author_res:
-        for m in regex.finditer(text):
-            year = int(m.group("year"))
-            if not (YEAR_MIN <= year <= YEAR_MAX):
-                continue
-            authors = _split_author_names(m.group("names"))
-            if not authors or authors[0] in _MARKER_STOPWORDS:
-                continue
-            found.append(
-                CitationMarker(
-                    kind="author_year",
-                    authors=tuple(authors),
-                    year=year,
-                    span=m.span(),
-                )
-            )
+    for m in _AUTHOR_YEAR_RE.finditer(text):
+        year = int(m.group("year"))
+        if not (YEAR_MIN <= year <= YEAR_MAX):
+            continue
+        authors = _split_author_names(m.group("names"))
+        if not authors or authors[0] in _MARKER_STOPWORDS:
+            continue
+        found.append(
+            CitationMarker(kind="author_year", authors=tuple(authors), year=year, span=m.span())
+        )
 
     found.sort(key=lambda mk: (mk.span[0], mk.span[1]))
     seen = set()
@@ -458,8 +479,17 @@ def _entry_matches_author_year(
     )
 
 
+def _candidates_for(entries, authors, year):
+    """The entries of ``(folded_text, entry)`` pairs naming all ``authors`` and ``year``."""
+    out = []
+    for folded_text, entry in entries:
+        if _entry_matches_author_year(folded_text, entry.full_text, authors, year):
+            out.append(entry)
+    return out
+
+
 def resolve_citations(
-    markers: list[CitationMarker], entries: list[CitationEntry]
+    markers: list[CitationMarker], entries: Sequence[CitationEntry]
 ) -> tuple[list[CitationEntry], list[CitationMarker]]:
     """Match markers against reference entries.
 
@@ -496,17 +526,11 @@ def resolve_citations(
             if missing:
                 unresolved.append(marker)
         else:
-            match = None
-            for folded_text, entry in folded:
-                if _entry_matches_author_year(
-                    folded_text, entry.full_text, marker.authors, marker.year
-                ):
-                    match = entry
-                    break
-            if match is None:
-                unresolved.append(marker)
+            candidates = _candidates_for(folded, marker.authors, marker.year)
+            if candidates:
+                add(candidates[0])
             else:
-                add(match)
+                unresolved.append(marker)
 
     return citation_list, unresolved
 
@@ -588,14 +612,6 @@ def _parse_bib_line(line: str) -> dict:
     if info["title"] is not None and len(re.findall(r"[^\W\d_]{3,}", info["title"])) < 2:
         info["title"] = None  # volume/page tails are not titles
     return info
-
-
-def _candidates_for(entries, authors, year):
-    out = []
-    for folded_text, entry in entries:
-        if _entry_matches_author_year(folded_text, entry.full_text, authors, year):
-            out.append(entry)
-    return out
 
 
 def verify_answer_citations(

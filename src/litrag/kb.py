@@ -6,9 +6,10 @@ A knowledge base is a directory:
     <root>/docs/<doc_id>.json                       document snapshot (body, title,
                                                     reference-section span)
 
-Document snapshots keep the citation guard exact at query time: reference
-sections are re-parsed, and expanded chunks re-cut, from the same text the
-chunks were cut from.
+Document snapshots keep the citation guard exact at query time: on a
+document's first use, its reference section is parsed and its expanded
+chunks are cut from the same text the chunks were cut from, and the result
+(``aux_index``) is kept for the life of the ``KnowledgeBase``.
 """
 
 from __future__ import annotations

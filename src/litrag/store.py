@@ -461,6 +461,12 @@ class VectorStore:
             raise CorruptStore(
                 f"unsupported format_version {header['format_version']}"
             )
+        dim, count = header["dimension"], header["record_count"]
+        for key, value, least in (("dimension", dim, 1), ("record_count", count, 0)):
+            if type(value) is not int or value < least:
+                raise CorruptStore(
+                    f"header.json {key} must be an integer >= {least}, got {value!r}"
+                )
 
         try:
             matrix_bytes = (path / "matrix.bin").read_bytes()
@@ -472,8 +478,6 @@ class VectorStore:
         if digest != header["checksum"]:
             raise CorruptStore("matrix checksum mismatch (truncated or modified file)")
 
-        dim = int(header["dimension"])
-        count = int(header["record_count"])
         if len(matrix_bytes) != dim * count * 4:
             raise DimensionHeaderMismatch(
                 f"matrix.bin holds {len(matrix_bytes)} bytes, header implies {dim * count * 4}"

@@ -228,3 +228,48 @@ def brute_force_cluster_stats(labeled_vectors, kind="euclidean", p=None):
         for b in labels[i + 1 :]:
             matrix[(a, b)] = dist(centroids[a], centroids[b])
     return stats, matrix
+
+
+# --- per-document citation material -------------------------------------------------
+
+
+def per_document_citations(documents, records):
+    """Citation list and unresolved markers of ``records`` (retrieval order),
+    recomputed from scratch for each document: parse its reference section,
+    extract markers from each record's expanded chunk with duplicates
+    dropped across the document, resolve them, and concatenate the documents
+    in first-appearance order. ``documents`` maps doc_id to Document."""
+    from litrag.citations import (
+        AuxIndex,
+        extract_citation_markers,
+        extract_reference_section,
+        locate_expanded_chunk,
+        resolve_citations,
+        split_expanded_chunks,
+    )
+    from litrag.errors import NoReferenceSection
+
+    by_doc = {}
+    for rec in records:
+        by_doc.setdefault(rec.doc_id, []).append(rec)
+    citation_list, unresolved, seen_entries = [], [], set()
+    for doc_id, recs in by_doc.items():
+        doc = documents[doc_id]
+        aux = AuxIndex(doc_id=doc_id, expanded_chunks=tuple(split_expanded_chunks(doc)))
+        markers, seen = [], set()
+        for rec in recs:
+            for marker in extract_citation_markers(locate_expanded_chunk(aux, rec).text):
+                if marker.key() not in seen:
+                    seen.add(marker.key())
+                    markers.append(marker)
+        try:
+            entries = extract_reference_section(doc)
+        except NoReferenceSection:
+            entries = []
+        resolved, missing = resolve_citations(markers, entries)
+        for entry in resolved:
+            if (entry.doc_id, entry.label, entry.full_text) not in seen_entries:
+                seen_entries.add((entry.doc_id, entry.label, entry.full_text))
+                citation_list.append(entry)
+        unresolved.extend(missing)
+    return citation_list, unresolved

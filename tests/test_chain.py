@@ -1,7 +1,10 @@
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from litrag.chain import (
     CITATION_BLOCK_HEADER,
@@ -26,7 +29,7 @@ from litrag.errors import (
 )
 from litrag.ingest import Chunk, load_document
 from litrag.kb import KnowledgeBase, build_knowledge_base
-from litrag.store import ChunkRecord
+from litrag.store import ChunkRecord, ScoredRecord
 from litrag.testing import (
     FABRICATED_CITATION,
     StubChatService,
@@ -36,6 +39,7 @@ from litrag.testing import (
     make_corpus,
     question_for,
 )
+from reference_impls import per_document_citations
 
 DIM = 32
 
@@ -418,4 +422,117 @@ def test_unresolved_warning_logged_once_per_answer(built_kb, caplog):
     assert bundle.unresolved_markers
     # ... but the final unresolved list is reported once
     warnings = [r for r in caplog.records if "could not be resolved" in r.getMessage()]
+    assert len(warnings) == 1
+
+
+# --- citation material, derived once per document ----------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_assemble_matches_per_document_oracle(built_kb, data):
+    chain, _ = _chain(built_kb, "http://unused.invalid/", "http://unused.invalid/")
+    records, _ = chain.kb.store.rows()
+    picked = data.draw(
+        st.lists(st.integers(0, len(records) - 1), min_size=1, max_size=12, unique=True)
+    )
+    retrieved = [ScoredRecord(records[i], 1.0) for i in picked]
+    documents = {rec.doc_id: chain.kb.document(rec.doc_id) for rec in records}
+    expected = per_document_citations(documents, [sr.record for sr in retrieved])
+    for mode in ("mode1", "mode2"):
+        _, _, citation_list, unresolved = chain._assemble(retrieved, mode)
+        assert (citation_list, unresolved) == expected
+
+
+def _counting(monkeypatch, name, key):
+    """Count calls of litrag.citations.<name>, wherever litrag looks it up."""
+    import litrag.chain
+    import litrag.citations
+
+    calls = Counter()
+    original = getattr(litrag.citations, name)
+
+    def counted(arg, *args, **kwargs):
+        calls[key(arg)] += 1
+        return original(arg, *args, **kwargs)
+
+    for module in (litrag.citations, litrag.chain):
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_citation_material_is_computed_once(built_kb, monkeypatch):
+    parses = _counting(monkeypatch, "extract_reference_section", lambda doc: doc.doc_id)
+    extractions = _counting(monkeypatch, "extract_citation_markers", lambda text: text)
+    with StubEmbeddingService(dim=DIM) as emb, StubChatService(
+        echo_citations_responder()
+    ) as chat:
+        chain, truths = _chain(built_kb, emb.url, chat.url)
+        bundles = [
+            chain.answer(question_for(truths[doc_id], random.Random(seed)), k=6, mode=mode)
+            for seed in range(2)
+            for doc_id in truths
+            for mode in ("mode1", "mode2")
+        ]
+    assert any(len(b.retrieved) < 6 for b in bundles)  # the budget loop shed chunks
+    touched = {sr.record.doc_id for b in bundles for sr in b.retrieved}
+    assert touched <= set(parses) and set(parses.values()) == {1}
+    expanded = {c.text for doc_id in parses for c in chain.kb.aux_index(doc_id).expanded_chunks}
+    per_chunk = [n for text, n in extractions.items() if text in expanded]
+    assert per_chunk and set(per_chunk) == {1}
+
+
+@pytest.fixture(scope="module")
+def no_reference_kb(tmp_path_factory):
+    """The built_kb corpus with paper-01's reference section stripped."""
+    corpus_dir = tmp_path_factory.mktemp("noref-corpus")
+    truths = make_corpus(corpus_dir, n_docs=4, seed=4242, paragraphs_per_doc=12)
+    path = corpus_dir / "paper-01.txt"
+    body = path.read_text(encoding="utf-8").split("\n\nReferences\n\n")[0]
+    path.write_text(body + "\n", encoding="utf-8")
+    store_root = tmp_path_factory.mktemp("noref-kb") / "kb"
+    with StubEmbeddingService(dim=DIM) as svc:
+        cfg = default_config(svc.url, "http://unused.invalid/")
+        cfg = replace(
+            cfg,
+            embedding=replace(cfg.embedding, expected_dim=DIM, batch_size=64),
+            store_path=str(store_root),
+        )
+        assert build_knowledge_base(corpus_dir, cfg).failures == []
+    return store_root, truths
+
+
+def test_document_without_references_resolves_nothing(no_reference_kb, caplog):
+    from litrag.citations import extract_citation_markers, locate_expanded_chunk
+    from litrag.config import ChatConfig
+
+    with StubEmbeddingService(dim=DIM) as emb, StubChatService(
+        echo_citations_responder()
+    ) as chat:
+        chain, truths = _chain(no_reference_kb, emb.url, chat.url)
+        bundles = []
+        with caplog.at_level("WARNING", logger="litrag"):
+            for mode, limit, reserve in (("mode1", 1500, 512), ("mode2", 4096, 1024)):
+                chain.config = replace(
+                    chain.config,
+                    chat=ChatConfig(
+                        endpoint_url=chat.url, llm_token_limit=limit, reserved_for_answer=reserve
+                    ),
+                )
+                for seed in range(3):
+                    question = question_for(truths["paper-01"], random.Random(seed))
+                    bundles.append((mode, chain.answer(question, k=6, mode=mode)))
+    for mode in ("mode1", "mode2"):
+        assert any(m == mode and len(b.retrieved) < 6 for m, b in bundles)  # shed chunks
+    aux = chain.kb.aux_index("paper-01")
+    assert aux.entries == ()
+    for _, bundle in bundles:
+        assert all(e.doc_id != "paper-01" for e in bundle.citation_list)
+        unresolved = {m.key() for m in bundle.unresolved_markers}
+        ours = [sr.record for sr in bundle.retrieved if sr.record.doc_id == "paper-01"]
+        assert ours
+        for rec in ours:
+            for marker in extract_citation_markers(locate_expanded_chunk(aux, rec).text):
+                assert marker.key() in unresolved
+    warnings = [r for r in caplog.records if "no reference section" in r.getMessage()]
     assert len(warnings) == 1

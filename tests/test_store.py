@@ -581,6 +581,32 @@ def test_corrupt_header_json(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "key, value",
+    [
+        ("dimension", 0),
+        ("dimension", -3),
+        ("dimension", "x"),
+        ("dimension", True),
+        ("dimension", 4.0),
+        ("record_count", -1),
+        ("record_count", True),
+        ("record_count", "0"),
+    ],
+)
+def test_malformed_header_sizes_are_corrupt(tmp_path, key, value):
+    import json
+
+    # an empty store: the checksum stays valid and no size check catches the edit
+    VectorStore(4).persist(tmp_path / "s")
+    header_path = tmp_path / "s" / "header.json"
+    header = json.loads(header_path.read_text())
+    header[key] = value
+    header_path.write_text(json.dumps(header))
+    with pytest.raises(CorruptStore, match=key):
+        VectorStore.open(tmp_path / "s")
+
+
+@pytest.mark.parametrize(
     "edit",
     [
         lambda obj: obj.pop("text"),
