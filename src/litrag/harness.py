@@ -27,7 +27,7 @@ from .embedding import TokenizerConfig, token_count
 from .errors import EmptyStore, IoFailure, MissingLabel, ScoreOutOfRange
 from .ingest import SplitParams
 from .kb import build_knowledge_base
-from .store import Metric, VectorStore, similarity
+from .store import Metric, VectorStore, score_rows
 
 logger = logging.getLogger(__name__)
 
@@ -279,11 +279,12 @@ class ClusterStats:
         }
 
 
-def _cluster_distance(x, y, m: Metric) -> float:
+def _cluster_distance(matrix, vec, m: Metric) -> np.ndarray:
+    """The distance of each row of ``matrix`` from ``vec``."""
     if m.is_distance:
-        return similarity(x, y, m)
+        return score_rows(matrix, vec, m)
     if m.kind == "cosine":
-        return 1.0 - similarity(x, y, m)
+        return 1.0 - score_rows(matrix, vec, m)
     raise ValueError("cluster statistics need a distance metric or cosine")
 
 
@@ -308,27 +309,25 @@ def cluster_stats(store: VectorStore, label_by: str, m: Metric) -> ClusterStats:
 
     labels = sorted(groups)
     per_label: dict[str, LabelStats] = {}
-    centroids = {}
-    for label in labels:
+    centroids = np.empty((len(labels), matrix.shape[1]))
+    for i, label in enumerate(labels):
         vectors = matrix[groups[label]].astype(np.float64)
-        centroid = vectors.mean(axis=0)
-        centroids[label] = centroid
-        intra = [_cluster_distance(v, centroid, m) for v in vectors]
+        centroids[i] = vectors.mean(axis=0)
         per_label[label] = LabelStats(
             count=len(vectors),
-            centroid=tuple(float(v) for v in centroid),
-            mean_intra_distance=float(np.mean(intra)),
+            centroid=tuple(centroids[i].tolist()),
+            mean_intra_distance=float(np.mean(_cluster_distance(vectors, centroids[i], m))),
         )
 
+    # the upper triangle, mirrored: an exactly symmetric matrix with a 0.0 diagonal
     n = len(labels)
-    matrix = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = _cluster_distance(centroids[labels[i]], centroids[labels[j]], m)
-            matrix[i][j] = matrix[j][i] = float(d)
+    distances = np.zeros((n, n))
+    for i in range(n - 1):
+        row = _cluster_distance(centroids[i + 1 :], centroids[i], m)
+        distances[i, i + 1 :] = distances[i + 1 :, i] = row
 
     return ClusterStats(
-        metric=m, labels=labels, per_label=per_label, inter_centroid_distances=matrix
+        metric=m, labels=labels, per_label=per_label, inter_centroid_distances=distances.tolist()
     )
 
 

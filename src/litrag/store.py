@@ -7,6 +7,11 @@ read-only float32 matrix that matches the on-disk format, so a persist/open
 round trip is bit-exact. Records handed out rebuild ``embedding`` from
 their row; stored records carry ``embedding=None``.
 
+Every score comes from one row scorer, :func:`score_rows` (a matrix and a
+vector in, one float64 score per row out): ``similarity`` is a one-row call,
+top-k is one call on the whole matrix, and MMR makes one call per pick on
+its candidate pool.
+
 On-disk layout (one directory per store):
     header.json   {"dimension", "record_count", "format_version", "checksum"}
     records.jsonl one JSON object per record, embedding values excluded
@@ -116,6 +121,34 @@ def _as_array(vec) -> np.ndarray:
     return np.asarray(vec, dtype=np.float64)
 
 
+def score_rows(matrix, vec, m: Metric) -> np.ndarray:
+    """Score each row of ``matrix`` against ``vec`` under metric ``m``, in
+    float64: one value per row, lower-is-more-similar for distances and
+    higher-is-more-similar for cosine and inner_product.
+
+    The only implementation of the metric formulas; every other score in
+    litrag comes from here. Shapes are the caller's to check.
+    """
+    mat = np.asarray(matrix, dtype=np.float64)
+    if m.kind == "cosine":
+        qn = float(np.linalg.norm(vec))
+        norms = np.linalg.norm(mat, axis=1)
+        if qn == 0.0 or np.any(norms == 0.0):
+            raise ZeroVector("cosine similarity is undefined for a zero vector")
+        return (mat @ vec) / (norms * qn)
+    if m.kind == "inner_product":
+        return mat @ vec
+    diff = np.abs(mat - vec)
+    if m.kind == "manhattan":
+        return diff.sum(axis=1)
+    if m.kind == "euclidean":
+        return np.sqrt(np.square(diff).sum(axis=1))
+    if m.kind == "chebyshev":
+        return diff.max(axis=1, initial=0.0)
+    p = float(m.p)  # type: ignore[arg-type]
+    return np.power(np.power(diff, p).sum(axis=1), 1.0 / p)
+
+
 def similarity(x, y, m: Metric) -> float:
     """Score two vectors under metric ``m``.
 
@@ -127,31 +160,7 @@ def similarity(x, y, m: Metric) -> float:
     b = _as_array(y)
     if a.shape != b.shape:
         raise DimensionMismatch(f"vector dimensions differ: {a.shape[0]} vs {b.shape[0]}")
-
-    if m.kind == "cosine":
-        na = float(np.linalg.norm(a))
-        nb = float(np.linalg.norm(b))
-        if na == 0.0 or nb == 0.0:
-            raise ZeroVector("cosine similarity is undefined for a zero vector")
-        return float(np.dot(a, b) / (na * nb))
-    if m.kind == "inner_product":
-        return float(np.dot(a, b))
-
-    diff = np.abs(a - b)
-    if m.kind == "manhattan":
-        return float(diff.sum())
-    if m.kind == "euclidean":
-        return float(np.sqrt(np.square(diff).sum()))
-    if m.kind == "chebyshev":
-        return float(diff.max()) if diff.size else 0.0
-    # minkowski, general p
-    p = float(m.p)  # type: ignore[arg-type]
-    return float(np.power(np.power(diff, p).sum(), 1.0 / p))
-
-
-def signed_similarity(value: float, m: Metric) -> float:
-    """Map a metric value onto a consistent higher-is-more-similar scale."""
-    return -value if m.is_distance else value
+    return float(score_rows(a[np.newaxis], b, m)[0])
 
 
 @dataclass(frozen=True)
@@ -314,28 +323,6 @@ class VectorStore:
 
     # --- retrieval -------------------------------------------------------
 
-    def _scores(self, query: np.ndarray, m: Metric) -> np.ndarray:
-        mat = self._matrix.astype(np.float64)
-        if m.kind == "cosine":
-            qn = float(np.linalg.norm(query))
-            if qn == 0.0:
-                raise ZeroVector("cosine similarity is undefined for a zero query")
-            norms = np.linalg.norm(mat, axis=1)
-            if np.any(norms == 0.0):
-                raise ZeroVector("store contains a zero vector; cosine is undefined")
-            return (mat @ query) / (norms * qn)
-        if m.kind == "inner_product":
-            return mat @ query
-        diff = np.abs(mat - query)
-        if m.kind == "manhattan":
-            return diff.sum(axis=1)
-        if m.kind == "euclidean":
-            return np.sqrt(np.square(diff).sum(axis=1))
-        if m.kind == "chebyshev":
-            return diff.max(axis=1)
-        p = float(m.p)  # type: ignore[arg-type]
-        return np.power(np.power(diff, p).sum(axis=1), 1.0 / p)
-
     def _rank(self, query_vec, k: int, m: Metric) -> tuple[list[int], np.ndarray]:
         """Indices of the k best rows, best first, and the scores of all
         rows. The caller holds the lock."""
@@ -348,7 +335,7 @@ class VectorStore:
             raise DimensionMismatch(
                 f"query dimension {query.shape[0]} != store dimension {self._dim}"
             )
-        scores = self._scores(query, m)
+        scores = score_rows(self._matrix, query, m)
         order = sorted(
             range(len(self._records)),
             key=lambda i: (
@@ -385,39 +372,29 @@ class VectorStore:
         The returned scores are the objective values at selection time.
         """
         with self._lock:
-            order, _ = self._rank(query_vec, params.pool_size(), params.sim1)
-            pool = {self._records[i].chunk_id: self._records[i] for i in order}
-            rows = dict(zip(pool, self._matrix[order]))
-        query = _as_array(query_vec)
-        vectors = {cid: row.astype(np.float64) for cid, row in rows.items()}
-
-        relevance = {
-            cid: signed_similarity(similarity(query, vec, params.sim1), params.sim1)
-            for cid, vec in vectors.items()
-        }
-        remaining = set(pool)
-        selected: list[tuple[str, float]] = []
+            order, scores = self._rank(query_vec, params.pool_size(), params.sim1)
+            # chunk_id order, so argmax's first maximum is the lowest chunk_id
+            pool = sorted(order, key=lambda i: self._records[i].chunk_id)
+            records = [self._records[i] for i in pool]
+            rows = self._matrix[pool]
+        vectors = rows.astype(np.float64)
+        sign1 = -1.0 if params.sim1.is_distance else 1.0
+        sign2 = -1.0 if params.sim2.is_distance else 1.0
+        relevance = sign1 * scores[pool]
         lam = params.lambda_
 
-        while remaining and len(selected) < params.k:
-            best_id = None
-            best_score = -math.inf
-            for cid in sorted(remaining):
-                penalty = 0.0
-                if selected:
-                    penalty = max(
-                        signed_similarity(
-                            similarity(vectors[cid], vectors[sel], params.sim2),
-                            params.sim2,
-                        )
-                        for sel, _ in selected
-                    )
-                score = lam * relevance[cid] - (1.0 - lam) * penalty
-                if score > best_score:
-                    best_id, best_score = cid, score
-            remaining.remove(best_id)
-            selected.append((best_id, best_score))
-        return [ScoredRecord(_with_row(pool[cid], rows[cid]), score) for cid, score in selected]
+        penalty = np.zeros(len(pool))
+        taken = np.zeros(len(pool), dtype=bool)
+        selected: list[ScoredRecord] = []
+        for _ in range(min(params.k, len(pool))):
+            objective = lam * relevance - (1.0 - lam) * penalty
+            objective[taken] = -np.inf
+            j = int(np.argmax(objective))
+            taken[j] = True
+            selected.append(ScoredRecord(_with_row(records[j], rows[j]), float(objective[j])))
+            redundancy = sign2 * score_rows(vectors, vectors[j], params.sim2)
+            penalty = redundancy if len(selected) == 1 else np.maximum(penalty, redundancy)
+        return selected
 
     # --- persistence ---------------------------------------------------------
 

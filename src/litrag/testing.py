@@ -23,6 +23,7 @@ import random
 import re
 import threading
 import time
+import zlib
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -503,7 +504,8 @@ def make_corpus(
 
 def question_for(truth: DocTruth, rng: random.Random | None = None) -> str:
     """A question phrased in one document's vocabulary, so retrieval
-    lands on that document."""
-    rng = rng or random.Random(hash(truth.doc_id) & 0xFFFF)
+    lands on that document. Without ``rng`` it is seeded from a CRC of
+    the doc_id (``hash`` is salted per process), so every run asks the same."""
+    rng = rng or random.Random(zlib.crc32(truth.doc_id.encode()))
     words = rng.sample(truth.vocab[:60], 4)
     return f"What is {words[0]} and how does {words[1]} interact with {words[2]} near {words[3]}?"

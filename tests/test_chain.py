@@ -308,8 +308,16 @@ def test_mode1_appends_citations_to_context(built_kb):
     with StubEmbeddingService(dim=DIM) as emb, StubChatService() as chat:
         chain, truths = _chain(built_kb, emb.url, chat.url)
         bundle = chain.answer(question_for(truths["paper-00"]), mode="mode1")
-        assert CITATION_BLOCK_HEADER in bundle.rendered_prompt
-        assert "Citation List: " not in bundle.rendered_prompt.split("Question:")[0].split("Context:")[1] or True
+        context = bundle.rendered_prompt.split("Context: ", 1)[1].split("\n\nQuestion: ", 1)[0]
+        assert "Citation List: " not in context
+        assert bundle.citation_list
+        # each block runs from its header to the blank line before the next chunk
+        cited = {
+            line
+            for block in context.split(CITATION_BLOCK_HEADER)[1:]
+            for line in block.split("\n\n", 1)[0].splitlines()
+        }
+        assert all(entry.full_text in cited for entry in bundle.citation_list)
         assert bundle.verification is not None
 
 

@@ -256,18 +256,24 @@ def test_cluster_stats_matches_brute_force():
     quantized = {}
     for rec in store.records():
         quantized.setdefault(rec.doc_id, []).append(list(rec.embedding.values))
-    stats = cluster_stats(store, "doc_id", Metric.euclidean())
-    expected_stats, expected_matrix = brute_force_cluster_stats(quantized, "euclidean")
 
-    for label, exp in expected_stats.items():
-        got = stats.per_label[label]
-        assert got.count == exp["count"]
-        assert got.mean_intra_distance == pytest.approx(exp["mean_intra_distance"], rel=1e-9)
-        assert list(got.centroid) == pytest.approx(exp["centroid"], rel=1e-9)
-    for (a, b), expected in expected_matrix.items():
-        i, j = stats.labels.index(a), stats.labels.index(b)
-        assert stats.inter_centroid_distances[i][j] == pytest.approx(expected, rel=1e-9)
-        assert stats.inter_centroid_distances[j][i] == stats.inter_centroid_distances[i][j]
+    for metric in ("euclidean", "manhattan", "chebyshev", "minkowski:3", "cosine"):
+        m = Metric.parse(metric)
+        stats = cluster_stats(store, "doc_id", m)
+        expected_stats, expected_matrix = brute_force_cluster_stats(quantized, m.kind, m.p)
+
+        for label, exp in expected_stats.items():
+            got = stats.per_label[label]
+            assert got.count == exp["count"]
+            assert got.mean_intra_distance == pytest.approx(exp["mean_intra_distance"], rel=1e-9)
+            assert list(got.centroid) == pytest.approx(exp["centroid"], rel=1e-9)
+        for (a, b), expected in expected_matrix.items():
+            i, j = stats.labels.index(a), stats.labels.index(b)
+            assert stats.inter_centroid_distances[i][j] == pytest.approx(expected, rel=1e-9)
+        distances = stats.inter_centroid_distances
+        n = len(stats.labels)
+        assert all(distances[i][i] == 0.0 for i in range(n))
+        assert all(distances[i][j] == distances[j][i] for i in range(n) for j in range(n))
 
 
 def test_cluster_stats_cosine_maps_to_distance():

@@ -464,13 +464,21 @@ def test_mmr_frozen_fixture():
 
 
 def test_mmr_lambda_one_equals_top_k():
+    # pool is the top fetch_n; with lambda=1 the greedy order must equal
+    # top_k and each score must be top_k's own, negated for a distance
     rng = random.Random(55)
-    store, _ = _random_store(rng, 40, 6)
-    query = [rng.uniform(-1, 1) for _ in range(6)]
-    mmr = store.mmr_select([*query], MMRParams(lambda_=1.0, k=8, fetch_n=20))
-    top = store.top_k(query, 8, Metric.cosine())
-    # pool is the top-20; with lambda=1 the greedy order must equal top_k
-    assert [sr.record.chunk_id for sr in mmr] == [sr.record.chunk_id for sr in top[:8]]
+    for _ in range(50):
+        n, dim = rng.randint(10, 60), rng.randint(2, 24)
+        store, _ = _random_store(rng, n, dim)
+        query = [rng.uniform(-1, 1) for _ in range(dim)]
+        k = rng.randint(1, 10)
+        for m in (Metric.cosine(), Metric.inner_product(), Metric.euclidean()):
+            params = MMRParams(lambda_=1.0, k=k, fetch_n=rng.randint(k, 3 * k), sim1=m, sim2=m)
+            mmr = store.mmr_select(query, params)
+            top = store.top_k(query, k, m)
+            assert [sr.record.chunk_id for sr in mmr] == [sr.record.chunk_id for sr in top]
+            sign = -1.0 if m.is_distance else 1.0
+            assert [sr.score for sr in mmr] == [sign * sr.score for sr in top]
 
 
 def test_mmr_diversity_at_second_pick():
