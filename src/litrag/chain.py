@@ -20,8 +20,6 @@ import logging
 import re
 from dataclasses import dataclass, field
 
-import requests
-
 from .citations import (
     CitationEntry,
     CitationMarker,
@@ -35,7 +33,7 @@ from .citations import (  # noqa: F401 - unused; perfbench's trace table hooks t
     resolve_citations,
 )
 from .config import EngineConfig
-from .embedding import TokenizerConfig, embed_texts, token_count
+from .embedding import TokenizerConfig, embed_texts, post_json, token_count
 from .errors import (
     BudgetExceeded,
     ChatServiceFailed,
@@ -49,8 +47,6 @@ from .kb import KnowledgeBase
 from .store import ChunkRecord, ScoredRecord
 
 logger = logging.getLogger(__name__)
-
-_REQUEST_TIMEOUT_S = 120.0
 
 KNOWN_SLOTS = ("context", "question", "citation-list")
 _SLOT_RE = re.compile(r"\{([a-z][a-z0-9-]*)\}")
@@ -308,26 +304,21 @@ class AnswerBundle:
 
 
 def chat_completion(config: EngineConfig, prompt: str, temperature: float) -> str:
-    """One chat-completion call over the wire."""
+    """One chat-completion call over the wire. Every failure, the reply's
+    shape included, raises ChatServiceFailed."""
     payload = {
         "model": config.chat.model_name,
         "messages": [{"role": "user", "content": prompt}],
         "temperature": temperature,
     }
+    reply = post_json(config.chat.endpoint_url, payload, ChatServiceFailed, timeout=120.0)
     try:
-        resp = requests.post(
-            config.chat.endpoint_url, json=payload, timeout=_REQUEST_TIMEOUT_S
-        )
-    except requests.RequestException as exc:
-        raise ChatServiceFailed(f"chat service unreachable: {exc}") from exc
-    if resp.status_code >= 400:
-        raise ChatServiceFailed(
-            f"chat service returned status {resp.status_code}: {resp.text[:200]}"
-        )
-    try:
-        return resp.json()["choices"][0]["message"]["content"]
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise ChatServiceFailed(f"malformed chat response: {exc}") from exc
+        content = reply["choices"][0]["message"]["content"]
+    except (KeyError, IndexError, TypeError) as exc:
+        raise ChatServiceFailed(f"malformed chat response: {exc!r}") from exc
+    if not isinstance(content, str):
+        raise ChatServiceFailed(f"chat reply content is {type(content).__name__}, not a string")
+    return content
 
 
 class QueryChain:

@@ -67,12 +67,7 @@ class RetrievalConfig:
     sim2: Metric = Metric("cosine")
 
     def __post_init__(self):
-        if self.k <= 0:
-            raise ValueError("k must be positive")
-        if not (0.0 <= self.lambda_ <= 1.0):
-            raise InvalidLambda(f"lambda must be within [0, 1], got {self.lambda_}")
-        if self.fetch_n is not None and self.fetch_n < self.k:
-            raise ValueError("fetch_n must be >= k")
+        self.mmr_params()  # MMRParams validates k, lambda_ and fetch_n
 
     def mmr_params(self, k: int | None = None) -> MMRParams:
         return MMRParams(

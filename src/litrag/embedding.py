@@ -8,6 +8,9 @@ service speaking the common embeddings wire shape:
 
 Requests are batched and issued with bounded parallelism; callers observe a
 synchronous, order-preserving call.
+
+Every service request, embedding, chat and tokenizer alike, goes through
+``post_json``, which holds the one failure policy.
 """
 
 from __future__ import annotations
@@ -19,12 +22,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import requests
+from urllib3.exceptions import ReadTimeoutError
 
-from .errors import DimensionMismatch, PartialFailure, ServiceUnreachable
+from .errors import DimensionMismatch, LitragError, PartialFailure, ServiceUnreachable
 
 logger = logging.getLogger(__name__)
 
-_RETRY_BASE_S = 0.5  # one retry per failed batch, exponential backoff base
+_RETRY_BASE_S = 0.5  # pause before the one retry of a transient failure
 _REQUEST_TIMEOUT_S = 60.0
 
 
@@ -81,56 +85,64 @@ class TokenizerConfig:
             raise ValueError("external tokenizer mode requires external_url")
 
 
+def post_json(url: str, payload: dict, error: type[LitragError], timeout: float):
+    """POST ``payload`` as JSON to ``url`` and return the decoded reply.
+
+    A refused or timed-out connection, a 5xx and a 429 are retried once,
+    after ``_RETRY_BASE_S``. Everything else fails at once: another 4xx
+    cannot clear, and after a read timeout the service already has the
+    request, so a retry would double the wait. Every failure raises
+    ``error``; checking the reply's shape is left to the caller.
+    """
+    for last_try in (False, True):
+        try:
+            resp = requests.post(url, json=payload, timeout=timeout)
+        except requests.ConnectionError as exc:  # refused, dropped, or a ConnectTimeout
+            # requests reports a read timeout inside the reply body as one too
+            if exc.args and isinstance(exc.args[0], ReadTimeoutError):
+                raise error(f"request to {url} failed: {exc}") from exc
+            cause = f"connection failed: {exc}"
+        except requests.RequestException as exc:
+            raise error(f"request to {url} failed: {exc}") from exc
+        else:
+            if resp.status_code < 400:
+                try:
+                    return resp.json()
+                except ValueError as exc:
+                    raise error(f"{url} replied with malformed JSON: {exc}") from exc
+            cause = f"status {resp.status_code}: {resp.text[:200]}"
+            if resp.status_code < 500 and resp.status_code != 429:
+                raise error(f"{url} returned {cause}")
+        if last_try:
+            raise error(f"{url} failed after one retry: {cause}")
+        logger.warning("%s failed (%s); retrying in %.1fs", url, cause, _RETRY_BASE_S)
+        time.sleep(_RETRY_BASE_S)
+
+
 def token_count(text: str, tok: TokenizerConfig) -> int:
     """Number of tokens in ``text`` under the configured tokenizer."""
     if tok.mode == "heuristic":
         return math.ceil(len(text) / tok.chars_per_token)
-    try:
-        resp = requests.post(
-            tok.external_url, json={"input": text}, timeout=_REQUEST_TIMEOUT_S
-        )
-    except requests.RequestException as exc:
-        raise ServiceUnreachable(f"tokenizer endpoint unreachable: {exc}") from exc
-    if resp.status_code >= 400:
-        raise ServiceUnreachable(
-            f"tokenizer endpoint returned status {resp.status_code}"
-        )
-    return int(resp.json()["count"])
+    reply = post_json(tok.external_url, {"input": text}, ServiceUnreachable, _REQUEST_TIMEOUT_S)
+    count = reply.get("count") if isinstance(reply, dict) else None
+    if type(count) is not int or count < 0:
+        raise ServiceUnreachable(f"tokenizer reply has no non-negative integer count: {reply!r:.200}")
+    return count
 
 
 def _post_batch(config: EmbeddingConfig, batch: list[str]) -> list[EmbeddingVector]:
-    resp = requests.post(
-        config.endpoint_url,
-        json={"model": config.model_name, "input": batch},
-        timeout=_REQUEST_TIMEOUT_S,
-    )
-    if resp.status_code >= 400:
+    payload = {"model": config.model_name, "input": batch}
+    reply = post_json(config.endpoint_url, payload, ServiceUnreachable, _REQUEST_TIMEOUT_S)
+    try:
+        items = sorted(reply["data"], key=lambda item: item["index"])
+        vectors = [EmbeddingVector(tuple(item["embedding"])) for item in items]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ServiceUnreachable(f"malformed embedding reply: {exc!r}") from exc
+    if len(vectors) != len(batch):
         raise ServiceUnreachable(
-            f"embedding service returned status {resp.status_code}: {resp.text[:200]}"
+            f"embedding service returned {len(vectors)} vectors for {len(batch)} inputs"
         )
-    payload = resp.json()
-    items = sorted(payload["data"], key=lambda item: item["index"])
-    if len(items) != len(batch):
-        raise ServiceUnreachable(
-            f"embedding service returned {len(items)} vectors for {len(batch)} inputs"
-        )
-    return [EmbeddingVector(tuple(item["embedding"])) for item in items]
-
-
-def _embed_batch_with_retry(
-    config: EmbeddingConfig, batch: list[str]
-) -> list[EmbeddingVector]:
-    attempt = 0
-    while True:
-        try:
-            return _post_batch(config, batch)
-        except (requests.RequestException, ServiceUnreachable, KeyError, ValueError) as exc:
-            if attempt >= 1:
-                raise ServiceUnreachable(f"embedding batch failed after retry: {exc}") from exc
-            delay = _RETRY_BASE_S * (2**attempt)
-            logger.warning("embedding batch failed (%s); retrying in %.1fs", exc, delay)
-            time.sleep(delay)
-            attempt += 1
+    return vectors
 
 
 def embed_texts(
@@ -147,9 +159,9 @@ def embed_texts(
     lose precision.
 
     Raises PartialFailure (with failed input indexes) when some batches fail
-    after one retry, ServiceUnreachable when all of them do, and
-    DimensionMismatch when the service returns vectors of an unexpected
-    dimension.
+    (``post_json`` retries a transient cause once), ServiceUnreachable when
+    all of them do, and DimensionMismatch, after all batches and without a
+    retry, when the service returns vectors of an unexpected dimension.
     """
     if not texts:
         raise ValueError("texts must be non-empty")
@@ -169,18 +181,21 @@ def embed_texts(
         texts[i : i + config.batch_size] for i in range(0, len(texts), config.batch_size)
     ]
     results: list[list[EmbeddingVector] | None] = [None] * len(batches)
-    errors: dict[int, Exception] = {}
+    errors: dict[int, ServiceUnreachable] = {}
 
-    with ThreadPoolExecutor(max_workers=config.max_parallel_requests) as pool:
-        futures = {
-            pool.submit(_embed_batch_with_retry, config, batch): i
-            for i, batch in enumerate(batches)
-        }
-        for fut, i in futures.items():
-            try:
-                results[i] = fut.result()
-            except Exception as exc:  # noqa: BLE001 - collected and re-raised below
-                errors[i] = exc
+    def collect(i: int, call) -> None:
+        try:
+            results[i] = call()
+        except ServiceUnreachable as exc:
+            errors[i] = exc
+
+    if len(batches) == 1:  # a lone batch, as in every query, starts no worker thread
+        collect(0, lambda: _post_batch(config, batches[0]))
+    else:
+        with ThreadPoolExecutor(max_workers=config.max_parallel_requests) as pool:
+            futures = [pool.submit(_post_batch, config, batch) for batch in batches]
+            for i, fut in enumerate(futures):
+                collect(i, fut.result)
 
     if errors:
         if len(errors) == len(batches):

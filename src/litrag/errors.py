@@ -42,7 +42,8 @@ class DimensionMismatch(LitragError):
 
 
 class PartialFailure(LitragError):
-    """Some embedding batches failed after retry.
+    """Some embedding batches failed, each after ``post_json``'s policy:
+    a transient cause is retried once, any other fails at once.
 
     Carries the indexes of the inputs whose batches failed.
     """
@@ -79,10 +80,6 @@ class DimensionHeaderMismatch(LitragError):
 
 
 # --- citation guard --------------------------------------------------------
-
-class EmbeddingFailed(LitragError):
-    pass
-
 
 class NoContainingChunk(LitragError):
     pass

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import litrag.embedding as embedding_mod
 from litrag.chain import (
     CITATION_BLOCK_HEADER,
     PromptTemplate,
@@ -378,11 +379,24 @@ def test_budget_exceeded_when_single_chunk_too_big(built_kb):
         assert chat.requests == []  # nothing dispatched over budget
 
 
-def test_chat_failure_propagates(built_kb):
+def test_chat_failure_propagates(built_kb, monkeypatch):
+    monkeypatch.setattr(embedding_mod, "_RETRY_BASE_S", 0.01)
     with StubEmbeddingService(dim=DIM) as emb, StubChatService(status=503) as chat:
         chain, truths = _chain(built_kb, emb.url, chat.url)
         with pytest.raises(ChatServiceFailed):
             chain.answer(question_for(truths["paper-00"]), mode="mode2")
+        assert len(chat.requests) == 2  # a 503 is retried once
+
+
+@pytest.mark.parametrize("mode", ["mode2", "plain"])
+def test_chat_reply_without_text_fails(built_kb, mode):
+    with StubEmbeddingService(dim=DIM) as emb, StubChatService(
+        responder=lambda p, q: None
+    ) as chat:
+        chain, truths = _chain(built_kb, emb.url, chat.url)
+        with pytest.raises(ChatServiceFailed):
+            chain.answer(question_for(truths["paper-00"]), mode=mode)
+        assert len(chat.requests) == 1
 
 
 def test_empty_store_raises_retrieval_empty(tmp_path):

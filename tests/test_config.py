@@ -109,10 +109,17 @@ def test_validation_error_paths(tmp_path):
         load_config(_write(tmp_path, data), env={})
     assert err.value.field == "retrieval"
 
-    data = dict(MINIMAL)
-    data["retrieval"] = {"mmr": {"lambda": 1.5}}
-    with pytest.raises(ValidationError):
-        load_config(_write(tmp_path, data), env={})
+    for retrieval, message in [
+        ({"mmr": {"lambda": 1.5}}, "lambda must be within [0, 1], got 1.5"),
+        ({"k": 0}, "k must be positive"),
+        ({"k": 4, "mmr": {"fetch_n": 3}}, "fetch_n must be >= k"),
+    ]:
+        data = dict(MINIMAL)
+        data["retrieval"] = retrieval
+        with pytest.raises(ValidationError) as err:
+            load_config(_write(tmp_path, data), env={})
+        assert err.value.field == "retrieval"
+        assert str(err.value) == f"retrieval: {message}"
 
     data = dict(MINIMAL)
     data["retrieval"] = {"mmr": {"bogus_field": 1}}

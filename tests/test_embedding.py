@@ -1,8 +1,14 @@
+import time
+from http.server import BaseHTTPRequestHandler
+
 import pytest
+import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import litrag.embedding as embedding_mod
+from litrag.chain import chat_completion
+from litrag.config import default_config
 from litrag.embedding import (
     EmbeddingConfig,
     EmbeddingVector,
@@ -11,11 +17,12 @@ from litrag.embedding import (
     token_count,
 )
 from litrag.errors import (
+    ChatServiceFailed,
     DimensionMismatch,
     PartialFailure,
     ServiceUnreachable,
 )
-from litrag.testing import StubEmbeddingService, StubTokenizerService
+from litrag.testing import StubChatService, StubEmbeddingService, StubTokenizerService
 
 
 @pytest.fixture(autouse=True)
@@ -75,6 +82,22 @@ def test_external_tokenizer_unreachable():
     tok = TokenizerConfig(mode="external", external_url="http://127.0.0.1:1/none")
     with pytest.raises(ServiceUnreachable):
         token_count("text", tok)
+
+
+@pytest.mark.parametrize(
+    "reply", [{"n": 3}, {"count": -1}, {"count": 2.5}, {"count": "3"}, {"count": True}, [3]]
+)
+def test_external_tokenizer_rejects_a_reply_without_a_count(reply):
+    class OddTokenizer(StubTokenizerService):
+        def handle_payload(self, payload):
+            super().handle_payload(payload)
+            return 200, reply
+
+    with OddTokenizer() as svc:
+        tok = TokenizerConfig(mode="external", external_url=svc.url)
+        with pytest.raises(ServiceUnreachable):
+            token_count("text", tok)
+        assert len(svc.requests) == 1
 
 
 def test_tokenizer_config_validation():
@@ -176,6 +199,15 @@ def test_failed_batch_is_retried_once():
         assert len(svc.requests) == 2
 
 
+def test_programming_error_in_a_batch_is_not_a_service_outage(monkeypatch):
+    def broken(config, batch):
+        raise AttributeError("a bug, not an outage")
+
+    monkeypatch.setattr(embedding_mod, "_post_batch", broken)
+    with pytest.raises(AttributeError):
+        embed_texts(["a"], EmbeddingConfig(endpoint_url="http://127.0.0.1:1/none", expected_dim=8))
+
+
 def test_oversize_inputs_logged_but_sent(caplog):
     with StubEmbeddingService(dim=8) as svc:
         config = _config(svc, em_token_limit=4)
@@ -192,3 +224,109 @@ def test_config_validation():
         EmbeddingConfig(endpoint_url="http://x", em_token_limit=0)
     with pytest.raises(ValueError):
         EmbeddingConfig(endpoint_url="http://x", batch_size=0)
+
+
+# --- the failure policy shared by the three services ------------------------------
+
+
+class _StalledBody(BaseHTTPRequestHandler):
+    """Records the request, sends the headers and the first bytes of a
+    reply, then stalls."""
+
+    protocol_version = "HTTP/1.1"
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        with self.server.state_lock:
+            self.server.requests.append({})
+        self.send_response(200)
+        self.send_header("Content-Length", "100")
+        self.end_headers()
+        self.wfile.write(b'{"data": ')
+        self.wfile.flush()
+        time.sleep(1.0)
+
+    def log_message(self, *args):
+        pass
+
+
+class _Faulty:
+    """Mixed into a service stub: records each request like the stub does,
+    then answers with ``fault`` in place of the service's reply."""
+
+    def __init__(self, fault):
+        self.fault = fault
+        super().__init__()
+        if fault == "stall_body":
+            self.RequestHandlerClass = _StalledBody
+
+    def handle_payload(self, payload):
+        with self.state_lock:
+            self.requests.append(payload)
+        if self.fault == "drop":
+            raise ConnectionAbortedError("closing the connection without a reply")
+        if self.fault == "stall":
+            time.sleep(1.0)
+        if isinstance(self.fault, int):
+            return self.fault, {"error": "injected failure"}
+        return 200, {"unexpected": "shape"}
+
+    def handle_error(self, request, client_address):
+        pass  # the dropped and timed-out connections are the point
+
+
+def _embed(url):
+    embed_texts(["text"], EmbeddingConfig(endpoint_url=url, expected_dim=8))
+
+
+def _count_tokens(url):
+    token_count("text", TokenizerConfig(mode="external", external_url=url))
+
+
+def _chat(url):
+    chat_completion(default_config("http://127.0.0.1:1/unused", url), "prompt", 0.1)
+
+
+SERVICES = {
+    "embedding": (StubEmbeddingService, _embed, ServiceUnreachable),
+    "tokenizer": (StubTokenizerService, _count_tokens, ServiceUnreachable),
+    "chat": (StubChatService, _chat, ChatServiceFailed),
+}
+
+
+@pytest.mark.parametrize("service", SERVICES)
+@pytest.mark.parametrize(
+    "fault, requests_seen",
+    [
+        ("drop", 2),  # connection closed before a reply: transient
+        (500, 2),
+        (503, 2),
+        (429, 2),
+        (400, 1),
+        (404, 1),
+        ("stall", 1),  # read timeout: the service has the request
+        ("stall_body", 1),  # read timeout after the headers
+        ("shape", 1),  # 200 with JSON of the wrong shape
+    ],
+)
+def test_failure_policy(service, fault, requests_seen, monkeypatch):
+    stub, call, error = SERVICES[service]
+    if fault in ("stall", "stall_body"):
+        post = requests.post
+        monkeypatch.setattr(requests, "post", lambda *a, **kw: post(*a, **{**kw, "timeout": 0.2}))
+    with type("Faulty", (_Faulty, stub), {})(fault) as svc:
+        with pytest.raises(error):
+            call(svc.url)
+        assert len(svc.requests) == requests_seen
+
+
+@pytest.mark.parametrize("service", SERVICES)
+def test_refused_connection_is_retried_once(service, monkeypatch):
+    # a refused connection never reaches a stub, so the attempts are counted here
+    _, call, error = SERVICES[service]
+    attempts = []
+    post = requests.post
+    monkeypatch.setattr(requests, "post", lambda *a, **kw: attempts.append(a) or post(*a, **kw))
+    with pytest.raises(error):
+        call("http://127.0.0.1:1/none")
+    assert len(attempts) == 2
