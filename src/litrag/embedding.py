@@ -138,9 +138,12 @@ def _post_batch(config: EmbeddingConfig, batch: list[str]) -> list[EmbeddingVect
         vectors = [EmbeddingVector(tuple(item["embedding"])) for item in items]
     except (KeyError, TypeError, ValueError) as exc:
         raise ServiceUnreachable(f"malformed embedding reply: {exc!r}") from exc
-    if len(vectors) != len(batch):
+    # any other numbering leaves no way to tell which input a vector embeds
+    indexes = [item["index"] for item in items]
+    if indexes != list(range(len(batch))):
         raise ServiceUnreachable(
-            f"embedding service returned {len(vectors)} vectors for {len(batch)} inputs"
+            f"malformed embedding reply: {len(items)} vectors for {len(batch)} inputs, "
+            f"indexed {indexes[:8]} instead of 0..{len(batch) - 1}"
         )
     return vectors
 

@@ -12,6 +12,16 @@ vector in, one float64 score per row out): ``similarity`` is a one-row call,
 top-k is one call on the whole matrix, and MMR makes one call per pick on
 its candidate pool.
 
+The inner product is ``np.einsum('ij,j->i')`` on the float32 matrix and a
+float64 vector: einsum casts each row to float64 as it goes, so a query needs
+no N x dim float64 copy, and it reduces each row on its own, so a row's score
+does not depend on where the row sits. BLAS gemv (``matrix @ vec``) is not
+used because it does: rows in its kernel's tail can come out one ulp apart
+from equal rows elsewhere, which breaks the lowest-chunk_id tie-break. The
+store keeps each row's float64 norm next to the matrix (computed per upsert
+batch and once at ``open``, never persisted), so cosine needs no per-query
+norm pass, and ranking partitions to the k best rows before sorting.
+
 On-disk layout (one directory per store):
     header.json   {"dimension", "record_count", "format_version", "checksum"}
     records.jsonl one JSON object per record, embedding values excluded
@@ -121,24 +131,34 @@ def _as_array(vec) -> np.ndarray:
     return np.asarray(vec, dtype=np.float64)
 
 
-def score_rows(matrix, vec, m: Metric) -> np.ndarray:
-    """Score each row of ``matrix`` against ``vec`` under metric ``m``, in
-    float64: one value per row, lower-is-more-similar for distances and
-    higher-is-more-similar for cosine and inner_product.
+def _row_norms(matrix: np.ndarray) -> np.ndarray:
+    """The float64 L2 norm of each row of a float32 or float64 matrix; equal
+    bit for bit whether a row is normed alone or with others."""
+    return np.sqrt(np.einsum("ij,ij->i", matrix, matrix, dtype=np.float64))
+
+
+def score_rows(matrix: np.ndarray, vec, m: Metric, norms: np.ndarray | None = None) -> np.ndarray:
+    """Score each row of ``matrix`` (float32 or float64) against ``vec``
+    under metric ``m``, in float64: one value per row, lower-is-more-similar
+    for distances and higher-is-more-similar for cosine and inner_product.
+
+    ``norms``, if given, must be ``_row_norms(matrix)``; cosine uses it
+    instead of norming every row again.
 
     The only implementation of the metric formulas; every other score in
     litrag comes from here. Shapes are the caller's to check.
     """
-    mat = np.asarray(matrix, dtype=np.float64)
-    if m.kind == "cosine":
-        qn = float(np.linalg.norm(vec))
-        norms = np.linalg.norm(mat, axis=1)
+    vec = np.asarray(vec, dtype=np.float64)
+    if m.kind in _SIMILARITY_KINDS:
+        dots = np.einsum("ij,j->i", matrix, vec)
+        if m.kind == "inner_product":
+            return dots
+        qn = float(_row_norms(vec[np.newaxis])[0])
+        norms = _row_norms(matrix) if norms is None else norms
         if qn == 0.0 or np.any(norms == 0.0):
             raise ZeroVector("cosine similarity is undefined for a zero vector")
-        return (mat @ vec) / (norms * qn)
-    if m.kind == "inner_product":
-        return mat @ vec
-    diff = np.abs(mat - vec)
+        return dots / (norms * qn)
+    diff = np.abs(matrix - vec)
     if m.kind == "manhattan":
         return diff.sum(axis=1)
     if m.kind == "euclidean":
@@ -258,6 +278,7 @@ class VectorStore:
         self._index: dict[str, int] = {}
         self._matrix = np.empty((0, dim), dtype=np.float32)
         self._matrix.flags.writeable = False
+        self._norms = np.empty(0)  # _row_norms(self._matrix), swapped in with it
 
     @property
     def dim(self) -> int:
@@ -309,6 +330,7 @@ class VectorStore:
         zero = np.flatnonzero(~batch.any(axis=1))
         if zero.size:
             raise ZeroVector(f"record {records[zero[0]].chunk_id!r} has a zero embedding")
+        batch_norms = _row_norms(batch)
         with self._lock:
             slots = [self._index.setdefault(rec.chunk_id, len(self._index)) for rec in records]
             for i, rec in zip(slots, records):
@@ -318,14 +340,17 @@ class VectorStore:
             matrix[: len(self._matrix)] = self._matrix
             matrix[slots] = batch
             matrix.flags.writeable = False
-            self._matrix = matrix
+            norms = np.empty(len(self._records))
+            norms[: len(self._norms)] = self._norms
+            norms[slots] = batch_norms
+            self._matrix, self._norms = matrix, norms
             return len(records)
 
     # --- retrieval -------------------------------------------------------
 
     def _rank(self, query_vec, k: int, m: Metric) -> tuple[list[int], np.ndarray]:
-        """Indices of the k best rows, best first, and the scores of all
-        rows. The caller holds the lock."""
+        """Indices of the k best rows, best first with ties to the lowest
+        chunk_id, and the scores of all rows. The caller holds the lock."""
         if k <= 0:
             raise ValueError("k must be positive")
         if not self._records:
@@ -335,15 +360,17 @@ class VectorStore:
             raise DimensionMismatch(
                 f"query dimension {query.shape[0]} != store dimension {self._dim}"
             )
-        scores = score_rows(self._matrix, query, m)
-        order = sorted(
-            range(len(self._records)),
-            key=lambda i: (
-                scores[i] if m.is_distance else -scores[i],
-                self._records[i].chunk_id,
-            ),
-        )
-        return order[:k], scores
+        scores = score_rows(self._matrix, query, m, self._norms)
+        keys = scores if m.is_distance else -scores
+        # every row that ties the k-th best key is a candidate, so the
+        # chunk_id tie-break sees all of them
+        last = min(k, len(keys)) - 1
+        kth = np.partition(keys, last)[last]
+        if np.isnan(kth):
+            raise ValueError("the query scores NaN against the store")
+        candidates = np.flatnonzero(keys <= kth).tolist()
+        candidates.sort(key=lambda i: (keys[i], self._records[i].chunk_id))
+        return candidates[:k], scores
 
     def top_k(self, query_vec, k: int, m: Metric) -> list[ScoredRecord]:
         """The k most similar records, best first. Exhaustive exact scan.
@@ -376,8 +403,7 @@ class VectorStore:
             # chunk_id order, so argmax's first maximum is the lowest chunk_id
             pool = sorted(order, key=lambda i: self._records[i].chunk_id)
             records = [self._records[i] for i in pool]
-            rows = self._matrix[pool]
-        vectors = rows.astype(np.float64)
+            rows, norms = self._matrix[pool], self._norms[pool]
         sign1 = -1.0 if params.sim1.is_distance else 1.0
         sign2 = -1.0 if params.sim2.is_distance else 1.0
         relevance = sign1 * scores[pool]
@@ -392,7 +418,7 @@ class VectorStore:
             j = int(np.argmax(objective))
             taken[j] = True
             selected.append(ScoredRecord(_with_row(records[j], rows[j]), float(objective[j])))
-            redundancy = sign2 * score_rows(vectors, vectors[j], params.sim2)
+            redundancy = sign2 * score_rows(rows, rows[j], params.sim2, norms)
             penalty = redundancy if len(selected) == 1 else np.maximum(penalty, redundancy)
         return selected
 
@@ -476,4 +502,11 @@ class VectorStore:
                 raise CorruptStore(f"records.jsonl line {i + 1} is invalid: {exc!r}") from exc
             store._records.append(rec)
         store._matrix = np.frombuffer(matrix_bytes, dtype="<f4").reshape(count, dim)
+        store._norms = _row_norms(store._matrix)
+        bad = np.flatnonzero(~(np.isfinite(store._norms) & (store._norms > 0.0)))
+        if bad.size:
+            raise CorruptStore(
+                f"matrix.bin row {bad[0]} ({store._records[bad[0]].chunk_id!r}) "
+                "is zero or not finite"
+            )
         return store

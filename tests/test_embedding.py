@@ -208,6 +208,21 @@ def test_programming_error_in_a_batch_is_not_a_service_outage(monkeypatch):
         embed_texts(["a"], EmbeddingConfig(endpoint_url="http://127.0.0.1:1/none", expected_dim=8))
 
 
+def test_reply_indexes_must_number_the_inputs():
+    # both vectors tagged 7, in reverse order: sorting by index cannot tell
+    # which vector embeds which input, so the reply is malformed, not retried
+    class SameIndex(StubEmbeddingService):
+        def handle_payload(self, payload):
+            status, reply = super().handle_payload(payload)
+            reply["data"] = [dict(item, index=7) for item in reversed(reply["data"])]
+            return status, reply
+
+    with SameIndex(dim=8) as svc:
+        with pytest.raises(ServiceUnreachable, match="malformed embedding reply"):
+            embed_texts(["alpha", "beta"], _config(svc))
+        assert len(svc.requests) == 1
+
+
 def test_oversize_inputs_logged_but_sent(caplog):
     with StubEmbeddingService(dim=8) as svc:
         config = _config(svc, em_token_limit=4)

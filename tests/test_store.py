@@ -423,11 +423,105 @@ def test_rows_snapshots_stay_consistent_under_concurrent_upserts():
     assert len(store) == 11
 
 
+@pytest.mark.parametrize("kind", ["cosine", "euclidean"])
+def test_a_query_scoring_nan_is_rejected(kind):
+    store = VectorStore(2)
+    store.upsert([_record("a", [1, 0]), _record("b", [0, 1])])
+    with pytest.raises(ValueError):
+        store.top_k([float("nan"), 1.0], 1, Metric(kind))
+    with pytest.raises(ValueError):
+        store.mmr_select([float("nan"), 1.0], MMRParams(lambda_=0.5, k=1, fetch_n=2))
+
+
 def test_top_k_tie_break_by_chunk_id():
     store = VectorStore(2)
     store.upsert([_record("zz", [1, 0]), _record("aa", [1, 0]), _record("mm", [0, 1])])
     result = store.top_k([1, 0], 2, Metric.cosine())
     assert [sr.record.chunk_id for sr in result] == ["aa", "zz"]
+
+
+@pytest.mark.parametrize("kind", ["cosine", "inner_product"])
+def test_identical_rows_rank_by_chunk_id_wherever_they_sit(kind):
+    # 301 equal rows, their chunk_ids shuffled over the row positions: every
+    # row must score the same, so the tie-break alone picks the lowest ids
+    rng = np.random.default_rng(301)
+    row = rng.standard_normal(64).tolist()
+    ids = [f"c{i:03d}" for i in rng.permutation(301)]
+    store = VectorStore(64)
+    store.upsert([_record(cid, row) for cid in ids])
+    m = Metric(kind)
+    for _ in range(40):
+        query = rng.standard_normal(64).tolist()
+        top = store.top_k(query, 5, m)
+        mmr = store.mmr_select(query, MMRParams(lambda_=1.0, k=5, sim1=m, sim2=m))
+        for result in (top, mmr):
+            assert [sr.record.chunk_id for sr in result] == [f"c{i:03d}" for i in range(5)]
+            assert len({sr.score.hex() for sr in result}) == 1
+
+
+_ALL_KINDS = ["cosine", "inner_product", "euclidean", "manhattan", "chebyshev", "minkowski:3"]
+
+
+def _scores_by_id(store, query, m):
+    return {sr.record.chunk_id: sr.score.hex() for sr in store.top_k(query, len(store), m)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(1, 800),
+    n=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    spec=st.sampled_from(_ALL_KINDS),
+)
+def test_a_row_scores_the_same_alone_in_a_store_and_in_similarity(dim, n, seed, spec):
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((n, dim)).astype(np.float32)
+    query = rng.standard_normal(dim).tolist()
+    m = Metric.parse(spec)
+    store = VectorStore(dim)
+    store.upsert([_record(f"r{i}", row.tolist()) for i, row in enumerate(rows)])
+    scores = _scores_by_id(store, query, m)
+    for i, row in enumerate(rows):
+        alone = VectorStore(dim)
+        alone.upsert([_record("only", row.tolist())])
+        expected = similarity(row.tolist(), query, m).hex()
+        assert scores[f"r{i}"] == expected
+        assert alone.top_k(query, 1, m)[0].score.hex() == expected
+
+
+def test_cached_norms_agree_after_batches_reopen_and_replacing_upsert(tmp_path):
+    # cosine scores read the cached row norms: they must equal a fresh
+    # similarity() bit for bit however the store came to hold its rows
+    rng = np.random.default_rng(77)
+    dim, m = 48, Metric.cosine()
+    values = {f"c{i:02d}": rng.standard_normal(dim).tolist() for i in range(60)}
+    query = rng.standard_normal(dim).tolist()
+
+    def expected():
+        f32 = {cid: np.float32(vec).tolist() for cid, vec in values.items()}
+        return {cid: similarity(vec, query, m).hex() for cid, vec in f32.items()}
+
+    store = VectorStore(dim)
+    items = list(values.items())
+    for start in range(0, len(items), 7):
+        store.upsert([_record(cid, vec) for cid, vec in items[start : start + 7]])
+    assert _scores_by_id(store, query, m) == expected()
+
+    store.persist(tmp_path / "s")
+    reopened = VectorStore.open(tmp_path / "s")
+    assert _scores_by_id(reopened, query, m) == expected()
+
+    changed = {f"c{i:02d}": rng.standard_normal(dim).tolist() for i in range(5, 15)}
+    changed.update({f"n{i:02d}": rng.standard_normal(dim).tolist() for i in range(10)})
+    for target in (store, reopened):
+        target.upsert([_record(cid, vec) for cid, vec in changed.items()])
+    values.update(changed)
+    assert _scores_by_id(store, query, m) == expected()
+    assert _scores_by_id(reopened, query, m) == expected()
+    mmr = reopened.mmr_select(query, MMRParams(lambda_=1.0, k=8, fetch_n=8))
+    assert [(sr.record.chunk_id, sr.score.hex()) for sr in mmr] == sorted(
+        expected().items(), key=lambda item: (-float.fromhex(item[1]), item[0])
+    )[:8]
 
 
 # --- mmr_select --------------------------------------------------------------------
@@ -636,6 +730,27 @@ def test_malformed_records_line_is_corrupt(tmp_path, edit):
     lines[1] = json.dumps(obj)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(CorruptStore, match="line 2"):
+        VectorStore.open(tmp_path / "s")
+
+
+@pytest.mark.parametrize("value", [0.0, float("nan"), float("inf")])
+def test_zero_or_non_finite_matrix_row_is_corrupt(tmp_path, value):
+    import hashlib
+    import json
+
+    store, _ = _random_store(random.Random(94), 3, 4)
+    store.persist(tmp_path / "s")
+    matrix_path = tmp_path / "s" / "matrix.bin"
+    matrix = np.frombuffer(matrix_path.read_bytes(), dtype="<f4").reshape(3, 4).copy()
+    matrix[1] = 0.0
+    matrix[1, 2] = value
+    matrix_path.write_bytes(matrix.tobytes())
+    # a valid checksum, so only the row check can reject the store
+    header_path = tmp_path / "s" / "header.json"
+    header = json.loads(header_path.read_text())
+    header["checksum"] = "sha256:" + hashlib.sha256(matrix.tobytes()).hexdigest()
+    header_path.write_text(json.dumps(header))
+    with pytest.raises(CorruptStore, match="row 1"):
         VectorStore.open(tmp_path / "s")
 
 
