@@ -7,6 +7,11 @@ markers near the chunk keep their surrounding context. Markers are resolved
 against the document's own reference section, never guessed, and generated
 answers are checked against that resolved list so fabricated references can
 be flagged instead of silently passed through.
+
+Resolution and verification share one matcher. Each entry's folded text is
+derived once, when the entry is built; a label names the first listed entry
+that carries it; an author-year citation matches the entries naming all of
+its authors and its year.
 """
 
 from __future__ import annotations
@@ -138,12 +143,19 @@ class CitationEntry:
 
     ``full_text`` is the verbatim entry string (whitespace-collapsed) from
     the reference section; ``label`` is the bibliography key when one could
-    be recognized ("26", "Varga (2009)"), otherwise empty.
+    be recognized ("26", "Varga (2009)"), otherwise empty. ``folded`` is
+    ``fold_text(full_text)``, the key author and title matching run on,
+    derived once when the entry is built; it takes no part in equality,
+    hashing, ``repr`` or ``to_dict``.
     """
 
     label: str
     full_text: str
     doc_id: str
+    folded: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "folded", fold_text(self.full_text))
 
     def to_dict(self) -> dict:
         return {"label": self.label, "full_text": self.full_text, "doc_id": self.doc_id}
@@ -384,62 +396,35 @@ def _derive_author_year_label(text: str) -> str:
     return f"{m.group(1)} ({year.group(1)})"
 
 
+def _entry(label: str | None, lines: list[str], doc_id: str) -> CitationEntry:
+    text = collapse_ws(" ".join(lines))
+    return CitationEntry(label=label or _derive_author_year_label(text), full_text=text, doc_id=doc_id)
+
+
 def _entries_from_lines(lines: list[str], doc_id: str) -> list[CitationEntry]:
-    entries: list[CitationEntry] = []
-    label: str | None = None
-    buffer: list[str] = []
-    started = False
-
-    def flush():
-        nonlocal label, buffer, started
-        if started:
-            text = collapse_ws(" ".join(buffer))
-            if text:
-                final_label = label or _derive_author_year_label(text)
-                entries.append(CitationEntry(label=final_label or "", full_text=text, doc_id=doc_id))
-        label, buffer, started = None, [], False
-
+    groups: list[tuple[str | None, list[str]]] = []
+    in_entry = False
     for line in lines:
         if not line.strip():
-            flush()
+            in_entry = False
             continue
         m = _LABEL_LINE.match(line)
-        if m:
-            flush()
-            started = True
-            label = m.group(1) or m.group(2)
-            buffer = [line]
-        else:
-            if not started:
-                started = True
-                label = None
-                buffer = [line]
-            else:
-                buffer.append(line)
-    flush()
-    return entries
+        if m or not in_entry:
+            groups.append((m and (m.group(1) or m.group(2)), []))
+            in_entry = True
+        groups[-1][1].append(line)
+    return [_entry(label, group, doc_id) for label, group in groups]
 
 
 def _entries_by_indentation(lines: list[str], doc_id: str) -> list[CitationEntry]:
-    entries: list[CitationEntry] = []
-    buffer: list[str] = []
+    groups: list[list[str]] = []
     for line in lines:
         if not line.strip():
             continue
-        indented = line[:1].isspace()
-        if buffer and not indented:
-            text = collapse_ws(" ".join(buffer))
-            entries.append(
-                CitationEntry(label=_derive_author_year_label(text), full_text=text, doc_id=doc_id)
-            )
-            buffer = []
-        buffer.append(line)
-    if buffer:
-        text = collapse_ws(" ".join(buffer))
-        entries.append(
-            CitationEntry(label=_derive_author_year_label(text), full_text=text, doc_id=doc_id)
-        )
-    return entries
+        if not groups or not line[:1].isspace():
+            groups.append([])
+        groups[-1].append(line)
+    return [_entry(None, group, doc_id) for group in groups]
 
 
 def extract_reference_section(doc: Document) -> list[CitationEntry]:
@@ -469,23 +454,28 @@ def extract_reference_section(doc: Document) -> list[CitationEntry]:
 # --- resolution ----------------------------------------------------------------
 
 
-def _entry_matches_author_year(
-    folded_entry: str, raw_entry: str, authors, year: int
-) -> bool:
-    if str(year) not in raw_entry:
-        return False
-    return all(
-        re.search(rf"\b{re.escape(fold_text(a))}\b", folded_entry) for a in authors
-    )
+def _name_pattern(name: str) -> re.Pattern:
+    return re.compile(rf"\b{re.escape(fold_text(name))}\b")
 
 
-def _candidates_for(entries, authors, year):
-    """The entries of ``(folded_text, entry)`` pairs naming all ``authors`` and ``year``."""
-    out = []
-    for folded_text, entry in entries:
-        if _entry_matches_author_year(folded_text, entry.full_text, authors, year):
-            out.append(entry)
-    return out
+def _naming(entries: Sequence[CitationEntry], authors, year: int) -> list[CitationEntry]:
+    """The entries, in list order, whose text names every one of ``authors``
+    (folded, word-bounded) and contains ``year``."""
+    year_text = str(year)
+    patterns = [_name_pattern(a) for a in authors]
+    return [
+        e for e in entries
+        if year_text in e.full_text and all(p.search(e.folded) for p in patterns)
+    ]
+
+
+def _by_label(entries: Sequence[CitationEntry]) -> dict[str, list[CitationEntry]]:
+    """Each label's entries in list order; ``[n]`` means the first of them."""
+    labelled: dict[str, list[CitationEntry]] = {}
+    for entry in entries:
+        if entry.label:
+            labelled.setdefault(entry.label, []).append(entry)
+    return labelled
 
 
 def resolve_citations(
@@ -493,16 +483,13 @@ def resolve_citations(
 ) -> tuple[list[CitationEntry], list[CitationMarker]]:
     """Match markers against reference entries.
 
-    Numeric markers match entries by label number. Author-year markers match
-    entries whose text contains all surnames (case-insensitive, diacritics
-    folded, word-bounded) and the year. Markers that match nothing are
-    returned in ``unresolved``; entries are never invented.
+    A numeric marker matches the first entry labelled with its number. An
+    author-year marker matches the first entry whose text contains all
+    surnames (case-insensitive, diacritics folded, word-bounded) and the year.
+    Markers that match nothing are returned in ``unresolved``; entries are
+    never invented.
     """
-    by_label: dict[str, CitationEntry] = {}
-    for entry in entries:
-        if entry.label and entry.label not in by_label:
-            by_label[entry.label] = entry
-    folded = [(fold_text(e.full_text), e) for e in entries]
+    labelled = _by_label(entries)
 
     citation_list: list[CitationEntry] = []
     seen: set[tuple[str, str]] = set()
@@ -518,15 +505,14 @@ def resolve_citations(
         if marker.kind == "numeric":
             missing = False
             for n in marker.numbers:
-                entry = by_label.get(str(n))
-                if entry is None:
-                    missing = True
+                if str(n) in labelled:
+                    add(labelled[str(n)][0])
                 else:
-                    add(entry)
+                    missing = True
             if missing:
                 unresolved.append(marker)
         else:
-            candidates = _candidates_for(folded, marker.authors, marker.year)
+            candidates = _naming(entries, marker.authors, marker.year)
             if candidates:
                 add(candidates[0])
             else:
@@ -546,17 +532,27 @@ FLAG_LABEL_CONFLICT = "label_conflict"
 FLAG_PARTIAL_TITLE = "partial_title_match"
 
 
+_TITLE_WORD = re.compile(r"[^\W\d_]{3,}")
+
+
+def _title_tokens(title: str) -> set[str]:
+    return set(_TITLE_WORD.findall(fold_text(title))) - _TITLE_STOPWORDS
+
+
+def _title_overlap(tokens: set[str], folded_entry: str) -> float:
+    """Fraction of a title's content ``tokens`` found in a folded entry."""
+    return len(tokens & set(_TITLE_WORD.findall(folded_entry))) / len(tokens) if tokens else 0.0
+
+
+def _best_by_title(tokens: set[str], entries) -> tuple[float, CitationEntry | None]:
+    """The highest title overlap among ``entries`` and the first entry reaching it."""
+    scored = ((_title_overlap(tokens, e.folded), e) for e in entries)
+    return max(scored, key=lambda pair: pair[0], default=(0.0, None))
+
+
 def title_token_overlap(title: str, entry_text: str) -> float:
     """Fraction of the title's content tokens that appear in the entry."""
-    tokens = {
-        t
-        for t in re.findall(r"[^\W\d_]{3,}", fold_text(title))
-        if t not in _TITLE_STOPWORDS
-    }
-    if not tokens:
-        return 0.0
-    entry_tokens = set(re.findall(r"[^\W\d_]{3,}", fold_text(entry_text)))
-    return len(tokens & entry_tokens) / len(tokens)
+    return _title_overlap(_title_tokens(title), fold_text(entry_text))
 
 
 def _find_year(text: str) -> tuple[int, int] | None:
@@ -620,18 +616,19 @@ def verify_answer_citations(
     """Check each citation in a generated answer against ``citation_list``.
 
     In-text markers and trailing bibliography lines are extracted; each one
-    is matched by label, or by authors plus year plus (when a title is
-    present) a title-token overlap of at least 0.6. Citations that match
-    nothing are flagged not_in_list, attributions whose label disagrees with
-    the matched entry are flagged label_conflict, and author-year matches
-    whose title diverges are flagged partial_title_match.
+    is matched by label (the first listed entry with it), or by authors plus
+    year plus (when a title is present) a title-token overlap of at least
+    0.6. Citations that match nothing are flagged not_in_list, "Name et al.
+    [n]" attributions where no entry labelled n names Name and bibliography
+    lines whose label disagrees with the matched entry are flagged
+    label_conflict, and author-year matches whose title diverges are flagged
+    partial_title_match.
     """
     report = VerificationReport()
     if not answer_text.strip():
         return report
 
-    by_label = {e.label: e for e in citation_list if e.label}
-    folded_entries = [(fold_text(e.full_text), e) for e in citation_list]
+    labelled = _by_label(citation_list)
 
     lines = answer_text.splitlines()
     bib_start = None
@@ -653,18 +650,19 @@ def verify_answer_citations(
             report.flagged.append((citation_text, reason))
 
     # Author-name-plus-bracket attributions ("Name et al. [26]") are checked
-    # first: a number that resolves to an entry not naming that author is a
-    # conflict, which plain numeric matching would miss.
+    # first: a number none of whose entries names that author is a conflict,
+    # which plain numeric matching would miss.
     conflicted_numbers: set[int] = set()
     for m in re.finditer(AUTHOR_BRACKET_PATTERN, body):
         name = m.group("name")
         if name in _MARKER_STOPWORDS or (len(name) >= 3 and name.isupper()):
             continue
+        pattern = _name_pattern(name)
         for n in _expand_numeric_group(re.match(NUMERIC_GROUP_PATTERN, m.group("group")).group(1)):
-            entry = by_label.get(str(n))
-            if entry is None:
+            same = labelled.get(str(n))
+            if same is None:
                 continue  # plain numeric handling flags it as not_in_list
-            if not re.search(rf"\b{re.escape(fold_text(name))}\b", fold_text(entry.full_text)):
+            if not any(pattern.search(e.folded) for e in same):
                 citation = collapse_ws(m.group(0))
                 record(("conflict", n, fold_text(name)), citation, reason=FLAG_LABEL_CONFLICT)
                 conflicted_numbers.add(n)
@@ -674,53 +672,40 @@ def verify_answer_citations(
             n = marker.numbers[0]
             if n in conflicted_numbers:
                 continue
-            entry = by_label.get(str(n))
+            entry = labelled.get(str(n), [None])[0]
             record(("numeric", n), marker.display(), entry=entry, reason=FLAG_NOT_IN_LIST)
         else:
-            candidates = _candidates_for(folded_entries, marker.authors, marker.year)
+            candidates = _naming(citation_list, marker.authors, marker.year)
             entry = candidates[0] if candidates else None
             record(marker.key(), marker.display(), entry=entry, reason=FLAG_NOT_IN_LIST)
 
     for raw_line in bib_lines:
-        line = raw_line.strip()
+        line = collapse_ws(raw_line)
         if not line:
             continue
-        info = _parse_bib_line(line)
+        key = ("bib", line)
+        info = _parse_bib_line(raw_line)
+        title_tokens = _title_tokens(info["title"] or "")
         if info["authors"] and info["year"]:
-            candidates = _candidates_for(folded_entries, info["authors"], info["year"])
+            candidates = _naming(citation_list, info["authors"], info["year"])
             if not candidates:
-                record(("bib", collapse_ws(line)), collapse_ws(line), reason=FLAG_NOT_IN_LIST)
+                record(key, line, reason=FLAG_NOT_IN_LIST)
                 continue
             best = candidates[0]
             if info["title"]:
-                overlap = max(title_token_overlap(info["title"], c.full_text) for c in candidates)
-                best = max(candidates, key=lambda c: title_token_overlap(info["title"], c.full_text))
+                overlap, best = _best_by_title(title_tokens, candidates)
                 if overlap < 0.6:
-                    record(
-                        ("bib", collapse_ws(line)), collapse_ws(line),
-                        reason=FLAG_PARTIAL_TITLE,
-                    )
+                    record(key, line, reason=FLAG_PARTIAL_TITLE)
                     continue
             if info["label"] and best.label and best.label.isdigit() and info["label"] != best.label:
-                record(("bib", collapse_ws(line)), collapse_ws(line), reason=FLAG_LABEL_CONFLICT)
+                record(key, line, reason=FLAG_LABEL_CONFLICT)
                 continue
-            record(("bib", collapse_ws(line)), collapse_ws(line), entry=best)
+            record(key, line, entry=best)
         elif info["label"]:
-            entry = by_label.get(info["label"])
-            record(
-                ("bib", collapse_ws(line)), collapse_ws(line),
-                entry=entry, reason=FLAG_NOT_IN_LIST,
-            )
+            record(key, line, entry=labelled.get(info["label"], [None])[0], reason=FLAG_NOT_IN_LIST)
         elif info["title"]:
-            scored = [
-                (title_token_overlap(info["title"], e.full_text), e)
-                for _, e in folded_entries
-            ]
-            scored.sort(key=lambda pair: -pair[0])
-            if scored and scored[0][0] >= 0.6:
-                record(("bib", collapse_ws(line)), collapse_ws(line), entry=scored[0][1])
-            else:
-                record(("bib", collapse_ws(line)), collapse_ws(line), reason=FLAG_NOT_IN_LIST)
+            overlap, best = _best_by_title(title_tokens, citation_list)
+            record(key, line, entry=best if overlap >= 0.6 else None, reason=FLAG_NOT_IN_LIST)
         # lines with no recognizable citation structure are prose, not citations
 
     return report

@@ -4,7 +4,7 @@ A knowledge base is a directory:
 
     <root>/header.json, records.jsonl, matrix.bin   chunk store
     <root>/docs/<doc_id>.json                       document snapshot (body, title,
-                                                    reference-section span)
+                                                    reference-section span, file name)
 
 Document snapshots keep the citation guard exact at query time: on a
 document's first use, its reference section is parsed and its expanded
@@ -117,7 +117,8 @@ def build_knowledge_base(
                     ]
                 )
             (root / "docs" / f"{doc.doc_id}.json").write_text(
-                json.dumps(doc.to_dict(), ensure_ascii=False), encoding="utf-8"
+                json.dumps({**doc.to_dict(), "source_path": source}, ensure_ascii=False),
+                encoding="utf-8",
             )
         except LitragError as exc:
             logger.warning("failed to index %s: %s", doc.doc_id, exc)

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from litrag import citations
 from litrag.citations import (
     AuxIndex,
     CitationEntry,
@@ -519,6 +520,55 @@ def test_every_citation_lands_in_exactly_one_bucket():
     parsed = report.to_dict()
     assert parsed["pass"] is False
     assert len(parsed["verified"]) == len(report.verified)
+
+
+_SMITH_3 = CitationEntry(
+    label="3",
+    full_text="3. Smith, A. Laminar flame speeds of lean mixtures. Combust. Flame 2001, 12, 1-9.",
+    doc_id="docA",
+)
+_JONES_3 = CitationEntry(
+    label="3",
+    full_text="3. Jones, B. Soot inception in diffusion flames. Proc. Combust. Inst. 2005, 30, 10-19.",
+    doc_id="docB",
+)
+
+
+@pytest.mark.parametrize("entries", [[_SMITH_3, _JONES_3], [_JONES_3, _SMITH_3]], ids=["A-B", "B-A"])
+def test_shared_label_attribution_holds_in_either_list_order(entries):
+    # "[3]" means the first listed entry labelled 3, as in resolution; an
+    # attribution conflicts only when no entry labelled 3 names the author
+    report = verify_answer_citations("Smith et al. [3] measured laminar flame speeds.", entries)
+    assert report.flagged == []
+    assert report.verified == [("[3]", entries[0])]
+
+    report = verify_answer_citations("Brown et al. [3] measured laminar flame speeds.", entries)
+    assert [reason for _, reason in report.flagged] == ["label_conflict"]
+    assert report.verified == []
+
+    report = verify_answer_citations("Prose.\n\nReferences:\n[3]\n", entries)
+    assert report.verified == [("[3]", entries[0])]
+    assert resolve_citations(extract_citation_markers("see [3]"), entries)[0] == [entries[0]]
+
+
+def test_verification_folds_no_entry_text(monkeypatch):
+    entries = _sixty_entry_fixture()
+    answer = (
+        "Gamezo et al. [25] and Li, Kailasanath & Oran (1994) agree; Spalart et al. [26] does not.\n\n"
+        "References:\n"
+        + "\n".join(e.full_text for e in entries[:4])
+        + "\n"
+        'Li, Kailasanath & Oran (1994): "Oblique Detonation Waves in Wedge Flows." 96(1), 57-73.\n'
+        '"Detonation structures behind oblique shocks"\n'
+    )
+    folded = []
+    fold = citations.fold_text
+    monkeypatch.setattr(citations, "fold_text", lambda text: folded.append(text) or fold(text))
+    report = verify_answer_citations(answer, entries)
+    assert len(report.verified) == 7
+    assert sorted(reason for _, reason in report.flagged) == ["label_conflict", "partial_title_match"]
+    assert folded  # author names and answer titles are folded per answer
+    assert not {e.full_text for e in entries} & set(folded)
 
 
 def test_title_token_overlap():

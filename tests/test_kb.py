@@ -1,3 +1,5 @@
+import json
+import shutil
 from dataclasses import replace
 from pathlib import Path
 
@@ -139,3 +141,38 @@ def test_zero_embedding_fails_its_document_not_the_kb(small_corpus, tmp_path):
     kb = KnowledgeBase.open(cfg.store_path)
     assert len(kb.store) == report.chunk_count
     assert kb.store.top_k([1.0] * DIM, 3, Metric.cosine())
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_kb_bytes_do_not_depend_on_where_the_corpus_sits(small_corpus, tmp_path):
+    corpus_dir, truths = small_corpus
+    moved = tmp_path / "elsewhere" / "at" / "a" / "deeper" / "path"
+    shutil.copytree(corpus_dir, moved)
+    with StubEmbeddingService(dim=DIM) as svc:
+        cfg = _config(svc, tmp_path)
+        build_knowledge_base(corpus_dir, cfg, store_root=tmp_path / "kb-a")
+        build_knowledge_base(moved, cfg, store_root=tmp_path / "kb-b")
+    first, second = _tree(tmp_path / "kb-a"), _tree(tmp_path / "kb-b")
+    assert len(first) == 3 + len(truths)
+    assert first == second
+    kb = KnowledgeBase.open(tmp_path / "kb-b")
+    assert kb.document("paper-00").source_path == "paper-00.txt"
+
+
+def test_snapshot_holding_an_absolute_source_path_still_opens(small_corpus, tmp_path):
+    # snapshots written before the file name replaced the path
+    corpus_dir, _ = small_corpus
+    with StubEmbeddingService(dim=DIM) as svc:
+        cfg = _config(svc, tmp_path)
+        build_knowledge_base(corpus_dir, cfg)
+    snapshot = Path(cfg.store_path) / "docs" / "paper-00.json"
+    fresh = KnowledgeBase.open(cfg.store_path).aux_index("paper-00")
+    data = json.loads(snapshot.read_text(encoding="utf-8"))
+    data["source_path"] = str((corpus_dir / "paper-00.txt").resolve())
+    snapshot.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
+    kb = KnowledgeBase.open(cfg.store_path)
+    assert kb.document("paper-00").source_path == data["source_path"]
+    assert kb.aux_index("paper-00") == fresh
