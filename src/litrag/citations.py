@@ -16,6 +16,7 @@ its authors and its year.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import re
@@ -91,7 +92,9 @@ class CitationMarker:
     Numeric markers carry one citation number each (grouped forms such as
     "[25, 26]" and ranges are expanded to one marker per number).
     Author-year markers carry the surnames and the four-digit year.
-    ``span`` is the character range of the matched text.
+    ``span`` is the character range of the matched text. ``folded_authors``
+    is ``fold_text`` of each surname, derived once when the marker is built;
+    it takes no part in equality, hashing, ``repr`` or ``to_dict``.
     """
 
     kind: str  # "numeric" | "author_year"
@@ -99,6 +102,7 @@ class CitationMarker:
     authors: tuple[str, ...] = ()
     year: int | None = None
     span: tuple[int, int] = (0, 0)
+    folded_authors: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == "numeric":
@@ -111,11 +115,12 @@ class CitationMarker:
                 raise ValueError(f"author_year marker year must be in [{YEAR_MIN}, {YEAR_MAX}]")
         else:
             raise ValueError(f"unknown marker kind {self.kind!r}")
+        object.__setattr__(self, "folded_authors", tuple(map(fold_text, self.authors)))
 
     def key(self):
         if self.kind == "numeric":
             return ("numeric", self.numbers)
-        return ("author_year", tuple(fold_text(a) for a in self.authors), self.year)
+        return ("author_year", self.folded_authors, self.year)
 
     def display(self) -> str:
         if self.kind == "numeric":
@@ -454,15 +459,15 @@ def extract_reference_section(doc: Document) -> list[CitationEntry]:
 # --- resolution ----------------------------------------------------------------
 
 
-def _name_pattern(name: str) -> re.Pattern:
-    return re.compile(rf"\b{re.escape(fold_text(name))}\b")
+def _name_pattern(folded_name: str) -> re.Pattern:
+    return re.compile(rf"\b{re.escape(folded_name)}\b")
 
 
-def _naming(entries: Sequence[CitationEntry], authors, year: int) -> list[CitationEntry]:
-    """The entries, in list order, whose text names every one of ``authors``
-    (folded, word-bounded) and contains ``year``."""
+def _naming(entries: Sequence[CitationEntry], folded_authors, year: int) -> list[CitationEntry]:
+    """The entries, in list order, whose folded text names every one of
+    ``folded_authors`` (already folded, word-bounded) and contains ``year``."""
     year_text = str(year)
-    patterns = [_name_pattern(a) for a in authors]
+    patterns = [_name_pattern(a) for a in folded_authors]
     return [
         e for e in entries
         if year_text in e.full_text and all(p.search(e.folded) for p in patterns)
@@ -512,7 +517,7 @@ def resolve_citations(
             if missing:
                 unresolved.append(marker)
         else:
-            candidates = _naming(entries, marker.authors, marker.year)
+            candidates = _naming(entries, marker.folded_authors, marker.year)
             if candidates:
                 add(candidates[0])
             else:
@@ -639,6 +644,7 @@ def verify_answer_citations(
     bib_lines = lines[bib_start + 1 :] if bib_start is not None else []
 
     seen_keys: set = set()
+    fold_name = functools.cache(fold_text)  # each author name of the answer, folded once
 
     def record(key, citation_text, entry=None, reason=None):
         if key in seen_keys:
@@ -657,14 +663,15 @@ def verify_answer_citations(
         name = m.group("name")
         if name in _MARKER_STOPWORDS or (len(name) >= 3 and name.isupper()):
             continue
-        pattern = _name_pattern(name)
+        folded = fold_name(name)
+        pattern = _name_pattern(folded)
         for n in _expand_numeric_group(re.match(NUMERIC_GROUP_PATTERN, m.group("group")).group(1)):
             same = labelled.get(str(n))
             if same is None:
                 continue  # plain numeric handling flags it as not_in_list
             if not any(pattern.search(e.folded) for e in same):
                 citation = collapse_ws(m.group(0))
-                record(("conflict", n, fold_text(name)), citation, reason=FLAG_LABEL_CONFLICT)
+                record(("conflict", n, folded), citation, reason=FLAG_LABEL_CONFLICT)
                 conflicted_numbers.add(n)
 
     for marker in extract_citation_markers(body):
@@ -675,7 +682,7 @@ def verify_answer_citations(
             entry = labelled.get(str(n), [None])[0]
             record(("numeric", n), marker.display(), entry=entry, reason=FLAG_NOT_IN_LIST)
         else:
-            candidates = _naming(citation_list, marker.authors, marker.year)
+            candidates = _naming(citation_list, marker.folded_authors, marker.year)
             entry = candidates[0] if candidates else None
             record(marker.key(), marker.display(), entry=entry, reason=FLAG_NOT_IN_LIST)
 
@@ -687,7 +694,8 @@ def verify_answer_citations(
         info = _parse_bib_line(raw_line)
         title_tokens = _title_tokens(info["title"] or "")
         if info["authors"] and info["year"]:
-            candidates = _naming(citation_list, info["authors"], info["year"])
+            folded_authors = [fold_name(a) for a in info["authors"]]
+            candidates = _naming(citation_list, folded_authors, info["year"])
             if not candidates:
                 record(key, line, reason=FLAG_NOT_IN_LIST)
                 continue

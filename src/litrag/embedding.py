@@ -39,8 +39,8 @@ class EmbeddingVector:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if not all(math.isfinite(v) for v in self.values):
+        object.__setattr__(self, "values", tuple(map(float, self.values)))
+        if not all(map(math.isfinite, self.values)):
             raise ValueError("embedding values must be finite (no NaN/Inf)")
 
     @property

@@ -94,28 +94,23 @@ def build_knowledge_base(
     for doc, chunks in loaded:
         try:
             source = Path(doc.source_path).name
-            if chunks:
-                vectors = embed_texts(
-                    [c.text for c in chunks], config.embedding, tokenizer=config.tokenizer
-                )
-                store.upsert(
-                    [
-                        ChunkRecord(
-                            chunk_id=chunk.chunk_id,
-                            doc_id=chunk.doc_id,
-                            text=chunk.text,
-                            start_offset=chunk.start_offset,
-                            end_offset=chunk.end_offset,
-                            embedding=vectors[i],
-                            metadata={
-                                "source": source,
-                                "doc_id": doc.doc_id,
-                                "title": doc.title,
-                            },
-                        )
-                        for i, chunk in enumerate(chunks)
-                    ]
-                )
+            vectors = embed_texts(
+                [c.text for c in chunks], config.embedding, tokenizer=config.tokenizer
+            )
+            store.upsert(
+                [
+                    ChunkRecord(
+                        chunk_id=chunk.chunk_id,
+                        doc_id=chunk.doc_id,
+                        text=chunk.text,
+                        start_offset=chunk.start_offset,
+                        end_offset=chunk.end_offset,
+                        embedding=vectors[i],
+                        metadata={"source": source, "doc_id": doc.doc_id, "title": doc.title},
+                    )
+                    for i, chunk in enumerate(chunks)
+                ]
+            )
             (root / "docs" / f"{doc.doc_id}.json").write_text(
                 json.dumps({**doc.to_dict(), "source_path": source}, ensure_ascii=False),
                 encoding="utf-8",

@@ -4,8 +4,12 @@ The store is an exhaustive exact index (no approximate structures): the
 corpus scale this engine targets is small enough that a full scan is both
 fast and trivially verifiable. Each embedding is held once, as its row of a
 read-only float32 matrix that matches the on-disk format, so a persist/open
-round trip is bit-exact. Records handed out rebuild ``embedding`` from
-their row; stored records carry ``embedding=None``.
+round trip is bit-exact. The store hands out its own records, which carry
+``embedding=None``: retrieval (``top_k``, ``mmr_select``) and ``rows`` return
+them as they are, and only ``records`` and ``get`` attach a vector rebuilt
+from the record's row. Each record's ``metadata`` is a read-only mapping over
+the store's private copy, so a record handed out cannot change the store;
+serialise it with ``dict(rec.metadata)``.
 
 Every score comes from one row scorer, :func:`score_rows` (a matrix and a
 vector in, one float64 score per row out): ``similarity`` is a one-row call,
@@ -34,8 +38,10 @@ import hashlib
 import json
 import math
 import threading
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -189,8 +195,11 @@ class ChunkRecord:
 
     ``upsert`` takes records with an embedding. Once stored, the embedding
     lives only as the record's matrix row: the store keeps the record with
-    ``embedding=None`` and rebuilds the vector from the row on the way out.
+    ``embedding=None`` and hands it out that way; only ``records`` and
+    ``get`` rebuild the vector from the row.
     ``metadata`` must include a "source" key naming the source document.
+    The store keeps it as a read-only mapping (``types.MappingProxyType``)
+    over its own copy; ``dict(rec.metadata)`` gives a plain dict.
     The offsets are required: ``[start_offset, end_offset)`` is the chunk's
     span in the document body, and the citation guard maps a chunk onto its
     expanded chunk by that span alone.
@@ -202,7 +211,7 @@ class ChunkRecord:
     start_offset: int
     end_offset: int
     embedding: EmbeddingVector | None
-    metadata: dict = field(default_factory=dict)
+    metadata: Mapping[str, object] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -289,8 +298,9 @@ class VectorStore:
             return len(self._records)
 
     def rows(self) -> tuple[list[ChunkRecord], np.ndarray]:
-        """One consistent snapshot: the records, each with ``embedding=None``,
-        and the read-only float32 matrix whose row i is record i's embedding."""
+        """One consistent snapshot: the store's own records, each with
+        ``embedding=None`` and read-only ``metadata``, and the read-only
+        float32 matrix whose row i is record i's embedding."""
         with self._lock:
             return list(self._records), self._matrix
 
@@ -335,7 +345,9 @@ class VectorStore:
             slots = [self._index.setdefault(rec.chunk_id, len(self._index)) for rec in records]
             for i, rec in zip(slots, records):
                 # replaces record i, or appends when i is one past the end
-                self._records[i : i + 1] = [replace(rec, embedding=None, metadata=dict(rec.metadata))]
+                self._records[i : i + 1] = [
+                    replace(rec, embedding=None, metadata=MappingProxyType(dict(rec.metadata)))
+                ]
             matrix = np.empty((len(self._records), self._dim), dtype=np.float32)
             matrix[: len(self._matrix)] = self._matrix
             matrix[slots] = batch
@@ -376,14 +388,12 @@ class VectorStore:
         """The k most similar records, best first. Exhaustive exact scan.
 
         Ordering is descending for cosine/inner_product and ascending for
-        distance metrics; ties break toward the lowest chunk_id.
+        distance metrics; ties break toward the lowest chunk_id. The records
+        carry ``embedding=None``.
         """
         with self._lock:
             order, scores = self._rank(query_vec, k, m)
-            return [
-                ScoredRecord(_with_row(self._records[i], self._matrix[i]), float(scores[i]))
-                for i in order
-            ]
+            return [ScoredRecord(self._records[i], float(scores[i])) for i in order]
 
     def mmr_select(self, query_vec, params: MMRParams) -> list[ScoredRecord]:
         """Greedy maximal-marginal-relevance selection.
@@ -396,7 +406,8 @@ class VectorStore:
 
         with the max over an empty selection defined as 0. Distance metrics
         enter the objective negated so that "similar" is consistently high.
-        The returned scores are the objective values at selection time.
+        The returned scores are the objective values at selection time, and
+        the records carry ``embedding=None``.
         """
         with self._lock:
             order, scores = self._rank(query_vec, params.pool_size(), params.sim1)
@@ -417,7 +428,7 @@ class VectorStore:
             objective[taken] = -np.inf
             j = int(np.argmax(objective))
             taken[j] = True
-            selected.append(ScoredRecord(_with_row(records[j], rows[j]), float(objective[j])))
+            selected.append(ScoredRecord(records[j], float(objective[j])))
             redundancy = sign2 * score_rows(rows, rows[j], params.sim2, norms)
             penalty = redundancy if len(selected) == 1 else np.maximum(penalty, redundancy)
         return selected
@@ -435,6 +446,7 @@ class VectorStore:
                 with (path / "records.jsonl").open("w", encoding="utf-8") as fh:
                     for rec in self._records:
                         obj = {key: getattr(rec, key) for key in _RECORD_FIELDS}
+                        obj["metadata"] = dict(rec.metadata)
                         fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
                 header = {
                     "dimension": self._dim,
@@ -494,6 +506,7 @@ class VectorStore:
         for i, line in enumerate(record_lines):
             try:
                 obj = json.loads(line)
+                obj["metadata"] = MappingProxyType(obj["metadata"])
                 rec = ChunkRecord(embedding=None, **{key: obj[key] for key in _RECORD_FIELDS})
                 _check_record(rec)
                 if store._index.setdefault(rec.chunk_id, i) != i:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -569,6 +570,52 @@ def test_verification_folds_no_entry_text(monkeypatch):
     assert sorted(reason for _, reason in report.flagged) == ["label_conflict", "partial_title_match"]
     assert folded  # author names and answer titles are folded per answer
     assert not {e.full_text for e in entries} & set(folded)
+
+
+def _count_folds(monkeypatch):
+    folds = Counter()
+    fold = citations.fold_text
+    monkeypatch.setattr(citations, "fold_text", lambda text: folds.update([text]) or fold(text))
+    return folds
+
+
+def test_a_marker_folds_each_author_once(monkeypatch):
+    folds = _count_folds(monkeypatch)
+    marker = CitationMarker(kind="author_year", authors=("Li", "Kailasanath", "Oran"), year=1994)
+    assert folds == Counter({"Li": 1, "Kailasanath": 1, "Oran": 1})
+    assert marker.folded_authors == ("li", "kailasanath", "oran")
+    assert marker.key() == marker.key() == ("author_year", ("li", "kailasanath", "oran"), 1994)
+    entries = _sixty_entry_fixture()
+    folds.clear()
+    assert [e.label for e in resolve_citations([marker, marker], entries)[0]] == ["33"]
+    assert folds == Counter()
+    assert "folded_authors" not in repr(marker) and "folded_authors" not in marker.to_dict()
+    assert marker == CitationMarker(kind="author_year", authors=("Li", "Kailasanath", "Oran"), year=1994)
+
+
+def test_verification_folds_each_author_name_once(monkeypatch):
+    entries = _sixty_entry_fixture()
+    body = (
+        "Gamezo et al. [25] and Gamezo et al. [26] agree; Spalart et al. [26] does not, "
+        "nor does Spalart et al. [25]."
+    )
+    bib = [
+        entries[24].full_text,
+        entries[25].full_text,
+        entries[32].full_text,
+        'Li, Kailasanath & Oran (1994): "Oblique Detonation Waves in Wedge Flows." 96(1), 57-73.',
+    ]
+    answer = body + "\n\nReferences:\n" + "\n".join(bib) + "\n"
+    expected = verify_answer_citations(answer, entries)
+
+    folds = _count_folds(monkeypatch)
+    report = verify_answer_citations(answer, entries)
+    assert (report.verified, report.flagged) == (expected.verified, expected.flagged)
+    names = {"Gamezo", "Spalart"}
+    for line in bib:
+        names.update(citations._parse_bib_line(line)["authors"])
+    assert {"Gamezo", "Oran", "Li"} <= names
+    assert {name: folds[name] for name in names} == dict.fromkeys(names, 1)
 
 
 def test_title_token_overlap():

@@ -269,6 +269,56 @@ def test_rows_hold_no_embedding_and_a_read_only_matrix():
     assert store.get("a").embedding.values == (1.5, -2.0)
 
 
+def test_retrieval_returns_records_without_embeddings():
+    store = VectorStore(2)
+    store.upsert([_record("a", [1.5, -2.0]), _record("b", [0.1, 3.0]), _record("c", [1, 1])])
+    query = [1.0, 0.2]
+    assert all(sr.record.embedding is None for sr in store.top_k(query, 3, Metric.cosine()))
+    picked = store.mmr_select(query, MMRParams(lambda_=0.5, k=3))
+    assert len(picked) == 3
+    assert all(sr.record.embedding is None for sr in picked)
+    _, matrix = store.rows()
+    assert store.get("b").embedding.values == tuple(matrix[1].tolist())
+    assert store.get("a").embedding.values == (1.5, -2.0)
+
+
+def test_metadata_cannot_be_changed_through_any_outlet(tmp_path):
+    store = VectorStore(2)
+    caller_metadata = {"source": "doc.txt", "title": "T"}
+    store.upsert([replace(_record("a", [1, 0]), metadata=caller_metadata), _record("b", [0, 1])])
+    caller_metadata["source"] = "caller.txt"
+    del caller_metadata["title"]
+
+    query = [1.0, 0.5]
+    outlets = {
+        "rows": store.rows()[0],
+        "top_k": [sr.record for sr in store.top_k(query, 2, Metric.cosine())],
+        "mmr_select": [sr.record for sr in store.mmr_select(query, MMRParams(lambda_=0.5, k=2))],
+        "get": [store.get("a"), store.get("b")],
+        "records": store.records(),
+    }
+    for name, records in outlets.items():
+        assert len(records) == 2, name
+        for rec in records:
+            with pytest.raises(TypeError):
+                rec.metadata["source"] = "x"
+            with pytest.raises(TypeError):
+                del rec.metadata["source"]
+            assert not hasattr(rec.metadata, "pop")  # a mappingproxy has no mutators
+
+    expected = {"a": {"source": "doc.txt", "title": "T"}, "b": {"source": "doc.txt"}}
+    assert {r.chunk_id: dict(r.metadata) for r in store.records()} == expected
+    store.persist(tmp_path / "s")
+    loaded = VectorStore.open(tmp_path / "s")
+    assert {r.chunk_id: dict(r.metadata) for r in loaded.records()} == expected
+    with pytest.raises(TypeError):
+        loaded.get("a").metadata["source"] = "x"
+    loaded.persist(tmp_path / "again")
+    assert (tmp_path / "again" / "records.jsonl").read_bytes() == (
+        tmp_path / "s" / "records.jsonl"
+    ).read_bytes()
+
+
 def test_rows_snapshot_keeps_the_row_an_upsert_replaces():
     store = VectorStore(2)
     store.upsert([_record("a", [1, 0]), _record("b", [0, 1])])
