@@ -23,7 +23,7 @@ import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .embedding import EmbeddingConfig, TokenizerConfig
+from .embedding import EmbeddingConfig, TokenizerConfig, check_endpoint_url
 from .errors import InvalidLambda, InvalidParams, ParseError, ValidationError
 from .ingest import SplitParams
 from .store import Metric, MMRParams
@@ -49,6 +49,7 @@ class ChatConfig:
     reserved_for_answer: int = 1024
 
     def __post_init__(self):
+        check_endpoint_url(self.endpoint_url, "endpoint_url")
         if self.llm_token_limit <= 0:
             raise ValueError("llm_token_limit must be positive")
         if self.temperature < 0:

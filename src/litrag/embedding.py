@@ -10,19 +10,20 @@ Requests are batched and issued with bounded parallelism; callers observe a
 synchronous, order-preserving call.
 
 Every service request, embedding, chat and tokenizer alike, goes through
-``post_json``, which holds the one failure policy.
+``post_json``, which holds the one failure policy. Its transport is the
+standard library's ``http.client``, straight to the configured endpoint.
 """
 
 from __future__ import annotations
 
+import json
 import logging
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-
-import requests
-from urllib3.exceptions import ReadTimeoutError
+from http.client import HTTPConnection, HTTPException, HTTPSConnection
+from urllib.parse import urlsplit
 
 from .errors import DimensionMismatch, LitragError, PartialFailure, ServiceUnreachable
 
@@ -58,6 +59,7 @@ class EmbeddingConfig:
     max_parallel_requests: int = 4
 
     def __post_init__(self):
+        check_endpoint_url(self.endpoint_url, "endpoint_url")
         if self.expected_dim <= 0:
             raise ValueError("expected_dim must be positive")
         if self.em_token_limit <= 0:
@@ -81,42 +83,80 @@ class TokenizerConfig:
             raise ValueError(f"unknown tokenizer mode {self.mode!r}")
         if self.mode == "heuristic" and self.chars_per_token <= 0:
             raise ValueError("chars_per_token must be positive")
-        if self.mode == "external" and not self.external_url:
-            raise ValueError("external tokenizer mode requires external_url")
+        if self.mode == "external":
+            if not self.external_url:
+                raise ValueError("external tokenizer mode requires external_url")
+            check_endpoint_url(self.external_url, "external_url")
+
+
+def check_endpoint_url(url: str, name: str) -> None:
+    """Raise ValueError unless ``url`` is an http(s) URL with a host and a valid port."""
+    parts = urlsplit(url)
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ValueError(f"{name} must be an http:// or https:// URL with a host, got {url!r}")
+    parts.port  # raises ValueError for a port that is not a number in 0..65535
 
 
 def post_json(url: str, payload: dict, error: type[LitragError], timeout: float):
     """POST ``payload`` as JSON to ``url`` and return the decoded reply.
 
-    A refused or timed-out connection, a 5xx and a 429 are retried once,
-    after ``_RETRY_BASE_S``. Everything else fails at once: another 4xx
-    cannot clear, and after a read timeout the service already has the
-    request, so a retry would double the wait. Every failure raises
-    ``error``; checking the reply's shape is left to the caller.
+    Each attempt opens a fresh ``http.client`` connection, whose ``timeout``
+    bounds every socket operation. A failed connect, a connection dropped
+    before the status line, a 5xx and a 429 are retried once, after
+    ``_RETRY_BASE_S``. Everything else fails at once: another status >= 400
+    cannot clear, and after a read timeout, or a reply cut off in its body,
+    the service already has the request, so a retry would double the wait.
+    A 3xx is not followed. Every failure raises ``error``; checking the
+    reply's shape is left to the caller.
     """
+    parts = urlsplit(url)
+    connection = HTTPSConnection if parts.scheme == "https" else HTTPConnection
+    target = f"{parts.path or '/'}?{parts.query}" if parts.query else parts.path or "/"
+    body = json.dumps(payload).encode()
     for last_try in (False, True):
+        conn = connection(parts.hostname, parts.port, timeout=timeout)
         try:
-            resp = requests.post(url, json=payload, timeout=timeout)
-        except requests.ConnectionError as exc:  # refused, dropped, or a ConnectTimeout
-            # requests reports a read timeout inside the reply body as one too
-            if exc.args and isinstance(exc.args[0], ReadTimeoutError):
-                raise error(f"request to {url} failed: {exc}") from exc
-            cause = f"connection failed: {exc}"
-        except requests.RequestException as exc:
-            raise error(f"request to {url} failed: {exc}") from exc
-        else:
-            if resp.status_code < 400:
-                try:
-                    return resp.json()
-                except ValueError as exc:
-                    raise error(f"{url} replied with malformed JSON: {exc}") from exc
-            cause = f"status {resp.status_code}: {resp.text[:200]}"
-            if resp.status_code < 500 and resp.status_code != 429:
-                raise error(f"{url} returned {cause}")
+            return _exchange(conn, target, body, url, error)
+        except _Transient as exc:
+            cause = str(exc)
+        finally:
+            conn.close()
         if last_try:
             raise error(f"{url} failed after one retry: {cause}")
         logger.warning("%s failed (%s); retrying in %.1fs", url, cause, _RETRY_BASE_S)
         time.sleep(_RETRY_BASE_S)
+
+
+class _Transient(Exception):
+    """A failed attempt that ``post_json`` retries once."""
+
+
+def _exchange(conn: HTTPConnection, target: str, body: bytes, url: str, error):
+    """One attempt of ``post_json`` on the fresh connection ``conn``."""
+    try:
+        conn.connect()
+    except OSError as exc:  # refused, unreachable, or a connect timeout
+        raise _Transient(f"connection failed: {exc!r}") from exc
+    try:
+        conn.request("POST", target, body, {"Content-Type": "application/json"})
+        resp = conn.getresponse()
+    except ConnectionError as exc:  # closed, reset or a broken pipe before the status line
+        raise _Transient(f"connection dropped: {exc!r}") from exc
+    except (OSError, HTTPException) as exc:  # a read timeout: the service has the request
+        raise error(f"request to {url} failed: {exc!r}") from exc
+    try:
+        data = resp.read()
+    except (OSError, HTTPException) as exc:  # a timeout or a cut-off inside the body
+        raise error(f"reading the reply from {url} failed: {exc!r}") from exc
+    if resp.status < 400:
+        try:
+            return json.loads(data)
+        except ValueError as exc:
+            raise error(f"{url} replied with malformed JSON: {exc}") from exc
+    cause = f"status {resp.status}: {data[:200].decode(errors='replace')}"
+    if resp.status < 500 and resp.status != 429:
+        raise error(f"{url} returned {cause}")
+    raise _Transient(cause)
 
 
 def token_count(text: str, tok: TokenizerConfig) -> int:

@@ -103,7 +103,8 @@ class _StubService(ThreadingHTTPServer):
         self.inflight = 0
         self.max_concurrent = 0
         self.latency_s = latency_s
-        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
+        # a short poll, so that close() returns at once instead of after up to 0.5 s
+        self._thread = threading.Thread(target=self.serve_forever, args=(0.01,), daemon=True)
         self._thread.start()
 
     @property

@@ -176,3 +176,33 @@ def test_separators_preserved(tmp_path):
     assert cfg.split.separators == ("\n", " ", "")
     save_config(cfg, tmp_path / "s.conf")
     assert load_config(tmp_path / "s.conf", env={}).split.separators == ("\n", " ", "")
+
+
+ENDPOINT_FIELDS = [
+    ("embedding", "endpoint_url", "LITRAG_EMBEDDING_URL"),
+    ("chat", "endpoint_url", "LITRAG_CHAT_URL"),
+    ("tokenizer", "external_url", "LITRAG_TOKENIZER_URL"),
+]
+
+
+@pytest.mark.parametrize("section, key, env_name", ENDPOINT_FIELDS)
+@pytest.mark.parametrize(
+    "url", ["localhost:8810/embeddings", "ftp://h/x", "http:///x", "", "http://h:port/x"]
+)
+def test_malformed_endpoint_url_rejected(tmp_path, section, key, env_name, url):
+    data = json.loads(json.dumps(MINIMAL))
+    data[section] = {key: url, **({"mode": "external"} if section == "tokenizer" else {})}
+    with pytest.raises(ValidationError) as err:
+        load_config(_write(tmp_path, data), env={})
+    assert err.value.field == section
+    if url:  # an empty override is not applied
+        with pytest.raises(ValidationError) as err:
+            load_config(_write(tmp_path, MINIMAL), env={env_name: url})
+        assert err.value.field == section
+
+
+@pytest.mark.parametrize("section, key, env_name", ENDPOINT_FIELDS)
+@pytest.mark.parametrize("url", ["http://x", "http://127.0.0.1:1/none", "https://[::1]:8443/v1?a=b"])
+def test_well_formed_endpoint_url_accepted(tmp_path, section, key, env_name, url):
+    cfg = load_config(_write(tmp_path, MINIMAL), env={env_name: url})
+    assert config_to_dict(cfg)[section][key] == url

@@ -1,8 +1,10 @@
+import http.client
+import subprocess
+import sys
 import time
 from http.server import BaseHTTPRequestHandler
 
 import pytest
-import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -246,7 +248,8 @@ def test_config_validation():
 
 class _StalledBody(BaseHTTPRequestHandler):
     """Records the request, sends the headers and the first bytes of a
-    reply, then stalls."""
+    100-byte reply, then stalls (``stall_body``) or closes the connection
+    (``truncated``)."""
 
     protocol_version = "HTTP/1.1"
 
@@ -259,7 +262,9 @@ class _StalledBody(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(b'{"data": ')
         self.wfile.flush()
-        time.sleep(1.0)
+        if self.server.fault == "stall_body":
+            time.sleep(1.0)
+        self.close_connection = True
 
     def log_message(self, *args):
         pass
@@ -272,7 +277,7 @@ class _Faulty:
     def __init__(self, fault):
         self.fault = fault
         super().__init__()
-        if fault == "stall_body":
+        if fault in ("stall_body", "truncated"):
             self.RequestHandlerClass = _StalledBody
 
     def handle_payload(self, payload):
@@ -321,14 +326,19 @@ SERVICES = {
         (404, 1),
         ("stall", 1),  # read timeout: the service has the request
         ("stall_body", 1),  # read timeout after the headers
+        ("truncated", 1),  # connection closed inside the body: the service has the request
         ("shape", 1),  # 200 with JSON of the wrong shape
     ],
 )
 def test_failure_policy(service, fault, requests_seen, monkeypatch):
     stub, call, error = SERVICES[service]
     if fault in ("stall", "stall_body"):
-        post = requests.post
-        monkeypatch.setattr(requests, "post", lambda *a, **kw: post(*a, **{**kw, "timeout": 0.2}))
+        init = http.client.HTTPConnection.__init__
+        monkeypatch.setattr(
+            http.client.HTTPConnection,
+            "__init__",
+            lambda self, *a, **kw: init(self, *a, **{**kw, "timeout": 0.2}),
+        )
     with type("Faulty", (_Faulty, stub), {})(fault) as svc:
         with pytest.raises(error):
             call(svc.url)
@@ -340,8 +350,20 @@ def test_refused_connection_is_retried_once(service, monkeypatch):
     # a refused connection never reaches a stub, so the attempts are counted here
     _, call, error = SERVICES[service]
     attempts = []
-    post = requests.post
-    monkeypatch.setattr(requests, "post", lambda *a, **kw: attempts.append(a) or post(*a, **kw))
+    connect = http.client.HTTPConnection.connect
+    monkeypatch.setattr(
+        http.client.HTTPConnection, "connect", lambda self: attempts.append(self) or connect(self)
+    )
     with pytest.raises(error):
         call("http://127.0.0.1:1/none")
     assert len(attempts) == 2
+
+
+def test_litrag_imports_no_third_party_http_client():
+    # the transport is the standard library's http.client
+    code = (
+        "import sys, litrag, litrag.cli, litrag.harness, litrag.testing; "
+        "print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
