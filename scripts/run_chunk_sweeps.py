@@ -19,7 +19,10 @@ from pathlib import Path
 
 from litrag.config import default_config
 from litrag.harness import (
+    DEFAULT_RATIO_ROWS,
+    OVERLAP_SWEEP_FIXED_SIZE,
     OVERLAP_SWEEP_VALUES,
+    SIZE_SWEEP_FIXED_OVERLAP,
     SIZE_SWEEP_VALUES,
     SweepSpec,
     cluster_stats,
@@ -89,13 +92,13 @@ def main(argv=None) -> int:
         size_spec = SweepSpec(
             axis="chunk_size",
             values=SIZE_SWEEP_VALUES,
-            fixed=500,
+            fixed=SIZE_SWEEP_FIXED_OVERLAP,
             corpus_dir=str(corpus_dir),
         )
         overlap_spec = SweepSpec(
             axis="chunk_overlap",
             values=OVERLAP_SWEEP_VALUES,
-            fixed=1000,
+            fixed=OVERLAP_SWEEP_FIXED_SIZE,
             corpus_dir=str(corpus_dir),
         )
 
@@ -109,9 +112,7 @@ def main(argv=None) -> int:
         )
 
         table = token_ratio_table(
-            [(v, 500) for v in SIZE_SWEEP_VALUES]
-            + [(1000, v) for v in OVERLAP_SWEEP_VALUES]
-            + [(700, 200)],
+            DEFAULT_RATIO_ROWS,
             config.tokenizer,
             llm_limit=config.chat.llm_token_limit,
             em_limit=config.embedding.em_token_limit,

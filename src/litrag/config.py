@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import logging
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .embedding import EmbeddingConfig, TokenizerConfig, check_endpoint_url
@@ -199,31 +199,10 @@ def config_from_dict(data: dict, env: dict | None = None) -> EngineConfig:
 
 def config_to_dict(cfg: EngineConfig) -> dict:
     return {
-        "embedding": {
-            "endpoint_url": cfg.embedding.endpoint_url,
-            "model_name": cfg.embedding.model_name,
-            "expected_dim": cfg.embedding.expected_dim,
-            "em_token_limit": cfg.embedding.em_token_limit,
-            "batch_size": cfg.embedding.batch_size,
-            "max_parallel_requests": cfg.embedding.max_parallel_requests,
-        },
-        "chat": {
-            "endpoint_url": cfg.chat.endpoint_url,
-            "model_name": cfg.chat.model_name,
-            "llm_token_limit": cfg.chat.llm_token_limit,
-            "temperature": cfg.chat.temperature,
-            "reserved_for_answer": cfg.chat.reserved_for_answer,
-        },
-        "tokenizer": {
-            "mode": cfg.tokenizer.mode,
-            "chars_per_token": cfg.tokenizer.chars_per_token,
-            "external_url": cfg.tokenizer.external_url,
-        },
-        "split": {
-            "chunk_size": cfg.split.chunk_size,
-            "chunk_overlap": cfg.split.chunk_overlap,
-            "separators": list(cfg.split.separators),
-        },
+        "embedding": asdict(cfg.embedding),
+        "chat": asdict(cfg.chat),
+        "tokenizer": asdict(cfg.tokenizer),
+        "split": {**asdict(cfg.split), "separators": list(cfg.split.separators)},
         "retrieval": {
             "k": cfg.retrieval.k,
             "use_mmr": cfg.retrieval.use_mmr,

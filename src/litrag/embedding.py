@@ -81,7 +81,7 @@ class TokenizerConfig:
     def __post_init__(self):
         if self.mode not in ("heuristic", "external"):
             raise ValueError(f"unknown tokenizer mode {self.mode!r}")
-        if self.mode == "heuristic" and self.chars_per_token <= 0:
+        if self.chars_per_token <= 0:
             raise ValueError("chars_per_token must be positive")
         if self.mode == "external":
             if not self.external_url:
@@ -197,9 +197,9 @@ def embed_texts(
 
     Texts are grouped into batches of ``config.batch_size`` and issued with
     at most ``config.max_parallel_requests`` concurrent requests. Inputs
-    whose token count exceeds the embedding model's token limit are still
-    sent (services truncate) but logged as a warning, since oversize inputs
-    lose precision.
+    whose estimated token count (``chars_per_token``, whatever the tokenizer
+    mode) exceeds the embedding model's token limit are still sent (services
+    truncate) but logged as a warning, since oversize inputs lose precision.
 
     Raises PartialFailure (with failed input indexes) when some batches fail
     (``post_json`` retries a transient cause once), ServiceUnreachable when
@@ -210,12 +210,13 @@ def embed_texts(
         raise ValueError("texts must be non-empty")
 
     tok = tokenizer or TokenizerConfig()
-    oversize = [i for i, t in enumerate(texts) if token_count(t, tok) > config.em_token_limit]
+    # estimated: an external tokenizer counts for the chat model, not this one
+    oversize = sum(math.ceil(len(t) / tok.chars_per_token) > config.em_token_limit for t in texts)
     if oversize:
         logger.warning(
             "%d of %d inputs exceed the embedding token limit (%d); "
             "they will be sent anyway and may lose precision",
-            len(oversize),
+            oversize,
             len(texts),
             config.em_token_limit,
         )

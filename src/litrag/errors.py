@@ -31,6 +31,10 @@ class InvalidParams(LitragError):
     pass
 
 
+class DuplicateDocument(LitragError):
+    """A file's document id (its stem) is already taken by an earlier file."""
+
+
 # --- embedding / tokenizer services -------------------------------------
 
 class ServiceUnreachable(LitragError):
@@ -61,6 +65,10 @@ class EmptyStore(LitragError):
 
 class ZeroVector(LitragError):
     pass
+
+
+class NonFiniteVector(LitragError, ValueError):
+    """An embedding that overflows float32 when stored."""
 
 
 class InvalidLambda(LitragError):

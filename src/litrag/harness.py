@@ -121,13 +121,13 @@ def sweep_chunking(
             params = spec.split_params(value, config.split)
             row_config = replace(config, split=params)
             build_report = build_knowledge_base(spec.corpus_dir, row_config, store_root=store_path)
-            store = VectorStore.open(store_path)
-            lengths = [len(r.text) for r in store.rows()[0]]
+            count = build_report.chunk_count
+            chars = sum(d.chunk_chars for d in build_report.documents)
             report.rows.append(
                 SweepRow(
                     value=value,
-                    chunk_count=build_report.chunk_count,
-                    mean_chunk_length=float(np.mean(lengths)) if lengths else 0.0,
+                    chunk_count=count,
+                    mean_chunk_length=chars / count if count else 0.0,
                     store_path=str(store_path),
                 )
             )

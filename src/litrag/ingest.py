@@ -21,10 +21,12 @@ from pathlib import Path
 
 from .errors import (
     DirectoryUnreadable,
+    DuplicateDocument,
     EmptyDocument,
     ExtractorFailed,
     FileUnreadable,
     InvalidParams,
+    LitragError,
 )
 
 logger = logging.getLogger(__name__)
@@ -146,12 +148,14 @@ def _normalize_newlines(text: str) -> str:
 
 
 def _run_extractor(extractor: str, path: Path) -> str:
+    try:
+        parts = shlex.split(extractor)
+    except ValueError as exc:  # an unbalanced quote
+        raise ExtractorFailed(f"cannot parse extractor {extractor!r}: {exc}") from exc
     if "{path}" in extractor:
-        command = [
-            part.replace("{path}", str(path)) for part in shlex.split(extractor)
-        ]
+        command = [part.replace("{path}", str(path)) for part in parts]
     else:
-        command = shlex.split(extractor) + [str(path)]
+        command = parts + [str(path)]
     try:
         proc = subprocess.run(command, capture_output=True, timeout=120)
     except (OSError, subprocess.TimeoutExpired) as exc:
@@ -315,9 +319,12 @@ def recursive_split(body: str, params: SplitParams, doc_id: str = "doc") -> list
 
 @dataclass
 class DocumentResult:
+    """One ingested document; ``chunk_chars`` is the summed length of its chunks."""
+
     doc_id: str
     path: str
     chunk_count: int
+    chunk_chars: int
 
 
 @dataclass
@@ -362,12 +369,13 @@ def ingest_corpus(
 ) -> IngestReport:
     """Load and split every document in ``corpus_dir``.
 
-    Per-file failures are recorded in the report and do not abort the batch.
-    Document ids are file stems; a file whose stem an earlier file (in sorted
-    order) already took is recorded as a failure, not ingested.
-    ``on_document(document, chunks)`` is invoked for each successful document
-    in deterministic (sorted path) order, letting callers embed or index the
-    chunks as they stream past.
+    Files go in sorted path order, each one isolated: a LitragError while
+    loading or splitting it, or from ``on_document(document, chunks)``, is
+    recorded in the report's failures and the batch goes on; any other
+    exception propagates. ``on_document`` lets callers embed or index each
+    loaded document as it streams past. Document ids are file stems; a file
+    whose stem an earlier loaded file took (even if ``on_document`` then
+    failed it) fails with DuplicateDocument.
     """
     corpus_dir = Path(corpus_dir)
     if not corpus_dir.is_dir():
@@ -387,17 +395,22 @@ def ingest_corpus(
             try:
                 doc, chunks = fut.result()
                 if doc.doc_id in taken:
-                    raise ValueError(
+                    raise DuplicateDocument(
                         f"document id {doc.doc_id!r} is already taken by {taken[doc.doc_id]}"
                     )
-            except Exception as exc:  # noqa: BLE001 - per-file isolation is the contract
+                taken[doc.doc_id] = path
+                if on_document is not None:
+                    on_document(doc, chunks)
+            except LitragError as exc:
                 logger.warning("failed to ingest %s: %s", path, exc)
                 report.failures.append(IngestFailure(path=str(path), error=str(exc)))
                 continue
-            taken[doc.doc_id] = path
             report.documents.append(
-                DocumentResult(doc_id=doc.doc_id, path=str(path), chunk_count=len(chunks))
+                DocumentResult(
+                    doc_id=doc.doc_id,
+                    path=str(path),
+                    chunk_count=len(chunks),
+                    chunk_chars=sum(len(c.text) for c in chunks),
+                )
             )
-            if on_document is not None:
-                on_document(doc, chunks)
     return report

@@ -15,17 +15,14 @@ chunks are cut from the same text the chunks were cut from, and the result
 from __future__ import annotations
 
 import json
-import logging
 from pathlib import Path
 
 from .citations import AuxIndex, build_auxiliary_index
 from .config import EngineConfig
 from .embedding import embed_texts
-from .errors import IoFailure, LitragError
-from .ingest import Chunk, Document, IngestFailure, IngestReport, DocumentResult, ingest_corpus
+from .errors import IoFailure
+from .ingest import Chunk, Document, IngestReport, ingest_corpus
 from .store import ChunkRecord, VectorStore
-
-logger = logging.getLogger(__name__)
 
 
 class KnowledgeBase:
@@ -74,54 +71,50 @@ def build_knowledge_base(
 ) -> IngestReport:
     """Ingest, embed and persist a corpus into a knowledge base directory.
 
-    Per-document failures (unreadable files, embedding errors) are recorded
-    in the returned report and do not abort the batch.
+    Each document is embedded and upserted as ``ingest_corpus`` streams it
+    past, inside ingest's per-file isolation: a LitragError while loading,
+    embedding or storing a document fails that document alone, and the
+    returned report is ingest's own. Once ingest returns, ``docs/`` is
+    created and holds a snapshot of each indexed document, and the store is
+    persisted.
     """
     root = Path(store_root if store_root is not None else config.store_path)
-    loaded: list[tuple[Document, list[Chunk]]] = []
-    ingest_report = ingest_corpus(
+    store = VectorStore(config.embedding.expected_dim)
+    indexed: list[Document] = []
+
+    def index(doc: Document, chunks: list[Chunk]) -> None:
+        source = Path(doc.source_path).name
+        vectors = embed_texts(
+            [c.text for c in chunks], config.embedding, tokenizer=config.tokenizer
+        )
+        store.upsert(
+            [
+                ChunkRecord(
+                    chunk_id=chunk.chunk_id,
+                    doc_id=chunk.doc_id,
+                    text=chunk.text,
+                    start_offset=chunk.start_offset,
+                    end_offset=chunk.end_offset,
+                    embedding=vectors[i],
+                    metadata={"source": source, "doc_id": doc.doc_id, "title": doc.title},
+                )
+                for i, chunk in enumerate(chunks)
+            ]
+        )
+        indexed.append(doc)
+
+    report = ingest_corpus(
         corpus_dir,
         config.split,
         extractor=extractor,
-        on_document=lambda doc, chunks: loaded.append((doc, chunks)),
+        on_document=index,
         max_workers=max_workers,
     )
-
-    store = VectorStore(config.embedding.expected_dim)
-    report = IngestReport(failures=list(ingest_report.failures))
     (root / "docs").mkdir(parents=True, exist_ok=True)
-
-    for doc, chunks in loaded:
-        try:
-            source = Path(doc.source_path).name
-            vectors = embed_texts(
-                [c.text for c in chunks], config.embedding, tokenizer=config.tokenizer
-            )
-            store.upsert(
-                [
-                    ChunkRecord(
-                        chunk_id=chunk.chunk_id,
-                        doc_id=chunk.doc_id,
-                        text=chunk.text,
-                        start_offset=chunk.start_offset,
-                        end_offset=chunk.end_offset,
-                        embedding=vectors[i],
-                        metadata={"source": source, "doc_id": doc.doc_id, "title": doc.title},
-                    )
-                    for i, chunk in enumerate(chunks)
-                ]
-            )
-            (root / "docs" / f"{doc.doc_id}.json").write_text(
-                json.dumps({**doc.to_dict(), "source_path": source}, ensure_ascii=False),
-                encoding="utf-8",
-            )
-        except LitragError as exc:
-            logger.warning("failed to index %s: %s", doc.doc_id, exc)
-            report.failures.append(IngestFailure(path=doc.source_path, error=str(exc)))
-            continue
-        report.documents.append(
-            DocumentResult(doc_id=doc.doc_id, path=doc.source_path, chunk_count=len(chunks))
+    for doc in indexed:
+        snapshot = {**doc.to_dict(), "source_path": Path(doc.source_path).name}
+        (root / "docs" / f"{doc.doc_id}.json").write_text(
+            json.dumps(snapshot, ensure_ascii=False), encoding="utf-8"
         )
-
     store.persist(root)
     return report

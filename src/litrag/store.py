@@ -53,6 +53,7 @@ from .errors import (
     EmptyStore,
     InvalidLambda,
     IoFailure,
+    NonFiniteVector,
     ZeroVector,
 )
 
@@ -332,11 +333,12 @@ class VectorStore:
             _check_record(rec)
         if len({rec.chunk_id for rec in records}) != len(records):
             raise ValueError("an upsert batch names the same chunk_id twice")
-        batch = np.array([rec.embedding.values for rec in records], dtype=np.float32)
+        with np.errstate(over="ignore"):  # an overflowing row is reported just below
+            batch = np.array([rec.embedding.values for rec in records], dtype=np.float32)
         batch = batch.reshape(len(records), self._dim)
         overflow = np.flatnonzero(~np.isfinite(batch).all(axis=1))
         if overflow.size:
-            raise ValueError(f"record {records[overflow[0]].chunk_id!r} overflows float32")
+            raise NonFiniteVector(f"record {records[overflow[0]].chunk_id!r} overflows float32")
         zero = np.flatnonzero(~batch.any(axis=1))
         if zero.size:
             raise ZeroVector(f"record {records[zero[0]].chunk_id!r} has a zero embedding")

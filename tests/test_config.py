@@ -164,6 +164,94 @@ def test_config_dict_form_is_json_stable():
     assert config_from_dict(json.loads(json.dumps(d)), env={}) == cfg
 
 
+NON_DEFAULT = {
+    "embedding": {"endpoint_url": "http://e/", "expected_dim": 48, "batch_size": 7, "model_name": "m"},
+    "chat": {
+        "endpoint_url": "http://c/",
+        "temperature": 0.25,
+        "llm_token_limit": 2048,
+        "reserved_for_answer": 512,
+    },
+    "tokenizer": {"mode": "external", "external_url": "http://t/count", "chars_per_token": 3.5},
+    "split": {"chunk_size": 900, "chunk_overlap": 300, "separators": ["\n\n", "; ", ""]},
+    "retrieval": {"k": 6, "use_mmr": False, "mmr": {"lambda": 0.4, "fetch_n": 30, "sim1": "minkowski:3"}},
+    "store_path": "/data/kb",
+    "template_name": "qa_context",
+    "mode": "mode1",
+}
+
+
+@pytest.mark.parametrize(
+    "cfg, expected",
+    [
+        (
+            default_config("http://e/", "http://c/"),
+            {
+                "embedding": {
+                    "endpoint_url": "http://e/",
+                    "model_name": "bge-base-en-v1.5",
+                    "expected_dim": 768,
+                    "em_token_limit": 768,
+                    "batch_size": 32,
+                    "max_parallel_requests": 4,
+                },
+                "chat": {
+                    "endpoint_url": "http://c/",
+                    "model_name": "llama-2-7b-chat",
+                    "llm_token_limit": 4096,
+                    "temperature": 0.1,
+                    "reserved_for_answer": 1024,
+                },
+                "tokenizer": {"mode": "heuristic", "chars_per_token": 4.0, "external_url": None},
+                "split": {"chunk_size": 700, "chunk_overlap": 200, "separators": ["\n\n", "\n", ". ", " ", ""]},
+                "retrieval": {
+                    "k": 4,
+                    "use_mmr": True,
+                    "mmr": {"lambda": 0.7, "fetch_n": None, "sim1": "cosine", "sim2": "cosine"},
+                },
+                "store_path": "./kb",
+                "template_name": "custom_citation",
+                "mode": "mode2",
+            },
+        ),
+        (
+            config_from_dict(NON_DEFAULT, env={}),
+            {
+                "embedding": {
+                    "endpoint_url": "http://e/",
+                    "model_name": "m",
+                    "expected_dim": 48,
+                    "em_token_limit": 768,
+                    "batch_size": 7,
+                    "max_parallel_requests": 4,
+                },
+                "chat": {
+                    "endpoint_url": "http://c/",
+                    "model_name": "llama-2-7b-chat",
+                    "llm_token_limit": 2048,
+                    "temperature": 0.25,
+                    "reserved_for_answer": 512,
+                },
+                "tokenizer": {"mode": "external", "chars_per_token": 3.5, "external_url": "http://t/count"},
+                "split": {"chunk_size": 900, "chunk_overlap": 300, "separators": ["\n\n", "; ", ""]},
+                "retrieval": {
+                    "k": 6,
+                    "use_mmr": False,
+                    "mmr": {"lambda": 0.4, "fetch_n": 30, "sim1": "minkowski:3", "sim2": "cosine"},
+                },
+                "store_path": "/data/kb",
+                "template_name": "qa_context",
+                "mode": "mode1",
+            },
+        ),
+    ],
+    ids=["defaults", "non-default"],
+)
+def test_config_dict_form_is_the_saved_file_layout(cfg, expected):
+    # the JSON text, so key order (the saved file's layout) is checked too
+    assert json.dumps(config_to_dict(cfg)) == json.dumps(expected)
+
+
 def test_bad_mode_rejected():
     with pytest.raises(ValidationError):
         config_from_dict({**MINIMAL, "mode": "mode3"}, env={})

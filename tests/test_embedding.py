@@ -106,6 +106,8 @@ def test_tokenizer_config_validation():
     with pytest.raises(ValueError):
         TokenizerConfig(chars_per_token=0)
     with pytest.raises(ValueError):
+        TokenizerConfig(mode="external", external_url="http://x", chars_per_token=0)
+    with pytest.raises(ValueError):
         TokenizerConfig(mode="external")
     with pytest.raises(ValueError):
         TokenizerConfig(mode="bogus")
@@ -232,6 +234,15 @@ def test_oversize_inputs_logged_but_sent(caplog):
             vectors = embed_texts(["x" * 400], config)
         assert len(vectors) == 1
         assert any("token limit" in rec.message for rec in caplog.records)
+
+
+def test_oversize_warning_sends_no_tokenizer_request(caplog):
+    with StubEmbeddingService(dim=8) as emb, StubTokenizerService() as tok_svc:
+        tok = TokenizerConfig(mode="external", external_url=tok_svc.url)
+        with caplog.at_level("WARNING"):
+            embed_texts(["x" * 400] * 50, _config(emb, em_token_limit=4, batch_size=64), tokenizer=tok)
+        assert tok_svc.requests == []
+    assert any("50 of 50 inputs exceed" in rec.message for rec in caplog.records)
 
 
 def test_config_validation():

@@ -134,6 +134,29 @@ def test_single_value_sweep(sweep_corpus, tmp_path):
     assert report.rows[0].mean_chunk_length <= 700
 
 
+def test_sweep_rows_come_from_the_build_report_not_the_written_stores(
+    sweep_corpus, tmp_path, monkeypatch
+):
+    spec = SweepSpec(axis="chunk_size", values=(700, 1400), fixed=200, corpus_dir=str(sweep_corpus))
+    with StubEmbeddingService(dim=DIM) as svc:
+        cfg = _config(svc, tmp_path)
+        first = sweep_chunking(spec, cfg, tmp_path / "first")
+
+        def no_open(*args, **kwargs):
+            raise AssertionError("sweep_chunking reopened a store")
+
+        monkeypatch.setattr(VectorStore, "open", no_open)
+        second = sweep_chunking(spec, cfg, tmp_path / "second")
+    monkeypatch.undo()
+    rows = [(r.value, r.chunk_count, r.mean_chunk_length, r.error) for r in second.rows]
+    assert rows == [(r.value, r.chunk_count, r.mean_chunk_length, r.error) for r in first.rows]
+    for row in first.rows:
+        records, _ = VectorStore.open(row.store_path).rows()
+        assert row.error is None
+        assert row.chunk_count == len(records)
+        assert row.mean_chunk_length == float(np.mean([len(r.text) for r in records]))
+
+
 def test_sweep_row_answers_mode2(tmp_path):
     corpus_dir = tmp_path / "corpus"
     truths = make_corpus(corpus_dir, n_docs=3, seed=515, paragraphs_per_doc=12)

@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import litrag.ingest as ingest_mod
 from litrag.errors import (
     DirectoryUnreadable,
     EmptyDocument,
     ExtractorFailed,
     FileUnreadable,
     InvalidParams,
+    ServiceUnreachable,
 )
 from litrag.ingest import (
     DEFAULT_SEPARATORS,
@@ -310,6 +312,59 @@ def test_ingest_callback_order(tmp_path):
         on_document=lambda doc, chunks: seen.append(doc.doc_id),
     )
     assert seen == sorted(seen)
+
+
+def test_litrag_error_from_on_document_fails_that_file_and_keeps_its_id(tmp_path):
+    _write_corpus(tmp_path, n=3, paragraphs=3)
+    (tmp_path / "doc1.md").write_text("same stem as doc1.txt", encoding="utf-8")
+    indexed = []
+
+    def index(doc, chunks):
+        if doc.source_path.endswith("doc1.md"):
+            raise ServiceUnreachable("embedding service down")
+        indexed.append(doc.doc_id)
+
+    report = ingest_corpus(tmp_path, SplitParams(chunk_size=500, chunk_overlap=100), on_document=index)
+    assert [d.doc_id for d in report.documents] == indexed == ["doc0", "doc2"]
+    assert [(f.path, f.error) for f in report.failures] == [
+        (str(tmp_path / "doc1.md"), "embedding service down"),
+        (str(tmp_path / "doc1.txt"), f"document id 'doc1' is already taken by {tmp_path / 'doc1.md'}"),
+    ]
+
+
+def test_programming_error_in_split_propagates(tmp_path, monkeypatch):
+    _write_corpus(tmp_path, n=2, paragraphs=3)
+
+    def broken_split(*args, **kwargs):
+        raise TypeError("a bug, not a bad file")
+
+    monkeypatch.setattr(ingest_mod, "recursive_split", broken_split)
+    with pytest.raises(TypeError, match="a bug"):
+        ingest_corpus(tmp_path, SplitParams(chunk_size=500, chunk_overlap=100))
+
+
+def test_programming_error_in_on_document_propagates(tmp_path):
+    _write_corpus(tmp_path, n=2, paragraphs=3)
+
+    def index(doc, chunks):
+        raise TypeError("a bug, not a bad file")
+
+    with pytest.raises(TypeError, match="a bug"):
+        ingest_corpus(tmp_path, SplitParams(chunk_size=500, chunk_overlap=100), on_document=index)
+
+
+def test_unparseable_extractor_fails_each_non_text_file(tmp_path):
+    _write_corpus(tmp_path, n=1, paragraphs=3)
+    for name in ("a.pdf", "b.pdf"):
+        (tmp_path / name).write_bytes(b"%PDF-1.4 binary")
+    report = ingest_corpus(
+        tmp_path, SplitParams(chunk_size=500, chunk_overlap=100), extractor='cmd "{path}'
+    )
+    assert [d.doc_id for d in report.documents] == ["doc0"]
+    assert [f.path for f in report.failures] == [str(tmp_path / "a.pdf"), str(tmp_path / "b.pdf")]
+    assert all("cannot parse extractor" in f.error for f in report.failures)
+    with pytest.raises(ExtractorFailed):
+        load_document(tmp_path / "a.pdf", extractor='cmd "{path}')
 
 
 def test_study_split_settings_bound_chunk_length(tmp_path):

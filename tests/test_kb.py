@@ -121,26 +121,44 @@ def test_doc_id_collision_is_a_failure_not_silent_loss(small_corpus, tmp_path):
     assert report.chunk_count == len(KnowledgeBase.open(cfg.store_path).store)
 
 
-class _ZeroFirstEmbedding(StubEmbeddingService):
-    """Answers the first text of its first request with a zero vector."""
+class _BadFirstEmbedding(StubEmbeddingService):
+    """Answers the first text of its first request with ``[value] * dim``."""
+
+    def __init__(self, value: float, **kwargs):
+        super().__init__(**kwargs)
+        self.value = value
 
     def handle_payload(self, payload):
         status, body = super().handle_payload(payload)
         if len(self.requests) == 1:
-            body["data"][0]["embedding"] = [0.0] * self.dim
+            body["data"][0]["embedding"] = [self.value] * self.dim
         return status, body
 
 
 def test_zero_embedding_fails_its_document_not_the_kb(small_corpus, tmp_path):
     corpus_dir, truths = small_corpus
-    with _ZeroFirstEmbedding(dim=DIM) as svc:
-        cfg = _config(svc, tmp_path)
-        report = build_knowledge_base(corpus_dir, cfg)
-    assert len(report.failures) == 1
-    assert "zero embedding" in report.failures[0].error
-    kb = KnowledgeBase.open(cfg.store_path)
-    assert len(kb.store) == report.chunk_count
-    assert kb.store.top_k([1.0] * DIM, 3, Metric.cosine())
+    # 1e39 is finite in the reply but overflows float32 in the store
+    for value, error in ((0.0, "zero embedding"), (1e39, "overflows float32")):
+        with _BadFirstEmbedding(value, dim=DIM) as svc:
+            cfg = _config(svc, tmp_path / repr(value))
+            report = build_knowledge_base(corpus_dir, cfg)
+        assert len(report.failures) == 1
+        assert error in report.failures[0].error
+        assert report.document_count == len(truths) - 1
+        kb = KnowledgeBase.open(cfg.store_path)
+        assert len(kb.store) == report.chunk_count
+        assert kb.store.top_k([1.0] * DIM, 3, Metric.cosine())
+
+
+def test_failures_are_listed_in_path_order(small_corpus, tmp_path):
+    # paper-00 fails while indexing, after zz-broken.txt was loaded and failed
+    corpus_dir, truths = small_corpus
+    (corpus_dir / "zz-broken.txt").write_bytes(b"\xff\xfe bad")
+    with _BadFirstEmbedding(0.0, dim=DIM) as svc:
+        report = build_knowledge_base(corpus_dir, _config(svc, tmp_path))
+    assert [Path(f.path).name for f in report.failures] == ["paper-00.txt", "zz-broken.txt"]
+    assert report.document_count == len(truths) - 1
+    assert sorted(KnowledgeBase.open(tmp_path / "kb").doc_ids()) == sorted(set(truths) - {"paper-00"})
 
 
 def _tree(root: Path) -> dict[str, bytes]:

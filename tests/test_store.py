@@ -241,7 +241,6 @@ def test_upsert_rejects_repeated_chunk_id_and_leaves_store_unchanged():
     assert [sr.record.chunk_id for sr in store.top_k([1, 0], 5, Metric.euclidean())] == ["x"]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
 @pytest.mark.parametrize(
     "values, error", [([0.0, 0.0], ZeroVector), ([1e-50, 0.0], ZeroVector), ([1e39, 1.0], ValueError)]
 )
