@@ -152,6 +152,8 @@ def _run_extractor(extractor: str, path: Path) -> str:
         parts = shlex.split(extractor)
     except ValueError as exc:  # an unbalanced quote
         raise ExtractorFailed(f"cannot parse extractor {extractor!r}: {exc}") from exc
+    if not parts or "{path}" in parts[0]:  # the document itself would run as the program
+        raise ExtractorFailed(f"extractor {extractor!r} names no program to run")
     if "{path}" in extractor:
         command = [part.replace("{path}", str(path)) for part in parts]
     else:

@@ -13,18 +13,33 @@ serialise it with ``dict(rec.metadata)``.
 
 Every score comes from one row scorer, :func:`score_rows` (a matrix and a
 vector in, one float64 score per row out): ``similarity`` is a one-row call,
-top-k is one call on the whole matrix, and MMR makes one call per pick on
-its candidate pool.
+top-k is one call on the rows that can still make the top k, and MMR makes
+one call per pick on its candidate pool.
 
 The inner product is ``np.einsum('ij,j->i')`` on the float32 matrix and a
 float64 vector: einsum casts each row to float64 as it goes, so a query needs
 no N x dim float64 copy, and it reduces each row on its own, so a row's score
-does not depend on where the row sits. BLAS gemv (``matrix @ vec``) is not
-used because it does: rows in its kernel's tail can come out one ulp apart
-from equal rows elsewhere, which breaks the lowest-chunk_id tie-break. The
-store keeps each row's float64 norm next to the matrix (computed per upsert
-batch and once at ``open``, never persisted), so cosine needs no per-query
-norm pass, and ranking partitions to the k best rows before sorting.
+does not depend on where the row sits. Every returned score is that einsum.
+BLAS gemv (``matrix @ vec``) only pre-filters, for cosine and inner_product:
+one float32 gemv scores every row, and an error bound certifies which rows
+can still make the top k. By Higham, *Accuracy and Stability of Numerical
+Algorithms*, 2nd ed., sec. 3.1, with u = 2^-24 and gamma_n = n u / (1 - n u)
+for dim n, row r's gemv value is within
+
+    (gamma_n (1 + u) + u) ||r|| ||q|| + 2^-149 n (1 + ||r||)
+
+of the exact inner product under any summation order, blocking or FMA use,
+rounding q to float32 and float32 underflow included. The store doubles that
+band to also cover the einsum's own rounding and the cosine division, keeps
+every row whose upper bound reaches the k-th largest lower bound, and
+re-scores only those with the einsum; a query that is not finite, or large
+enough that the gemv might overflow, keeps every row. Since a row's einsum
+value is the same in any subset, the ranking is exact: the same ids and
+score bits as an einsum over every row. The distance metrics score every
+row. The store keeps each row's float64 norm next to the matrix (computed
+per upsert batch and once at ``open``, never persisted), so cosine needs no
+per-query norm pass, and ranking partitions to the k best rows before
+sorting.
 
 On-disk layout (one directory per store):
     header.json   {"dimension", "record_count", "format_version", "checksum"}
@@ -64,6 +79,11 @@ _RECORD_FIELDS = ("chunk_id", "doc_id", "text", "start_offset", "end_offset", "m
 
 _DISTANCE_KINDS = {"minkowski", "euclidean", "manhattan", "chebyshev"}
 _SIMILARITY_KINDS = {"cosine", "inner_product"}
+
+# float32 unit roundoff, and the absolute error of one float32 operation that
+# underflows (half the smallest subnormal)
+_U32 = 2.0**-24
+_ETA32 = 2.0**-150
 
 
 @dataclass(frozen=True)
@@ -362,9 +382,34 @@ class VectorStore:
 
     # --- retrieval -------------------------------------------------------
 
-    def _rank(self, query_vec, k: int, m: Metric) -> tuple[list[int], np.ndarray]:
+    def _in_band(self, query: np.ndarray, k: int, m: Metric) -> np.ndarray:
+        """The rows that can still make the top k under cosine or
+        inner_product, ascending: every row of the exact top k and its ties.
+        The band is the module docstring's bound, doubled. A query that is
+        not finite, or that the float32 gemv might overflow on, keeps every
+        row, so that :func:`score_rows` meets it as it would in a full scan.
+        """
+        n = self._dim
+        qn = float(_row_norms(query[np.newaxis])[0])
+        # below 2^127 neither q's float32 rounding nor any product or partial sum overflows
+        if not qn * max(1.0, float(self._norms.max())) < 2.0**127:
+            return np.arange(len(self._norms))
+        gamma = n * _U32 / (1.0 - n * _U32)
+        tiny = 4.0 * _ETA32 * n  # the doubled underflow term: band = wide ||r|| + tiny
+        wide = 2.0 * (gamma * (1.0 + _U32) + _U32) * qn + tiny
+        approx = self._matrix @ query.astype(np.float32)
+        if m.kind == "cosine":  # cosine times ||q||, which ranks the same
+            approx = approx / self._norms
+            band = wide + tiny / self._norms
+        else:
+            band = wide * self._norms + tiny
+        kth = max(len(approx) - k, 0)
+        floor = np.partition(approx - band, kth)[kth]
+        return np.flatnonzero(approx + band >= floor)
+
+    def _rank(self, query_vec, k: int, m: Metric) -> tuple[np.ndarray, np.ndarray]:
         """Indices of the k best rows, best first with ties to the lowest
-        chunk_id, and the scores of all rows. The caller holds the lock."""
+        chunk_id, and their scores. The caller holds the lock."""
         if k <= 0:
             raise ValueError("k must be positive")
         if not self._records:
@@ -374,7 +419,12 @@ class VectorStore:
             raise DimensionMismatch(
                 f"query dimension {query.shape[0]} != store dimension {self._dim}"
             )
-        scores = score_rows(self._matrix, query, m, self._norms)
+        if m.is_distance:
+            rows = np.arange(len(self._records))
+            scores = score_rows(self._matrix, query, m, self._norms)
+        else:
+            rows = self._in_band(query, k, m)
+            scores = score_rows(self._matrix[rows], query, m, self._norms[rows])
         keys = scores if m.is_distance else -scores
         # every row that ties the k-th best key is a candidate, so the
         # chunk_id tie-break sees all of them
@@ -383,8 +433,9 @@ class VectorStore:
         if np.isnan(kth):
             raise ValueError("the query scores NaN against the store")
         candidates = np.flatnonzero(keys <= kth).tolist()
-        candidates.sort(key=lambda i: (keys[i], self._records[i].chunk_id))
-        return candidates[:k], scores
+        candidates.sort(key=lambda j: (keys[j], self._records[rows[j]].chunk_id))
+        chosen = candidates[:k]
+        return rows[chosen], scores[chosen]
 
     def top_k(self, query_vec, k: int, m: Metric) -> list[ScoredRecord]:
         """The k most similar records, best first. Exhaustive exact scan.
@@ -395,7 +446,9 @@ class VectorStore:
         """
         with self._lock:
             order, scores = self._rank(query_vec, k, m)
-            return [ScoredRecord(self._records[i], float(scores[i])) for i in order]
+            return [
+                ScoredRecord(self._records[i], s) for i, s in zip(order.tolist(), scores.tolist())
+            ]
 
     def mmr_select(self, query_vec, params: MMRParams) -> list[ScoredRecord]:
         """Greedy maximal-marginal-relevance selection.
@@ -414,12 +467,13 @@ class VectorStore:
         with self._lock:
             order, scores = self._rank(query_vec, params.pool_size(), params.sim1)
             # chunk_id order, so argmax's first maximum is the lowest chunk_id
-            pool = sorted(order, key=lambda i: self._records[i].chunk_id)
+            by_id = sorted(range(len(order)), key=lambda j: self._records[order[j]].chunk_id)
+            pool = order[by_id]
             records = [self._records[i] for i in pool]
             rows, norms = self._matrix[pool], self._norms[pool]
         sign1 = -1.0 if params.sim1.is_distance else 1.0
         sign2 = -1.0 if params.sim2.is_distance else 1.0
-        relevance = sign1 * scores[pool]
+        relevance = sign1 * scores[by_id]
         lam = params.lambda_
 
         penalty = np.zeros(len(pool))

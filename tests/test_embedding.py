@@ -16,6 +16,7 @@ from litrag.embedding import (
     EmbeddingVector,
     TokenizerConfig,
     embed_texts,
+    post_json,
     token_count,
 )
 from litrag.errors import (
@@ -368,6 +369,52 @@ def test_refused_connection_is_retried_once(service, monkeypatch):
     with pytest.raises(error):
         call("http://127.0.0.1:1/none")
     assert len(attempts) == 2
+
+
+class _RecordingHTTPS:
+    """Stands in for ``http.client.HTTPSConnection``: records how it was
+    built and what was sent, and replies 200 with a JSON body, with no
+    socket and no TLS."""
+
+    built: list = []
+    status = 200
+
+    def __init__(self, host, port=None, *, timeout):
+        self.built.append((host, port, timeout))
+
+    def connect(self):
+        pass
+
+    def request(self, method, target, body, headers):
+        self.sent = (method, target, body, headers)
+
+    def getresponse(self):
+        return self
+
+    def read(self):
+        return b'{"ok": true, "target": "%s"}' % self.sent[1].encode()
+
+    def close(self):
+        pass
+
+
+def test_https_endpoint_builds_an_https_connection_with_its_host_port_and_timeout(monkeypatch):
+    monkeypatch.setattr(_RecordingHTTPS, "built", [])
+    monkeypatch.setattr(embedding_mod, "HTTPSConnection", _RecordingHTTPS)
+    reply = post_json(
+        "https://embed.example:8443/v1/embeddings?x=1", {"input": ["a"]}, ServiceUnreachable, 7.5
+    )
+    assert reply == {"ok": True, "target": "/v1/embeddings?x=1"}
+    assert _RecordingHTTPS.built == [("embed.example", 8443, 7.5)]
+
+
+def test_http_endpoint_never_builds_an_https_connection(monkeypatch):
+    monkeypatch.setattr(_RecordingHTTPS, "built", [])
+    monkeypatch.setattr(embedding_mod, "HTTPSConnection", _RecordingHTTPS)
+    with StubEmbeddingService(dim=4) as svc:
+        vectors = embed_texts(["alpha", "beta"], _config(svc))
+    assert len(vectors) == 2
+    assert _RecordingHTTPS.built == []
 
 
 def test_litrag_imports_no_third_party_http_client():

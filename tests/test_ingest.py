@@ -367,6 +367,32 @@ def test_unparseable_extractor_fails_each_non_text_file(tmp_path):
         load_document(tmp_path / "a.pdf", extractor='cmd "{path}')
 
 
+@pytest.mark.parametrize(
+    "extractor",
+    ["", "   ", "{path}", "'{path}' --flag", "x{path}"],
+    ids=["empty", "blank", "path-only", "path-first", "path-in-program"],
+)
+def test_extractor_naming_no_program_never_runs_the_document(tmp_path, extractor):
+    # an executable document: run as the command, it would print the marker
+    tool = tmp_path / "tool.sh"
+    tool.write_text("#!/bin/sh\necho RAN-AS-PROGRAM\n")
+    tool.chmod(0o755)
+    _write_corpus(tmp_path, n=1, paragraphs=3)
+    chunks = []
+    report = ingest_corpus(
+        tmp_path,
+        SplitParams(chunk_size=500, chunk_overlap=100),
+        on_document=lambda doc, doc_chunks: chunks.extend(doc_chunks),
+        extractor=extractor,
+    )
+    assert [d.doc_id for d in report.documents] == ["doc0"]
+    assert [f.path for f in report.failures] == [str(tool)]
+    assert "names no program" in report.failures[0].error
+    assert chunks and not any("RAN-AS-PROGRAM" in c.text for c in chunks)
+    with pytest.raises(ExtractorFailed):
+        load_document(tool, extractor=extractor)
+
+
 def test_study_split_settings_bound_chunk_length(tmp_path):
     _write_corpus(tmp_path, n=5)
     collected = []

@@ -21,6 +21,7 @@ from litrag.store import (
     Metric,
     MMRParams,
     VectorStore,
+    score_rows,
     similarity,
 )
 from reference_impls import (
@@ -482,6 +483,17 @@ def test_a_query_scoring_nan_is_rejected(kind):
         store.mmr_select([float("nan"), 1.0], MMRParams(lambda_=0.5, k=1, fetch_n=2))
 
 
+def test_a_zero_query_ranks_as_a_full_scan():
+    store = VectorStore(2)
+    store.upsert([_record("b", [1, 0]), _record("a", [0, 3]), _record("c", [1, 1])])
+    with pytest.raises(ZeroVector):
+        store.top_k([0.0, 0.0], 1, Metric.cosine())
+    with pytest.raises(ZeroVector):
+        store.mmr_select([0.0, 0.0], MMRParams(lambda_=0.5, k=1, fetch_n=2))
+    top = store.top_k([0.0, 0.0], 2, Metric.inner_product())
+    assert [(sr.record.chunk_id, sr.score) for sr in top] == [("a", 0.0), ("b", 0.0)]
+
+
 def test_top_k_tie_break_by_chunk_id():
     store = VectorStore(2)
     store.upsert([_record("zz", [1, 0]), _record("aa", [1, 0]), _record("mm", [0, 1])])
@@ -571,6 +583,115 @@ def test_cached_norms_agree_after_batches_reopen_and_replacing_upsert(tmp_path):
     assert [(sr.record.chunk_id, sr.score.hex()) for sr in mmr] == sorted(
         expected().items(), key=lambda item: (-float.fromhex(item[1]), item[0])
     )[:8]
+
+
+# --- the float32 pre-filter of cosine and inner_product ---------------------------
+
+
+def _full_scan(store, query, k, m):
+    """The k best (chunk_id, score) of one ``score_rows`` call over the whole
+    matrix, best first with ties to the lowest chunk_id."""
+    records, matrix = store.rows()
+    scores = score_rows(matrix, query, m).tolist()
+    best = sorted(range(len(records)), key=lambda i: (-scores[i], records[i].chunk_id))[:k]
+    return [(records[i].chunk_id, scores[i]) for i in best]
+
+
+def _full_scan_mmr(store, query, params):
+    """Eq. 1 picked greedily, as ``mmr_select`` does, from a pool ranked by
+    :func:`_full_scan`: the (chunk_id, score hex) of each pick."""
+    records, matrix = store.rows()
+    index = {rec.chunk_id: i for i, rec in enumerate(records)}
+    pool = sorted(_full_scan(store, query, params.pool_size(), params.sim1))
+    rows = matrix[[index[cid] for cid, _ in pool]]
+    relevance = np.array([score for _, score in pool])
+    lam = params.lambda_
+    penalty, taken, picked = np.zeros(len(pool)), np.zeros(len(pool), dtype=bool), []
+    for _ in range(min(params.k, len(pool))):
+        objective = lam * relevance - (1.0 - lam) * penalty
+        objective[taken] = -np.inf
+        j = int(np.argmax(objective))
+        taken[j] = True
+        picked.append((pool[j][0], float(objective[j]).hex()))
+        redundancy = score_rows(rows, rows[j], params.sim2)
+        penalty = redundancy if len(picked) == 1 else np.maximum(penalty, redundancy)
+    return picked
+
+
+@st.composite
+def _near_tie_stores(draw):
+    """A store whose rows have norms 2^-12..2^12 apart, with exact copies,
+    copies scaled by a power of two (a cosine tie) and copies one float32 ulp
+    off in one coordinate, its chunk_ids shuffled over the row positions and
+    upserted in batches; and a query, at times one of the rows, scaled by a
+    power of two."""
+    dim = draw(st.sampled_from([1, 2, 5, 24, 64, 200]))
+    n = draw(st.integers(1, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.standard_normal((n, dim)).astype(np.float32)
+    rows *= np.exp2(rng.integers(-12, 13, size=(n, 1))).astype(np.float32)
+    for i in range(1, n):
+        src, kind = rows[rng.integers(i)], rng.integers(4)
+        if kind == 1:
+            rows[i] = src
+        elif kind == 2:
+            rows[i] = src * np.float32(2.0 ** rng.integers(-3, 4))
+        elif kind == 3:
+            rows[i] = src
+            j = rng.integers(dim)
+            rows[i, j] = np.nextafter(src[j], np.float32(rng.choice([-np.inf, np.inf])))
+    rows[~rows.any(axis=1), 0] = 1.0  # the store rejects a zero row
+    store = VectorStore(dim)
+    ids = [f"c{i:03d}" for i in rng.permutation(n)]
+    start = 0
+    while start < n:
+        stop = start + int(rng.integers(1, 60))
+        batch = zip(ids[start:stop], rows[start:stop])
+        store.upsert([_record(cid, row.tolist()) for cid, row in batch])
+        start = stop
+    # 2^-140 makes float32 products underflow, 2^120 makes a float32 gemv overflow
+    scale = 2.0 ** draw(st.sampled_from([-140, -6, 0, 6, 12, 120]))
+    if draw(st.booleans()):
+        query = rows[rng.integers(n)].astype(np.float64) * scale
+    else:
+        query = rng.standard_normal(dim) * scale
+    return store, query.tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=_near_tie_stores(),
+    kind=st.sampled_from(["cosine", "inner_product"]),
+    k=st.integers(1, 160),
+    extra=st.integers(0, 40),
+    lam=st.sampled_from([0.0, 0.5, 0.7, 1.0]),
+)
+def test_filtered_ranking_equals_a_full_scan(case, kind, k, extra, lam):
+    store, query = case
+    m = Metric(kind)
+    top = store.top_k(query, k, m)
+    expected = [(cid, score.hex()) for cid, score in _full_scan(store, query, k, m)]
+    assert [(sr.record.chunk_id, sr.score.hex()) for sr in top] == expected
+    params = MMRParams(lambda_=lam, k=k, fetch_n=k + extra, sim1=m, sim2=m)
+    mmr = store.mmr_select(query, params)
+    expected = _full_scan_mmr(store, query, params)
+    assert [(sr.record.chunk_id, sr.score.hex()) for sr in mmr] == expected
+
+
+def test_float32_order_that_differs_from_float64_does_not_decide_the_top_row():
+    # each row has one nonzero entry, so any gemv scores it as one rounded
+    # float32 product: "b" then beats "a" in float32 though "a" wins in float64
+    q = [float.fromhex("0x1.aa3c68567ad60p-1"), float.fromhex("0x1.3bbaf702b2bf7p-3")]
+    rows = {"a": [5.0, 0.0], "b": [0.0, 27.0], "c": [1.0, 1.0]}
+    matrix, m = np.array(list(rows.values()), dtype=np.float32), Metric.inner_product()
+    gemv, exact = matrix @ np.array(q, dtype=np.float32), score_rows(matrix, q, m)
+    assert gemv[1] > gemv[0] > gemv[2] and exact[0] > exact[1] > exact[2]
+    store = VectorStore(2)
+    store.upsert([_record(cid, vec) for cid, vec in rows.items()])
+    top = store.top_k(q, 1, m)
+    assert [(sr.record.chunk_id, sr.score.hex()) for sr in top] == [("a", exact[0].hex())]
+    mmr = store.mmr_select(q, MMRParams(lambda_=1.0, k=1, fetch_n=1, sim1=m, sim2=m))
+    assert [(sr.record.chunk_id, sr.score.hex()) for sr in mmr] == [("a", exact[0].hex())]
 
 
 # --- mmr_select --------------------------------------------------------------------
