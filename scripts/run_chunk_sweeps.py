@@ -9,6 +9,8 @@ reproducible end to end without any model service.
 
 Usage:
     python scripts/run_chunk_sweeps.py --out /tmp/sweeps [--corpus DIR]
+
+Exits 1 when any sweep row failed to build (the outputs are still written).
 """
 
 import argparse
@@ -120,6 +122,10 @@ def main(argv=None) -> int:
         (out / "token_ratios.csv").write_text(ratio_table_csv(table))
 
     print(f"\nwrote size_sweep.csv, overlap_sweep.csv, cluster_stats.json, token_ratios.csv to {out}")
+    failed = [row for row in size_report.rows + overlap_report.rows if row.error]
+    if failed:
+        print(f"{len(failed)} sweep row(s) FAILED", file=sys.stderr)
+        return 1
     return 0
 
 

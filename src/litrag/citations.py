@@ -8,15 +8,15 @@ against the document's own reference section, never guessed, and generated
 answers are checked against that resolved list so fabricated references can
 be flagged instead of silently passed through.
 
-Resolution and verification share one matcher. Each entry's folded text is
-derived once, when the entry is built; a label names the first listed entry
-that carries it; an author-year citation matches the entries naming all of
-its authors and its year.
+One matcher, ``_match``, serves resolution and both verification passes
+(in-text markers and answer bibliography lines): a label names the first
+listed entry that carries it; an author-year citation names the first entry
+naming all of its authors and its year, narrowed by title when one is given.
+Each entry's folded text is derived once, when the entry is built.
 """
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 import re
@@ -64,9 +64,10 @@ _AUTHOR_YEAR_RE = re.compile(AUTHOR_YEAR_PATTERN)
 
 # "Surname et al. [26]" pairs an author with a numeric label; used by the
 # verifier to catch mis-attributed labels.
-AUTHOR_BRACKET_PATTERN = (
-    rf"(?P<name>{_SURNAME})\s*(?:\bet\s+al\.?)?\s*(?P<group>{NUMERIC_GROUP_PATTERN})"
-)
+# Group 2 is the bracket's content, as group 1 of NUMERIC_GROUP_PATTERN.
+AUTHOR_BRACKET_PATTERN = rf"(?P<name>{_SURNAME})\s*(?:\bet\s+al\.?)?\s*{NUMERIC_GROUP_PATTERN}"
+_AUTHOR_BRACKET_RE = re.compile(AUTHOR_BRACKET_PATTERN)
+_SURNAME_RE = re.compile(_SURNAME)
 
 _MARKER_STOPWORDS = {
     "In", "The", "See", "As", "At", "On", "By", "For", "From", "With", "Since",
@@ -78,6 +79,9 @@ _MARKER_STOPWORDS = {
 YEAR_MIN, YEAR_MAX = 1800, 2100
 
 _LABEL_LINE = re.compile(r"^\s*(?:\[(\d{1,3})\]|(\d{1,3})[.\)\]])(?!\d)\s*")
+_WS = re.compile(r"\s+")
+_YEAR_WORD = re.compile(r"\b(\d{4})\b")
+_TITLE_WORD = re.compile(r"[^\W\d_]{3,}")
 
 _TITLE_STOPWORDS = {
     "the", "and", "for", "with", "from", "into", "onto", "over", "under",
@@ -231,11 +235,15 @@ def fold_text(text: str) -> str:
     text = text.replace("\\&", " and ").replace("&", " and ")
     decomposed = unicodedata.normalize("NFKD", text)
     stripped = "".join(ch for ch in decomposed if not unicodedata.combining(ch))
-    return re.sub(r"\s+", " ", stripped.casefold()).strip()
+    return collapse_ws(stripped.casefold())
 
 
 def collapse_ws(text: str) -> str:
-    return re.sub(r"\s+", " ", text).strip()
+    return _WS.sub(" ", text).strip()
+
+
+def _is_acronym(word: str) -> bool:
+    return len(word) >= 3 and word.isupper()
 
 
 # --- auxiliary index -----------------------------------------------------
@@ -340,8 +348,8 @@ def _split_author_names(names: str) -> list[str]:
         part = part.strip()
         if not part:
             continue
-        if len(part) >= 3 and part.isupper():
-            continue  # acronym, not a surname
+        if _is_acronym(part):
+            continue  # not a surname
         out.append(part)
     return out
 
@@ -392,13 +400,10 @@ def extract_citation_markers(text: str) -> list[CitationMarker]:
 
 
 def _derive_author_year_label(text: str) -> str:
-    m = re.match(rf"\s*({_SURNAME})", text)
-    if not m:
-        return ""
-    year = re.search(r"\b(1[89]\d{2}|20\d{2}|2100)\b", text)
-    if not year:
-        return ""
-    return f"{m.group(1)} ({year.group(1)})"
+    """The "Surname (year)" label of a whitespace-collapsed entry, or ""."""
+    m = _SURNAME_RE.match(text)
+    year = m and _find_year(text)
+    return f"{m.group(0)} ({year[0]})" if year else ""
 
 
 def _entry(label: str | None, lines: list[str], doc_id: str) -> CitationEntry:
@@ -456,18 +461,42 @@ def extract_reference_section(doc: Document) -> list[CitationEntry]:
     return _entries_by_indentation(lines, doc.doc_id)
 
 
-# --- resolution ----------------------------------------------------------------
+# --- matching ------------------------------------------------------------------
+
+FLAG_NOT_IN_LIST = "not_in_list"
+FLAG_LABEL_CONFLICT = "label_conflict"
+FLAG_PARTIAL_TITLE = "partial_title_match"
+
+
+def _title_tokens(title: str) -> set[str]:
+    return set(_TITLE_WORD.findall(fold_text(title))) - _TITLE_STOPWORDS
+
+
+def _title_overlap(tokens: set[str], folded_entry: str) -> float:
+    """Fraction of a title's content ``tokens`` found in a folded entry."""
+    return len(tokens & set(_TITLE_WORD.findall(folded_entry))) / len(tokens) if tokens else 0.0
+
+
+def _best_by_title(title: str, entries) -> tuple[float, CitationEntry | None]:
+    """The highest title overlap among ``entries`` and the first entry reaching it."""
+    tokens = _title_tokens(title)
+    scored = ((_title_overlap(tokens, e.folded), e) for e in entries)
+    return max(scored, key=lambda pair: pair[0], default=(0.0, None))
+
+
+def title_token_overlap(title: str, entry_text: str) -> float:
+    """Fraction of the title's content tokens that appear in the entry."""
+    return _title_overlap(_title_tokens(title), fold_text(entry_text))
 
 
 def _name_pattern(folded_name: str) -> re.Pattern:
     return re.compile(rf"\b{re.escape(folded_name)}\b")
 
 
-def _naming(entries: Sequence[CitationEntry], folded_authors, year: int) -> list[CitationEntry]:
-    """The entries, in list order, whose folded text names every one of
-    ``folded_authors`` (already folded, word-bounded) and contains ``year``."""
+def _naming(entries: Sequence[CitationEntry], patterns, year: int) -> list[CitationEntry]:
+    """The entries, in list order, whose folded text matches every one of
+    ``patterns`` (``_name_pattern`` of folded surnames) and contains ``year``."""
     year_text = str(year)
-    patterns = [_name_pattern(a) for a in folded_authors]
     return [
         e for e in entries
         if year_text in e.full_text and all(p.search(e.folded) for p in patterns)
@@ -483,16 +512,51 @@ def _by_label(entries: Sequence[CitationEntry]) -> dict[str, list[CitationEntry]
     return labelled
 
 
+def _match(
+    entries: Sequence[CitationEntry], labelled, label=None, patterns=(), year=None, title=None
+) -> tuple[CitationEntry | None, str | None]:
+    """``(entry, None)`` for the entry a citation names, else ``(None, flag)``.
+
+    Names and a year pick the first entry naming them all and the year, or
+    with a title the best title overlap among those (at least 0.6, else
+    partial_title_match); a label must then agree with a numeric one (else
+    label_conflict). Otherwise a label names the first entry in
+    ``labelled`` (``_by_label(entries)``) with it, and a title the entry of
+    best overlap, at least 0.6. What matches nothing is not_in_list.
+    """
+    if patterns and year:
+        candidates = _naming(entries, patterns, year)
+        if not candidates:
+            return None, FLAG_NOT_IN_LIST
+        best = candidates[0]
+        if title:
+            overlap, best = _best_by_title(title, candidates)
+            if overlap < 0.6:
+                return None, FLAG_PARTIAL_TITLE
+        if label and best.label.isdigit() and label != best.label:
+            return None, FLAG_LABEL_CONFLICT
+        return best, None
+    if label:
+        best = labelled.get(label, [None])[0]
+    else:
+        overlap, best = _best_by_title(title or "", entries)
+        best = best if overlap >= 0.6 else None
+    return (best, None) if best is not None else (None, FLAG_NOT_IN_LIST)
+
+
+# --- resolution ----------------------------------------------------------------
+
+
 def resolve_citations(
     markers: list[CitationMarker], entries: Sequence[CitationEntry]
 ) -> tuple[list[CitationEntry], list[CitationMarker]]:
-    """Match markers against reference entries.
+    """Match markers against reference entries through ``_match``.
 
-    A numeric marker matches the first entry labelled with its number. An
-    author-year marker matches the first entry whose text contains all
-    surnames (case-insensitive, diacritics folded, word-bounded) and the year.
-    Markers that match nothing are returned in ``unresolved``; entries are
-    never invented.
+    A numeric marker matches the first entry labelled with each of its
+    numbers. An author-year marker matches the first entry whose text
+    contains all surnames (case-insensitive, diacritics folded, word-bounded)
+    and the year. Markers with a number or name set that matches nothing are
+    returned in ``unresolved``; entries are never invented.
     """
     labelled = _by_label(entries)
 
@@ -500,28 +564,18 @@ def resolve_citations(
     seen: set[tuple[str, str]] = set()
     unresolved: list[CitationMarker] = []
 
-    def add(entry: CitationEntry):
-        key = (entry.label, entry.full_text)
-        if key not in seen:
-            seen.add(key)
-            citation_list.append(entry)
-
     for marker in markers:
         if marker.kind == "numeric":
-            missing = False
-            for n in marker.numbers:
-                if str(n) in labelled:
-                    add(labelled[str(n)][0])
-                else:
-                    missing = True
-            if missing:
-                unresolved.append(marker)
+            found = [_match(entries, labelled, label=str(n))[0] for n in marker.numbers]
         else:
-            candidates = _naming(entries, marker.folded_authors, marker.year)
-            if candidates:
-                add(candidates[0])
-            else:
-                unresolved.append(marker)
+            patterns = [_name_pattern(a) for a in marker.folded_authors]
+            found = [_match(entries, labelled, patterns=patterns, year=marker.year)[0]]
+        for entry in found:
+            if entry is not None and (entry.label, entry.full_text) not in seen:
+                seen.add((entry.label, entry.full_text))
+                citation_list.append(entry)
+        if any(entry is None for entry in found):
+            unresolved.append(marker)
 
     return citation_list, unresolved
 
@@ -532,37 +586,10 @@ _ANSWER_BIB_HEADING = re.compile(
     r"^\s*(references|bibliography|citation list|sources)\s*:?\s*$", re.IGNORECASE
 )
 
-FLAG_NOT_IN_LIST = "not_in_list"
-FLAG_LABEL_CONFLICT = "label_conflict"
-FLAG_PARTIAL_TITLE = "partial_title_match"
-
-
-_TITLE_WORD = re.compile(r"[^\W\d_]{3,}")
-
-
-def _title_tokens(title: str) -> set[str]:
-    return set(_TITLE_WORD.findall(fold_text(title))) - _TITLE_STOPWORDS
-
-
-def _title_overlap(tokens: set[str], folded_entry: str) -> float:
-    """Fraction of a title's content ``tokens`` found in a folded entry."""
-    return len(tokens & set(_TITLE_WORD.findall(folded_entry))) / len(tokens) if tokens else 0.0
-
-
-def _best_by_title(tokens: set[str], entries) -> tuple[float, CitationEntry | None]:
-    """The highest title overlap among ``entries`` and the first entry reaching it."""
-    scored = ((_title_overlap(tokens, e.folded), e) for e in entries)
-    return max(scored, key=lambda pair: pair[0], default=(0.0, None))
-
-
-def title_token_overlap(title: str, entry_text: str) -> float:
-    """Fraction of the title's content tokens that appear in the entry."""
-    return _title_overlap(_title_tokens(title), fold_text(entry_text))
-
 
 def _find_year(text: str) -> tuple[int, int] | None:
     """First plausible publication year in ``text`` and its position."""
-    for m in re.finditer(r"\b(\d{4})\b", text):
+    for m in _YEAR_WORD.finditer(text):
         year = int(m.group(1))
         if YEAR_MIN <= year <= YEAR_MAX:
             return year, m.start()
@@ -570,6 +597,9 @@ def _find_year(text: str) -> tuple[int, int] | None:
 
 
 _QUOTED_TITLE = re.compile(r"[\"\u201c\u2018']([^\"\u201d\u2019']{8,240})[\"\u201d\u2019']")
+# "[12] " is a label; "12. " and "12) " prefixes in generated answers are list positions
+_BIB_PREFIX = re.compile(r"^(?:\[(\d{1,3})\]\s*|\d{1,3}[.\)]\s+)")
+_SENTENCE_END = re.compile(r"(?<=[^A-Z])\.(?:\s|$)")
 
 
 def _parse_bib_line(line: str) -> dict:
@@ -577,40 +607,28 @@ def _parse_bib_line(line: str) -> dict:
     info: dict = {"label": None, "authors": [], "year": None, "title": None}
     rest = line.strip()
 
-    m = re.match(r"^\[(\d{1,3})\]\s*", rest)
+    m = _BIB_PREFIX.match(rest)
     if m:
         info["label"] = m.group(1)
         rest = rest[m.end():]
-    else:
-        # "12. " prefixes in generated answers are list positions, not labels
-        m = re.match(r"^\d{1,3}[.\)]\s+", rest)
-        if m:
-            rest = rest[m.end():]
 
     tm = _QUOTED_TITLE.search(rest)
+    searchable = rest
     if tm:
         info["title"] = tm.group(1).strip()
         searchable = rest[: tm.start()] + " " + rest[tm.end():]
-    else:
-        searchable = rest
 
     year_hit = _find_year(searchable)
     if year_hit:
         info["year"], year_pos = year_hit
-        before = searchable[:year_pos]
-        names = [
-            t
-            for t in re.findall(_SURNAME, before)
-            if t not in _MARKER_STOPWORDS and not (len(t) >= 3 and t.isupper())
-        ]
-        info["authors"] = names
+        names = _SURNAME_RE.findall(searchable[:year_pos])
+        info["authors"] = [t for t in names if t not in _MARKER_STOPWORDS and not _is_acronym(t)]
         if info["title"] is None:
-            after = searchable[year_pos + 4 :]
-            after = after.lstrip(")]. :-\u2013\u2014")
-            sentence = re.split(r"(?<=[^A-Z])\.(?:\s|$)", after, maxsplit=1)[0].strip()
+            after = searchable[year_pos + 4 :].lstrip(")]. :-\u2013\u2014")
+            sentence = _SENTENCE_END.split(after, maxsplit=1)[0].strip()
             if len(sentence) >= 8:
                 info["title"] = sentence
-    if info["title"] is not None and len(re.findall(r"[^\W\d_]{3,}", info["title"])) < 2:
+    if info["title"] is not None and len(_TITLE_WORD.findall(info["title"])) < 2:
         info["title"] = None  # volume/page tails are not titles
     return info
 
@@ -620,14 +638,16 @@ def verify_answer_citations(
 ) -> VerificationReport:
     """Check each citation in a generated answer against ``citation_list``.
 
-    In-text markers and trailing bibliography lines are extracted; each one
-    is matched by label (the first listed entry with it), or by authors plus
-    year plus (when a title is present) a title-token overlap of at least
-    0.6. Citations that match nothing are flagged not_in_list, "Name et al.
-    [n]" attributions where no entry labelled n names Name and bibliography
-    lines whose label disagrees with the matched entry are flagged
-    label_conflict, and author-year matches whose title diverges are flagged
-    partial_title_match.
+    "Name et al. [n]" attributions are checked first: one where no entry
+    labelled n names Name is flagged label_conflict. Then in-text markers
+    and the trailing bibliography lines each go through ``_match``, the
+    matcher resolution uses: by label (the first listed entry with it), by
+    authors plus year plus (when a title is present) a title-token overlap
+    of at least 0.6, or by title alone. Citations that match nothing are
+    flagged not_in_list, bibliography lines whose label disagrees with the
+    matched entry label_conflict, and author-year matches whose title
+    diverges partial_title_match. Each author name of the answer is folded
+    and compiled at most once per call.
     """
     report = VerificationReport()
     if not answer_text.strip():
@@ -635,85 +655,64 @@ def verify_answer_citations(
 
     labelled = _by_label(citation_list)
 
-    lines = answer_text.splitlines()
-    bib_start = None
-    for i, line in enumerate(lines):
-        if _ANSWER_BIB_HEADING.match(line):
-            bib_start = i
-    body = "\n".join(lines[: bib_start if bib_start is not None else len(lines)])
-    bib_lines = lines[bib_start + 1 :] if bib_start is not None else []
+    lines = answer_text.splitlines()  # the last heading opens the bibliography
+    headings = [i for i, line in enumerate(lines) if _ANSWER_BIB_HEADING.match(line)]
+    bib_start = headings[-1] if headings else len(lines)
+    body, bib_lines = "\n".join(lines[:bib_start]), lines[bib_start + 1 :]
 
     seen_keys: set = set()
-    fold_name = functools.cache(fold_text)  # each author name of the answer, folded once
+    names: dict[str, re.Pattern] = {}  # each author name of the answer, compiled once
 
-    def record(key, citation_text, entry=None, reason=None):
-        if key in seen_keys:
-            return
-        seen_keys.add(key)
-        if entry is not None:
-            report.verified.append((citation_text, entry))
-        else:
-            report.flagged.append((citation_text, reason))
+    def named(name: str, folded: str | None = None) -> re.Pattern:
+        if name not in names:
+            names[name] = _name_pattern(folded or fold_text(name))
+        return names[name]
+
+    def record(key, citation_text, entry, reason):
+        if key not in seen_keys:
+            seen_keys.add(key)
+            if entry is not None:
+                report.verified.append((citation_text, entry))
+            else:
+                report.flagged.append((citation_text, reason))
 
     # Author-name-plus-bracket attributions ("Name et al. [26]") are checked
     # first: a number none of whose entries names that author is a conflict,
     # which plain numeric matching would miss.
     conflicted_numbers: set[int] = set()
-    for m in re.finditer(AUTHOR_BRACKET_PATTERN, body):
+    for m in _AUTHOR_BRACKET_RE.finditer(body):
         name = m.group("name")
-        if name in _MARKER_STOPWORDS or (len(name) >= 3 and name.isupper()):
+        if name in _MARKER_STOPWORDS or _is_acronym(name):
             continue
-        folded = fold_name(name)
-        pattern = _name_pattern(folded)
-        for n in _expand_numeric_group(re.match(NUMERIC_GROUP_PATTERN, m.group("group")).group(1)):
+        pattern = named(name)
+        for n in _expand_numeric_group(m.group(2)):
             same = labelled.get(str(n))
             if same is None:
                 continue  # plain numeric handling flags it as not_in_list
             if not any(pattern.search(e.folded) for e in same):
-                citation = collapse_ws(m.group(0))
-                record(("conflict", n, folded), citation, reason=FLAG_LABEL_CONFLICT)
+                key = ("conflict", n, pattern.pattern)
+                record(key, collapse_ws(m.group(0)), None, FLAG_LABEL_CONFLICT)
                 conflicted_numbers.add(n)
 
     for marker in extract_citation_markers(body):
         if marker.kind == "numeric":
-            n = marker.numbers[0]
-            if n in conflicted_numbers:
+            if marker.numbers[0] in conflicted_numbers:
                 continue
-            entry = labelled.get(str(n), [None])[0]
-            record(("numeric", n), marker.display(), entry=entry, reason=FLAG_NOT_IN_LIST)
+            entry, flag = _match(citation_list, labelled, label=str(marker.numbers[0]))
         else:
-            candidates = _naming(citation_list, marker.folded_authors, marker.year)
-            entry = candidates[0] if candidates else None
-            record(marker.key(), marker.display(), entry=entry, reason=FLAG_NOT_IN_LIST)
+            patterns = [named(a, f) for a, f in zip(marker.authors, marker.folded_authors)]
+            entry, flag = _match(citation_list, labelled, patterns=patterns, year=marker.year)
+        record(marker.key(), marker.display(), entry, flag)
 
     for raw_line in bib_lines:
         line = collapse_ws(raw_line)
-        if not line:
-            continue
-        key = ("bib", line)
         info = _parse_bib_line(raw_line)
-        title_tokens = _title_tokens(info["title"] or "")
-        if info["authors"] and info["year"]:
-            folded_authors = [fold_name(a) for a in info["authors"]]
-            candidates = _naming(citation_list, folded_authors, info["year"])
-            if not candidates:
-                record(key, line, reason=FLAG_NOT_IN_LIST)
-                continue
-            best = candidates[0]
-            if info["title"]:
-                overlap, best = _best_by_title(title_tokens, candidates)
-                if overlap < 0.6:
-                    record(key, line, reason=FLAG_PARTIAL_TITLE)
-                    continue
-            if info["label"] and best.label and best.label.isdigit() and info["label"] != best.label:
-                record(key, line, reason=FLAG_LABEL_CONFLICT)
-                continue
-            record(key, line, entry=best)
-        elif info["label"]:
-            record(key, line, entry=labelled.get(info["label"], [None])[0], reason=FLAG_NOT_IN_LIST)
-        elif info["title"]:
-            overlap, best = _best_by_title(title_tokens, citation_list)
-            record(key, line, entry=best if overlap >= 0.6 else None, reason=FLAG_NOT_IN_LIST)
-        # lines with no recognizable citation structure are prose, not citations
+        if not (info["authors"] or info["label"] or info["title"]):
+            continue  # lines with no recognizable citation structure are prose, not citations
+        patterns = [named(a) for a in info["authors"]]
+        entry, flag = _match(
+            citation_list, labelled, info["label"], patterns, info["year"], info["title"]
+        )
+        record(("bib", line), line, entry, flag)
 
     return report

@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import EngineConfig
 from .embedding import TokenizerConfig, token_count
-from .errors import EmptyStore, IoFailure, MissingLabel, ScoreOutOfRange
+from .errors import EmptyStore, IoFailure, LitragError, MissingLabel, ScoreOutOfRange
 from .ingest import SplitParams
 from .kb import build_knowledge_base
 from .store import Metric, VectorStore, score_rows
@@ -111,7 +111,8 @@ def sweep_chunking(
 ) -> SweepReport:
     """Build one knowledge base per axis value and report chunk statistics.
 
-    Failed rows are recorded and the sweep continues.
+    A row whose build raises a LitragError is recorded as failed and the
+    sweep continues; any other exception is a fault and propagates.
     """
     workdir = Path(workdir)
     report = SweepReport(axis=spec.axis, fixed=spec.fixed)
@@ -131,7 +132,7 @@ def sweep_chunking(
                     store_path=str(store_path),
                 )
             )
-        except Exception as exc:  # noqa: BLE001 - row isolation is the contract
+        except LitragError as exc:
             logger.warning("sweep row %s=%d failed: %s", spec.axis, value, exc)
             report.rows.append(
                 SweepRow(

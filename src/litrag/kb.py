@@ -20,7 +20,7 @@ from pathlib import Path
 from .citations import AuxIndex, build_auxiliary_index
 from .config import EngineConfig
 from .embedding import embed_texts
-from .errors import IoFailure
+from .errors import CorruptStore, IoFailure
 from .ingest import Chunk, Document, IngestReport, ingest_corpus
 from .store import ChunkRecord, VectorStore
 
@@ -53,6 +53,8 @@ class KnowledgeBase:
                 self._docs[doc_id] = Document.from_dict(json.loads(path.read_text(encoding="utf-8")))
             except OSError as exc:
                 raise IoFailure(f"no document snapshot for {doc_id!r} at {path}") from exc
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise CorruptStore(f"damaged document snapshot at {path}: {exc!r}") from exc
         return self._docs[doc_id]
 
     def aux_index(self, doc_id: str) -> AuxIndex:
@@ -75,8 +77,10 @@ def build_knowledge_base(
     past, inside ingest's per-file isolation: a LitragError while loading,
     embedding or storing a document fails that document alone, and the
     returned report is ingest's own. Once ingest returns, ``docs/`` is
-    created and holds a snapshot of each indexed document, and the store is
-    persisted.
+    created and holds a snapshot of each indexed document and of no other
+    (snapshots left by an earlier build into ``root`` are deleted), and the
+    store is persisted. A snapshot that cannot be written or deleted raises
+    IoFailure.
     """
     root = Path(store_root if store_root is not None else config.store_path)
     store = VectorStore(config.embedding.expected_dim)
@@ -110,11 +114,19 @@ def build_knowledge_base(
         on_document=index,
         max_workers=max_workers,
     )
-    (root / "docs").mkdir(parents=True, exist_ok=True)
-    for doc in indexed:
-        snapshot = {**doc.to_dict(), "source_path": Path(doc.source_path).name}
-        (root / "docs" / f"{doc.doc_id}.json").write_text(
-            json.dumps(snapshot, ensure_ascii=False), encoding="utf-8"
-        )
+    docs = root / "docs"
+    written = {f"{doc.doc_id}.json" for doc in indexed}
+    try:
+        docs.mkdir(parents=True, exist_ok=True)
+        for doc in indexed:
+            snapshot = {**doc.to_dict(), "source_path": Path(doc.source_path).name}
+            (docs / f"{doc.doc_id}.json").write_text(
+                json.dumps(snapshot, ensure_ascii=False), encoding="utf-8"
+            )
+        for path in docs.glob("*.json"):
+            if path.name not in written:
+                path.unlink()  # a document this build did not index
+    except OSError as exc:
+        raise IoFailure(f"cannot write document snapshots under {docs}: {exc}") from exc
     store.persist(root)
     return report

@@ -169,8 +169,10 @@ def score_rows(matrix: np.ndarray, vec, m: Metric, norms: np.ndarray | None = No
     under metric ``m``, in float64: one value per row, lower-is-more-similar
     for distances and higher-is-more-similar for cosine and inner_product.
 
-    ``norms``, if given, must be ``_row_norms(matrix)``; cosine uses it
-    instead of norming every row again.
+    ``norms``, if given, must be ``_row_norms(matrix)`` of rows already
+    proved nonzero, as the store's own are (``upsert`` and ``open`` reject
+    zero rows); cosine uses it instead of norming every row again, and
+    checks rows for zero only when it norms them itself.
 
     The only implementation of the metric formulas; every other score in
     litrag comes from here. Shapes are the caller's to check.
@@ -181,8 +183,9 @@ def score_rows(matrix: np.ndarray, vec, m: Metric, norms: np.ndarray | None = No
         if m.kind == "inner_product":
             return dots
         qn = float(_row_norms(vec[np.newaxis])[0])
-        norms = _row_norms(matrix) if norms is None else norms
-        if qn == 0.0 or np.any(norms == 0.0):
+        own = norms is None
+        norms = _row_norms(matrix) if own else norms
+        if qn == 0.0 or (own and np.any(norms == 0.0)):
             raise ZeroVector("cosine similarity is undefined for a zero vector")
         return dots / (norms * qn)
     diff = np.abs(matrix - vec)

@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 from pathlib import Path
@@ -9,6 +10,7 @@ from litrag.citations import (
     AuxIndex,
     CitationEntry,
     CitationMarker,
+    build_auxiliary_index,
     collapse_ws,
     expanded_chunk_count,
     extract_citation_markers,
@@ -24,6 +26,7 @@ from litrag.embedding import EmbeddingVector
 from litrag.errors import NoContainingChunk, NoReferenceSection
 from litrag.ingest import Document, load_document
 from litrag.store import ChunkRecord
+from litrag.testing import make_corpus
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -616,6 +619,78 @@ def test_verification_folds_each_author_name_once(monkeypatch):
         names.update(citations._parse_bib_line(line)["authors"])
     assert {"Gamezo", "Oran", "Li"} <= names
     assert {name: folds[name] for name in names} == dict.fromkeys(names, 1)
+
+
+def test_verification_compiles_each_author_name_once(monkeypatch):
+    entries = _sixty_entry_fixture()
+    answer = (
+        "Gamezo et al. [25] and Gamezo et al. [26] agree with Li, Kailasanath & Oran (1994) "
+        "and Oran (1994); Spalart et al. [26] does not.\n\n"
+        "References:\n"
+        + "\n".join(e.full_text for e in (entries[24], entries[25], entries[32]))
+        + "\n"
+        'Li, Kailasanath & Oran (1994): "Oblique Detonation Waves in Wedge Flows." 96(1), 57-73.\n'
+        "Gamezo, Khokhlov & Oran (2001). Shock-flame interactions in channels.\n"
+    )
+    expected = verify_answer_citations(answer, entries)
+    built = Counter()
+    compile_name = citations._name_pattern
+    monkeypatch.setattr(
+        citations, "_name_pattern", lambda name: built.update([name]) or compile_name(name)
+    )
+    report = verify_answer_citations(answer, entries)
+    assert (report.verified, report.flagged) == (expected.verified, expected.flagged)
+    assert {"gamezo", "spalart", "li", "kailasanath", "oran", "khokhlov"} <= set(built)
+    assert set(built.values()) == {1}
+
+
+def _guard_inputs(tmp_path):
+    """The pinned guard outputs and the entry lists they were computed from."""
+    pinned = json.loads((FIXTURES / "guard_outputs.json").read_text(encoding="utf-8"))
+    make_corpus(tmp_path, n_docs=pinned["corpus"]["n_docs"], seed=pinned["corpus"]["seed"])
+    docs = {path.stem: load_document(path) for path in sorted(tmp_path.glob("*.txt"))}
+    entries = {doc_id: extract_reference_section(doc) for doc_id, doc in docs.items()}
+    entries["qa"] = extract_reference_section(load_document(FIXTURES / "reference_section_qa.txt"))
+    return pinned, docs, entries
+
+
+def _position(entry, listed):
+    # the fixture writes an entry as the first position of an equal to_dict()
+    return [e.to_dict() for e in listed].index(entry.to_dict())
+
+
+def test_resolution_matches_the_pinned_outputs(tmp_path):
+    pinned, docs, entries = _guard_inputs(tmp_path)
+    assert set(pinned["resolutions"]) == set(docs) | {"qa"}
+    for doc_id, doc in docs.items():
+        aux = build_auxiliary_index(doc)
+        rows = []
+        for chunk in aux.expanded_chunks:
+            resolved, unresolved = resolve_citations(extract_citation_markers(chunk.text), aux.entries)
+            rows.append({
+                "chunk_id": chunk.chunk_id,
+                "resolved": [_position(e, entries[doc_id]) for e in resolved],
+                "unresolved": [m.to_dict() for m in unresolved],
+            })
+        assert rows == pinned["resolutions"][doc_id], doc_id
+    (row,) = pinned["resolutions"]["qa"]
+    resolved, unresolved = resolve_citations(extract_citation_markers(row["text"]), entries["qa"])
+    assert [_position(e, entries["qa"]) for e in resolved] == row["resolved"]
+    assert [m.to_dict() for m in unresolved] == row["unresolved"]
+
+
+def test_verification_matches_the_pinned_reports(tmp_path):
+    pinned, _, entries = _guard_inputs(tmp_path)
+    assert len(pinned["cases"]) == 165
+    for case in pinned["cases"]:
+        listed = [e for doc_id in case["docs"] for e in entries[doc_id]]
+        report = verify_answer_citations(case["answer"], listed)
+        got = {
+            "verified": [[c, _position(e, listed)] for c, e in report.verified],
+            "flagged": [list(pair) for pair in report.flagged],
+            "pass": report.passed,
+        }
+        assert got == case["report"], (case["docs"], case["name"])
 
 
 def test_title_token_overlap():

@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 from dataclasses import replace
 
 import pytest
@@ -154,6 +155,21 @@ def test_query_no_verify_gates_exit_only(cli_env, capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 0
     assert out["verification"]["pass"] is False  # still computed and reported
+
+
+def test_query_on_a_damaged_snapshot_is_a_runtime_error(cli_env, tmp_path, capsys):
+    store_root = tmp_path / "kb"
+    shutil.copytree(cli_env["store_root"], store_root)
+    for snapshot in (store_root / "docs").glob("*.json"):
+        snapshot.write_text("{", encoding="utf-8")
+    question = question_for(cli_env["truths"]["paper-00"])
+    with StubChatService(echo_citations_responder()) as chat:
+        config = _write_config(cli_env, chat.url, store_path=str(store_root))
+        code = main(["--config", config, "query", "--question", question])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error:" in err and "damaged document snapshot" in err
+    assert chat.requests == []
 
 
 def test_query_mode_flag(cli_env, capsys):

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from litrag import harness
 from litrag.chain import QueryChain
 from litrag.config import default_config
 from litrag.embedding import EmbeddingVector, TokenizerConfig
@@ -121,6 +122,18 @@ def test_failed_sweep_row_recorded_not_fatal(tmp_path):
         report = sweep_chunking(spec, cfg, tmp_path / "sweep")
     assert len(report.rows) == 2
     assert all(row.error for row in report.rows)
+
+
+def test_a_fault_in_a_sweep_row_propagates(monkeypatch, tmp_path):
+    # only LitragErrors fail a row; a programming fault is not data
+    def broken(*args, **kwargs):
+        raise TypeError("a programming fault")
+
+    monkeypatch.setattr(harness, "build_knowledge_base", broken)
+    spec = SweepSpec(axis="chunk_size", values=(300, 600), fixed=100, corpus_dir=str(tmp_path))
+    cfg = default_config("http://unused.invalid/", "http://unused.invalid/")
+    with pytest.raises(TypeError, match="a programming fault"):
+        sweep_chunking(spec, cfg, tmp_path / "sweep")
 
 
 def test_single_value_sweep(sweep_corpus, tmp_path):

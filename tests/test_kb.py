@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from litrag.config import default_config
-from litrag.errors import IoFailure
+from litrag.errors import CorruptStore, IoFailure
 from litrag.kb import KnowledgeBase, build_knowledge_base
 from litrag.store import Metric
 from litrag.testing import StubEmbeddingService, make_corpus
@@ -91,6 +91,53 @@ def test_missing_document_snapshot(small_corpus, tmp_path):
     kb = KnowledgeBase.open(cfg.store_path)
     with pytest.raises(IoFailure):
         kb.document("no-such-doc")
+
+
+def test_a_damaged_snapshot_is_a_corrupt_store(small_corpus, tmp_path):
+    corpus_dir, _ = small_corpus
+    with StubEmbeddingService(dim=DIM) as svc:
+        cfg = _config(svc, tmp_path)
+        build_knowledge_base(corpus_dir, cfg)
+    snapshot = Path(cfg.store_path) / "docs" / "paper-00.json"
+    good = snapshot.read_text(encoding="utf-8")
+    data = json.loads(good)
+    damaged = {
+        "truncated": good[: len(good) // 2].encode("utf-8"),
+        "not utf-8": b"\xff\xfe" + good.encode("utf-8"),
+        "missing field": json.dumps({k: v for k, v in data.items() if k != "body"}).encode(),
+        "not an object": json.dumps([data]).encode(),
+        "wrong type": json.dumps({**data, "reference_section": 7}).encode(),
+    }
+    for case, raw in damaged.items():
+        snapshot.write_bytes(raw)
+        kb = KnowledgeBase.open(cfg.store_path)
+        with pytest.raises(CorruptStore, match="paper-00.json"):
+            kb.aux_index("paper-00")
+        assert kb.document("paper-01").doc_id == "paper-01", case
+
+
+def test_a_rebuild_deletes_snapshots_of_documents_it_did_not_index(small_corpus, tmp_path):
+    corpus_dir, truths = small_corpus
+    with StubEmbeddingService(dim=DIM) as svc:
+        cfg = _config(svc, tmp_path)
+        build_knowledge_base(corpus_dir, cfg)
+        (corpus_dir / "paper-01.txt").unlink()
+        (Path(cfg.store_path) / "docs" / "notes.txt").write_text("kept", encoding="utf-8")
+        build_knowledge_base(corpus_dir, cfg)
+    kb = KnowledgeBase.open(cfg.store_path)
+    assert kb.doc_ids() == sorted(set(truths) - {"paper-01"})
+    assert {record.doc_id for record in kb.store.records()} == set(kb.doc_ids())
+    assert (Path(cfg.store_path) / "docs" / "notes.txt").read_text(encoding="utf-8") == "kept"
+
+
+def test_unwritable_snapshots_raise_io_failure(small_corpus, tmp_path):
+    corpus_dir, _ = small_corpus
+    (tmp_path / "kb").mkdir()
+    (tmp_path / "kb" / "docs").write_text("a file where the directory goes", encoding="utf-8")
+    with StubEmbeddingService(dim=DIM) as svc:
+        cfg = _config(svc, tmp_path)
+        with pytest.raises(IoFailure, match="snapshots"):
+            build_knowledge_base(corpus_dir, cfg)
 
 
 def test_build_without_aux(small_corpus, tmp_path):
