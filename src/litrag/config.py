@@ -10,9 +10,11 @@ file only needs the two service endpoints; everything else has defaults:
 
 Environment variables LITRAG_EMBEDDING_URL, LITRAG_CHAT_URL and
 LITRAG_TOKENIZER_URL override the corresponding endpoint URLs (and only
-those). Loading collects non-fatal advisories, e.g. when the chunk overlap
-falls outside 20-40% of the chunk size, the operating range that keeps
-retrieval quality stable.
+those); a tokenizer URL from the environment also selects the external
+tokenizer, whatever mode the file names. A config's advisories are
+non-fatal notes derived from its split parameters: the chunk overlap falls
+outside 20-40% of the chunk size, the operating range that keeps retrieval
+quality stable. Loading logs each one.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import json
 import logging
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from .embedding import EmbeddingConfig, TokenizerConfig, check_endpoint_url
@@ -90,11 +92,20 @@ class EngineConfig:
     store_path: str = "./kb"
     template_name: str = "custom_citation"
     mode: str = "mode2"
-    advisories: tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+
+    @property
+    def advisories(self) -> tuple[str, ...]:
+        ratio = self.split.chunk_overlap / self.split.chunk_size
+        if OVERLAP_RATIO_LOW <= ratio <= OVERLAP_RATIO_HIGH:
+            return ()
+        return (
+            f"split.chunk_overlap is {ratio:.0%} of chunk_size; the recommended "
+            f"operating range is {OVERLAP_RATIO_LOW:.0%} to {OVERLAP_RATIO_HIGH:.0%}",
+        )
 
 
 def default_config(embedding_url: str, chat_url: str, **overrides) -> EngineConfig:
@@ -103,19 +114,7 @@ def default_config(embedding_url: str, chat_url: str, **overrides) -> EngineConf
         embedding=EmbeddingConfig(endpoint_url=embedding_url),
         chat=ChatConfig(endpoint_url=chat_url),
     )
-    cfg = replace(cfg, **overrides) if overrides else cfg
-    return replace(cfg, advisories=tuple(compute_advisories(cfg)))
-
-
-def compute_advisories(cfg: EngineConfig) -> list[str]:
-    advisories = []
-    ratio = cfg.split.chunk_overlap / cfg.split.chunk_size
-    if not (OVERLAP_RATIO_LOW <= ratio <= OVERLAP_RATIO_HIGH):
-        advisories.append(
-            f"split.chunk_overlap is {ratio:.0%} of chunk_size; the recommended "
-            f"operating range is {OVERLAP_RATIO_LOW:.0%} to {OVERLAP_RATIO_HIGH:.0%}"
-        )
-    return advisories
+    return replace(cfg, **overrides)
 
 
 def _section(data: dict, name: str) -> dict:
@@ -153,7 +152,7 @@ def config_from_dict(data: dict, env: dict | None = None) -> EngineConfig:
     tok = _section(data, "tokenizer")
     if env.get(ENV_TOKENIZER_URL):
         tok["external_url"] = env[ENV_TOKENIZER_URL]
-        tok.setdefault("mode", "external")
+        tok["mode"] = "external"
 
     split = _section(data, "split")
     split.setdefault("chunk_size", 700)
@@ -191,10 +190,9 @@ def config_from_dict(data: dict, env: dict | None = None) -> EngineConfig:
         )
     except ValueError as exc:
         raise ValidationError("mode", str(exc)) from exc
-    advisories = compute_advisories(cfg)
-    for advisory in advisories:
+    for advisory in cfg.advisories:
         logger.warning("config advisory: %s", advisory)
-    return replace(cfg, advisories=tuple(advisories))
+    return cfg
 
 
 def config_to_dict(cfg: EngineConfig) -> dict:

@@ -4,8 +4,10 @@ Documents are plain UTF-8 text files (or anything a configured extractor
 command can turn into text). Each document is split into ordered chunks of
 at most ``chunk_size`` characters; consecutive chunks share up to
 ``chunk_overlap`` trailing characters of context where separator boundaries
-permit. Every chunk records exact character offsets into the document body,
-so downstream consumers can always map a chunk back to its source span.
+permit. Both bounds hold on any text: a chunk is measured as the span it
+covers, separators included however many repeat between its pieces. Every
+chunk records exact character offsets into the document body, so downstream
+consumers can always map a chunk back to its source span.
 """
 
 from __future__ import annotations
@@ -102,13 +104,28 @@ class Document:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Document":
+        """The inverse of ``to_dict``. Raises ValueError for a field that is not
+        a string, an empty body or a reference section that is not a span of
+        the body."""
+        for name in ("doc_id", "title", "body", "source_path"):
+            if not isinstance(d[name], str):
+                raise ValueError(f"{name} is {type(d[name]).__name__}, not a string")
+        if not d["body"]:
+            raise ValueError("body is empty")
         ref = d.get("reference_section")
+        if ref is not None and not (
+            isinstance(ref, list)
+            and len(ref) == 2
+            and all(type(v) is int for v in ref)
+            and 0 <= ref[0] <= ref[1] <= len(d["body"])
+        ):
+            raise ValueError(f"reference_section {ref!r} is not a span of the body")
         return cls(
             doc_id=d["doc_id"],
             title=d["title"],
             body=d["body"],
             source_path=d["source_path"],
-            reference_section=tuple(ref) if ref else None,
+            reference_section=tuple(ref) if ref is not None else None,
         )
 
 
@@ -216,12 +233,10 @@ def _split_on_separator(
         return [(i, i + 1) for i in range(start, end)]
     pieces = []
     i = start
-    while i <= end:
+    while i < end:
         j = body.find(sep, i, end)
         if j == -1:
-            if i < end:
-                pieces.append((i, end))
-            break
+            j = end
         if j > i:
             pieces.append((i, j))
         i = j + len(sep)
@@ -229,35 +244,27 @@ def _split_on_separator(
 
 
 def _merge_pieces(
-    pieces: list[tuple[int, int]], sep_len: int, size: int, overlap: int
+    pieces: list[tuple[int, int]], size: int, overlap: int
 ) -> list[tuple[int, int]]:
     """Greedily merge adjacent piece spans into chunk spans of <= size.
 
-    A merged chunk spans from its first to its last piece, so the separators
-    between merged pieces stay inside the chunk. After a chunk is emitted,
-    trailing pieces whose combined span fits in ``overlap`` are retained as
-    the start of the next chunk.
+    The chunk being built is the window ``pieces[first:i]``, measured as the
+    span from its first piece's start to its last piece's end, so whatever
+    lies between merged pieces (one separator or several) counts towards
+    ``size``. After a chunk is emitted, the window keeps its trailing pieces
+    while they span at most ``overlap`` and leave room for the next piece.
     """
     chunks: list[tuple[int, int]] = []
-    current: list[tuple[int, int]] = []
-    total = 0  # span length of `current`, separators included
-
-    def piece_cost(plen: int) -> int:
-        return plen + (sep_len if current else 0)
-
-    for piece in pieces:
-        plen = piece[1] - piece[0]
-        if current and total + plen + sep_len > size:
-            chunks.append((current[0][0], current[-1][1]))
-            while current and (
-                total > overlap or (total + plen + sep_len > size and total > 0)
+    first = 0
+    for i, (_, end) in enumerate(pieces):
+        if i > first and end - pieces[first][0] > size:
+            chunks.append((pieces[first][0], pieces[i - 1][1]))
+            while first < i and (
+                pieces[i - 1][1] - pieces[first][0] > overlap or end - pieces[first][0] > size
             ):
-                dropped = current.pop(0)
-                total -= (dropped[1] - dropped[0]) + (sep_len if current else 0)
-        total += piece_cost(plen)
-        current.append(piece)
-    if current:
-        chunks.append((current[0][0], current[-1][1]))
+                first += 1
+    if first < len(pieces):
+        chunks.append((pieces[first][0], pieces[-1][1]))
     return chunks
 
 
@@ -267,31 +274,21 @@ def _split_spans(
     if end - start <= params.chunk_size:
         return [(start, end)]
 
-    segment = body[start:end]
-    sep = ""
-    rest: tuple[str, ...] = ()
-    for idx, candidate in enumerate(separators):
-        if candidate == "" or candidate in segment:
-            sep = candidate
-            rest = separators[idx + 1 :]
-            break
-
-    pieces = _split_on_separator(body, start, end, sep)
+    # "" is found in any segment, so some separator always matches
+    idx = next(i for i, sep in enumerate(separators) if body.find(sep, start, end) != -1)
+    sep, rest = separators[idx], separators[idx + 1 :]
     out: list[tuple[int, int]] = []
     good: list[tuple[int, int]] = []
-    for piece in pieces:
+    for piece in _split_on_separator(body, start, end, sep):
         if piece[1] - piece[0] <= params.chunk_size:
             good.append(piece)
             continue
-        if good:
-            out.extend(_merge_pieces(good, len(sep), params.chunk_size, params.chunk_overlap))
-            good = []
-        if rest:
-            out.extend(_split_spans(body, piece[0], piece[1], params, rest))
-        else:
-            out.append(piece)
-    if good:
-        out.extend(_merge_pieces(good, len(sep), params.chunk_size, params.chunk_overlap))
+        # Only a non-empty separator leaves a piece this long (the pieces of
+        # "" are one character), and "" comes last, so ``rest`` is not empty.
+        out.extend(_merge_pieces(good, params.chunk_size, params.chunk_overlap))
+        good = []
+        out.extend(_split_spans(body, piece[0], piece[1], params, rest))
+    out.extend(_merge_pieces(good, params.chunk_size, params.chunk_overlap))
     return out
 
 

@@ -50,11 +50,16 @@ class KnowledgeBase:
         if doc_id not in self._docs:
             path = self.root / "docs" / f"{doc_id}.json"
             try:
-                self._docs[doc_id] = Document.from_dict(json.loads(path.read_text(encoding="utf-8")))
+                doc = Document.from_dict(json.loads(path.read_text(encoding="utf-8")))
             except OSError as exc:
                 raise IoFailure(f"no document snapshot for {doc_id!r} at {path}") from exc
-            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            except (ValueError, KeyError, TypeError) as exc:
                 raise CorruptStore(f"damaged document snapshot at {path}: {exc!r}") from exc
+            if doc.doc_id != doc_id:
+                raise CorruptStore(
+                    f"damaged document snapshot at {path}: it holds document {doc.doc_id!r}"
+                )
+            self._docs[doc_id] = doc
         return self._docs[doc_id]
 
     def aux_index(self, doc_id: str) -> AuxIndex:

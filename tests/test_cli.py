@@ -158,18 +158,23 @@ def test_query_no_verify_gates_exit_only(cli_env, capsys):
 
 
 def test_query_on_a_damaged_snapshot_is_a_runtime_error(cli_env, tmp_path, capsys):
-    store_root = tmp_path / "kb"
-    shutil.copytree(cli_env["store_root"], store_root)
-    for snapshot in (store_root / "docs").glob("*.json"):
-        snapshot.write_text("{", encoding="utf-8")
+    damages = {
+        "truncated": lambda text: "{",
+        "bad span": lambda text: json.dumps({**json.loads(text), "reference_section": [5, "x"]}),
+    }
     question = question_for(cli_env["truths"]["paper-00"])
-    with StubChatService(echo_citations_responder()) as chat:
-        config = _write_config(cli_env, chat.url, store_path=str(store_root))
-        code = main(["--config", config, "query", "--question", question])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert "error:" in err and "damaged document snapshot" in err
-    assert chat.requests == []
+    for case, damage in damages.items():
+        store_root = tmp_path / case
+        shutil.copytree(cli_env["store_root"], store_root)
+        for snapshot in (store_root / "docs").glob("*.json"):
+            snapshot.write_text(damage(snapshot.read_text(encoding="utf-8")), encoding="utf-8")
+        with StubChatService(echo_citations_responder()) as chat:
+            config = _write_config(cli_env, chat.url, store_path=str(store_root))
+            code = main(["--config", config, "query", "--question", question])
+        err = capsys.readouterr().err
+        assert code == 1, case
+        assert "error:" in err and "damaged document snapshot" in err, case
+        assert chat.requests == [], case
 
 
 def test_query_mode_flag(cli_env, capsys):

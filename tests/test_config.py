@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -10,6 +11,7 @@ from litrag.config import (
     save_config,
 )
 from litrag.errors import ParseError, ValidationError
+from litrag.ingest import SplitParams
 from litrag.store import Metric
 
 MINIMAL = {
@@ -59,6 +61,15 @@ def test_overlap_in_band_silent(tmp_path):
     data["split"] = {"chunk_size": 1000, "chunk_overlap": 350}
     cfg = load_config(_write(tmp_path, data), env={})
     assert cfg.advisories == ()
+
+
+def test_advisories_follow_the_split_under_replace():
+    cfg = default_config("http://e/", "http://c/")
+    assert cfg.advisories == ()
+    # the sweep builds each row's config this way: 10% overlap is outside the band
+    swept = replace(cfg, split=SplitParams(chunk_size=1000, chunk_overlap=100))
+    assert len(swept.advisories) == 1 and "10%" in swept.advisories[0]
+    assert replace(swept, split=cfg.split).advisories == ()
 
 
 def test_overlap_not_below_size_rejected(tmp_path):
@@ -294,3 +305,13 @@ def test_malformed_endpoint_url_rejected(tmp_path, section, key, env_name, url):
 def test_well_formed_endpoint_url_accepted(tmp_path, section, key, env_name, url):
     cfg = load_config(_write(tmp_path, MINIMAL), env={env_name: url})
     assert config_to_dict(cfg)[section][key] == url
+
+
+def test_environment_tokenizer_url_selects_the_external_tokenizer(tmp_path):
+    data = {**MINIMAL, "tokenizer": {"mode": "heuristic", "chars_per_token": 3.0}}
+    cfg = load_config(_write(tmp_path, data), env={"LITRAG_TOKENIZER_URL": "http://tok:9/"})
+    assert cfg.tokenizer.mode == "external"
+    assert cfg.tokenizer.external_url == "http://tok:9/"
+    assert cfg.tokenizer.chars_per_token == 3.0
+    # without the variable the file's mode stands
+    assert load_config(_write(tmp_path, data), env={}).tokenizer.mode == "heuristic"

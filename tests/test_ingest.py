@@ -211,6 +211,44 @@ def test_splitter_properties_on_random_documents(data, chunk_size):
     _assert_gaps_are_separators(body, chunks, params)
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), chunk_size=st.integers(min_value=2, max_value=120))
+def test_bounds_hold_where_separators_repeat(data, chunk_size):
+    # PDF-extracted text is full of "\n\n\n\n", double spaces and ". . ": a
+    # chunk's measured span, not a count of its separators, must meet the bounds
+    overlap = data.draw(st.integers(min_value=0, max_value=chunk_size - 1))
+    word = st.text(alphabet="abcdefg", min_size=1, max_size=12)
+    words = data.draw(st.lists(word, min_size=1, max_size=40))
+    joins = data.draw(
+        st.lists(
+            st.tuples(st.sampled_from(["\n\n", "\n", ". ", " "]), st.integers(1, 3)),
+            min_size=len(words) - 1,
+            max_size=len(words) - 1,
+        )
+    )
+    body = words[0] + "".join(sep * n + word for (sep, n), word in zip(joins, words[1:]))
+
+    params = SplitParams(chunk_size=chunk_size, chunk_overlap=overlap)
+    chunks = recursive_split(body, params)
+
+    _assert_well_formed(body, chunks, params)
+    _assert_gaps_are_separators(body, chunks, params)
+    for previous, chunk in zip(chunks, chunks[1:]):
+        assert previous.end_offset - chunk.start_offset <= overlap
+
+
+@pytest.mark.parametrize(
+    "body, size, overlap, expected",
+    [
+        ("aaa\n\n\n\nbbb", 8, 0, [(0, 3), (7, 10)]),  # one 10-character chunk would not fit
+        ("ab  cd  ef gh", 5, 0, [(0, 2), (4, 6), (8, 13)]),  # "ab  cd" is 6 characters
+    ],
+)
+def test_repeated_separators_count_towards_the_chunk_size(body, size, overlap, expected):
+    chunks = recursive_split(body, SplitParams(chunk_size=size, chunk_overlap=overlap))
+    assert [(c.start_offset, c.end_offset) for c in chunks] == expected
+
+
 @settings(max_examples=30, deadline=None)
 @given(body=st.text(min_size=0, max_size=2000), chunk_size=st.integers(5, 97))
 def test_zero_overlap_single_separator_reconstructs_body(body, chunk_size):

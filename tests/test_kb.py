@@ -107,6 +107,17 @@ def test_a_damaged_snapshot_is_a_corrupt_store(small_corpus, tmp_path):
         "missing field": json.dumps({k: v for k, v in data.items() if k != "body"}).encode(),
         "not an object": json.dumps([data]).encode(),
         "wrong type": json.dumps({**data, "reference_section": 7}).encode(),
+        "body a number": json.dumps({**data, "body": 5}).encode(),
+        "empty body": json.dumps({**data, "body": ""}).encode(),
+        "span of a number and a string": json.dumps({**data, "reference_section": [5, "x"]}).encode(),
+        "span past the body": json.dumps(
+            {**data, "reference_section": [0, len(data["body"]) + 1]}
+        ).encode(),
+        "span reversed": json.dumps({**data, "reference_section": [3, 2]}).encode(),
+        "span negative": json.dumps({**data, "reference_section": [-1, 2]}).encode(),
+        "title a number": json.dumps({**data, "title": 7}).encode(),
+        "doc_id a number": json.dumps({**data, "doc_id": 7}).encode(),
+        "doc_id of another document": json.dumps({**data, "doc_id": "paper-01"}).encode(),
     }
     for case, raw in damaged.items():
         snapshot.write_bytes(raw)
