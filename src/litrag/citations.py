@@ -280,8 +280,6 @@ def split_expanded_chunks(doc: Document) -> list[Chunk]:
 
 def build_auxiliary_index(doc: Document) -> AuxIndex:
     """Cut ``doc``'s expanded chunks and parse its reference section."""
-    if not doc.body:
-        raise ValueError("document body is empty")
     try:
         entries = extract_reference_section(doc)
     except NoReferenceSection:

@@ -23,6 +23,7 @@ import json
 import logging
 import os
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from pathlib import Path
 
 from .embedding import EmbeddingConfig, TokenizerConfig, check_endpoint_url
@@ -155,8 +156,6 @@ def config_from_dict(data: dict, env: dict | None = None) -> EngineConfig:
         tok["mode"] = "external"
 
     split = _section(data, "split")
-    split.setdefault("chunk_size", 700)
-    split.setdefault("chunk_overlap", 200)
     if "separators" in split:
         split["separators"] = tuple(split["separators"])
 
@@ -182,11 +181,9 @@ def config_from_dict(data: dict, env: dict | None = None) -> EngineConfig:
             embedding=_build("embedding", EmbeddingConfig, emb),
             chat=_build("chat", ChatConfig, chat),
             tokenizer=_build("tokenizer", TokenizerConfig, tok),
-            split=_build("split", SplitParams, split),
+            split=_build("split", partial(replace, EngineConfig.split), split),
             retrieval=_build("retrieval", RetrievalConfig, retrieval),
-            store_path=str(data.get("store_path", "./kb")),
-            template_name=str(data.get("template_name", "custom_citation")),
-            mode=str(data.get("mode", "mode2")),
+            **{key: str(data[key]) for key in ("store_path", "template_name", "mode") if key in data},
         )
     except ValueError as exc:
         raise ValidationError("mode", str(exc)) from exc

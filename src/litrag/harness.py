@@ -95,7 +95,7 @@ class SweepReport:
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        writer = csv.writer(buf)
+        writer = csv.writer(buf, lineterminator="\n")
         writer.writerow([self.axis, "chunk_count", "mean_chunk_length", "store_path", "error"])
         for row in self.rows:
             writer.writerow(
@@ -216,7 +216,7 @@ def token_ratio_table(
 
 def ratio_table_csv(rows: list[RatioRow]) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf)
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(RATIO_CSV_HEADER.split(","))
     for r in rows:
         writer.writerow(
@@ -348,7 +348,7 @@ def export_embeddings(store: VectorStore, out: str | Path | TextIO) -> None:
     is_path = isinstance(out, (str, Path))
     try:
         with open(out, "w", encoding="utf-8", newline="") if is_path else nullcontext(out) as fh:
-            writer = csv.writer(fh)
+            writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["chunk_id", "doc_id"] + [f"e{i}" for i in range(store.dim)])
             for rec, row in zip(records, matrix):
                 writer.writerow([rec.chunk_id, rec.doc_id] + [repr(v) for v in row.tolist()])

@@ -19,6 +19,7 @@ import shlex
 import subprocess
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from .errors import (
@@ -39,9 +40,12 @@ DEFAULT_SEPARATORS: tuple[str, ...] = ("\n\n", "\n", ". ", " ", "")
 
 PLAIN_TEXT_SUFFIXES = {".txt", ".text", ".md"}
 
-_REFERENCE_HEADINGS = re.compile(
-    r"^[ \t]*(?:\d+\.?[ \t]+)?(references|bibliography|literature cited)[ \t]*[:.]?[ \t]*$",
-    re.IGNORECASE | re.MULTILINE,
+# The greedy ``.*`` backs off from the end of the body, so the first heading
+# line it finds is the last one.
+_LAST_REFERENCE_HEADING = re.compile(
+    r"\A.*^(?P<heading>[ \t]*(?:\d+\.?[ \t]+)?"
+    r"(?:references|bibliography|literature cited)[ \t]*[:.]?[ \t]*)$",
+    re.IGNORECASE | re.MULTILINE | re.DOTALL,
 )
 
 
@@ -72,18 +76,35 @@ class SplitParams:
 
 @dataclass(frozen=True)
 class Document:
-    """A loaded source text.
+    """A loaded source text: its id, its body and the file it came from.
 
-    ``reference_section`` is a (start, end) character span into ``body``
-    beginning at a recognized bibliography heading, or None when no heading
-    was found.
+    Each field is a string (else TypeError) and the body is not blank (else
+    EmptyDocument). The title and the reference section are functions of the
+    body, derived on first use and kept.
     """
 
     doc_id: str
-    title: str
     body: str
     source_path: str
-    reference_section: tuple[int, int] | None = None
+
+    def __post_init__(self):
+        for name in ("doc_id", "body", "source_path"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise TypeError(f"{name} is {type(value).__name__}, not a string")
+        if not self.body.strip():
+            raise EmptyDocument(f"{self.source_path}: document body is empty")
+
+    @cached_property
+    def title(self) -> str:
+        """The first non-blank line of the body, stripped."""
+        return next(line.strip() for line in self.body.splitlines() if line.strip())
+
+    @cached_property
+    def reference_section(self) -> tuple[int, int] | None:
+        """The (start, end) span of the body from its bibliography heading to
+        its end (``locate_reference_section``), or None without a heading."""
+        return locate_reference_section(self.body)
 
     def reference_text(self) -> str | None:
         if self.reference_section is None:
@@ -92,41 +113,13 @@ class Document:
         return self.body[start:end]
 
     def to_dict(self) -> dict:
-        return {
-            "doc_id": self.doc_id,
-            "title": self.title,
-            "body": self.body,
-            "source_path": self.source_path,
-            "reference_section": list(self.reference_section)
-            if self.reference_section
-            else None,
-        }
+        return {"doc_id": self.doc_id, "body": self.body, "source_path": self.source_path}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Document":
-        """The inverse of ``to_dict``. Raises ValueError for a field that is not
-        a string, an empty body or a reference section that is not a span of
-        the body."""
-        for name in ("doc_id", "title", "body", "source_path"):
-            if not isinstance(d[name], str):
-                raise ValueError(f"{name} is {type(d[name]).__name__}, not a string")
-        if not d["body"]:
-            raise ValueError("body is empty")
-        ref = d.get("reference_section")
-        if ref is not None and not (
-            isinstance(ref, list)
-            and len(ref) == 2
-            and all(type(v) is int for v in ref)
-            and 0 <= ref[0] <= ref[1] <= len(d["body"])
-        ):
-            raise ValueError(f"reference_section {ref!r} is not a span of the body")
-        return cls(
-            doc_id=d["doc_id"],
-            title=d["title"],
-            body=d["body"],
-            source_path=d["source_path"],
-            reference_section=tuple(ref) if ref is not None else None,
-        )
+        """The inverse of ``to_dict``; other keys (a title or a reference
+        section stored by an earlier version) are ignored."""
+        return cls(doc_id=d["doc_id"], body=d["body"], source_path=d["source_path"])
 
 
 @dataclass(frozen=True)
@@ -152,12 +145,8 @@ def locate_reference_section(body: str) -> tuple[int, int] | None:
     the body. The last occurrence is used so in-text mentions of the word do
     not truncate the document.
     """
-    last = None
-    for m in _REFERENCE_HEADINGS.finditer(body):
-        last = m
-    if last is None:
-        return None
-    return (last.start(), len(body))
+    m = _LAST_REFERENCE_HEADING.match(body)
+    return None if m is None else (m.start("heading"), len(body))
 
 
 def _normalize_newlines(text: str) -> str:
@@ -192,7 +181,8 @@ def load_document(path: str | Path, extractor: str | None = None) -> Document:
 
     Plain-text files are read directly; other file types require an
     ``extractor`` command template (``{path}`` placeholder) whose stdout
-    becomes the document body. Line endings are normalized to ``\\n``.
+    becomes the document body. Line endings are normalized to ``\\n``. A
+    blank body raises EmptyDocument.
     """
     path = Path(path)
     if path.suffix.lower() in PLAIN_TEXT_SUFFIXES or extractor is None:
@@ -207,18 +197,7 @@ def load_document(path: str | Path, extractor: str | None = None) -> Document:
     else:
         raw = _run_extractor(extractor, path)
 
-    body = _normalize_newlines(raw)
-    if not body.strip():
-        raise EmptyDocument(f"{path}: document body is empty")
-
-    title = next((line.strip() for line in body.splitlines() if line.strip()), path.stem)
-    return Document(
-        doc_id=path.stem,
-        title=title,
-        body=body,
-        source_path=str(path),
-        reference_section=locate_reference_section(body),
-    )
+    return Document(doc_id=path.stem, body=_normalize_newlines(raw), source_path=str(path))
 
 
 def _split_on_separator(

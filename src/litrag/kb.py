@@ -3,13 +3,12 @@
 A knowledge base is a directory:
 
     <root>/header.json, records.jsonl, matrix.bin   chunk store
-    <root>/docs/<doc_id>.json                       document snapshot (body, title,
-                                                    reference-section span, file name)
+    <root>/docs/<doc_id>.json                       document snapshot (id, body, file name)
 
 Document snapshots keep the citation guard exact at query time: on a
-document's first use, its reference section is parsed and its expanded
-chunks are cut from the same text the chunks were cut from, and the result
-(``aux_index``) is kept for the life of the ``KnowledgeBase``.
+document's first use, its reference section is located and parsed and its
+expanded chunks are cut from the same text the chunks were cut from, and
+the result (``aux_index``) is kept for the life of the ``KnowledgeBase``.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from pathlib import Path
 from .citations import AuxIndex, build_auxiliary_index
 from .config import EngineConfig
 from .embedding import embed_texts
-from .errors import CorruptStore, IoFailure
+from .errors import CorruptStore, EmptyDocument, IoFailure
 from .ingest import Chunk, Document, IngestReport, ingest_corpus
 from .store import ChunkRecord, VectorStore
 
@@ -53,7 +52,7 @@ class KnowledgeBase:
                 doc = Document.from_dict(json.loads(path.read_text(encoding="utf-8")))
             except OSError as exc:
                 raise IoFailure(f"no document snapshot for {doc_id!r} at {path}") from exc
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, EmptyDocument) as exc:
                 raise CorruptStore(f"damaged document snapshot at {path}: {exc!r}") from exc
             if doc.doc_id != doc_id:
                 raise CorruptStore(

@@ -32,15 +32,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def _doc(body: str, doc_id: str = "doc") -> Document:
-    from litrag.ingest import locate_reference_section
-
-    return Document(
-        doc_id=doc_id,
-        title="t",
-        body=body,
-        source_path=f"{doc_id}.txt",
-        reference_section=locate_reference_section(body),
-    )
+    return Document(doc_id=doc_id, body=body, source_path=f"{doc_id}.txt")
 
 
 def _chunk_record(doc_id, start, end, chunk_id="orig"):

@@ -160,7 +160,7 @@ def test_query_no_verify_gates_exit_only(cli_env, capsys):
 def test_query_on_a_damaged_snapshot_is_a_runtime_error(cli_env, tmp_path, capsys):
     damages = {
         "truncated": lambda text: "{",
-        "bad span": lambda text: json.dumps({**json.loads(text), "reference_section": [5, "x"]}),
+        "body a number": lambda text: json.dumps({**json.loads(text), "body": 5}),
     }
     question = question_for(cli_env["truths"]["paper-00"])
     for case, damage in damages.items():
@@ -262,6 +262,26 @@ def test_tokens_explicit_rows(cli_env, capsys):
     assert code == 0
     assert len(rows) == 1
     assert rows[0]["tokens_per_chunk"] == "400"  # 1600 chars at 4 chars/token
+
+
+def test_csv_output_ends_lines_with_a_newline_alone(cli_env, tmp_path, capsys):
+    with StubChatService() as chat:
+        config = _write_config(cli_env, chat.url)
+        out_path = tmp_path / "emb.csv"
+        runs = [
+            ["tokens"],
+            ["sweep", "--axis", "chunk_size", "--values", "900", "--fixed", "200",
+             "--format", "csv", "--dir", str(cli_env["corpus_dir"]),
+             "--workdir", str(tmp_path / "sweeps")],
+            ["export"],
+            ["export", "--out", str(out_path)],
+        ]
+        for args in runs:
+            assert main(["--config", config, *args]) == 0, args
+            out = capsys.readouterr().out
+            if "--out" not in args:
+                assert "\r" not in out and out.endswith("\n"), args
+    assert b"\r" not in out_path.read_bytes()
 
 
 # --- verify ------------------------------------------------------------------------------

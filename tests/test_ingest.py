@@ -1,4 +1,6 @@
 import json
+import re
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from litrag.errors import (
 from litrag.ingest import (
     DEFAULT_SEPARATORS,
     Chunk,
+    Document,
     SplitParams,
     ingest_corpus,
     load_document,
@@ -60,6 +63,66 @@ def test_reference_heading_last_occurrence_wins():
     assert end == len(body)
     # the in-text mention on the first line is not a heading
     assert start > body.index("References")
+
+
+# The scan locate_reference_section used before it became one search for the
+# last heading: every heading line in order, keeping the last.
+_HEADING_LINE = re.compile(
+    r"^[ \t]*(?:\d+\.?[ \t]+)?(references|bibliography|literature cited)[ \t]*[:.]?[ \t]*$",
+    re.IGNORECASE | re.MULTILINE,
+)
+
+
+def _last_heading_scan(body):
+    last = None
+    for m in _HEADING_LINE.finditer(body):
+        last = m
+    return None if last is None else (last.start(), len(body))
+
+
+_HEADING_VARIANTS = [
+    "References",
+    "1. Bibliography:",
+    " Literature Cited.",
+    "REFERENCES",
+    "\t12 references .\t",
+    "Referencesx",
+    "1.References",
+    "References::",
+    "References\r",
+    "We cite References often.",
+    "x Bibliography",
+    "",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.sampled_from(_HEADING_VARIANTS),
+            st.text(alphabet="Refrncs \t\r\n.:1", max_size=15),
+        ),
+        max_size=10,
+    )
+)
+def test_locate_reference_section_matches_the_heading_scan(lines):
+    body = "\n".join(lines)
+    assert locate_reference_section(body) == _last_heading_scan(body)
+
+
+def test_a_document_is_its_body():
+    body = "\n \n  Title line \nText.\n\nReferences\n1. Entry.\nReferences\n2. Entry.\n"
+    doc = Document("d", body, "d.txt")
+    assert [f.name for f in fields(Document)] == ["doc_id", "body", "source_path"]
+    assert doc.title == "Title line"
+    assert doc.reference_section == (body.rindex("References"), len(body))
+    assert doc == Document("d", body, "d.txt")
+    assert doc.to_dict() == {"doc_id": "d", "body": body, "source_path": "d.txt"}
+    with pytest.raises(EmptyDocument, match="d.txt: document body is empty"):
+        Document("d", "  \n\t ", "d.txt")
+    with pytest.raises(TypeError, match="body is int"):
+        Document("d", 5, "d.txt")
 
 
 def test_empty_file_rejected(tmp_path):
