@@ -171,11 +171,12 @@ def _cmd_verify(args, config) -> int:
 
 
 def _cmd_stats(args, config) -> int:
-    store = VectorStore.open(config.store_path)
     try:
         metric = Metric.parse(args.metric)
+        harness.check_cluster_metric(metric)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    store = VectorStore.open(config.store_path)
     stats = harness.cluster_stats(store, args.label_by, metric)
     print(json.dumps(stats.to_dict(include_centroids=args.include_centroids), indent=2))
     return EXIT_OK

@@ -19,11 +19,11 @@ quality stable. Loading logs each one.
 
 from __future__ import annotations
 
+import inspect
 import json
 import logging
 import os
 from dataclasses import asdict, dataclass, replace
-from functools import partial
 from pathlib import Path
 
 from .embedding import EmbeddingConfig, TokenizerConfig, check_endpoint_url
@@ -125,11 +125,17 @@ def _section(data: dict, name: str) -> dict:
     return dict(value)
 
 
-def _build(section: str, factory, kwargs: dict):
+def _build(section: str, cls, kwargs: dict):
+    """``cls(**kwargs)`` for a config dataclass ``cls``; a key it does not
+    take or a field it needs and lacks is told apart from a bad value."""
     try:
-        return factory(**kwargs)
-    except (TypeError,) as exc:
+        inspect.signature(cls).bind(**kwargs)
+    except TypeError as exc:
         raise ValidationError(section, f"unknown or missing field ({exc})") from exc
+    try:
+        return cls(**kwargs)
+    except TypeError as exc:
+        raise ValidationError(section, f"invalid value ({exc})") from exc
     except (ValueError, InvalidParams, InvalidLambda) as exc:
         raise ValidationError(section, str(exc)) from exc
 
@@ -181,7 +187,7 @@ def config_from_dict(data: dict, env: dict | None = None) -> EngineConfig:
             embedding=_build("embedding", EmbeddingConfig, emb),
             chat=_build("chat", ChatConfig, chat),
             tokenizer=_build("tokenizer", TokenizerConfig, tok),
-            split=_build("split", partial(replace, EngineConfig.split), split),
+            split=_build("split", SplitParams, {**vars(EngineConfig.split), **split}),
             retrieval=_build("retrieval", RetrievalConfig, retrieval),
             **{key: str(data[key]) for key in ("store_path", "template_name", "mode") if key in data},
         )

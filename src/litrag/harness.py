@@ -280,21 +280,66 @@ class ClusterStats:
         }
 
 
+def check_cluster_metric(m: Metric) -> None:
+    """Raise ValueError unless ``m`` is a distance metric or cosine, the
+    metrics cluster statistics are defined for."""
+    if not (m.is_distance or m.kind == "cosine"):
+        raise ValueError(f"cluster statistics need a distance metric or cosine, got {m.spec()!r}")
+
+
 def _cluster_distance(matrix, vec, m: Metric) -> np.ndarray:
-    """The distance of each row of ``matrix`` from ``vec``."""
-    if m.is_distance:
-        return score_rows(matrix, vec, m)
-    if m.kind == "cosine":
-        return 1.0 - score_rows(matrix, vec, m)
-    raise ValueError("cluster statistics need a distance metric or cosine")
+    """The distance of each row of ``matrix`` from ``vec``; cosine maps to 1 - cos."""
+    scores = score_rows(matrix, vec, m)
+    return scores if m.is_distance else 1.0 - scores
+
+
+# unit roundoff of float64
+_U64 = 2.0**-53
+
+
+def _euclidean_distances(centroids: np.ndarray) -> np.ndarray:
+    """Euclidean distances of every pair of ``centroids`` whose row index
+    is below the column index, from one Gram matrix: d^2 = |a|^2 + |b|^2 - 2 a.b.
+
+    Whatever order BLAS sums in, |fl(d^2) - d^2| <= gamma_{dim+3} (|a| + |b|)^2
+    with gamma_n = n u / (1 - n u) and u = 2^-53 (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., sec. 3.1). Wherever that
+    bound is not below 1e-10 fl(d^2), which includes every fl(d^2) <= 0,
+    the pair is recomputed directly by ``score_rows``. Centroids are means of
+    float32 rows, so no product underflows. Entries on and below the
+    diagonal are not meaningful.
+    """
+    sq = np.einsum("ij,ij->i", centroids, centroids)
+    d2 = sq[:, np.newaxis] + sq - 2.0 * (centroids @ centroids.T)
+    k = centroids.shape[1] + 3
+    gamma = k * _U64 / (1.0 - k * _U64)
+    norms = np.sqrt(sq)
+    loose = np.triu(gamma * np.square(norms[:, np.newaxis] + norms) >= 1e-10 * d2, 1)
+    distances = np.sqrt(np.maximum(d2, 0.0))
+    for i in np.flatnonzero(loose.any(axis=1)):
+        cols = np.flatnonzero(loose[i])
+        distances[i, cols] = score_rows(centroids[cols], centroids[i], Metric.euclidean())
+    return distances
 
 
 def cluster_stats(store: VectorStore, label_by: str, m: Metric) -> ClusterStats:
     """Per-label centroids, intra-cluster spread, inter-centroid distances.
 
     Records are grouped by the metadata key ``label_by``. Distance metrics
-    are used directly; cosine is mapped to the cosine distance (1 - cos).
+    are used directly; cosine is mapped to the cosine distance (1 - cos);
+    any other metric is a ValueError, raised before any work.
+
+    Counts, centroids (float64 means of each label's float32 rows, taken
+    in store order) and mean intra distances are the same bits whether a
+    label's rows form one run or not, and the same as those of the rows
+    upcast to float64 first. Inter-centroid distances are computed by
+    ``score_rows``, one centroid against the rest, except euclidean ones:
+    those come from one Gram matrix and may differ from the ``score_rows``
+    values by a few ulps (far below 1e-9 relative; see
+    ``_euclidean_distances``). The distance matrix is exactly symmetric
+    with a 0.0 diagonal.
     """
+    check_cluster_metric(m)
     records, matrix = store.rows()
     if not records:
         raise EmptyStore("cannot compute cluster statistics of an empty store")
@@ -312,20 +357,29 @@ def cluster_stats(store: VectorStore, label_by: str, m: Metric) -> ClusterStats:
     per_label: dict[str, LabelStats] = {}
     centroids = np.empty((len(labels), matrix.shape[1]))
     for i, label in enumerate(labels):
-        vectors = matrix[groups[label]].astype(np.float64)
-        centroids[i] = vectors.mean(axis=0)
+        rows = groups[label]
+        # ascending indices; one run of them (a per-document upsert) is sliced in place
+        if rows[-1] - rows[0] == len(rows) - 1:
+            vectors = matrix[rows[0] : rows[-1] + 1]
+        else:
+            vectors = matrix[rows]
+        centroids[i] = vectors.mean(axis=0, dtype=np.float64)
         per_label[label] = LabelStats(
-            count=len(vectors),
+            count=len(rows),
             centroid=tuple(centroids[i].tolist()),
             mean_intra_distance=float(np.mean(_cluster_distance(vectors, centroids[i], m))),
         )
 
-    # the upper triangle, mirrored: an exactly symmetric matrix with a 0.0 diagonal
     n = len(labels)
-    distances = np.zeros((n, n))
-    for i in range(n - 1):
-        row = _cluster_distance(centroids[i + 1 :], centroids[i], m)
-        distances[i, i + 1 :] = distances[i + 1 :, i] = row
+    if m.kind == "euclidean":
+        distances = _euclidean_distances(centroids)
+    else:
+        distances = np.zeros((n, n))
+        for i in range(n - 1):
+            distances[i, i + 1 :] = _cluster_distance(centroids[i + 1 :], centroids[i], m)
+    # the upper triangle, mirrored: an exactly symmetric matrix with a 0.0 diagonal
+    distances = np.triu(distances, 1)
+    distances += distances.T
 
     return ClusterStats(
         metric=m, labels=labels, per_label=per_label, inter_centroid_distances=distances.tolist()

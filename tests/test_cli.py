@@ -331,6 +331,17 @@ def test_stats_json(cli_env, capsys):
     assert out["mean_inter_centroid_distance"] > 0
 
 
+@pytest.mark.parametrize("metric", ["inner_product", "minkowski:0"])
+def test_stats_with_a_metric_it_cannot_use_is_usage_error(cli_env, capsys, metric):
+    with StubChatService() as chat:
+        config = _write_config(cli_env, chat.url)
+        code = main(["--config", config, "stats", "--metric", metric])
+    assert code == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ")
+
+
 def test_export_to_file_and_stdout(cli_env, tmp_path, capsys):
     with StubChatService() as chat:
         config = _write_config(cli_env, chat.url)

@@ -144,6 +144,25 @@ def test_validation_error_paths(tmp_path):
         load_config(_write(tmp_path, data), env={})
 
 
+@pytest.mark.parametrize(
+    "section, fields",
+    [("split", {"chunk_size": "900"}), ("retrieval", {"k": "4"})],
+)
+def test_a_mistyped_value_is_not_an_unknown_field(section, fields):
+    with pytest.raises(ValidationError) as err:
+        config_from_dict({**MINIMAL, section: fields}, env={})
+    assert err.value.field == section
+    assert "unknown or missing field" not in str(err.value)
+
+
+def test_an_unknown_key_is_an_unknown_field():
+    with pytest.raises(ValidationError) as err:
+        config_from_dict({**MINIMAL, "split": {"bogus": 1}}, env={})
+    assert err.value.field == "split"
+    assert "unknown or missing field" in str(err.value)
+    assert "bogus" in str(err.value)
+
+
 def test_save_load_round_trip(tmp_path):
     data = {
         "embedding": {"endpoint_url": "http://e/", "expected_dim": 48, "batch_size": 7},

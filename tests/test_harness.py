@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from litrag import harness
 from litrag.chain import QueryChain
@@ -27,7 +29,7 @@ from litrag.harness import (
     token_ratio_table,
 )
 from litrag.kb import KnowledgeBase
-from litrag.store import ChunkRecord, Metric, VectorStore
+from litrag.store import ChunkRecord, Metric, VectorStore, score_rows
 from litrag.testing import (
     StubChatService,
     StubEmbeddingService,
@@ -239,14 +241,17 @@ def test_ratio_limits_validated():
 # --- cluster stats ---------------------------------------------------------------------
 
 
-def _store_with(labeled_vectors):
+def _store_with(labeled_vectors, batch=None):
+    """A store of the vectors, labeled by doc_id: upserted at once, or, with
+    ``batch``, in alternating batches of that many rows per label, so that
+    no label's rows with more than ``batch`` of them form one run."""
     dim = len(next(iter(labeled_vectors.values()))[0])
     store = VectorStore(dim)
-    records = []
+    records = {label: [] for label in labeled_vectors}
     i = 0
     for label, vectors in labeled_vectors.items():
         for vec in vectors:
-            records.append(
+            records[label].append(
                 ChunkRecord(
                     chunk_id=f"c{i:03d}",
                     doc_id=label,
@@ -258,7 +263,13 @@ def _store_with(labeled_vectors):
                 )
             )
             i += 1
-    store.upsert(records)
+    if batch is None:
+        store.upsert([rec for recs in records.values() for rec in recs])
+        return store
+    for start in range(0, max(map(len, records.values())), batch):
+        for recs in records.values():
+            if recs[start : start + batch]:
+                store.upsert(recs[start : start + batch])
     return store
 
 
@@ -329,6 +340,124 @@ def test_cluster_stats_missing_label():
 def test_cluster_stats_empty_store():
     with pytest.raises(EmptyStore):
         cluster_stats(VectorStore(4), "doc_id", Metric.euclidean())
+
+
+CLUSTER_METRICS = ("euclidean", "manhattan", "chebyshev", "minkowski:3", "cosine")
+
+
+def _loop_cluster_stats(store, m):
+    """The row loop ``cluster_stats`` replaced, kept as its oracle: each
+    label's rows upcast to float64, and one ``score_rows`` call per centroid
+    for the inter-centroid distances. Returns the labels, (count, centroid,
+    mean intra distance) per label, and the distance matrix."""
+
+    def distance(matrix, vec):
+        scores = score_rows(matrix, vec, m)
+        return scores if m.is_distance else 1.0 - scores
+
+    records, matrix = store.rows()
+    groups = {}
+    for i, rec in enumerate(records):
+        groups.setdefault(rec.metadata["doc_id"], []).append(i)
+    labels = sorted(groups)
+    centroids = np.empty((len(labels), matrix.shape[1]))
+    per_label = {}
+    for i, label in enumerate(labels):
+        vectors = matrix[groups[label]].astype(np.float64)
+        centroids[i] = vectors.mean(axis=0)
+        intra = float(np.mean(distance(vectors, centroids[i])))
+        per_label[label] = (len(vectors), tuple(centroids[i].tolist()), intra)
+    n = len(labels)
+    distances = np.zeros((n, n))
+    for i in range(n - 1):
+        distances[i, i + 1 :] = distances[i + 1 :, i] = distance(centroids[i + 1 :], centroids[i])
+    return labels, per_label, distances
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "interleaved"])
+def test_cluster_stats_equals_the_row_loop_bit_for_bit(layout):
+    rng = np.random.default_rng(18)
+    labeled = {
+        f"doc{j}": (rng.standard_normal((int(rng.integers(4, 40)), 24)) * 10.0**j).tolist()
+        for j in range(-2, 4)
+    }
+    store = _store_with(labeled, batch=None if layout == "contiguous" else 3)
+    runs = [rec.doc_id for rec in store.rows()[0]]
+    runs = [label for k, label in enumerate(runs) if k == 0 or runs[k - 1] != label]
+    assert (len(runs) == len(labeled)) == (layout == "contiguous")
+
+    for spec in CLUSTER_METRICS:
+        m = Metric.parse(spec)
+        stats = cluster_stats(store, "doc_id", m)
+        labels, per_label, distances = _loop_cluster_stats(store, m)
+        assert stats.labels == labels
+        for label, (count, centroid, intra) in per_label.items():
+            got = stats.per_label[label]
+            assert (got.count, got.centroid, got.mean_intra_distance) == (count, centroid, intra)
+        got = np.array(stats.inter_centroid_distances)
+        if m.kind == "euclidean":
+            # from the Gram matrix: within a few ulps of the pairwise values
+            assert np.all(np.abs(got - distances) <= 1e-14 * distances)
+        else:
+            assert stats.inter_centroid_distances == distances.tolist()
+
+
+def test_near_coincident_centroids_take_the_direct_distance():
+    dim = 784
+    base = np.full(dim, 100.0)
+    base[0] = 0.0  # |base| = 100 sqrt(783), about 2,800
+    near = base.copy()
+    near[0] = 1e-6
+    store = _store_with({"a": [base.tolist()], "b": [near.tolist()], "c": [base.tolist()]})
+    _, matrix = store.rows()
+    centroids = matrix.astype(np.float64)
+    sq = np.einsum("ij,ij->i", centroids, centroids)
+    assert sq[0] + sq[1] - 2.0 * (centroids @ centroids.T)[0, 1] == 0.0  # the Gram form cancels
+
+    stats = cluster_stats(store, "doc_id", Metric.euclidean())
+    d = stats.inter_centroid_distances
+    step = float(np.float32(1e-6))  # 9.9999999748e-07
+    assert d[0][1] == d[1][0] == d[1][2] == d[2][1] == step
+    assert d[0][2] == d[2][0] == 0.0
+    assert d == _loop_cluster_stats(store, Metric.euclidean())[2].tolist()
+
+
+@st.composite
+def _labeled_vectors(draw):
+    """Labels with random sizes at one random scale; some are near or exact
+    duplicates of an earlier label, shifted by a fixed relative step."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(1, 24))
+    scale = 10.0 ** draw(st.sampled_from([-20, -3, 0, 3, 20]))
+    labeled = []
+    for _ in range(draw(st.integers(1, 8))):
+        if labeled and draw(st.booleans()):
+            src = labeled[int(rng.integers(len(labeled)))]
+            step = draw(st.sampled_from([0.0, 1e-4, 1e-3, 1e-2]))
+            rows = src + step * scale * rng.choice([-1.0, 1.0], size=dim)
+        else:
+            rows = rng.standard_normal((int(rng.integers(1, 10)), dim)) * scale
+        rows[~rows.any(axis=1), 0] = scale  # the store rejects a zero row
+        labeled.append(rows)
+    return {f"label{j}": rows.tolist() for j, rows in enumerate(labeled)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(labeled=_labeled_vectors(), interleaved=st.booleans())
+def test_euclidean_inter_distances_match_the_plain_loop(labeled, interleaved):
+    store = _store_with(labeled, batch=2 if interleaved else None)
+    quantized = {}
+    for rec in store.records():
+        quantized.setdefault(rec.doc_id, []).append(list(rec.embedding.values))
+    stats = cluster_stats(store, "doc_id", Metric.euclidean())
+    _, expected = brute_force_cluster_stats(quantized, "euclidean")
+    d = stats.inter_centroid_distances
+    for (a, b), value in expected.items():
+        i, j = stats.labels.index(a), stats.labels.index(b)
+        assert abs(d[i][j] - value) <= 1e-9 * value
+    n = len(stats.labels)
+    assert all(d[i][i] == 0.0 for i in range(n))
+    assert all(d[i][j] == d[j][i] for i in range(n) for j in range(n))
 
 
 # --- export ------------------------------------------------------------------------
