@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .citations import (
     CitationEntry,
@@ -44,7 +44,7 @@ from .errors import (
 )
 from .ingest import Chunk
 from .kb import KnowledgeBase
-from .store import ChunkRecord, ScoredRecord
+from .store import ScoredRecord
 
 logger = logging.getLogger(__name__)
 
@@ -246,7 +246,7 @@ def format_citation_block(citation_list: list[CitationEntry]) -> str:
     return "\n".join(entry.full_text for entry in citation_list)
 
 
-def assemble_mode1(original: ChunkRecord, citation_list: list[CitationEntry]) -> str:
+def assemble_mode1(original: Chunk, citation_list: list[CitationEntry]) -> str:
     """Original chunk text with a delimited citation block appended."""
     out = f"{original.text}\n\n{CITATION_BLOCK_HEADER}"
     block = format_citation_block(citation_list)
@@ -330,12 +330,13 @@ class QueryChain:
 
     # -- retrieval ---------------------------------------------------------
 
-    def _retrieve(self, question: str, k: int, use_mmr: bool) -> list[ScoredRecord]:
+    def _retrieve(self, question: str, k: int) -> list[ScoredRecord]:
+        retrieval = self.config.retrieval
         qvec = embed_texts([question], self.config.embedding, tokenizer=self.config.tokenizer)[0]
         try:
-            if use_mmr:
-                return self.kb.store.mmr_select(qvec, self.config.retrieval.mmr_params(k))
-            return self.kb.store.top_k(qvec, k, self.config.retrieval.sim1)
+            if retrieval.use_mmr:
+                return self.kb.store.mmr_select(qvec, replace(retrieval, k=k))
+            return self.kb.store.top_k(qvec, k, retrieval.sim1)
         except EmptyStore as exc:
             raise RetrievalEmpty(str(exc)) from exc
 
@@ -392,7 +393,6 @@ class QueryChain:
         question: str,
         *,
         k: int | None = None,
-        use_mmr: bool | None = None,
         template: PromptTemplate | str | None = None,
         mode: str | None = None,
         temperature: float | None = None,
@@ -407,24 +407,24 @@ class QueryChain:
         cfg = self.config
         mode = mode if mode is not None else cfg.mode
         k = k if k is not None else cfg.retrieval.k
-        use_mmr = use_mmr if use_mmr is not None else cfg.retrieval.use_mmr
         temperature = temperature if temperature is not None else cfg.chat.temperature
-        if isinstance(template, str):
-            tpl = get_template(template)
-        elif template is not None:
-            tpl = template
-        else:
-            # Pair the configured template with the mode: mode2 needs the
-            # {citation-list} slot, the other modes must not reference it.
+        # mode2 needs the {citation-list} slot and the other modes must not
+        # reference it: the configured template is swapped for one that fits,
+        # and an explicit one that does not fit is refused before any request.
+        needs_list = mode == "mode2"
+        if template is None:
             tpl = get_template(cfg.template_name)
-            if mode == "mode2" and "citation-list" not in tpl.slots():
-                tpl = get_template("custom_citation")
-            elif mode != "mode2" and "citation-list" in tpl.slots():
-                tpl = get_template("qa_context")
+            if ("citation-list" in tpl.slots()) != needs_list:
+                tpl = get_template("custom_citation" if needs_list else "qa_context")
+        else:
+            tpl = get_template(template) if isinstance(template, str) else template
+            if ("citation-list" in tpl.slots()) != needs_list:
+                raise MissingSlot(
+                    f"template {tpl.name!r} does not fit mode {mode!r}: mode2 needs the "
+                    "{citation-list} slot and the other modes must not reference it"
+                )
 
-        retrieved = self._retrieve(question, k, use_mmr)
-        if not retrieved:
-            raise RetrievalEmpty("retrieval returned no chunks")
+        retrieved = self._retrieve(question, k)
 
         question_full = question
         if tpl.supplement:

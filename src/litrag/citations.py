@@ -294,7 +294,7 @@ def build_auxiliary_index(doc: Document) -> AuxIndex:
     )
 
 
-def locate_expanded_chunk(aux: AuxIndex, original) -> Chunk:
+def locate_expanded_chunk(aux: AuxIndex, original: Chunk) -> Chunk:
     """The expanded chunk containing (most of) the original chunk: the one
     with maximal span overlap, ties breaking toward the earlier chunk."""
     if original.doc_id != aux.doc_id:

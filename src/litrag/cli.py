@@ -226,9 +226,5 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_FAILURE
 
 
-def entrypoint() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entrypoint()
+    sys.exit(main())

@@ -62,25 +62,13 @@ class ChatConfig:
 
 
 @dataclass(frozen=True)
-class RetrievalConfig:
+class RetrievalConfig(MMRParams):
+    """MMR's parameters with the engine's defaults, and whether to use MMR
+    at all (best-first ``top_k`` under ``sim1`` when not)."""
+
+    lambda_: float = 0.7
     k: int = 4
     use_mmr: bool = True
-    lambda_: float = 0.7
-    fetch_n: int | None = None
-    sim1: Metric = Metric("cosine")
-    sim2: Metric = Metric("cosine")
-
-    def __post_init__(self):
-        self.mmr_params()  # MMRParams validates k, lambda_ and fetch_n
-
-    def mmr_params(self, k: int | None = None) -> MMRParams:
-        return MMRParams(
-            lambda_=self.lambda_,
-            k=k if k is not None else self.k,
-            fetch_n=self.fetch_n,
-            sim1=self.sim1,
-            sim2=self.sim2,
-        )
 
 
 @dataclass(frozen=True)

@@ -103,11 +103,11 @@ def post_json(url: str, payload: dict, error: type[LitragError], timeout: float)
     Each attempt opens a fresh ``http.client`` connection, whose ``timeout``
     bounds every socket operation. A failed connect, a connection dropped
     before the status line, a 5xx and a 429 are retried once, after
-    ``_RETRY_BASE_S``. Everything else fails at once: another status >= 400
-    cannot clear, and after a read timeout, or a reply cut off in its body,
-    the service already has the request, so a retry would double the wait.
-    A 3xx is not followed. Every failure raises ``error``; checking the
-    reply's shape is left to the caller.
+    ``_RETRY_BASE_S``. Everything else fails at once: another status >= 300
+    cannot clear (a 3xx is not followed; only a 2xx is a reply), and after a
+    read timeout, or a reply cut off in its body, the service already has the
+    request, so a retry would double the wait. Every failure raises
+    ``error``; checking the reply's shape is left to the caller.
     """
     parts = urlsplit(url)
     connection = HTTPSConnection if parts.scheme == "https" else HTTPConnection
@@ -148,7 +148,7 @@ def _exchange(conn: HTTPConnection, target: str, body: bytes, url: str, error):
         data = resp.read()
     except (OSError, HTTPException) as exc:  # a timeout or a cut-off inside the body
         raise error(f"reading the reply from {url} failed: {exc!r}") from exc
-    if resp.status < 400:
+    if resp.status < 300:
         try:
             return json.loads(data)
         except ValueError as exc:
@@ -224,37 +224,29 @@ def embed_texts(
     batches = [
         texts[i : i + config.batch_size] for i in range(0, len(texts), config.batch_size)
     ]
-    results: list[list[EmbeddingVector] | None] = [None] * len(batches)
-    errors: dict[int, ServiceUnreachable] = {}
 
-    def collect(i: int, call) -> None:
+    def attempt(batch: list[str]) -> list[EmbeddingVector] | ServiceUnreachable:
         try:
-            results[i] = call()
+            return _post_batch(config, batch)
         except ServiceUnreachable as exc:
-            errors[i] = exc
+            return exc
 
     if len(batches) == 1:  # a lone batch, as in every query, starts no worker thread
-        collect(0, lambda: _post_batch(config, batches[0]))
+        outcomes = [attempt(batches[0])]
     else:
         with ThreadPoolExecutor(max_workers=config.max_parallel_requests) as pool:
-            futures = [pool.submit(_post_batch, config, batch) for batch in batches]
-            for i, fut in enumerate(futures):
-                collect(i, fut.result)
+            outcomes = list(pool.map(attempt, batches))
 
-    if errors:
-        if len(errors) == len(batches):
-            raise ServiceUnreachable(
-                f"all {len(batches)} embedding batches failed: {next(iter(errors.values()))}"
-            )
-        failed_inputs = []
-        for i in sorted(errors):
-            start = i * config.batch_size
-            failed_inputs.extend(range(start, min(start + config.batch_size, len(texts))))
+    failed = [i for i, out in enumerate(outcomes) if isinstance(out, ServiceUnreachable)]
+    if len(failed) == len(batches):
+        raise ServiceUnreachable(f"all {len(batches)} embedding batches failed: {outcomes[0]}")
+    if failed:
+        failed_inputs = [i * config.batch_size + j for i in failed for j in range(len(batches[i]))]
         raise PartialFailure(
-            f"{len(errors)} of {len(batches)} embedding batches failed", failed_inputs
+            f"{len(failed)} of {len(batches)} embedding batches failed", failed_inputs
         )
 
-    vectors = [v for batch in results for v in batch]  # type: ignore[union-attr]
+    vectors = [v for batch in outcomes for v in batch]
     for i, vec in enumerate(vectors):
         if vec.dim != config.expected_dim:
             raise DimensionMismatch(

@@ -98,11 +98,7 @@ def build_knowledge_base(
         store.upsert(
             [
                 ChunkRecord(
-                    chunk_id=chunk.chunk_id,
-                    doc_id=chunk.doc_id,
-                    text=chunk.text,
-                    start_offset=chunk.start_offset,
-                    end_offset=chunk.end_offset,
+                    **vars(chunk),
                     embedding=vectors[i],
                     metadata={"source": source, "doc_id": doc.doc_id, "title": doc.title},
                 )

@@ -33,13 +33,13 @@ rounding q to float32 and float32 underflow included. The store doubles that
 band to also cover the einsum's own rounding and the cosine division, keeps
 every row whose upper bound reaches the k-th largest lower bound, and
 re-scores only those with the einsum; a query that is not finite, or large
-enough that the gemv might overflow, keeps every row. Since a row's einsum
-value is the same in any subset, the ranking is exact: the same ids and
-score bits as an einsum over every row. The distance metrics score every
-row. The store keeps each row's float64 norm next to the matrix (computed
-per upsert batch and once at ``open``, never persisted), so cosine needs no
-per-query norm pass, and ranking partitions to the k best rows before
-sorting.
+enough that the gemv might overflow, keeps every row, as does a gemv that
+comes back not finite. Since a row's einsum value is the same in any subset,
+the ranking is exact: the same ids and score bits as an einsum over every
+row. The distance metrics score every row. The store keeps each row's
+float64 norm next to the matrix (computed per upsert batch and once at
+``open``, never persisted), so cosine needs no per-query norm pass, and
+ranking partitions to the k best rows before sorting.
 
 On-disk layout (one directory per store):
     header.json   {"dimension", "record_count", "format_version", "checksum"}
@@ -71,6 +71,7 @@ from .errors import (
     NonFiniteVector,
     ZeroVector,
 )
+from .ingest import Chunk
 
 FORMAT_VERSION = 1
 
@@ -174,8 +175,9 @@ def score_rows(matrix: np.ndarray, vec, m: Metric, norms: np.ndarray | None = No
     zero rows); cosine uses it instead of norming every row again, and
     checks rows for zero only when it norms them itself.
 
-    The only implementation of the metric formulas; every other score in
-    litrag comes from here. Shapes are the caller's to check.
+    The one per-row scorer. Cluster statistics take euclidean inter-centroid
+    distances from a Gram matrix instead, which falls back to this function
+    where its error bound is loose. Shapes are the caller's to check.
     """
     vec = np.asarray(vec, dtype=np.float64)
     if m.kind in _SIMILARITY_KINDS:
@@ -214,8 +216,9 @@ def similarity(x, y, m: Metric) -> float:
 
 
 @dataclass(frozen=True)
-class ChunkRecord:
-    """A stored chunk: text span, embedding and provenance metadata.
+class ChunkRecord(Chunk):
+    """A stored chunk: a :class:`~litrag.ingest.Chunk`, whose span maps it
+    onto its expanded chunk, with an embedding and provenance metadata.
 
     ``upsert`` takes records with an embedding. Once stored, the embedding
     lives only as the record's matrix row: the store keeps the record with
@@ -224,16 +227,8 @@ class ChunkRecord:
     ``metadata`` must include a "source" key naming the source document.
     The store keeps it as a read-only mapping (``types.MappingProxyType``)
     over its own copy; ``dict(rec.metadata)`` gives a plain dict.
-    The offsets are required: ``[start_offset, end_offset)`` is the chunk's
-    span in the document body, and the citation guard maps a chunk onto its
-    expanded chunk by that span alone.
     """
 
-    chunk_id: str
-    doc_id: str
-    text: str
-    start_offset: int
-    end_offset: int
     embedding: EmbeddingVector | None
     metadata: Mapping[str, object] = field(default_factory=dict)
 
@@ -390,7 +385,8 @@ class VectorStore:
         inner_product, ascending: every row of the exact top k and its ties.
         The band is the module docstring's bound, doubled. A query that is
         not finite, or that the float32 gemv might overflow on, keeps every
-        row, so that :func:`score_rows` meets it as it would in a full scan.
+        row, so that :func:`score_rows` meets it as it would in a full scan;
+        so does a gemv value that is not finite.
         """
         n = self._dim
         qn = float(_row_norms(query[np.newaxis])[0])
@@ -400,7 +396,12 @@ class VectorStore:
         gamma = n * _U32 / (1.0 - n * _U32)
         tiny = 4.0 * _ETA32 * n  # the doubled underflow term: band = wide ||r|| + tiny
         wide = 2.0 * (gamma * (1.0 + _U32) + _U32) * qn + tiny
-        approx = self._matrix @ query.astype(np.float32)
+        # under that guard and bound no flag the gemv raises is the arithmetic's (a
+        # BLAS kernel may leave one); a value not finite keeps every row, not a NaN band
+        with np.errstate(invalid="ignore", over="ignore"):
+            approx = self._matrix @ query.astype(np.float32)
+        if not np.isfinite(approx).all():
+            return np.arange(len(self._norms))
         if m.kind == "cosine":  # cosine times ||q||, which ranks the same
             approx = approx / self._norms
             band = wide + tiny / self._norms

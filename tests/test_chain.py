@@ -399,6 +399,32 @@ def test_chat_reply_without_text_fails(built_kb, mode):
         assert len(chat.requests) == 1
 
 
+@pytest.mark.parametrize(
+    "template, mode",
+    [("qa_context", "mode2"), ("custom_citation", "plain"), ("custom_citation", "mode1")],
+)
+def test_an_explicit_template_that_does_not_fit_the_mode_is_refused_before_any_request(
+    built_kb, template, mode
+):
+    with StubEmbeddingService(dim=DIM) as emb, StubChatService(echo_citations_responder()) as chat:
+        chain, truths = _chain(built_kb, emb.url, chat.url)
+        with pytest.raises(MissingSlot, match=rf"'{template}'.*'{mode}'.*\{{citation-list\}}"):
+            chain.answer(question_for(truths["paper-00"]), template=template, mode=mode)
+        assert emb.requests == [] and chat.requests == []
+
+
+def test_best_first_retrieval_takes_a_k_above_fetch_n(built_kb):
+    from litrag.config import RetrievalConfig
+
+    with StubEmbeddingService(dim=DIM) as emb, StubChatService() as chat:
+        retrieval = RetrievalConfig(use_mmr=False, fetch_n=5)
+        chain, truths = _chain(built_kb, emb.url, chat.url, retrieval=retrieval)
+        bundle = chain.answer(question_for(truths["paper-01"]), k=8, mode="plain")
+        assert len(bundle.retrieved) == 8
+        scores = [sr.score for sr in bundle.retrieved]
+        assert scores == sorted(scores, reverse=True)
+
+
 def test_empty_store_raises_retrieval_empty(tmp_path):
     from litrag.store import VectorStore
 

@@ -187,6 +187,19 @@ def test_query_mode_flag(cli_env, capsys):
     assert out["verification"] is None
 
 
+def test_query_with_a_template_that_does_not_fit_the_mode_is_a_runtime_error(cli_env, capsys):
+    question = question_for(cli_env["truths"]["paper-00"])
+    sent = len(cli_env["embed"].requests)
+    with StubChatService(echo_citations_responder()) as chat:
+        config = _write_config(cli_env, chat.url)  # mode2, the default
+        code = main(["--config", config, "query", "--question", question, "--template", "qa_context"])
+        assert chat.requests == []
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "'qa_context'" in err and "{citation-list}" in err
+    assert len(cli_env["embed"].requests) == sent
+
+
 def test_query_temperature_flag_reaches_the_wire(cli_env, capsys):
     question = question_for(cli_env["truths"]["paper-02"])
     with StubChatService(echo_citations_responder()) as chat:

@@ -228,6 +228,37 @@ def test_reply_indexes_must_number_the_inputs():
         assert len(svc.requests) == 1
 
 
+def test_failed_indexes_of_a_short_last_batch_stop_at_the_last_input():
+    with StubEmbeddingService(dim=8, fail_when=lambda texts: "poison" in texts) as svc:
+        texts = ["a", "b", "c", "d", "e", "f", "poison"]
+        with pytest.raises(PartialFailure) as err:
+            embed_texts(texts, _config(svc, batch_size=3))
+        assert err.value.failed_indexes == [6]
+
+
+def test_a_redirect_with_a_well_formed_embedding_body_is_not_a_reply():
+    class Redirecting(StubEmbeddingService):
+        def handle_payload(self, payload):
+            return 302, super().handle_payload(payload)[1]
+
+    with Redirecting(dim=8) as svc:
+        with pytest.raises(ServiceUnreachable, match="status 302"):
+            embed_texts(["alpha"], _config(svc))
+        assert len(svc.requests) == 1
+
+
+def test_a_redirect_with_a_well_formed_chat_body_is_not_a_reply():
+    class Redirecting(StubChatService):
+        def handle_payload(self, payload):
+            return 301, super().handle_payload(payload)[1]
+
+    with Redirecting() as chat:
+        cfg = default_config("http://127.0.0.1:1/embeddings", chat.url)
+        with pytest.raises(ChatServiceFailed, match="status 301"):
+            chat_completion(cfg, "a prompt", 0.1)
+        assert len(chat.requests) == 1
+
+
 def test_oversize_inputs_logged_but_sent(caplog):
     with StubEmbeddingService(dim=8) as svc:
         config = _config(svc, em_token_limit=4)

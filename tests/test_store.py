@@ -1,12 +1,14 @@
 import math
 import random
-from dataclasses import replace
+import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from litrag.config import RetrievalConfig
 from litrag.embedding import EmbeddingVector
 from litrag.errors import (
     CorruptStore,
@@ -16,6 +18,7 @@ from litrag.errors import (
     InvalidLambda,
     ZeroVector,
 )
+from litrag.ingest import Chunk
 from litrag.store import (
     ChunkRecord,
     Metric,
@@ -185,6 +188,13 @@ def test_cosine_bounds_symmetry_scale_invariance(data, dim):
 
 
 # --- upsert ----------------------------------------------------------------------
+
+
+def test_a_record_is_a_chunk_with_an_embedding_and_metadata():
+    assert [f.name for f in fields(ChunkRecord)] == [
+        "chunk_id", "doc_id", "text", "start_offset", "end_offset", "embedding", "metadata"
+    ]
+    assert isinstance(_record("c1", [1.0, 0.0]), Chunk)
 
 
 def test_upsert_insert_and_replace():
@@ -694,6 +704,38 @@ def test_float32_order_that_differs_from_float64_does_not_decide_the_top_row():
     assert [(sr.record.chunk_id, sr.score.hex()) for sr in mmr] == [("a", exact[0].hex())]
 
 
+class _NaNTopRow(np.ndarray):
+    """A float32 matrix whose gemv comes back with row ``top`` as inf - inf:
+    a NaN, which a BLAS kernel's stray invalid flag might stand for."""
+
+    top = 0
+
+    def __matmul__(self, other):
+        out = np.asarray(self) @ other
+        out[self.top] = np.float32(np.inf) - np.float32(np.inf)
+        return out
+
+
+@pytest.mark.parametrize("kind", ["cosine", "inner_product"])
+def test_a_gemv_that_is_not_finite_keeps_every_row(kind):
+    rng = np.random.default_rng(7)
+    store = VectorStore(16)
+    store.upsert([_record(f"c{i:02d}", rng.standard_normal(16).tolist()) for i in range(40)])
+    query, m = rng.standard_normal(16).tolist(), Metric(kind)
+    params = MMRParams(lambda_=0.7, k=4, fetch_n=12, sim1=m, sim2=m)
+    expected_top = [(cid, score.hex()) for cid, score in _full_scan(store, query, 4, m)]
+    expected_mmr = _full_scan_mmr(store, query, params)
+    records, matrix = store.rows()
+    store._matrix = matrix.view(_NaNTopRow)
+    store._matrix.top = [rec.chunk_id for rec in records].index(expected_top[0][0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        top = store.top_k(query, 4, m)
+        mmr = store.mmr_select(query, params)
+    assert [(sr.record.chunk_id, sr.score.hex()) for sr in top] == expected_top
+    assert [(sr.record.chunk_id, sr.score.hex()) for sr in mmr] == expected_mmr
+
+
 # --- mmr_select --------------------------------------------------------------------
 
 
@@ -725,6 +767,15 @@ def test_mmr_frozen_fixture():
     assert [sr.record.chunk_id for sr in result] == MMR_FIXTURE_ORDER
     for sr, expected in zip(result, MMR_FIXTURE_SCORES):
         assert sr.score == pytest.approx(expected, rel=1e-9)
+
+
+def test_a_retrieval_config_selects_as_the_equal_mmr_params():
+    store, _ = _random_store(random.Random(11), 60, 8)
+    query = [random.Random(12).uniform(-1, 1) for _ in range(8)]
+    cfg = RetrievalConfig(lambda_=0.5, k=5, fetch_n=20, sim2=Metric.euclidean(), use_mmr=True)
+    params = MMRParams(lambda_=0.5, k=5, fetch_n=20, sim2=Metric.euclidean())
+    picked = [(sr.record.chunk_id, sr.score.hex()) for sr in store.mmr_select(query, cfg)]
+    assert picked == [(sr.record.chunk_id, sr.score.hex()) for sr in store.mmr_select(query, params)]
 
 
 def test_mmr_lambda_one_equals_top_k():
