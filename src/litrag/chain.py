@@ -331,12 +331,13 @@ class QueryChain:
     # -- retrieval ---------------------------------------------------------
 
     def _retrieve(self, question: str, k: int) -> list[ScoredRecord]:
-        retrieval = self.config.retrieval
+        # built first, so that a k the configured MMR pool cannot hold is refused before any request
+        params = replace(self.config.retrieval, k=k)
         qvec = embed_texts([question], self.config.embedding, tokenizer=self.config.tokenizer)[0]
         try:
-            if retrieval.use_mmr:
-                return self.kb.store.mmr_select(qvec, replace(retrieval, k=k))
-            return self.kb.store.top_k(qvec, k, retrieval.sim1)
+            if params.use_mmr:
+                return self.kb.store.mmr_select(qvec, params)
+            return self.kb.store.top_k(qvec, k, params.sim1)
         except EmptyStore as exc:
             raise RetrievalEmpty(str(exc)) from exc
 

@@ -11,6 +11,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import harness
@@ -99,6 +100,11 @@ def _cmd_ingest(args, config) -> int:
 
 def _cmd_query(args, config) -> int:
     _positive(args.k, "--k")
+    if args.k is not None:
+        try:
+            replace(config.retrieval, k=args.k)
+        except ValueError as exc:  # a --k above the configured MMR pool
+            raise UsageError(f"--k {args.k}: {exc}") from exc
     if args.temperature is not None and args.temperature < 0:
         raise UsageError("--temperature must be >= 0")
     kb = KnowledgeBase.open(config.store_path)

@@ -70,6 +70,10 @@ class RetrievalConfig(MMRParams):
     k: int = 4
     use_mmr: bool = True
 
+    def _check_pool(self) -> None:
+        if self.use_mmr:  # best-first retrieval never reads fetch_n
+            super()._check_pool()
+
 
 @dataclass(frozen=True)
 class EngineConfig:

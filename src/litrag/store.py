@@ -263,6 +263,9 @@ class MMRParams:
             raise InvalidLambda(f"lambda must be within [0, 1], got {self.lambda_}")
         if self.k <= 0:
             raise ValueError("k must be positive")
+        self._check_pool()
+
+    def _check_pool(self) -> None:
         if self.fetch_n is not None and self.fetch_n < self.k:
             raise ValueError("fetch_n must be >= k")
 
@@ -290,11 +293,15 @@ def _check_record(rec: ChunkRecord) -> None:
 class VectorStore:
     """Exhaustive exact vector index over ChunkRecords.
 
-    Row i of the read-only matrix is record i's embedding. An upsert swaps in
-    a new matrix instead of writing the old one, so concurrent readers are
-    safe against a single writer and never observe a partially applied
-    upsert, even through a matrix taken before it. Persisting requires
-    quiescence (no in-flight writes), which the internal lock enforces.
+    Row i of the read-only matrix is record i's embedding. The matrix is the
+    first N rows of a buffer with spare capacity, and a published row is
+    never written: an upsert that only appends writes past the published end,
+    and one that replaces a row copies into a fresh buffer. So concurrent
+    readers are safe against a single writer and never observe a partially
+    applied upsert, even through a matrix taken before it. The buffer grows
+    by doubling, so a build by per-document upserts copies each row a
+    constant number of times on average. Persisting requires quiescence (no
+    in-flight writes), which the internal lock enforces.
     """
 
     def __init__(self, dim: int):
@@ -304,9 +311,14 @@ class VectorStore:
         self._lock = threading.RLock()
         self._records: list[ChunkRecord] = []
         self._index: dict[str, int] = {}
-        self._matrix = np.empty((0, dim), dtype=np.float32)
-        self._matrix.flags.writeable = False
-        self._norms = np.empty(0)  # _row_norms(self._matrix), swapped in with it
+        self._publish(np.empty((0, dim), dtype=np.float32), np.empty(0), 0)
+
+    def _publish(self, buf: np.ndarray, nbuf: np.ndarray, n: int) -> None:
+        """Make rows ``buf[:n]`` the matrix and ``nbuf[:n]``, their
+        ``_row_norms``, its norms; the rows past n are spare capacity."""
+        self._buf, self._nbuf = buf, nbuf
+        self._matrix, self._norms = buf[:n], nbuf[:n]
+        self._matrix.flags.writeable = self._norms.flags.writeable = False
 
     @property
     def dim(self) -> int:
@@ -342,6 +354,8 @@ class VectorStore:
         no embedding may overflow float32 or round to zero in it (cosine is
         undefined for a zero row).
         """
+        if not records:  # nothing to write; the buffer choice below needs a slot
+            return 0
         for rec in records:
             if rec.embedding.dim != self._dim:
                 raise DimensionMismatch(
@@ -362,20 +376,27 @@ class VectorStore:
             raise ZeroVector(f"record {records[zero[0]].chunk_id!r} has a zero embedding")
         batch_norms = _row_norms(batch)
         with self._lock:
+            published = len(self._records)
             slots = [self._index.setdefault(rec.chunk_id, len(self._index)) for rec in records]
             for i, rec in zip(slots, records):
                 # replaces record i, or appends when i is one past the end
                 self._records[i : i + 1] = [
                     replace(rec, embedding=None, metadata=MappingProxyType(dict(rec.metadata)))
                 ]
-            matrix = np.empty((len(self._records), self._dim), dtype=np.float32)
-            matrix[: len(self._matrix)] = self._matrix
-            matrix[slots] = batch
-            matrix.flags.writeable = False
-            norms = np.empty(len(self._records))
-            norms[: len(self._norms)] = self._norms
-            norms[slots] = batch_norms
-            self._matrix, self._norms = matrix, norms
+            n, capacity = len(self._records), len(self._buf)
+            buf, nbuf = self._buf, self._nbuf
+            # only an append that fits writes in place, past the published rows; a replace
+            # or an overflow copies, so no row a reader may hold is ever written
+            if min(slots) < published or n > capacity:
+                if n > capacity:
+                    capacity = max(64, 2 * capacity, n)
+                buf = np.empty((capacity, self._dim), dtype=np.float32)
+                buf[:published] = self._matrix
+                nbuf = np.empty(capacity)
+                nbuf[:published] = self._norms
+            buf[slots] = batch
+            nbuf[slots] = batch_norms
+            self._publish(buf, nbuf, n)
             return len(records)
 
     # --- retrieval -------------------------------------------------------
@@ -574,8 +595,8 @@ class VectorStore:
             except (ValueError, KeyError, TypeError) as exc:
                 raise CorruptStore(f"records.jsonl line {i + 1} is invalid: {exc!r}") from exc
             store._records.append(rec)
-        store._matrix = np.frombuffer(matrix_bytes, dtype="<f4").reshape(count, dim)
-        store._norms = _row_norms(store._matrix)
+        matrix = np.frombuffer(matrix_bytes, dtype="<f4").reshape(count, dim)
+        store._publish(matrix, _row_norms(matrix), count)
         bad = np.flatnonzero(~(np.isfinite(store._norms) & (store._norms > 0.0)))
         if bad.size:
             raise CorruptStore(

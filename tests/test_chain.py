@@ -425,6 +425,43 @@ def test_best_first_retrieval_takes_a_k_above_fetch_n(built_kb):
         assert scores == sorted(scores, reverse=True)
 
 
+def test_a_config_file_with_mmr_off_takes_a_k_above_fetch_n(built_kb, tmp_path):
+    import json
+
+    from litrag.config import RetrievalConfig, load_config
+
+    store_root, truths = built_kb
+    with StubEmbeddingService(dim=DIM) as emb, StubChatService() as chat:
+        path = tmp_path / "engine.conf"
+        path.write_text(
+            json.dumps(
+                {
+                    "embedding": {"endpoint_url": emb.url, "expected_dim": DIM},
+                    "chat": {"endpoint_url": chat.url},
+                    "retrieval": {"k": 8, "use_mmr": False, "mmr": {"fetch_n": 5}},
+                    "store_path": str(store_root),
+                }
+            )
+        )
+        cfg = load_config(path, env={})
+        assert cfg.retrieval == RetrievalConfig(k=8, fetch_n=5, use_mmr=False)
+        chain = QueryChain(KnowledgeBase.open(store_root), cfg)
+        bundle = chain.answer(question_for(truths["paper-01"]), mode="plain")
+        assert len(bundle.retrieved) == 8
+        scores = [sr.score for sr in bundle.retrieved]
+        assert scores == sorted(scores, reverse=True)
+
+
+def test_a_k_above_the_mmr_pool_is_refused_before_any_request(built_kb):
+    from litrag.config import RetrievalConfig
+
+    with StubEmbeddingService(dim=DIM) as emb, StubChatService() as chat:
+        chain, truths = _chain(built_kb, emb.url, chat.url, retrieval=RetrievalConfig(fetch_n=5))
+        with pytest.raises(ValueError, match="fetch_n must be >= k"):
+            chain.answer(question_for(truths["paper-01"]), k=8, mode="plain")
+        assert emb.requests == [] and chat.requests == []
+
+
 def test_empty_store_raises_retrieval_empty(tmp_path):
     from litrag.store import VectorStore
 

@@ -79,6 +79,26 @@ def test_query_k_zero_is_usage_error(cli_env, capsys):
     assert code == 64
 
 
+def test_query_k_above_the_mmr_pool_is_usage_error(cli_env, tmp_path, capsys):
+    # the store path does not exist: the --k is refused before the KB is opened
+    sent = len(cli_env["embed"].requests)
+    with StubChatService() as chat:
+        cfg = default_config(cli_env["embed"].url, chat.url)
+        config = _write_config(
+            cli_env,
+            chat.url,
+            retrieval=replace(cfg.retrieval, fetch_n=10),
+            store_path=str(tmp_path / "no-kb"),
+        )
+        code = main(["--config", config, "query", "--question", "q", "--k", "12"])
+        assert chat.requests == []
+    captured = capsys.readouterr()
+    assert code == 64
+    assert captured.out == ""
+    assert captured.err == "usage error: --k 12: fetch_n must be >= k\n"
+    assert len(cli_env["embed"].requests) == sent
+
+
 def test_missing_config_is_runtime_error(capsys, tmp_path):
     code = main(["--config", str(tmp_path / "none.conf"), "tokens"])
     assert code == 1

@@ -339,6 +339,109 @@ def test_rows_snapshot_keeps_the_row_an_upsert_replaces():
     assert store.rows()[1].tolist() == [[5.0, 5.0], [0.0, 1.0]]
 
 
+def test_rows_snapshots_survive_an_append_and_a_replace():
+    store = VectorStore(2)
+    store.upsert([_record("a", [1, 0]), _record("b", [0, 1])])
+    _, before_append = store.rows()
+    store.upsert([_record("c", [2, 2])])
+    _, before_replace = store.rows()
+    store.upsert([_record("b", [7, 7]), _record("d", [3, 3])])
+    assert before_append.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    assert before_replace.tolist() == [[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]]
+    assert store.rows()[1].tolist() == [[1.0, 0.0], [7.0, 7.0], [2.0, 2.0], [3.0, 3.0]]
+    for matrix in (before_append, before_replace, store.rows()[1]):
+        assert matrix.flags.writeable is False
+    # the append wrote past the published rows instead of copying them
+    assert np.shares_memory(before_append, before_replace)
+    assert not np.shares_memory(before_replace, store.rows()[1])
+
+
+def test_per_document_appends_reallocate_the_buffer_a_logarithmic_number_of_times():
+    # kb-large's build: 175 documents of 46 chunks, one upsert each
+    store, buffers, n = VectorStore(3), {}, 0
+    for doc in range(175):
+        store.upsert([_record(f"d{doc}c{i}", [doc + 1, i, 1]) for i in range(46)])
+        n += 46
+        buffers[id(store._buf)] = store._buf  # kept alive, so no id is reused
+        assert len(store) == n <= len(store._buf) <= max(64, 2 * n)
+    assert len(buffers) <= 8
+
+
+_GROWTH_STEP = st.tuples(
+    st.integers(0, 80),  # new chunk_ids
+    st.integers(0, 12),  # chunk_ids to replace, as many as the store holds
+    st.booleans(),  # new and replaced records interleaved, or the new ones last
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    steps=st.lists(_GROWTH_STEP, min_size=1, max_size=10),
+    reopen_after=st.integers(0, 10),
+    dim=st.sampled_from([1, 3, 16]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_store_growth_matches_a_dict_model(steps, reopen_after, dim, seed):
+    import tempfile
+    from pathlib import Path
+
+    from litrag.store import _row_norms
+
+    rng = np.random.default_rng(seed)
+    model, store, snapshots, fresh = {}, VectorStore(dim), [], 0
+
+    def round_trip(target, path):
+        _, matrix = target.rows()
+        target.persist(path)
+        written = (path / "matrix.bin").read_bytes()
+        assert len(written) == len(model) * dim * 4
+        assert written == matrix.tobytes()
+        opened = VectorStore.open(path)
+        assert opened.rows()[1].tobytes() == written
+        return opened
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for step, (new, replaced, interleave) in enumerate(steps):
+            ids = rng.permutation(list(model))[:replaced].tolist()
+            ids += [f"c{fresh + i:04d}" for i in range(new)]
+            fresh += new
+            if interleave:
+                rng.shuffle(ids)
+            rows = rng.standard_normal((len(ids), dim)).astype(np.float32)
+            rows[~rows.any(axis=1), 0] = 1.0  # the store rejects a zero row
+            store.upsert([_record(cid, row.tolist()) for cid, row in zip(ids, rows)])
+            model.update((cid, row.tolist()) for cid, row in zip(ids, rows))
+
+            records, matrix = store.rows()
+            assert [r.chunk_id for r in records] == list(model)
+            assert matrix.tolist() == list(model.values())
+            assert store._norms.tobytes() == _row_norms(store._matrix).tobytes()
+            assert len(store._buf) <= max(64, 2 * len(store))
+            snapshots.append((matrix, matrix.tobytes()))
+            if step == reopen_after:
+                store = round_trip(store, Path(tmp) / "mid")
+        reopened = round_trip(store, Path(tmp) / "end")
+
+    # a published row is never written, so no snapshot ever changes
+    for matrix, data in snapshots:
+        assert matrix.flags.writeable is False and matrix.tobytes() == data
+    if not model:
+        return
+    whole = VectorStore(dim)
+    whole.upsert([_record(cid, row) for cid, row in model.items()])
+    query = rng.standard_normal(dim).tolist()
+    k = int(rng.integers(1, len(model) + 1))
+    params = MMRParams(lambda_=0.7, k=k, fetch_n=min(len(model), 2 * k))
+    for target in (store, reopened):
+        for m in (Metric.cosine(), Metric.euclidean()):
+            assert [(sr.record.chunk_id, sr.score.hex()) for sr in target.top_k(query, k, m)] == [
+                (sr.record.chunk_id, sr.score.hex()) for sr in whole.top_k(query, k, m)
+            ]
+        assert [(sr.record.chunk_id, sr.score.hex()) for sr in target.mmr_select(query, params)] == [
+            (sr.record.chunk_id, sr.score.hex()) for sr in whole.mmr_select(query, params)
+        ]
+
+
 # --- top_k ----------------------------------------------------------------------
 
 
