@@ -38,6 +38,7 @@ from .errors import (
     BudgetExceeded,
     ChatServiceFailed,
     EmptyStore,
+    InvalidParams,
     MissingSlot,
     RetrievalEmpty,
     UnknownSlot,
@@ -233,7 +234,7 @@ def budget_check(
     """Token accounting for an assembled prompt. Callers must not dispatch
     a chat request while ``fits`` is false."""
     if not (limit > reserve >= 0):
-        raise ValueError("require limit > reserve >= 0")
+        raise InvalidParams("require limit > reserve >= 0")
     return TokenBudget(
         prompt_tokens=token_count(prompt, tok),
         llm_token_limit=limit,
@@ -408,7 +409,8 @@ class QueryChain:
         cfg = self.config
         mode = mode if mode is not None else cfg.mode
         k = k if k is not None else cfg.retrieval.k
-        temperature = temperature if temperature is not None else cfg.chat.temperature
+        # built first, so that a bad temperature is refused before any request
+        chat = cfg.chat if temperature is None else replace(cfg.chat, temperature=temperature)
         # mode2 needs the {citation-list} slot and the other modes must not
         # reference it: the configured template is swapped for one that fits,
         # and an explicit one that does not fit is refused before any request.
@@ -459,7 +461,7 @@ class QueryChain:
                 "; ".join(m.display() for m in unresolved[:5]),
             )
 
-        answer_text = chat_completion(cfg, prompt, temperature)
+        answer_text = chat_completion(cfg, prompt, chat.temperature)
         verification = (
             verify_answer_citations(answer_text, citation_list) if mode != "plain" else None
         )
@@ -472,7 +474,7 @@ class QueryChain:
             citation_list=citation_list,
             verification=verification,
             mode=mode,
-            temperature=temperature,
+            temperature=chat.temperature,
             budget=budget,
             unresolved_markers=unresolved,
         )

@@ -482,11 +482,6 @@ def _best_by_title(title: str, entries) -> tuple[float, CitationEntry | None]:
     return max(scored, key=lambda pair: pair[0], default=(0.0, None))
 
 
-def title_token_overlap(title: str, entry_text: str) -> float:
-    """Fraction of the title's content tokens that appear in the entry."""
-    return _title_overlap(_title_tokens(title), fold_text(entry_text))
-
-
 def _name_pattern(folded_name: str) -> re.Pattern:
     return re.compile(rf"\b{re.escape(folded_name)}\b")
 

@@ -1,8 +1,10 @@
 """Command-line surface.
 
 Commands: ingest, query, sweep, tokens, verify, stats, export. All stdout
-payloads are JSON or CSV. Exit codes: 0 success, 1 runtime failure,
-2 verification flagged citations, 64 usage error.
+payloads are JSON or CSV. Exit codes: 0 success, 1 runtime failure (a bad
+config file or an unreadable input file among them), 2 verification
+flagged citations, 64 usage error (a bad flag: one argparse refuses, or one
+whose value a parameter check refuses as InvalidParams).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from . import harness
 from .chain import QueryChain
 from .citations import extract_reference_section, verify_answer_citations
 from .config import load_config
-from .errors import LitragError
+from .errors import FileUnreadable, InvalidParams, LitragError
 from .kb import KnowledgeBase, build_knowledge_base
 from .store import Metric, VectorStore
 
@@ -28,13 +30,25 @@ EXIT_FLAGGED = 2
 EXIT_USAGE = 64
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); route to exit 64
-        raise UsageError(message)
+        raise InvalidParams(message)
+
+
+def integer_list(text: str) -> tuple[int, ...]:
+    """``--values``: comma-separated integers."""
+    return tuple(int(v) for v in text.split(",") if v.strip())
+
+
+def size_overlap_pairs(text: str) -> list[tuple[int, int]]:
+    """``--rows``: comma-separated size:overlap pairs, the overlap 0 when omitted."""
+    rows = []
+    for pair in filter(str.strip, text.split(",")):
+        size, _, overlap = pair.partition(":")
+        rows.append((int(size), int(overlap or 0)))
+    if not rows:
+        raise ValueError("no size:overlap pair")
+    return rows
 
 
 def _build_parser() -> _Parser:
@@ -59,7 +73,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="build one store per chunking-parameter value")
     p.add_argument("--axis", choices=harness.SWEEP_AXES, required=True)
-    p.add_argument("--values", required=True, help="comma-separated integers")
+    p.add_argument("--values", type=integer_list, required=True, help="comma-separated integers")
     p.add_argument("--fixed", type=int, required=True, help="value of the other parameter")
     p.add_argument("--dir", required=True, help="corpus directory")
     p.add_argument("--workdir", required=True, help="directory receiving the per-value stores")
@@ -68,6 +82,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("tokens", help="token-limit ratio table")
     p.add_argument(
         "--rows",
+        type=size_overlap_pairs,
         default=None,
         help="comma-separated size:overlap pairs, e.g. 700:200,1000:350 (default: study rows)",
     )
@@ -87,11 +102,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _positive(value: int | None, flag: str) -> None:
-    if value is not None and value <= 0:
-        raise UsageError(f"{flag} must be a positive integer")
-
-
 def _cmd_ingest(args, config) -> int:
     report = build_knowledge_base(args.dir, config, extractor=args.extractor)
     print(report.to_json())
@@ -99,14 +109,14 @@ def _cmd_ingest(args, config) -> int:
 
 
 def _cmd_query(args, config) -> int:
-    _positive(args.k, "--k")
+    # the params the flags feed are built before the KB opens, so a bad flag is refused first
     if args.k is not None:
         try:
             replace(config.retrieval, k=args.k)
-        except ValueError as exc:  # a --k above the configured MMR pool
-            raise UsageError(f"--k {args.k}: {exc}") from exc
-    if args.temperature is not None and args.temperature < 0:
-        raise UsageError("--temperature must be >= 0")
+        except InvalidParams as exc:  # named: a --k above the MMR pool fails the fetch_n check
+            raise InvalidParams(f"--k {args.k}: {exc}") from exc
+    if args.temperature is not None:
+        replace(config.chat, temperature=args.temperature)
     kb = KnowledgeBase.open(config.store_path)
     chain = QueryChain(kb, config)
     bundle = chain.answer(
@@ -123,41 +133,17 @@ def _cmd_query(args, config) -> int:
 
 
 def _cmd_sweep(args, config) -> int:
-    try:
-        values = tuple(int(v) for v in args.values.split(",") if v.strip())
-    except ValueError as exc:
-        raise UsageError(f"--values must be comma-separated integers: {exc}") from exc
-    try:
-        spec = harness.SweepSpec(
-            axis=args.axis, values=values, fixed=args.fixed, corpus_dir=args.dir
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    spec = harness.SweepSpec(
+        axis=args.axis, values=args.values, fixed=args.fixed, corpus_dir=args.dir
+    )
     report = harness.sweep_chunking(spec, config, args.workdir)
     print(report.to_csv() if args.format == "csv" else report.to_json(), end="")
     return EXIT_OK
 
 
-def _parse_rows(rows_arg: str) -> list[tuple[int, int]]:
-    rows = []
-    for pair in rows_arg.split(","):
-        pair = pair.strip()
-        if not pair:
-            continue
-        size, _, overlap = pair.partition(":")
-        try:
-            rows.append((int(size), int(overlap or 0)))
-        except ValueError as exc:
-            raise UsageError(f"bad --rows entry {pair!r}: {exc}") from exc
-    if not rows:
-        raise UsageError("--rows is empty")
-    return rows
-
-
 def _cmd_tokens(args, config) -> int:
-    rows = _parse_rows(args.rows) if args.rows else list(harness.DEFAULT_RATIO_ROWS)
     table = harness.token_ratio_table(
-        rows,
+        args.rows or list(harness.DEFAULT_RATIO_ROWS),
         config.tokenizer,
         llm_limit=config.chat.llm_token_limit,
         em_limit=config.embedding.em_token_limit,
@@ -167,21 +153,21 @@ def _cmd_tokens(args, config) -> int:
 
 
 def _cmd_verify(args, config) -> int:
+    try:
+        answer_text = Path(args.answer_file).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FileUnreadable(f"cannot read answer file {args.answer_file}: {exc}") from exc
     kb = KnowledgeBase.open(config.store_path)
     doc = kb.document(args.doc_id)
     entries = extract_reference_section(doc)
-    answer_text = Path(args.answer_file).read_text(encoding="utf-8")
     report = verify_answer_citations(answer_text, entries)
     print(json.dumps(report.to_dict(), indent=2, ensure_ascii=False))
     return EXIT_OK if report.passed else EXIT_FLAGGED
 
 
 def _cmd_stats(args, config) -> int:
-    try:
-        metric = Metric.parse(args.metric)
-        harness.check_cluster_metric(metric)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    metric = Metric.parse(args.metric)
+    harness.check_cluster_metric(metric)
     store = VectorStore.open(config.store_path)
     stats = harness.cluster_stats(store, args.label_by, metric)
     print(json.dumps(stats.to_dict(include_centroids=args.include_centroids), indent=2))
@@ -209,22 +195,11 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    try:
-        config = load_config(args.config)
-    except LitragError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-
-    try:
-        return _COMMANDS[args.command](args, config)
-    except UsageError as exc:
+        args = _build_parser().parse_args(argv)
+        # a bad config file is a ValidationError, never InvalidParams
+        return _COMMANDS[args.command](args, load_config(args.config))
+    except InvalidParams as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except LitragError as exc:

@@ -15,6 +15,11 @@ tokenizer, whatever mode the file names. A config's advisories are
 non-fatal notes derived from its split parameters: the chunk overlap falls
 outside 20-40% of the chunk size, the operating range that keeps retrieval
 quality stable. Loading logs each one.
+
+Loading checks each value against its field's type first (an integer field
+takes neither a bool nor a float), then builds the section, whose own checks
+refuse a value out of range. Either failure is a ValidationError naming the
+section ("config" for the top-level keys).
 """
 
 from __future__ import annotations
@@ -22,12 +27,15 @@ from __future__ import annotations
 import inspect
 import json
 import logging
+import math
 import os
+import types
+import typing
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from .embedding import EmbeddingConfig, TokenizerConfig, check_endpoint_url
-from .errors import InvalidLambda, InvalidParams, ParseError, ValidationError
+from .errors import InvalidParams, ParseError, ValidationError
 from .ingest import SplitParams
 from .store import Metric, MMRParams
 
@@ -54,11 +62,11 @@ class ChatConfig:
     def __post_init__(self):
         check_endpoint_url(self.endpoint_url, "endpoint_url")
         if self.llm_token_limit <= 0:
-            raise ValueError("llm_token_limit must be positive")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+            raise InvalidParams("llm_token_limit must be positive")
+        if not (0 <= self.temperature < math.inf):
+            raise InvalidParams(f"temperature must be finite and >= 0, got {self.temperature}")
         if not (0 <= self.reserved_for_answer < self.llm_token_limit):
-            raise ValueError("reserved_for_answer must be in [0, llm_token_limit)")
+            raise InvalidParams("reserved_for_answer must be in [0, llm_token_limit)")
 
 
 @dataclass(frozen=True)
@@ -88,7 +96,9 @@ class EngineConfig:
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise InvalidParams(f"mode must be one of {MODES}, got {self.mode!r}")
+        if "\0" in self.store_path:  # no file system takes it in a path
+            raise InvalidParams(f"store_path must not hold a NUL, got {self.store_path!r}")
 
     @property
     def advisories(self) -> tuple[str, ...]:
@@ -117,18 +127,50 @@ def _section(data: dict, name: str) -> dict:
     return dict(value)
 
 
+_EXPECTED = {
+    int: "an integer",
+    float: "a number",
+    bool: "true or false",
+    str: "a string",
+    Metric: 'a metric spec string, e.g. "cosine" or "minkowski:3"',
+}
+
+
+def _typed(section: str, key: str, value, hint):
+    """``value`` as the config field ``key``, of type ``hint``, takes it:
+    a list of strings as a tuple, a metric spec string as a Metric. A value
+    of any other type is refused here; its range is the dataclass's check."""
+    if isinstance(hint, types.UnionType):  # X | None
+        if value is None:
+            return None
+        (hint,) = set(typing.get_args(hint)) - {type(None)}
+    if typing.get_origin(hint) is tuple:  # tuple[str, ...]
+        if isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value):
+            return tuple(value)
+        raise ValidationError(section, f"{key} must be a list of strings, got {value!r}")
+    if hint is Metric and isinstance(value, str):
+        return Metric.parse(value)
+    # a bool is an int to isinstance, and an int is a number to a float field
+    if isinstance(value, (int, float) if hint is float else hint) and (
+        hint is bool or not isinstance(value, bool)
+    ):
+        return value
+    expected = _EXPECTED.get(hint, hint.__name__)
+    raise ValidationError(section, f"{key} must be {expected}, got {value!r}")
+
+
 def _build(section: str, cls, kwargs: dict):
     """``cls(**kwargs)`` for a config dataclass ``cls``; a key it does not
-    take or a field it needs and lacks is told apart from a bad value."""
+    take or a field it needs and lacks is told apart from a value of the
+    wrong type, and both from one its check refuses."""
     try:
         inspect.signature(cls).bind(**kwargs)
     except TypeError as exc:
         raise ValidationError(section, f"unknown or missing field ({exc})") from exc
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ValidationError(section, f"invalid value ({exc})") from exc
-    except (ValueError, InvalidParams, InvalidLambda) as exc:
+    hints = typing.get_type_hints(cls)
+    try:  # a metric spec is parsed as it is typed
+        return cls(**{key: _typed(section, key, value, hints[key]) for key, value in kwargs.items()})
+    except InvalidParams as exc:
         raise ValidationError(section, str(exc)) from exc
 
 
@@ -153,38 +195,25 @@ def config_from_dict(data: dict, env: dict | None = None) -> EngineConfig:
         tok["external_url"] = env[ENV_TOKENIZER_URL]
         tok["mode"] = "external"
 
-    split = _section(data, "split")
-    if "separators" in split:
-        split["separators"] = tuple(split["separators"])
-
     retrieval = _section(data, "retrieval")
     mmr = retrieval.pop("mmr", {})
     if not isinstance(mmr, dict):
         raise ValidationError("retrieval.mmr", "must be an object")
-    if "lambda" in mmr:
-        retrieval["lambda_"] = mmr.pop("lambda")
-    if "fetch_n" in mmr:
-        retrieval["fetch_n"] = mmr.pop("fetch_n")
-    for key in ("sim1", "sim2"):
-        if key in mmr:
-            try:
-                retrieval[key] = Metric.parse(mmr.pop(key))
-            except ValueError as exc:
-                raise ValidationError(f"retrieval.mmr.{key}", str(exc)) from exc
+    for name in ("lambda", "fetch_n", "sim1", "sim2"):
+        if name in mmr:
+            retrieval["lambda_" if name == "lambda" else name] = mmr.pop(name)
     if mmr:
         raise ValidationError("retrieval.mmr", f"unknown fields: {sorted(mmr)}")
 
-    try:
-        cfg = EngineConfig(
-            embedding=_build("embedding", EmbeddingConfig, emb),
-            chat=_build("chat", ChatConfig, chat),
-            tokenizer=_build("tokenizer", TokenizerConfig, tok),
-            split=_build("split", SplitParams, {**vars(EngineConfig.split), **split}),
-            retrieval=_build("retrieval", RetrievalConfig, retrieval),
-            **{key: str(data[key]) for key in ("store_path", "template_name", "mode") if key in data},
-        )
-    except ValueError as exc:
-        raise ValidationError("mode", str(exc)) from exc
+    sections = {
+        "embedding": _build("embedding", EmbeddingConfig, emb),
+        "chat": _build("chat", ChatConfig, chat),
+        "tokenizer": _build("tokenizer", TokenizerConfig, tok),
+        "split": _build("split", SplitParams, {**vars(EngineConfig.split), **_section(data, "split")}),
+        "retrieval": _build("retrieval", RetrievalConfig, retrieval),
+    }
+    top = {key: data[key] for key in ("store_path", "template_name", "mode") if key in data}
+    cfg = _build("config", EngineConfig, {**sections, **top})
     for advisory in cfg.advisories:
         logger.warning("config advisory: %s", advisory)
     return cfg

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from urllib.parse import urlsplit
 
-from .errors import DimensionMismatch, LitragError, PartialFailure, ServiceUnreachable
+from .errors import DimensionMismatch, InvalidParams, LitragError, PartialFailure, ServiceUnreachable
 
 logger = logging.getLogger(__name__)
 
@@ -61,13 +61,13 @@ class EmbeddingConfig:
     def __post_init__(self):
         check_endpoint_url(self.endpoint_url, "endpoint_url")
         if self.expected_dim <= 0:
-            raise ValueError("expected_dim must be positive")
+            raise InvalidParams("expected_dim must be positive")
         if self.em_token_limit <= 0:
-            raise ValueError("em_token_limit must be positive")
+            raise InvalidParams("em_token_limit must be positive")
         if self.batch_size <= 0:
-            raise ValueError("batch_size must be positive")
+            raise InvalidParams("batch_size must be positive")
         if self.max_parallel_requests <= 0:
-            raise ValueError("max_parallel_requests must be positive")
+            raise InvalidParams("max_parallel_requests must be positive")
 
 
 @dataclass(frozen=True)
@@ -80,21 +80,24 @@ class TokenizerConfig:
 
     def __post_init__(self):
         if self.mode not in ("heuristic", "external"):
-            raise ValueError(f"unknown tokenizer mode {self.mode!r}")
-        if self.chars_per_token <= 0:
-            raise ValueError("chars_per_token must be positive")
+            raise InvalidParams(f"unknown tokenizer mode {self.mode!r}")
+        if not (0 < self.chars_per_token < math.inf):
+            raise InvalidParams(f"chars_per_token must be finite and > 0, got {self.chars_per_token}")
         if self.mode == "external":
             if not self.external_url:
-                raise ValueError("external tokenizer mode requires external_url")
+                raise InvalidParams("external tokenizer mode requires external_url")
             check_endpoint_url(self.external_url, "external_url")
 
 
 def check_endpoint_url(url: str, name: str) -> None:
-    """Raise ValueError unless ``url`` is an http(s) URL with a host and a valid port."""
+    """Raise InvalidParams unless ``url`` is an http(s) URL with a host and a valid port."""
     parts = urlsplit(url)
     if parts.scheme not in ("http", "https") or not parts.hostname:
-        raise ValueError(f"{name} must be an http:// or https:// URL with a host, got {url!r}")
-    parts.port  # raises ValueError for a port that is not a number in 0..65535
+        raise InvalidParams(f"{name} must be an http:// or https:// URL with a host, got {url!r}")
+    try:
+        parts.port
+    except ValueError as exc:  # a port that is not a number in 0..65535
+        raise InvalidParams(f"{name} has a bad port, got {url!r}: {exc}") from exc
 
 
 def post_json(url: str, payload: dict, error: type[LitragError], timeout: float):

@@ -9,6 +9,12 @@ class LitragError(Exception):
     """Base class for all engine errors."""
 
 
+class InvalidParams(LitragError, ValueError):
+    """A parameter its check refuses: a config value, a flag or an API
+    argument. The CLI reports one as a usage error (exit 64); the config
+    loader turns one into a ValidationError naming its section."""
+
+
 # --- corpus ingestion ---------------------------------------------------
 
 class FileUnreadable(LitragError):
@@ -24,10 +30,6 @@ class EmptyDocument(LitragError):
 
 
 class DirectoryUnreadable(LitragError):
-    pass
-
-
-class InvalidParams(LitragError):
     pass
 
 
@@ -71,7 +73,7 @@ class NonFiniteVector(LitragError, ValueError):
     """An embedding that overflows float32 when stored."""
 
 
-class InvalidLambda(LitragError):
+class InvalidLambda(InvalidParams):
     pass
 
 
@@ -122,10 +124,6 @@ class ChatServiceFailed(LitragError):
 # --- evaluation harness -----------------------------------------------------
 
 class MissingLabel(LitragError):
-    pass
-
-
-class ScoreOutOfRange(LitragError):
     pass
 
 

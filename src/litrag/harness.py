@@ -1,6 +1,6 @@
 """Desk-scale quantitative studies: chunking sweeps, token-limit ratio
-tables, embedding cluster statistics, expert-score aggregation and
-embedding export for external projection tools.
+tables, embedding cluster statistics and embedding export for external
+projection tools.
 
 Cluster statistics stand in for 2-D projections of the embedding space:
 per-label point counts, intra-cluster spread around the centroid and the
@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import EngineConfig
 from .embedding import TokenizerConfig, token_count
-from .errors import EmptyStore, IoFailure, LitragError, MissingLabel, ScoreOutOfRange
+from .errors import EmptyStore, InvalidParams, IoFailure, LitragError, MissingLabel
 from .ingest import SplitParams
 from .kb import build_knowledge_base
 from .store import Metric, VectorStore, score_rows
@@ -52,19 +52,19 @@ class SweepSpec:
 
     def __post_init__(self):
         if self.axis not in SWEEP_AXES:
-            raise ValueError(f"axis must be one of {SWEEP_AXES}")
+            raise InvalidParams(f"axis must be one of {SWEEP_AXES}")
         values = tuple(self.values)
         object.__setattr__(self, "values", values)
         if not values:
-            raise ValueError("values must be non-empty")
+            raise InvalidParams("values must be non-empty")
         if any(v < 0 for v in values):
-            raise ValueError("values must be non-negative")
+            raise InvalidParams("values must be non-negative")
         if list(values) != sorted(set(values)):
-            raise ValueError("values must be strictly increasing")
+            raise InvalidParams("values must be strictly increasing")
         if self.axis == "chunk_overlap" and any(v >= self.fixed for v in values):
-            raise ValueError("overlap values must stay below the fixed chunk_size")
+            raise InvalidParams("overlap values must stay below the fixed chunk_size")
         if self.axis == "chunk_size" and any(self.fixed >= v for v in values):
-            raise ValueError("fixed overlap must stay below every chunk_size value")
+            raise InvalidParams("fixed overlap must stay below every chunk_size value")
 
     def split_params(self, value: int, base: SplitParams) -> SplitParams:
         if self.axis == "chunk_size":
@@ -197,7 +197,7 @@ def token_ratio_table(
 ) -> list[RatioRow]:
     """Token counts and limit percentages for each configuration row."""
     if llm_limit <= 0 or em_limit <= 0:
-        raise ValueError("token limits must be positive")
+        raise InvalidParams("token limits must be positive")
     out = []
     for size, overlap in rows:
         tokens = token_count(representative_chunk(size), tok) if size > 0 else 0
@@ -281,10 +281,10 @@ class ClusterStats:
 
 
 def check_cluster_metric(m: Metric) -> None:
-    """Raise ValueError unless ``m`` is a distance metric or cosine, the
+    """Raise InvalidParams unless ``m`` is a distance metric or cosine, the
     metrics cluster statistics are defined for."""
     if not (m.is_distance or m.kind == "cosine"):
-        raise ValueError(f"cluster statistics need a distance metric or cosine, got {m.spec()!r}")
+        raise InvalidParams(f"cluster statistics need a distance metric or cosine, got {m.spec()!r}")
 
 
 def _cluster_distance(matrix, vec, m: Metric) -> np.ndarray:
@@ -327,7 +327,7 @@ def cluster_stats(store: VectorStore, label_by: str, m: Metric) -> ClusterStats:
 
     Records are grouped by the metadata key ``label_by``. Distance metrics
     are used directly; cosine is mapped to the cosine distance (1 - cos);
-    any other metric is a ValueError, raised before any work.
+    any other metric is InvalidParams, raised before any work.
 
     Counts, centroids (float64 means of each label's float32 rows, taken
     in store order) and mean intra distances are the same bits whether a
@@ -408,63 +408,3 @@ def export_embeddings(store: VectorStore, out: str | Path | TextIO) -> None:
                 writer.writerow([rec.chunk_id, rec.doc_id] + [repr(v) for v in row.tolist()])
     except OSError as exc:
         raise IoFailure(f"cannot write embeddings to {out}: {exc}") from exc
-
-
-# --- expert score recording ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ScoreRecord:
-    """One rater's 1-5 score for a (question, database) pair."""
-
-    question_id: str
-    database_id: str
-    rater_id: str
-    score: int
-
-    def __post_init__(self):
-        if not (1 <= self.score <= 5):
-            raise ScoreOutOfRange(f"score must be in 1..5, got {self.score}")
-
-
-@dataclass(frozen=True)
-class ScoreCell:
-    question_id: str
-    database_id: str
-    mean_score: float
-    rater_count: int
-
-
-def record_scores(records: list[ScoreRecord]) -> list[ScoreCell]:
-    """Aggregate rater scores into per-(question, database) means.
-
-    Rater identities are dropped from the output (only counts remain).
-    """
-    groups: dict[tuple[str, str], list[int]] = {}
-    for rec in records:
-        groups.setdefault((rec.question_id, rec.database_id), []).append(rec.score)
-    return [
-        ScoreCell(
-            question_id=q,
-            database_id=d,
-            mean_score=sum(scores) / len(scores),
-            rater_count=len(scores),
-        )
-        for (q, d), scores in sorted(groups.items())
-    ]
-
-
-def read_scores_csv(path: str | Path) -> list[ScoreRecord]:
-    """Parse a score CSV with columns question_id,database_id,rater_id,score."""
-    records = []
-    with Path(path).open(encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            records.append(
-                ScoreRecord(
-                    question_id=row["question_id"],
-                    database_id=row["database_id"],
-                    rater_id=row["rater_id"],
-                    score=int(row["score"]),
-                )
-            )
-    return records

@@ -67,6 +67,7 @@ from .errors import (
     DimensionMismatch,
     EmptyStore,
     InvalidLambda,
+    InvalidParams,
     IoFailure,
     NonFiniteVector,
     ZeroVector,
@@ -100,12 +101,12 @@ class Metric:
 
     def __post_init__(self):
         if self.kind not in _DISTANCE_KINDS | _SIMILARITY_KINDS:
-            raise ValueError(f"unknown metric kind {self.kind!r}")
+            raise InvalidParams(f"unknown metric kind {self.kind!r}")
         if self.kind == "minkowski":
-            if self.p is None or self.p < 1:
-                raise ValueError("minkowski metric requires p >= 1")
+            if self.p is None or not (1 <= self.p < math.inf):
+                raise InvalidParams(f"minkowski metric requires a finite p >= 1, got {self.p}")
         elif self.p is not None:
-            raise ValueError(f"metric {self.kind!r} does not take a p parameter")
+            raise InvalidParams(f"metric {self.kind!r} does not take a p parameter")
 
     @property
     def is_distance(self) -> bool:
@@ -144,12 +145,19 @@ class Metric:
 
     @classmethod
     def parse(cls, spec: str) -> "Metric":
+        """The metric ``spec()`` names, e.g. "cosine" or "minkowski:3"."""
+        if not isinstance(spec, str):
+            raise InvalidParams(f"a metric spec must be a string, got {spec!r}")
         spec = spec.strip()
         if spec.startswith("minkowski"):
             _, _, p = spec.partition(":")
-            if not p:
-                raise ValueError("minkowski metric spec requires a p value, e.g. minkowski:2")
-            return cls.minkowski(float(p))
+            try:
+                p = float(p)
+            except ValueError:
+                raise InvalidParams(
+                    f"minkowski metric spec needs a number p, e.g. minkowski:2, got {spec!r}"
+                ) from None
+            return cls.minkowski(p)
         return cls(spec)
 
 
@@ -262,12 +270,12 @@ class MMRParams:
         if not (0.0 <= self.lambda_ <= 1.0):
             raise InvalidLambda(f"lambda must be within [0, 1], got {self.lambda_}")
         if self.k <= 0:
-            raise ValueError("k must be positive")
+            raise InvalidParams("k must be positive")
         self._check_pool()
 
     def _check_pool(self) -> None:
         if self.fetch_n is not None and self.fetch_n < self.k:
-            raise ValueError("fetch_n must be >= k")
+            raise InvalidParams("fetch_n must be >= k")
 
     def pool_size(self) -> int:
         return self.fetch_n if self.fetch_n is not None else 4 * self.k
@@ -306,7 +314,7 @@ class VectorStore:
 
     def __init__(self, dim: int):
         if dim <= 0:
-            raise ValueError("dimension must be positive")
+            raise InvalidParams("dimension must be positive")
         self._dim = dim
         self._lock = threading.RLock()
         self._records: list[ChunkRecord] = []
@@ -436,7 +444,7 @@ class VectorStore:
         """Indices of the k best rows, best first with ties to the lowest
         chunk_id, and their scores. The caller holds the lock."""
         if k <= 0:
-            raise ValueError("k must be positive")
+            raise InvalidParams("k must be positive")
         if not self._records:
             raise EmptyStore("cannot search an empty store")
         query = _as_array(query_vec)

@@ -24,6 +24,7 @@ from litrag.embedding import EmbeddingVector, TokenizerConfig
 from litrag.errors import (
     BudgetExceeded,
     ChatServiceFailed,
+    InvalidParams,
     MissingSlot,
     RetrievalEmpty,
     UnknownSlot,
@@ -459,6 +460,15 @@ def test_a_k_above_the_mmr_pool_is_refused_before_any_request(built_kb):
         chain, truths = _chain(built_kb, emb.url, chat.url, retrieval=RetrievalConfig(fetch_n=5))
         with pytest.raises(ValueError, match="fetch_n must be >= k"):
             chain.answer(question_for(truths["paper-01"]), k=8, mode="plain")
+        assert emb.requests == [] and chat.requests == []
+
+
+@pytest.mark.parametrize("temperature", [-0.5, float("nan"), float("inf")])
+def test_a_bad_temperature_is_refused_before_any_request(built_kb, temperature):
+    with StubEmbeddingService(dim=DIM) as emb, StubChatService() as chat:
+        chain, truths = _chain(built_kb, emb.url, chat.url)
+        with pytest.raises(InvalidParams, match="temperature must be finite and >= 0"):
+            chain.answer(question_for(truths["paper-01"]), temperature=temperature)
         assert emb.requests == [] and chat.requests == []
 
 

@@ -1,10 +1,16 @@
 import csv
 import json
+import math
+import os
 import shutil
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from litrag.chain import BUILTIN_TEMPLATES
 from litrag.cli import main
 from litrag.config import config_to_dict, default_config
 from litrag.kb import build_knowledge_base
@@ -103,6 +109,65 @@ def test_missing_config_is_runtime_error(capsys, tmp_path):
     code = main(["--config", str(tmp_path / "none.conf"), "tokens"])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+# an over-large number written as JSON text: it parses to inf
+OVERSIZE = "__1e400__"
+
+
+def _write_config_with(cli_env, chat_url, field, value, **overrides):
+    """The ``_write_config`` file with the value at the key path ``field`` replaced."""
+    path = Path(_write_config(cli_env, chat_url, **overrides))
+    data = json.loads(path.read_text())
+    *parents, last = field
+    node = data
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    path.write_text(json.dumps(data).replace(f'"{OVERSIZE}"', "1e400"))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        (("retrieval", "k"), 2.5),
+        (("retrieval", "k"), True),
+        (("retrieval", "use_mmr"), 0),
+        (("retrieval", "mmr", "fetch_n"), 10.5),
+        (("retrieval", "mmr", "sim1"), 5),
+        (("embedding", "batch_size"), 2.5),
+        (("embedding", "expected_dim"), 32.0),
+        (("split", "separators"), ["\n", 5, ""]),
+        (("tokenizer", "chars_per_token"), math.nan),
+        (("chat", "temperature"), OVERSIZE),
+        (("store_path",), "kb\u0000x"),
+    ],
+    ids=lambda v: ".".join(v) if isinstance(v, tuple) else repr(v),
+)
+def test_a_bad_config_value_is_a_runtime_error_for_every_command(cli_env, tmp_path, capsys, field, value):
+    with StubChatService() as chat:
+        config = _write_config_with(cli_env, chat.url, field, value, store_path=str(tmp_path / "kb"))
+        for args in (["ingest", "--dir", str(cli_env["corpus_dir"])], ["query", "--question", "q"], ["stats"]):
+            assert main(["--config", config, *args]) == 1, args
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: {field[0] if len(field) > 1 else 'config'}: ")
+            assert captured.err.count("\n") == 1, captured.err
+        assert chat.requests == []
+    assert not (tmp_path / "kb").exists()
+
+
+@pytest.mark.parametrize("temperature", ["nan", "inf"])
+def test_query_bad_temperature_is_usage_error(cli_env, tmp_path, capsys, temperature):
+    # the store path does not exist: the flag is refused before the KB is opened
+    with StubChatService() as chat:
+        config = _write_config(cli_env, chat.url, store_path=str(tmp_path / "no-kb"))
+        code = main(["--config", config, "query", "--question", "q", "--temperature", temperature])
+    captured = capsys.readouterr()
+    assert code == 64
+    assert captured.out == ""
+    assert captured.err == f"usage error: temperature must be finite and >= 0, got {float(temperature)}\n"
 
 
 # --- ingest -----------------------------------------------------------------------
@@ -351,6 +416,23 @@ def test_verify_clean_answer(cli_env, tmp_path, capsys):
     assert len(out["verified"]) == 1
 
 
+@pytest.mark.parametrize("answer", ["missing", "a directory", "not UTF-8"])
+def test_verify_unreadable_answer_file_is_a_runtime_error(cli_env, tmp_path, capsys, answer):
+    path = tmp_path / "answer.txt"
+    if answer == "a directory":
+        path.mkdir()
+    elif answer == "not UTF-8":
+        path.write_bytes(b"\xff\xfe References: [1]")
+    with StubChatService() as chat:
+        config = _write_config(cli_env, chat.url)
+        code = main(["--config", config, "verify", "--answer-file", str(path), "--doc-id", "paper-00"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read answer file {path}: ")
+    assert captured.err.count("\n") == 1
+
+
 # --- stats / export -----------------------------------------------------------------------
 
 
@@ -394,3 +476,102 @@ def test_export_to_file_and_stdout(cli_env, tmp_path, capsys):
         stdout_rows = list(csv.reader(stdout.splitlines()))
         assert stdout_rows[0][:2] == ["chunk_id", "doc_id"]
         assert stdout.encode("utf-8") == out_path.read_bytes()
+
+
+# --- no input ends in a traceback -----------------------------------------------------------
+
+
+def _key_paths(node, prefix=()):
+    """Every key path of a config dict, its sections as well as its fields."""
+    for key, value in node.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+HOSTILE_VALUES = [
+    {"a": 1}, [], ["\n", ""], None, True, False, 0, -1, 2.5, 4.0,
+    math.nan, math.inf, -math.inf, OVERSIZE, "x", "kb\u0000x",
+]
+# argv strings: an execve argument cannot carry a NUL, nor a lone surrogate
+ARG_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=12)
+# integer flags, bounded so that no --rows size allocates much, and text that is no integer
+NUMBERS = st.integers(-3, 10**5).map(str) | st.sampled_from(["", "x", "2.5", "nan", "1e3", "\u0663"])
+
+
+def _csv(items):
+    return st.lists(items, max_size=3).map(",".join)
+
+
+def _flag(flag, values, optional=True):
+    flagged = values.map(lambda value: [flag, value])
+    return flagged | st.just([]) if optional else flagged
+
+
+def _argv(cli_env, root):
+    """A command and its flags, paths into ``root`` among them."""
+    corpus = str(cli_env["corpus_dir"])
+    question = question_for(cli_env["truths"]["paper-00"])
+    commands = [
+        [st.just(["ingest", "--dir", corpus])],
+        [
+            st.just(["query"]),
+            _flag("--question", st.just(question) | ARG_TEXT, optional=False),
+            _flag("--k", NUMBERS),
+            _flag("--temperature", st.sampled_from(["0", "0.5", "-1", "nan", "inf", "-inf", "1e400"]) | ARG_TEXT),
+            _flag("--mode", st.sampled_from(["mode1", "mode2", "plain", "x"])),
+            _flag("--template", st.sampled_from([*BUILTIN_TEMPLATES, "x"])),
+            st.sampled_from([[], ["--no-verify"], ["--include-prompt"]]),
+        ],
+        [
+            st.just(["sweep", "--dir", corpus, "--workdir", str(root / "sweeps")]),
+            _flag("--axis", st.sampled_from(["chunk_size", "chunk_overlap", "x"]), optional=False),
+            _flag("--values", _csv(st.sampled_from(["-1", "0", "200", "700", "900", "x", ""])), optional=False),
+            _flag("--fixed", st.sampled_from(["-1", "0", "100", "800", "x"]), optional=False),
+            _flag("--format", st.sampled_from(["csv", "json"])),
+        ],
+        [st.just(["tokens"]), _flag("--rows", _csv(st.tuples(NUMBERS, NUMBERS).map(":".join) | NUMBERS))],
+        [
+            st.just(["verify"]),
+            _flag("--answer-file", st.sampled_from(["answer.txt", "missing.txt", ".", "latin1.txt"]), optional=False),
+            _flag("--doc-id", st.sampled_from(["paper-00", "x", "../kb"]) | ARG_TEXT, optional=False),
+        ],
+        [
+            st.just(["stats"]),
+            _flag("--label-by", st.sampled_from(["doc_id", "source"]) | ARG_TEXT),
+            _flag("--metric", st.sampled_from(["cosine", "inner_product", "minkowski:3", "minkowski:0",
+                                               "minkowski:nan", "minkowski:inf", "minkowski"]) | ARG_TEXT),
+            st.sampled_from([[], ["--include-centroids"]]),
+        ],
+        [st.just(["export"]), _flag("--out", st.sampled_from(["out.csv", ".", "missing/out.csv"]))],
+    ]
+    return st.one_of(st.tuples(*parts) for parts in commands).map(lambda parts: sum(parts, []))
+
+
+@pytest.fixture(scope="module")
+def hostile_env(cli_env, tmp_path_factory):
+    root = tmp_path_factory.mktemp("hostile")
+    (root / "answer.txt").write_text("Prose.\n\nReferences:\n[1]\n")
+    (root / "latin1.txt").write_bytes(b"\xff\xfe [1]")
+    with StubChatService(echo_citations_responder()) as chat:
+        yield root, chat.url
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_no_config_value_or_flag_ends_in_a_traceback(cli_env, hostile_env, data):
+    root, chat_url = hostile_env
+    argv = data.draw(_argv(cli_env, root), label="argv")
+    store_path = str(root / "rebuilt") if argv[0] == "ingest" else str(cli_env["store_root"])
+    config = _write_config(cli_env, chat_url, store_path=store_path)
+    if data.draw(st.booleans(), label="hostile config"):
+        field = data.draw(st.sampled_from(list(_key_paths(json.loads(Path(config).read_text())))), label="field")
+        value = data.draw(st.sampled_from(HOSTILE_VALUES), label="value")
+        config = _write_config_with(cli_env, chat_url, field, value, store_path=store_path)
+    cwd = os.getcwd()
+    os.chdir(root)  # a relative store_path or output lands here
+    try:
+        assert main(["--config", config, *argv]) in (0, 1, 2, 64)
+    finally:
+        os.chdir(cwd)
+

@@ -12,18 +12,15 @@ from litrag import harness
 from litrag.chain import QueryChain
 from litrag.config import default_config
 from litrag.embedding import EmbeddingVector, TokenizerConfig
-from litrag.errors import EmptyStore, MissingLabel, ScoreOutOfRange
+from litrag.errors import EmptyStore, MissingLabel
 from litrag.harness import (
     DEFAULT_RATIO_ROWS,
     OVERLAP_SWEEP_VALUES,
     SIZE_SWEEP_VALUES,
-    ScoreRecord,
     SweepSpec,
     cluster_stats,
     export_embeddings,
     ratio_table_csv,
-    read_scores_csv,
-    record_scores,
     representative_chunk,
     sweep_chunking,
     token_ratio_table,
@@ -483,42 +480,3 @@ def test_export_structure_and_round_trip(tmp_path):
 def test_export_empty_store(tmp_path):
     with pytest.raises(EmptyStore):
         export_embeddings(VectorStore(4), tmp_path / "x.csv")
-
-
-# --- score recording ----------------------------------------------------------------
-
-
-def test_score_mean_over_raters():
-    records = [
-        ScoreRecord("Q-2", "cS-2", f"rater{i}", s) for i, s in enumerate((3, 4, 4, 5))
-    ]
-    cells = record_scores(records)
-    assert len(cells) == 1
-    assert cells[0].mean_score == pytest.approx(4.0)
-    assert cells[0].rater_count == 4
-
-
-def test_single_score_is_identity():
-    cells = record_scores([ScoreRecord("Q-1", "cO-1", "r", 5)])
-    assert cells[0].mean_score == 5.0
-
-
-def test_score_out_of_range():
-    with pytest.raises(ScoreOutOfRange):
-        ScoreRecord("Q-1", "cS-1", "r", 6)
-    with pytest.raises(ScoreOutOfRange):
-        ScoreRecord("Q-1", "cS-1", "r", 0)
-
-
-def test_scores_csv_round_trip(tmp_path):
-    path = tmp_path / "scores.csv"
-    path.write_text(
-        "question_id,database_id,rater_id,score\n"
-        "Q-1,cS-1,a,4\nQ-1,cS-1,b,5\nQ-2,cO-3,a,2\n"
-    )
-    records = read_scores_csv(path)
-    cells = record_scores(records)
-    table = {(c.question_id, c.database_id): c.mean_score for c in cells}
-    assert table == {("Q-1", "cS-1"): 4.5, ("Q-2", "cO-3"): 2.0}
-    # rater ids do not appear in aggregated output
-    assert all(not hasattr(c, "rater_id") for c in cells)
