@@ -10,7 +10,8 @@ reproducible end to end without any model service.
 Usage:
     python scripts/run_chunk_sweeps.py --out /tmp/sweeps [--corpus DIR]
 
-Exits 1 when any sweep row failed to build (the outputs are still written).
+Exits 1 when any sweep row failed to build or lost a document (the outputs
+are still written).
 """
 
 import argparse
@@ -62,6 +63,7 @@ def run_sweep(spec: SweepSpec, config, workdir: Path):
         print(
             f"{row.value:>14}  {row.chunk_count:>6}  {row.mean_chunk_length:>8.1f}"
             f"  {stats.mean_inter_centroid_distance:>14.4f}"
+            + (f"  ({row.failed_documents} document(s) FAILED)" if row.failed_documents else "")
         )
     return report, stats_rows
 
@@ -122,9 +124,9 @@ def main(argv=None) -> int:
         (out / "token_ratios.csv").write_text(ratio_table_csv(table))
 
     print(f"\nwrote size_sweep.csv, overlap_sweep.csv, cluster_stats.json, token_ratios.csv to {out}")
-    failed = [row for row in size_report.rows + overlap_report.rows if row.error]
+    failed = [row for row in size_report.rows + overlap_report.rows if row.error or row.failed_documents]
     if failed:
-        print(f"{len(failed)} sweep row(s) FAILED", file=sys.stderr)
+        print(f"{len(failed)} sweep row(s) FAILED or lost a document", file=sys.stderr)
         return 1
     return 0
 

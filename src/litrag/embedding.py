@@ -31,6 +31,9 @@ logger = logging.getLogger(__name__)
 
 _RETRY_BASE_S = 0.5  # pause before the one retry of a transient failure
 _REQUEST_TIMEOUT_S = 60.0
+# the most worker threads one embed_texts call may start: the ceiling of the
+# default worker count of the standard library's ThreadPoolExecutor
+_MAX_PARALLEL_REQUESTS = 32
 
 
 @dataclass(frozen=True)
@@ -66,8 +69,11 @@ class EmbeddingConfig:
             raise InvalidParams("em_token_limit must be positive")
         if self.batch_size <= 0:
             raise InvalidParams("batch_size must be positive")
-        if self.max_parallel_requests <= 0:
-            raise InvalidParams("max_parallel_requests must be positive")
+        if not 0 < self.max_parallel_requests <= _MAX_PARALLEL_REQUESTS:
+            raise InvalidParams(
+                f"max_parallel_requests must be within 1..{_MAX_PARALLEL_REQUESTS}, "
+                f"got {self.max_parallel_requests}"
+            )
 
 
 @dataclass(frozen=True)
@@ -198,16 +204,22 @@ def embed_texts(
 ) -> list[EmbeddingVector]:
     """Embed ``texts`` in input order.
 
-    Texts are grouped into batches of ``config.batch_size`` and issued with
-    at most ``config.max_parallel_requests`` concurrent requests. Inputs
+    Texts are grouped into batches of ``config.batch_size``. The first batch
+    is sent from the calling thread and answered before any other is sent,
+    so the service sees the first inputs first and a lone batch, as in
+    every query, starts no worker thread; the rest are issued with at most
+    ``config.max_parallel_requests`` concurrent requests. Inputs
     whose estimated token count (``chars_per_token``, whatever the tokenizer
     mode) exceeds the embedding model's token limit are still sent (services
     truncate) but logged as a warning, since oversize inputs lose precision.
 
-    Raises PartialFailure (with failed input indexes) when some batches fail
-    (``post_json`` retries a transient cause once), ServiceUnreachable when
-    all of them do, and DimensionMismatch, after all batches and without a
-    retry, when the service returns vectors of an unexpected dimension.
+    Raises DimensionMismatch, after all batches and without a retry, when
+    the service returns vectors of an unexpected dimension; otherwise
+    ServiceUnreachable when every batch fails (``post_json`` retries a
+    transient cause once), and PartialFailure when some do. A PartialFailure
+    carries the failed input indexes and the vectors of every other input,
+    in input order with None at the failed ones, so a caller keeps what came
+    back without sending it again.
     """
     if not texts:
         raise ValueError("texts must be non-empty")
@@ -234,26 +246,27 @@ def embed_texts(
         except ServiceUnreachable as exc:
             return exc
 
-    if len(batches) == 1:  # a lone batch, as in every query, starts no worker thread
-        outcomes = [attempt(batches[0])]
-    else:
+    outcomes = [attempt(batches[0])]
+    if len(batches) > 1:
         with ThreadPoolExecutor(max_workers=config.max_parallel_requests) as pool:
-            outcomes = list(pool.map(attempt, batches))
+            outcomes += pool.map(attempt, batches[1:])
 
     failed = [i for i, out in enumerate(outcomes) if isinstance(out, ServiceUnreachable)]
     if len(failed) == len(batches):
         raise ServiceUnreachable(f"all {len(batches)} embedding batches failed: {outcomes[0]}")
-    if failed:
-        failed_inputs = [i * config.batch_size + j for i in failed for j in range(len(batches[i]))]
-        raise PartialFailure(
-            f"{len(failed)} of {len(batches)} embedding batches failed", failed_inputs
-        )
-
-    vectors = [v for batch in outcomes for v in batch]
+    vectors: list[EmbeddingVector | None] = []
+    for batch, out in zip(batches, outcomes):
+        vectors.extend([None] * len(batch) if isinstance(out, ServiceUnreachable) else out)
     for i, vec in enumerate(vectors):
-        if vec.dim != config.expected_dim:
+        if vec is not None and vec.dim != config.expected_dim:
             raise DimensionMismatch(
                 f"service returned dimension {vec.dim} for input {i}, "
                 f"expected {config.expected_dim} (misconfigured model?)"
             )
+    if failed:
+        raise PartialFailure(
+            f"{len(failed)} of {len(batches)} embedding batches failed",
+            [i for i, vec in enumerate(vectors) if vec is None],
+            vectors,
+        )
     return vectors

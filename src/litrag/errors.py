@@ -51,12 +51,15 @@ class PartialFailure(LitragError):
     """Some embedding batches failed, each after ``post_json``'s policy:
     a transient cause is retried once, any other fails at once.
 
-    Carries the indexes of the inputs whose batches failed.
+    Carries the indexes of the inputs whose batches failed, and the vectors
+    the other batches returned: ``vectors[i]`` embeds input i, and is None
+    where i is a failed index.
     """
 
-    def __init__(self, message: str, failed_indexes: list[int]):
+    def __init__(self, message: str, failed_indexes: list[int], vectors: list):
         super().__init__(message)
         self.failed_indexes = list(failed_indexes)
+        self.vectors = list(vectors)
 
 
 # --- vector store ---------------------------------------------------------

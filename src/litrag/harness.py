@@ -74,11 +74,15 @@ class SweepSpec:
 
 @dataclass
 class SweepRow:
+    """One sweep value's build: chunk statistics of the documents it indexed,
+    the build's error if it raised, and how many documents it failed."""
+
     value: int
     chunk_count: int
     mean_chunk_length: float
     store_path: str
     error: str | None = None
+    failed_documents: int = 0
 
 
 @dataclass
@@ -96,10 +100,19 @@ class SweepReport:
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([self.axis, "chunk_count", "mean_chunk_length", "store_path", "error"])
+        writer.writerow(
+            [self.axis, "chunk_count", "mean_chunk_length", "store_path", "error", "failed_documents"]
+        )
         for row in self.rows:
             writer.writerow(
-                [row.value, row.chunk_count, f"{row.mean_chunk_length:.2f}", row.store_path, row.error or ""]
+                [
+                    row.value,
+                    row.chunk_count,
+                    f"{row.mean_chunk_length:.2f}",
+                    row.store_path,
+                    row.error or "",
+                    row.failed_documents,
+                ]
             )
         return buf.getvalue()
 
@@ -111,17 +124,25 @@ def sweep_chunking(
 ) -> SweepReport:
     """Build one knowledge base per axis value and report chunk statistics.
 
-    A row whose build raises a LitragError is recorded as failed and the
-    sweep continues; any other exception is a fault and propagates.
+    The builds share one memo of chunk embeddings (see
+    ``build_knowledge_base``), so a chunk text that several values cut alike
+    is sent to the embedding service once per sweep; the memo lives only as
+    long as this call. A row counts the documents its build failed in
+    ``failed_documents``. A row whose build raises a LitragError is recorded
+    as failed and the sweep continues; any other exception is a fault and
+    propagates.
     """
     workdir = Path(workdir)
     report = SweepReport(axis=spec.axis, fixed=spec.fixed)
+    memo: dict[str, np.ndarray] = {}
     for value in spec.values:
         store_path = workdir / f"{spec.axis}_{value}"
         try:
             params = spec.split_params(value, config.split)
             row_config = replace(config, split=params)
-            build_report = build_knowledge_base(spec.corpus_dir, row_config, store_root=store_path)
+            build_report = build_knowledge_base(
+                spec.corpus_dir, row_config, store_root=store_path, memo=memo
+            )
             count = build_report.chunk_count
             chars = sum(d.chunk_chars for d in build_report.documents)
             report.rows.append(
@@ -130,6 +151,7 @@ def sweep_chunking(
                     chunk_count=count,
                     mean_chunk_length=chars / count if count else 0.0,
                     store_path=str(store_path),
+                    failed_documents=len(build_report.failures),
                 )
             )
         except LitragError as exc:
@@ -198,6 +220,9 @@ def token_ratio_table(
     """Token counts and limit percentages for each configuration row."""
     if llm_limit <= 0 or em_limit <= 0:
         raise InvalidParams("token limits must be positive")
+    for size, overlap in rows:
+        if size < 0 or overlap < 0:
+            raise InvalidParams(f"chunk sizes and overlaps must be non-negative, got {size}:{overlap}")
     out = []
     for size, overlap in rows:
         tokens = token_count(representative_chunk(size), tok) if size > 0 else 0

@@ -350,10 +350,14 @@ def ingest_corpus(
     Files go in sorted path order, each one isolated: a LitragError while
     loading or splitting it, or from ``on_document(document, chunks)``, is
     recorded in the report's failures and the batch goes on; any other
-    exception propagates. ``on_document`` lets callers embed or index each
-    loaded document as it streams past. Document ids are file stems; a file
-    whose stem an earlier loaded file took (even if ``on_document`` then
-    failed it) fails with DuplicateDocument.
+    exception propagates. ``on_document`` is called in path order for each
+    loaded document as it streams past. A caller may index the document at
+    once, or queue it and index it later, as ``build_knowledge_base`` does
+    to embed across documents; a caller that queues moves a document it
+    then fails from the report's documents to its failures itself.
+    Document ids are file stems; a file whose stem an earlier loaded file
+    took (even if ``on_document`` then failed it) fails with
+    DuplicateDocument.
     """
     corpus_dir = Path(corpus_dir)
     if not corpus_dir.is_dir():

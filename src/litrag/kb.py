@@ -9,19 +9,37 @@ Document snapshots keep the citation guard exact at query time: on a
 document's first use, its reference section is located and parsed and its
 expanded chunks are cut from the same text the chunks were cut from, and
 the result (``aux_index``) is kept for the life of the ``KnowledgeBase``.
+
+A build (``build_knowledge_base``) queues documents as ingest loads them
+and embeds them in flushes across documents: each distinct chunk text it
+needs goes to the embedding service once, in full batches, and a memo of
+float32 rows lets the builds of one sweep share what was sent. A failure
+still fails only the documents it touches.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 from pathlib import Path
+
+import numpy as np
 
 from .citations import AuxIndex, build_auxiliary_index
 from .config import EngineConfig
-from .embedding import embed_texts
-from .errors import CorruptStore, EmptyDocument, IoFailure
-from .ingest import Chunk, Document, IngestReport, ingest_corpus
+from .embedding import EmbeddingVector, embed_texts
+from .errors import (
+    CorruptStore,
+    EmptyDocument,
+    IoFailure,
+    LitragError,
+    NonFiniteVector,
+    PartialFailure,
+)
+from .ingest import Chunk, Document, IngestFailure, IngestReport, ingest_corpus
 from .store import ChunkRecord, VectorStore
+
+logger = logging.getLogger(__name__)
 
 
 class KnowledgeBase:
@@ -74,38 +92,86 @@ def build_knowledge_base(
     store_root: str | Path | None = None,
     extractor: str | None = None,
     max_workers: int = 4,
+    memo: dict[str, np.ndarray] | None = None,
 ) -> IngestReport:
     """Ingest, embed and persist a corpus into a knowledge base directory.
 
-    Each document is embedded and upserted as ``ingest_corpus`` streams it
-    past, inside ingest's per-file isolation: a LitragError while loading,
-    embedding or storing a document fails that document alone, and the
-    returned report is ingest's own. Once ingest returns, ``docs/`` is
-    created and holds a snapshot of each indexed document and of no other
-    (snapshots left by an earlier build into ``root`` are deleted), and the
-    store is persisted. A snapshot that cannot be written or deleted raises
-    IoFailure.
+    ``ingest_corpus`` hands each loaded document to a queue. The queue is
+    flushed once the distinct queued texts not yet embedded reach
+    ``batch_size * max_parallel_requests``, and once more after ingest
+    returns. A flush makes one ``embed_texts`` call over those texts, in
+    first-seen order, so requests hold full batches across documents; then
+    it makes one ``store.upsert`` per queued document, in path order.
+
+    ``memo`` maps a chunk text to its embedding as a float32 row, the
+    store's own precision, so a row taken from it upserts bit for bit as the
+    service's vector would. A text in it is not sent again: ``sweep_chunking``
+    passes one memo to all the builds of a sweep. A build without one starts
+    from an empty memo. Each text that comes back enters the memo; a text
+    whose batch failed does not, and is not sent again in this build.
+
+    Failures stay per document. A document with a chunk in a failed batch
+    (a ``PartialFailure``, or a flush that raises ServiceUnreachable or
+    DimensionMismatch, which fails every queued document) fails with that
+    error, and a zero or overflowing row fails its own document at its
+    upsert. Such documents move from the report's ``documents`` to its
+    ``failures``, which stay in path order; any other LitragError while
+    loading a document fails it inside ingest's per-file isolation. Once
+    the last flush is done, ``docs/`` is created and holds a snapshot of
+    each indexed document and of no other (snapshots left by an earlier
+    build into ``root`` are deleted), and the store is persisted. A
+    snapshot that cannot be written or deleted raises IoFailure.
     """
     root = Path(store_root if store_root is not None else config.store_path)
-    store = VectorStore(config.embedding.expected_dim)
+    emb = config.embedding
+    store = VectorStore(emb.expected_dim)
+    memo = {} if memo is None else memo
+    queued: list[tuple[Document, list[Chunk]]] = []
+    unembedded: dict[str, None] = {}  # queued texts in neither memo nor lost, first-seen order
+    lost: dict[str, str] = {}  # a text whose batch failed in this build: the error
+    failed: dict[str, str] = {}  # a document ingest listed but this build could not index
     indexed: list[Document] = []
 
     def index(doc: Document, chunks: list[Chunk]) -> None:
-        source = Path(doc.source_path).name
-        vectors = embed_texts(
-            [c.text for c in chunks], config.embedding, tokenizer=config.tokenizer
+        queued.append((doc, chunks))
+        unembedded.update(
+            dict.fromkeys(c.text for c in chunks if c.text not in memo and c.text not in lost)
         )
-        store.upsert(
-            [
-                ChunkRecord(
-                    **vars(chunk),
-                    embedding=vectors[i],
-                    metadata={"source": source, "doc_id": doc.doc_id, "title": doc.title},
-                )
-                for i, chunk in enumerate(chunks)
-            ]
-        )
-        indexed.append(doc)
+        if len(unembedded) >= emb.batch_size * emb.max_parallel_requests:
+            flush()
+
+    def flush() -> None:
+        texts = list(unembedded)
+        unembedded.clear()
+        fresh: dict[str, EmbeddingVector] = {}  # the vectors this flush got back
+        if texts:
+            try:
+                vectors = embed_texts(texts, emb, tokenizer=config.tokenizer)
+            except PartialFailure as exc:
+                vectors, error = exc.vectors, str(exc)
+            except LitragError as exc:  # nothing came back
+                vectors, error = [None] * len(texts), str(exc)
+            for text, vector in zip(texts, vectors):
+                if vector is None:
+                    lost[text] = error
+                else:
+                    fresh[text] = vector
+        if fresh:
+            with np.errstate(over="ignore"):  # an overflowing row fails its document below
+                rows = np.array([v.values for v in fresh.values()], dtype=np.float32)
+            memo.update(zip(fresh, rows))
+        for doc, chunks in queued:
+            error = next((lost[c.text] for c in chunks if c.text in lost), None)
+            if error is None:
+                try:
+                    store.upsert(_records(doc, chunks, fresh, memo))
+                except LitragError as exc:  # a zero or overflowing row
+                    error = str(exc)
+            if error is None:
+                indexed.append(doc)
+            else:
+                failed[doc.doc_id] = error
+        queued.clear()
 
     report = ingest_corpus(
         corpus_dir,
@@ -114,6 +180,13 @@ def build_knowledge_base(
         on_document=index,
         max_workers=max_workers,
     )
+    flush()
+    for result in report.documents:
+        if result.doc_id in failed:
+            logger.warning("failed to ingest %s: %s", result.path, failed[result.doc_id])
+            report.failures.append(IngestFailure(path=result.path, error=failed[result.doc_id]))
+    report.failures.sort(key=lambda f: Path(f.path))  # ingest's order
+    report.documents = [d for d in report.documents if d.doc_id not in failed]
     docs = root / "docs"
     written = {f"{doc.doc_id}.json" for doc in indexed}
     try:
@@ -130,3 +203,24 @@ def build_knowledge_base(
         raise IoFailure(f"cannot write document snapshots under {docs}: {exc}") from exc
     store.persist(root)
     return report
+
+
+def _records(
+    doc: Document,
+    chunks: list[Chunk],
+    fresh: dict[str, EmbeddingVector],
+    memo: dict[str, np.ndarray],
+) -> list[ChunkRecord]:
+    """The records of ``doc``'s chunks, each with its embedding: the vector
+    a flush just got back, else one rebuilt from the text's memo row."""
+    metadata = {"source": Path(doc.source_path).name, "doc_id": doc.doc_id, "title": doc.title}
+    records = []
+    for chunk in chunks:
+        vector = fresh.get(chunk.text)
+        if vector is None:
+            try:
+                vector = EmbeddingVector(tuple(memo[chunk.text].tolist()))
+            except ValueError:  # a service value beyond float32's range, as the store reports it
+                raise NonFiniteVector(f"record {chunk.chunk_id!r} overflows float32") from None
+        records.append(ChunkRecord(**vars(chunk), embedding=vector, metadata=metadata))
+    return records

@@ -138,6 +138,7 @@ def _write_config_with(cli_env, chat_url, field, value, **overrides):
         (("retrieval", "mmr", "sim1"), 5),
         (("embedding", "batch_size"), 2.5),
         (("embedding", "expected_dim"), 32.0),
+        (("embedding", "max_parallel_requests"), 33),
         (("split", "separators"), ["\n", 5, ""]),
         (("tokenizer", "chars_per_token"), math.nan),
         (("chat", "temperature"), OVERSIZE),
@@ -360,6 +361,10 @@ def test_tokens_explicit_rows(cli_env, capsys):
     assert code == 0
     assert len(rows) == 1
     assert rows[0]["tokens_per_chunk"] == "400"  # 1600 chars at 4 chars/token
+    with StubChatService() as chat:
+        config = _write_config(cli_env, chat.url)
+        assert main(["--config", config, "tokens", "--rows=-700:-200"]) == 64
+    assert capsys.readouterr().out == ""
 
 
 def test_csv_output_ends_lines_with_a_newline_alone(cli_env, tmp_path, capsys):

@@ -22,6 +22,7 @@ from litrag.embedding import (
 from litrag.errors import (
     ChatServiceFailed,
     DimensionMismatch,
+    InvalidParams,
     PartialFailure,
     ServiceUnreachable,
 )
@@ -154,6 +155,28 @@ def test_parallelism_is_bounded():
         assert svc.max_concurrent <= 3
 
 
+def test_the_first_batch_is_answered_before_any_other_is_sent():
+    class Watching(StubEmbeddingService):
+        def handle_payload(self, payload):
+            if payload["input"] == ["t0"]:
+                self.first_alone = self.inflight == 1  # after its latency, while it is in flight
+            return super().handle_payload(payload)
+
+    with Watching(dim=8, latency_s=0.05) as svc:
+        embed_texts([f"t{i}" for i in range(5)], _config(svc, batch_size=1, max_parallel_requests=4))
+        assert svc.requests[0]["input"] == ["t0"]
+        assert svc.first_alone
+        assert svc.max_concurrent > 1  # the rest still go in parallel
+
+
+def test_max_parallel_requests_is_capped_at_32():
+    # each parallel request is a worker thread of its own; 32 itself is taken
+    EmbeddingConfig(endpoint_url="http://127.0.0.1:1/", max_parallel_requests=32)
+    for bad in (0, 33, 10**6):
+        with pytest.raises(InvalidParams, match="max_parallel_requests must be within 1..32"):
+            EmbeddingConfig(endpoint_url="http://127.0.0.1:1/", max_parallel_requests=bad)
+
+
 def test_idempotent_against_deterministic_stub():
     with StubEmbeddingService(dim=24) as svc:
         config = _config(svc)
@@ -177,6 +200,14 @@ def test_partial_failure_carries_failed_indexes():
         with pytest.raises(PartialFailure) as err:
             embed_texts(texts, _config(svc, batch_size=2))
         assert err.value.failed_indexes == [2, 3]
+        # the vectors that came back, in input order, None where a batch failed
+        from litrag.testing import deterministic_embedding
+
+        got = err.value.vectors
+        assert [vec is None for vec in got] == [False, False, True, True, False, False]
+        for text, vec in zip(texts, got):
+            if vec is not None:
+                assert list(vec.values) == pytest.approx(deterministic_embedding(text, 8))
 
 
 def test_all_batches_failing_is_unreachable():

@@ -1,7 +1,10 @@
 import csv
+import importlib.util
 import math
 import random
+from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from litrag import harness
 from litrag.chain import QueryChain
 from litrag.config import default_config
 from litrag.embedding import EmbeddingVector, TokenizerConfig
-from litrag.errors import EmptyStore, MissingLabel
+from litrag.errors import EmptyStore, InvalidParams, MissingLabel
 from litrag.harness import (
     DEFAULT_RATIO_ROWS,
     OVERLAP_SWEEP_VALUES,
@@ -25,7 +28,7 @@ from litrag.harness import (
     sweep_chunking,
     token_ratio_table,
 )
-from litrag.kb import KnowledgeBase
+from litrag.kb import KnowledgeBase, build_knowledge_base
 from litrag.store import ChunkRecord, Metric, VectorStore, score_rows
 from litrag.testing import (
     StubChatService,
@@ -169,6 +172,51 @@ def test_sweep_rows_come_from_the_build_report_not_the_written_stores(
         assert row.mean_chunk_length == float(np.mean([len(r.text) for r in records]))
 
 
+def _tree(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_a_sweep_embeds_each_distinct_chunk_text_once(sweep_corpus, tmp_path):
+    with StubEmbeddingService(dim=DIM) as svc:
+        cfg = _config(svc, tmp_path)
+        for axis, values, fixed in (
+            ("chunk_size", SIZE_SWEEP_VALUES, 500),
+            ("chunk_overlap", OVERLAP_SWEEP_VALUES, 1000),
+        ):
+            spec = SweepSpec(axis=axis, values=values, fixed=fixed, corpus_dir=str(sweep_corpus))
+            before = len(svc.requests)
+            report = sweep_chunking(spec, cfg, tmp_path / "sweep")
+            sent = Counter(t for r in svc.requests[before:] for t in r["input"])
+            stored = [VectorStore.open(row.store_path).rows()[0] for row in report.rows]
+            texts = {rec.text for records in stored for rec in records}
+            assert set(sent) == texts and set(sent.values()) == {1}, axis
+            assert sum(map(len, stored)) > len(texts), axis  # the rows share chunk texts
+            for row in report.rows:
+                alone = tmp_path / "alone" / Path(row.store_path).name
+                row_cfg = replace(cfg, split=spec.split_params(row.value, cfg.split))
+                build_knowledge_base(sweep_corpus, row_cfg, store_root=alone)
+                assert _tree(Path(row.store_path)) == _tree(alone), row.store_path
+
+
+def test_a_row_that_lost_a_document_says_so(tmp_path):
+    corpus_dir = tmp_path / "corpus"
+    make_corpus(corpus_dir, n_docs=2, seed=31, paragraphs_per_doc=6)
+    (corpus_dir / "zz-broken.txt").write_bytes(b"\xff\xfe bad")
+    with StubEmbeddingService(dim=DIM) as svc:
+        spec = SweepSpec(axis="chunk_size", values=(700, 1400), fixed=200, corpus_dir=str(corpus_dir))
+        report = sweep_chunking(spec, _config(svc, tmp_path), tmp_path / "sweep")
+    assert [(row.error, row.failed_documents) for row in report.rows] == [(None, 1), (None, 1)]
+    rows = list(csv.DictReader(report.to_csv().splitlines()))
+    assert list(rows[0])[-1] == "failed_documents"
+    assert [(row["error"], row["failed_documents"]) for row in rows] == [("", "1"), ("", "1")]
+    # and the demo script exits 1 on that corpus
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_chunk_sweeps.py"
+    script_spec = importlib.util.spec_from_file_location("run_chunk_sweeps", path)
+    script = importlib.util.module_from_spec(script_spec)
+    script_spec.loader.exec_module(script)
+    assert script.main(["--out", str(tmp_path / "demo"), "--corpus", str(corpus_dir)]) == 1
+
+
 def test_sweep_row_answers_mode2(tmp_path):
     corpus_dir = tmp_path / "corpus"
     truths = make_corpus(corpus_dir, n_docs=3, seed=515, paragraphs_per_doc=12)
@@ -233,6 +281,9 @@ def test_representative_chunk_is_exact_length():
 def test_ratio_limits_validated():
     with pytest.raises(ValueError):
         token_ratio_table([(700, 200)], TokenizerConfig(), 0, 768)
+    for row in ((-700, -200), (-1, 0), (700, -1)):
+        with pytest.raises(InvalidParams, match="non-negative"):
+            token_ratio_table([(700, 200), row], TokenizerConfig(), 4096, 768)
 
 
 # --- cluster stats ---------------------------------------------------------------------

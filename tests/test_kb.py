@@ -1,15 +1,18 @@
 import json
 import shutil
+from collections import Counter
 from dataclasses import replace
 from functools import cached_property
 from pathlib import Path
 
 import pytest
 
+import litrag.embedding as embedding_mod
 import litrag.ingest as ingest_mod
+import litrag.kb as kb_mod
 from litrag.config import default_config
 from litrag.errors import CorruptStore, IoFailure
-from litrag.ingest import Document
+from litrag.ingest import Document, ingest_corpus
 from litrag.kb import KnowledgeBase, build_knowledge_base
 from litrag.store import Metric
 from litrag.testing import StubEmbeddingService, make_corpus
@@ -217,6 +220,63 @@ def test_build_without_aux(small_corpus, tmp_path):
     assert report.chunk_count > 0
     assert sent == report.chunk_count
     assert not (Path(cfg.store_path) / "aux").exists()
+
+
+def test_a_build_sends_full_batches_across_documents(small_corpus, tmp_path, monkeypatch):
+    corpus_dir, truths = small_corpus
+    flushes = []
+    embed = kb_mod.embed_texts
+    monkeypatch.setattr(
+        kb_mod, "embed_texts", lambda texts, *a, **kw: flushes.append(len(texts)) or embed(texts, *a, **kw)
+    )
+    with StubEmbeddingService(dim=DIM) as svc:
+        cfg = _config(svc, tmp_path)
+        cfg = replace(cfg, embedding=replace(cfg.embedding, batch_size=10, max_parallel_requests=3))
+        report = build_knowledge_base(corpus_dir, cfg)
+        sizes = sorted(len(r["input"]) for r in svc.requests)
+    assert report.failures == [] and sum(sizes) == report.chunk_count  # no chunk text repeats
+    # a flush runs once 10 * 3 texts wait, and once more when ingest is done
+    expected, waiting = [], 0
+    for doc in report.documents:
+        waiting += doc.chunk_count
+        if waiting >= 30:
+            expected, waiting = expected + [waiting], 0
+    expected += [waiting] if waiting else []
+    assert flushes == expected
+    assert len(flushes) < len(truths)
+    # every request but the last of each flush holds batch_size texts
+    assert sizes == sorted(n for f in flushes for n in [10] * (f // 10) + [f % 10] if n)
+
+
+def test_a_failed_batch_fails_exactly_the_documents_with_a_chunk_in_it(
+    small_corpus, tmp_path, monkeypatch
+):
+    monkeypatch.setattr(embedding_mod, "_RETRY_BASE_S", 0.01)
+    corpus_dir, truths = small_corpus
+    (corpus_dir / "a-broken.txt").write_bytes(b"\xff\xfe bad")
+    (corpus_dir / "zz-broken.txt").write_bytes(b"\xff\xfe bad")
+    chunks, memo = {}, {}
+    with StubEmbeddingService(dim=DIM, fail_when=lambda texts: target in texts) as svc:
+        cfg = _config(svc, tmp_path)
+        cfg = replace(cfg, embedding=replace(cfg.embedding, batch_size=10, max_parallel_requests=3))
+        ingest_corpus(corpus_dir, cfg.split, on_document=lambda d, c: chunks.update({d.doc_id: c}))
+        target = chunks["paper-01"][0].text  # mid-build: the second document's first chunk
+        report = build_knowledge_base(corpus_dir, cfg, memo=memo)
+    failing = [r["input"] for r in svc.requests if target in r["input"]]
+    assert len(failing) == 2 and failing[0] == failing[1]  # the request and its one retry
+    lost = {doc_id for doc_id, cs in chunks.items() if any(c.text in failing[0] for c in cs)}
+    assert lost == {"paper-00", "paper-01"}  # the batch spans a document boundary
+    names = [Path(f.path).name for f in report.failures]
+    assert names == ["a-broken.txt", "paper-00.txt", "paper-01.txt", "zz-broken.txt"]
+    assert "1 of " in report.failures[1].error and "batches failed" in report.failures[1].error
+    assert {d.doc_id for d in report.documents} == set(truths) - lost
+    sent = Counter(t for r in svc.requests for t in r["input"])
+    assert all(n == (2 if t in failing[0] else 1) for t, n in sent.items())
+    assert set(memo) == set(sent) - set(failing[0])
+    kb = KnowledgeBase.open(cfg.store_path)
+    assert kb.doc_ids() == sorted(set(truths) - lost)
+    assert {r.doc_id for r in kb.store.rows()[0]} == set(truths) - lost
+    assert len(kb.store) == report.chunk_count
 
 
 def test_doc_id_collision_is_a_failure_not_silent_loss(small_corpus, tmp_path):
