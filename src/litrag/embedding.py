@@ -204,11 +204,8 @@ def embed_texts(
 ) -> list[EmbeddingVector]:
     """Embed ``texts`` in input order.
 
-    Texts are grouped into batches of ``config.batch_size``. The first batch
-    is sent from the calling thread and answered before any other is sent,
-    so the service sees the first inputs first and a lone batch, as in
-    every query, starts no worker thread; the rest are issued with at most
-    ``config.max_parallel_requests`` concurrent requests. Inputs
+    Texts are grouped into batches of ``config.batch_size`` and issued with
+    at most ``config.max_parallel_requests`` concurrent requests. Inputs
     whose estimated token count (``chars_per_token``, whatever the tokenizer
     mode) exceeds the embedding model's token limit are still sent (services
     truncate) but logged as a warning, since oversize inputs lose precision.
@@ -246,10 +243,11 @@ def embed_texts(
         except ServiceUnreachable as exc:
             return exc
 
-    outcomes = [attempt(batches[0])]
-    if len(batches) > 1:
+    if len(batches) == 1:  # a lone batch, as in every query, starts no worker thread
+        outcomes = [attempt(batches[0])]
+    else:
         with ThreadPoolExecutor(max_workers=config.max_parallel_requests) as pool:
-            outcomes += pool.map(attempt, batches[1:])
+            outcomes = list(pool.map(attempt, batches))
 
     failed = [i for i, out in enumerate(outcomes) if isinstance(out, ServiceUnreachable)]
     if len(failed) == len(batches):

@@ -17,6 +17,7 @@ import logging
 import re
 import shlex
 import subprocess
+from bisect import insort
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -326,6 +327,13 @@ class IngestReport:
     def chunk_count(self) -> int:
         return sum(d.chunk_count for d in self.documents)
 
+    def fail(self, path: str, error: str) -> None:
+        """Record that the file at ``path`` failed with ``error``: log it once,
+        drop its document if one was listed, and keep failures in path order."""
+        logger.warning("failed to ingest %s: %s", path, error)
+        self.documents = [d for d in self.documents if d.path != path]
+        insort(self.failures, IngestFailure(path=path, error=error), key=lambda f: Path(f.path))
+
     def to_dict(self) -> dict:
         return {
             "documents": [vars(d) for d in self.documents],
@@ -353,8 +361,8 @@ def ingest_corpus(
     exception propagates. ``on_document`` is called in path order for each
     loaded document as it streams past. A caller may index the document at
     once, or queue it and index it later, as ``build_knowledge_base`` does
-    to embed across documents; a caller that queues moves a document it
-    then fails from the report's documents to its failures itself.
+    to embed across documents, and record a later failure with
+    ``IngestReport.fail``.
     Document ids are file stems; a file whose stem an earlier loaded file
     took (even if ``on_document`` then failed it) fails with
     DuplicateDocument.
@@ -384,8 +392,7 @@ def ingest_corpus(
                 if on_document is not None:
                     on_document(doc, chunks)
             except LitragError as exc:
-                logger.warning("failed to ingest %s: %s", path, exc)
-                report.failures.append(IngestFailure(path=str(path), error=str(exc)))
+                report.fail(str(path), str(exc))
                 continue
             report.documents.append(
                 DocumentResult(

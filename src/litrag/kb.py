@@ -20,7 +20,6 @@ still fails only the documents it touches.
 from __future__ import annotations
 
 import json
-import logging
 from pathlib import Path
 
 import numpy as np
@@ -33,13 +32,10 @@ from .errors import (
     EmptyDocument,
     IoFailure,
     LitragError,
-    NonFiniteVector,
     PartialFailure,
 )
-from .ingest import Chunk, Document, IngestFailure, IngestReport, ingest_corpus
+from .ingest import Chunk, Document, IngestReport, ingest_corpus
 from .store import ChunkRecord, VectorStore
-
-logger = logging.getLogger(__name__)
 
 
 class KnowledgeBase:
@@ -107,16 +103,19 @@ def build_knowledge_base(
     store's own precision, so a row taken from it upserts bit for bit as the
     service's vector would. A text in it is not sent again: ``sweep_chunking``
     passes one memo to all the builds of a sweep. A build without one starts
-    from an empty memo. Each text that comes back enters the memo; a text
-    whose batch failed does not, and is not sent again in this build.
+    from an empty memo. Each text that comes back enters the memo, unless
+    its row overflows float32: that text is sent again wherever it recurs,
+    and the store fails each document holding it. A text whose batch failed
+    does not enter the memo either, and is not sent again in this build.
 
     Failures stay per document. A document with a chunk in a failed batch
     (a ``PartialFailure``, or a flush that raises ServiceUnreachable or
     DimensionMismatch, which fails every queued document) fails with that
     error, and a zero or overflowing row fails its own document at its
-    upsert. Such documents move from the report's ``documents`` to its
-    ``failures``, which stay in path order; any other LitragError while
-    loading a document fails it inside ingest's per-file isolation. Once
+    upsert. Each is recorded with ``IngestReport.fail``, which moves it
+    from the report's ``documents`` to its ``failures``, kept in path order;
+    any other LitragError while loading a document fails it inside
+    ingest's per-file isolation. Once
     the last flush is done, ``docs/`` is created and holds a snapshot of
     each indexed document and of no other (snapshots left by an earlier
     build into ``root`` are deleted), and the store is persisted. A
@@ -129,7 +128,7 @@ def build_knowledge_base(
     queued: list[tuple[Document, list[Chunk]]] = []
     unembedded: dict[str, None] = {}  # queued texts in neither memo nor lost, first-seen order
     lost: dict[str, str] = {}  # a text whose batch failed in this build: the error
-    failed: dict[str, str] = {}  # a document ingest listed but this build could not index
+    failed: dict[str, str] = {}  # source path -> error: listed by ingest, not indexed
     indexed: list[Document] = []
 
     def index(doc: Document, chunks: list[Chunk]) -> None:
@@ -157,9 +156,9 @@ def build_knowledge_base(
                 else:
                     fresh[text] = vector
         if fresh:
-            with np.errstate(over="ignore"):  # an overflowing row fails its document below
+            with np.errstate(over="ignore"):  # the store fails an overflowing row's document
                 rows = np.array([v.values for v in fresh.values()], dtype=np.float32)
-            memo.update(zip(fresh, rows))
+            memo.update((t, r) for t, r in zip(fresh, rows) if np.isfinite(r).all())
         for doc, chunks in queued:
             error = next((lost[c.text] for c in chunks if c.text in lost), None)
             if error is None:
@@ -170,7 +169,7 @@ def build_knowledge_base(
             if error is None:
                 indexed.append(doc)
             else:
-                failed[doc.doc_id] = error
+                failed[doc.source_path] = error
         queued.clear()
 
     report = ingest_corpus(
@@ -181,12 +180,8 @@ def build_knowledge_base(
         max_workers=max_workers,
     )
     flush()
-    for result in report.documents:
-        if result.doc_id in failed:
-            logger.warning("failed to ingest %s: %s", result.path, failed[result.doc_id])
-            report.failures.append(IngestFailure(path=result.path, error=failed[result.doc_id]))
-    report.failures.sort(key=lambda f: Path(f.path))  # ingest's order
-    report.documents = [d for d in report.documents if d.doc_id not in failed]
+    for path, error in failed.items():
+        report.fail(path, error)
     docs = root / "docs"
     written = {f"{doc.doc_id}.json" for doc in indexed}
     try:
@@ -216,11 +211,6 @@ def _records(
     metadata = {"source": Path(doc.source_path).name, "doc_id": doc.doc_id, "title": doc.title}
     records = []
     for chunk in chunks:
-        vector = fresh.get(chunk.text)
-        if vector is None:
-            try:
-                vector = EmbeddingVector(tuple(memo[chunk.text].tolist()))
-            except ValueError:  # a service value beyond float32's range, as the store reports it
-                raise NonFiniteVector(f"record {chunk.chunk_id!r} overflows float32") from None
+        vector = fresh.get(chunk.text) or EmbeddingVector(tuple(memo[chunk.text].tolist()))
         records.append(ChunkRecord(**vars(chunk), embedding=vector, metadata=metadata))
     return records

@@ -155,20 +155,6 @@ def test_parallelism_is_bounded():
         assert svc.max_concurrent <= 3
 
 
-def test_the_first_batch_is_answered_before_any_other_is_sent():
-    class Watching(StubEmbeddingService):
-        def handle_payload(self, payload):
-            if payload["input"] == ["t0"]:
-                self.first_alone = self.inflight == 1  # after its latency, while it is in flight
-            return super().handle_payload(payload)
-
-    with Watching(dim=8, latency_s=0.05) as svc:
-        embed_texts([f"t{i}" for i in range(5)], _config(svc, batch_size=1, max_parallel_requests=4))
-        assert svc.requests[0]["input"] == ["t0"]
-        assert svc.first_alone
-        assert svc.max_concurrent > 1  # the rest still go in parallel
-
-
 def test_max_parallel_requests_is_capped_at_32():
     # each parallel request is a worker thread of its own; 32 itself is taken
     EmbeddingConfig(endpoint_url="http://127.0.0.1:1/", max_parallel_requests=32)

@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 from collections import Counter
 from dataclasses import replace
@@ -15,7 +16,7 @@ from litrag.errors import CorruptStore, IoFailure
 from litrag.ingest import Document, ingest_corpus
 from litrag.kb import KnowledgeBase, build_knowledge_base
 from litrag.store import Metric
-from litrag.testing import StubEmbeddingService, make_corpus
+from litrag.testing import StubEmbeddingService, _doc_tag, make_corpus
 
 DIM = 32
 
@@ -227,7 +228,9 @@ def test_a_build_sends_full_batches_across_documents(small_corpus, tmp_path, mon
     flushes = []
     embed = kb_mod.embed_texts
     monkeypatch.setattr(
-        kb_mod, "embed_texts", lambda texts, *a, **kw: flushes.append(len(texts)) or embed(texts, *a, **kw)
+        kb_mod,
+        "embed_texts",
+        lambda texts, *a, **kw: flushes.append(len(texts)) or embed(texts, *a, **kw),
     )
     with StubEmbeddingService(dim=DIM) as svc:
         cfg = _config(svc, tmp_path)
@@ -295,7 +298,10 @@ def test_doc_id_collision_is_a_failure_not_silent_loss(small_corpus, tmp_path):
 
 
 class _BadFirstEmbedding(StubEmbeddingService):
-    """Answers the first text of its first request with ``[value] * dim``."""
+    """Answers each text that opens with a word of the first document,
+    paper-00, with ``[value] * dim``. ``make_corpus`` ends every word of a
+    document's vocabulary in that document's tag, so the texts are picked by
+    content and the same document fails whichever request arrives first."""
 
     def __init__(self, value: float, **kwargs):
         super().__init__(**kwargs)
@@ -303,8 +309,9 @@ class _BadFirstEmbedding(StubEmbeddingService):
 
     def handle_payload(self, payload):
         status, body = super().handle_payload(payload)
-        if len(self.requests) == 1:
-            body["data"][0]["embedding"] = [self.value] * self.dim
+        for text, item in zip(payload["input"], body["data"]):
+            if re.match(rf"\w+{_doc_tag(0)}\b", text):
+                item["embedding"] = [self.value] * self.dim
         return status, body
 
 
@@ -321,6 +328,24 @@ def test_zero_embedding_fails_its_document_not_the_kb(small_corpus, tmp_path):
         kb = KnowledgeBase.open(cfg.store_path)
         assert len(kb.store) == report.chunk_count
         assert kb.store.top_k([1.0] * DIM, 3, Metric.cosine())
+
+
+def test_a_row_beyond_float32_stays_out_of_the_memo(small_corpus, tmp_path):
+    # two builds sharing a memo, as a sweep's rows do: the second sends only the
+    # texts whose rows overflowed, and the store fails paper-00 again
+    corpus_dir, truths = small_corpus
+    memo = {}
+    with _BadFirstEmbedding(1e39, dim=DIM) as svc:
+        for build in ("first", "second"):
+            report = build_knowledge_base(corpus_dir, _config(svc, tmp_path / build), memo=memo)
+            assert [Path(f.path).name for f in report.failures] == ["paper-00.txt"]
+            assert "overflows float32" in report.failures[0].error
+            assert report.document_count == len(truths) - 1
+        sent = Counter(t for r in svc.requests for t in r["input"])
+    overflowed = {t for t, n in sent.items() if n == 2}
+    assert overflowed and all(re.match(rf"\w+{_doc_tag(0)}\b", t) for t in overflowed)
+    assert set(memo) == set(sent) - overflowed
+    assert set(sent.values()) == {1, 2}
 
 
 def test_failures_are_listed_in_path_order(small_corpus, tmp_path):
