@@ -2,9 +2,9 @@
 
 Commands: ingest, query, sweep, tokens, verify, stats, export. All stdout
 payloads are JSON or CSV. Exit codes: 0 success, 1 runtime failure (a bad
-config file or an unreadable input file among them), 2 verification
-flagged citations, 64 usage error (a bad flag: one argparse refuses, or one
-whose value a parameter check refuses as InvalidParams).
+config file, an unreadable input file, or an ingest or sweep that lost a
+document or a build, its report still printed), 2 flagged citations, 64 usage
+error (a bad flag, refused by argparse or by a check raising InvalidParams).
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ def _build_parser() -> _Parser:
 def _cmd_ingest(args, config) -> int:
     report = build_knowledge_base(args.dir, config, extractor=args.extractor)
     print(report.to_json())
-    return EXIT_OK
+    return EXIT_FAILURE if report.failures else EXIT_OK
 
 
 def _cmd_query(args, config) -> int:
@@ -138,7 +138,7 @@ def _cmd_sweep(args, config) -> int:
     )
     report = harness.sweep_chunking(spec, config, args.workdir)
     print(report.to_csv() if args.format == "csv" else report.to_json(), end="")
-    return EXIT_OK
+    return EXIT_FAILURE if any(row.failed for row in report.rows) else EXIT_OK
 
 
 def _cmd_tokens(args, config) -> int:

@@ -39,6 +39,7 @@ OVERLAP_SWEEP_VALUES = (0, 175, 350, 525, 700)
 OVERLAP_SWEEP_FIXED_SIZE = 1000
 
 SWEEP_AXES = ("chunk_size", "chunk_overlap")
+MAX_RATIO_CHUNK_CHARS = 1_000_000  # the longest chunk a token-ratio row builds in memory
 
 
 @dataclass(frozen=True)
@@ -83,6 +84,11 @@ class SweepRow:
     store_path: str
     error: str | None = None
     failed_documents: int = 0
+
+    @property
+    def failed(self) -> bool:
+        """The build raised, or lost a document."""
+        return self.error is not None or self.failed_documents > 0
 
 
 @dataclass
@@ -223,6 +229,8 @@ def token_ratio_table(
     for size, overlap in rows:
         if size < 0 or overlap < 0:
             raise InvalidParams(f"chunk sizes and overlaps must be non-negative, got {size}:{overlap}")
+        if size > MAX_RATIO_CHUNK_CHARS:
+            raise InvalidParams(f"chunk sizes may not exceed {MAX_RATIO_CHUNK_CHARS}, got {size}")
     out = []
     for size, overlap in rows:
         tokens = token_count(representative_chunk(size), tok) if size > 0 else 0

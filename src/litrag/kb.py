@@ -13,8 +13,8 @@ the result (``aux_index``) is kept for the life of the ``KnowledgeBase``.
 A build (``build_knowledge_base``) queues documents as ingest loads them
 and embeds them in flushes across documents: each distinct chunk text it
 needs goes to the embedding service once, in full batches, and a memo of
-float32 rows lets the builds of one sweep share what was sent. A failure
-still fails only the documents it touches.
+float32 rows, handed to the store as they are, lets the builds of one sweep
+share what was sent. A failure still fails only the documents it touches.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from .citations import AuxIndex, build_auxiliary_index
 from .config import EngineConfig
-from .embedding import EmbeddingVector, embed_texts
+from .embedding import embed_texts
 from .errors import (
     CorruptStore,
     EmptyDocument,
@@ -100,13 +100,13 @@ def build_knowledge_base(
     it makes one ``store.upsert`` per queued document, in path order.
 
     ``memo`` maps a chunk text to its embedding as a float32 row, the
-    store's own precision, so a row taken from it upserts bit for bit as the
-    service's vector would. A text in it is not sent again: ``sweep_chunking``
+    store's own precision, and each document's upsert takes its chunks' memo
+    rows as they are. A text in it is not sent again: ``sweep_chunking``
     passes one memo to all the builds of a sweep. A build without one starts
-    from an empty memo. Each text that comes back enters the memo, unless
-    its row overflows float32: that text is sent again wherever it recurs,
-    and the store fails each document holding it. A text whose batch failed
-    does not enter the memo either, and is not sent again in this build.
+    from an empty memo. Every row that comes back enters the memo, a zero or
+    overflowing one too: the store fails each document holding it, in every
+    build that uses the memo. A text whose batch failed does not enter the
+    memo, and is not sent again in this build.
 
     Failures stay per document. A document with a chunk in a failed batch
     (a ``PartialFailure``, or a flush that raises ServiceUnreachable or
@@ -142,7 +142,6 @@ def build_knowledge_base(
     def flush() -> None:
         texts = list(unembedded)
         unembedded.clear()
-        fresh: dict[str, EmbeddingVector] = {}  # the vectors this flush got back
         if texts:
             try:
                 vectors = embed_texts(texts, emb, tokenizer=config.tokenizer)
@@ -150,20 +149,15 @@ def build_knowledge_base(
                 vectors, error = exc.vectors, str(exc)
             except LitragError as exc:  # nothing came back
                 vectors, error = [None] * len(texts), str(exc)
-            for text, vector in zip(texts, vectors):
-                if vector is None:
-                    lost[text] = error
-                else:
-                    fresh[text] = vector
-        if fresh:
+            lost.update((t, error) for t, v in zip(texts, vectors) if v is None)
+            back = {t: v.values for t, v in zip(texts, vectors) if v is not None}
             with np.errstate(over="ignore"):  # the store fails an overflowing row's document
-                rows = np.array([v.values for v in fresh.values()], dtype=np.float32)
-            memo.update((t, r) for t, r in zip(fresh, rows) if np.isfinite(r).all())
+                memo.update(zip(back, np.array(list(back.values()), dtype=np.float32)))
         for doc, chunks in queued:
             error = next((lost[c.text] for c in chunks if c.text in lost), None)
             if error is None:
                 try:
-                    store.upsert(_records(doc, chunks, fresh, memo))
+                    store.upsert(_records(doc, chunks), [memo[c.text] for c in chunks])
                 except LitragError as exc:  # a zero or overflowing row
                     error = str(exc)
             if error is None:
@@ -200,17 +194,8 @@ def build_knowledge_base(
     return report
 
 
-def _records(
-    doc: Document,
-    chunks: list[Chunk],
-    fresh: dict[str, EmbeddingVector],
-    memo: dict[str, np.ndarray],
-) -> list[ChunkRecord]:
-    """The records of ``doc``'s chunks, each with its embedding: the vector
-    a flush just got back, else one rebuilt from the text's memo row."""
+def _records(doc: Document, chunks: list[Chunk]) -> list[ChunkRecord]:
+    """The records of ``doc``'s chunks, with ``embedding=None``: a flush
+    hands their memo rows to ``upsert`` beside them."""
     metadata = {"source": Path(doc.source_path).name, "doc_id": doc.doc_id, "title": doc.title}
-    records = []
-    for chunk in chunks:
-        vector = fresh.get(chunk.text) or EmbeddingVector(tuple(memo[chunk.text].tolist()))
-        records.append(ChunkRecord(**vars(chunk), embedding=vector, metadata=metadata))
-    return records
+    return [ChunkRecord(**vars(chunk), embedding=None, metadata=metadata) for chunk in chunks]

@@ -53,7 +53,7 @@ import hashlib
 import json
 import math
 import threading
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from types import MappingProxyType
@@ -228,10 +228,10 @@ class ChunkRecord(Chunk):
     """A stored chunk: a :class:`~litrag.ingest.Chunk`, whose span maps it
     onto its expanded chunk, with an embedding and provenance metadata.
 
-    ``upsert`` takes records with an embedding. Once stored, the embedding
-    lives only as the record's matrix row: the store keeps the record with
-    ``embedding=None`` and hands it out that way; only ``records`` and
-    ``get`` rebuild the vector from the row.
+    ``upsert`` takes records with an embedding, or with ``embedding=None``
+    and their rows beside them. Once stored, the embedding lives only as the
+    record's matrix row: the store keeps the record with ``embedding=None``
+    and hands it out that way; only ``records`` and ``get`` rebuild it.
     ``metadata`` must include a "source" key naming the source document.
     The store keeps it as a read-only mapping (``types.MappingProxyType``)
     over its own copy; ``dict(rec.metadata)`` gives a plain dict.
@@ -354,27 +354,32 @@ class VectorStore:
             i = self._index.get(chunk_id)
             return _with_row(self._records[i], self._matrix[i]) if i is not None else None
 
-    def upsert(self, records: list[ChunkRecord]) -> int:
+    def upsert(self, records: list[ChunkRecord], rows: Sequence | None = None) -> int:
         """Insert or replace records by chunk_id. Returns the count applied.
 
-        All records are validated before any mutation, so a failed upsert
-        leaves the store unchanged. A batch may name each chunk_id once, and
-        no embedding may overflow float32 or round to zero in it (cosine is
-        undefined for a zero row).
+        Each record carries its embedding, or, given ``rows`` (such as float32
+        matrix rows), row i embeds record i and every record carries
+        ``embedding=None``. All records are validated before any mutation, so
+        a failed upsert leaves the store unchanged. A batch may name each
+        chunk_id once, and no embedding may overflow float32 or round to zero
+        in it (cosine is undefined for a zero row).
         """
+        if rows is None:
+            rows = [rec.embedding.values for rec in records]
+        elif len(rows) != len(records) or any(rec.embedding is not None for rec in records):
+            raise InvalidParams("upsert takes one row per record, each with embedding=None")
         if not records:  # nothing to write; the buffer choice below needs a slot
             return 0
-        for rec in records:
-            if rec.embedding.dim != self._dim:
+        for rec, row in zip(records, rows):
+            if len(row) != self._dim:
                 raise DimensionMismatch(
-                    f"record {rec.chunk_id!r} has dimension {rec.embedding.dim}, "
-                    f"store expects {self._dim}"
+                    f"record {rec.chunk_id!r} has dimension {len(row)}, store expects {self._dim}"
                 )
             _check_record(rec)
         if len({rec.chunk_id for rec in records}) != len(records):
             raise ValueError("an upsert batch names the same chunk_id twice")
         with np.errstate(over="ignore"):  # an overflowing row is reported just below
-            batch = np.array([rec.embedding.values for rec in records], dtype=np.float32)
+            batch = np.array(rows, dtype=np.float32)
         batch = batch.reshape(len(records), self._dim)
         overflow = np.flatnonzero(~np.isfinite(batch).all(axis=1))
         if overflow.size:

@@ -193,7 +193,7 @@ def test_ingest_missing_dir(cli_env, tmp_path, capsys):
     assert capsys.readouterr().err
 
 
-def test_ingest_partial_failure_still_succeeds(cli_env, tmp_path, capsys):
+def test_ingest_partial_failure_exits_one_with_its_report(cli_env, tmp_path, capsys):
     corpus = tmp_path / "corpus"
     make_corpus(corpus, n_docs=2, seed=5, paragraphs_per_doc=6)
     (corpus / "broken.txt").write_bytes(b"\xff\xfe broken")
@@ -201,8 +201,9 @@ def test_ingest_partial_failure_still_succeeds(cli_env, tmp_path, capsys):
         config = _write_config(cli_env, chat.url, store_path=str(tmp_path / "kb4"))
         code = main(["--config", config, "ingest", "--dir", str(corpus)])
     out = json.loads(capsys.readouterr().out)
-    assert code == 0
+    assert code == 1
     assert len(out["failures"]) == 1
+    assert out["document_count"] == 2
 
 
 # --- query --------------------------------------------------------------------------
@@ -325,6 +326,40 @@ def test_sweep_overlap_axis_csv(cli_env, tmp_path, capsys):
     assert counts == sorted(counts)
 
 
+def _sweep_args(config, corpus_dir, workdir):
+    return [
+        "--config", config, "sweep",
+        "--axis", "chunk_size",
+        "--values", "900,1200",
+        "--fixed", "200",
+        "--format", "json",
+        "--dir", str(corpus_dir),
+        "--workdir", str(workdir),
+    ]
+
+
+def test_a_sweep_that_lost_a_document_exits_one_with_its_report(cli_env, tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    make_corpus(corpus, n_docs=2, seed=5, paragraphs_per_doc=6)
+    (corpus / "zz-broken.txt").write_bytes(b"\xff\xfe broken")
+    with StubChatService() as chat:
+        config = _write_config(cli_env, chat.url)
+        code = main(_sweep_args(config, corpus, tmp_path / "sweeps"))
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert code == 1
+    assert [(r["error"], r["failed_documents"]) for r in rows] == [(None, 1), (None, 1)]
+    assert all(r["chunk_count"] > 0 for r in rows)
+
+
+def test_a_sweep_over_a_missing_dir_exits_one_with_its_report(cli_env, tmp_path, capsys):
+    with StubChatService() as chat:
+        config = _write_config(cli_env, chat.url)
+        code = main(_sweep_args(config, tmp_path / "missing", tmp_path / "sweeps"))
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert code == 1
+    assert len(rows) == 2 and all(r["error"] for r in rows)
+
+
 def test_sweep_bad_values_usage_error(cli_env, tmp_path):
     with StubChatService() as chat:
         config = _write_config(cli_env, chat.url)
@@ -364,7 +399,10 @@ def test_tokens_explicit_rows(cli_env, capsys):
     with StubChatService() as chat:
         config = _write_config(cli_env, chat.url)
         assert main(["--config", config, "tokens", "--rows=-700:-200"]) == 64
-    assert capsys.readouterr().out == ""
+        assert main(["--config", config, "tokens", "--rows", "10000000000:0"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "may not exceed 1000000, got 10000000000" in captured.err
 
 
 def test_csv_output_ends_lines_with_a_newline_alone(cli_env, tmp_path, capsys):

@@ -91,7 +91,7 @@ def test_size_sweep_counts_non_increasing(sweep_corpus, tmp_path):
     assert len(counts) == 5
     assert all(c > 0 for c in counts)
     assert counts == sorted(counts, reverse=True)
-    assert all(row.error is None for row in report.rows)
+    assert all(row.error is None and not row.failed for row in report.rows)
 
 
 def test_overlap_sweep_counts_non_decreasing(sweep_corpus, tmp_path):
@@ -123,7 +123,7 @@ def test_failed_sweep_row_recorded_not_fatal(tmp_path):
         )
         report = sweep_chunking(spec, cfg, tmp_path / "sweep")
     assert len(report.rows) == 2
-    assert all(row.error for row in report.rows)
+    assert all(row.error and row.failed for row in report.rows)
 
 
 def test_a_fault_in_a_sweep_row_propagates(monkeypatch, tmp_path):
@@ -206,6 +206,7 @@ def test_a_row_that_lost_a_document_says_so(tmp_path):
         spec = SweepSpec(axis="chunk_size", values=(700, 1400), fixed=200, corpus_dir=str(corpus_dir))
         report = sweep_chunking(spec, _config(svc, tmp_path), tmp_path / "sweep")
     assert [(row.error, row.failed_documents) for row in report.rows] == [(None, 1), (None, 1)]
+    assert all(row.failed for row in report.rows)
     rows = list(csv.DictReader(report.to_csv().splitlines()))
     assert list(rows[0])[-1] == "failed_documents"
     assert [(row["error"], row["failed_documents"]) for row in rows] == [("", "1"), ("", "1")]
@@ -284,6 +285,9 @@ def test_ratio_limits_validated():
     for row in ((-700, -200), (-1, 0), (700, -1)):
         with pytest.raises(InvalidParams, match="non-negative"):
             token_ratio_table([(700, 200), row], TokenizerConfig(), 4096, 768)
+    assert token_ratio_table([(1_000_000, 0)], TokenizerConfig(), 4096, 768)[0].tokens_per_chunk
+    with pytest.raises(InvalidParams, match="may not exceed"):
+        token_ratio_table([(700, 200), (1_000_001, 0)], TokenizerConfig(), 4096, 768)
 
 
 # --- cluster stats ---------------------------------------------------------------------

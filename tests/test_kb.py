@@ -12,6 +12,7 @@ import litrag.embedding as embedding_mod
 import litrag.ingest as ingest_mod
 import litrag.kb as kb_mod
 from litrag.config import default_config
+from litrag.embedding import EmbeddingVector
 from litrag.errors import CorruptStore, IoFailure
 from litrag.ingest import Document, ingest_corpus
 from litrag.kb import KnowledgeBase, build_knowledge_base
@@ -330,9 +331,11 @@ def test_zero_embedding_fails_its_document_not_the_kb(small_corpus, tmp_path):
         assert kb.store.top_k([1.0] * DIM, 3, Metric.cosine())
 
 
-def test_a_row_beyond_float32_stays_out_of_the_memo(small_corpus, tmp_path):
-    # two builds sharing a memo, as a sweep's rows do: the second sends only the
-    # texts whose rows overflowed, and the store fails paper-00 again
+def test_a_row_beyond_float32_is_sent_once_and_fails_its_document_in_every_build(
+    small_corpus, tmp_path
+):
+    # two builds sharing a memo, as a sweep's rows do: the memo keeps every row that
+    # came back, so the second build sends nothing, and the store fails paper-00 again
     corpus_dir, truths = small_corpus
     memo = {}
     with _BadFirstEmbedding(1e39, dim=DIM) as svc:
@@ -342,10 +345,32 @@ def test_a_row_beyond_float32_stays_out_of_the_memo(small_corpus, tmp_path):
             assert "overflows float32" in report.failures[0].error
             assert report.document_count == len(truths) - 1
         sent = Counter(t for r in svc.requests for t in r["input"])
-    overflowed = {t for t, n in sent.items() if n == 2}
-    assert overflowed and all(re.match(rf"\w+{_doc_tag(0)}\b", t) for t in overflowed)
-    assert set(memo) == set(sent) - overflowed
-    assert set(sent.values()) == {1, 2}
+    assert any(re.match(rf"\w+{_doc_tag(0)}\b", t) for t in sent)  # an overflowing text
+    assert set(sent.values()) == {1}
+    assert set(memo) == set(sent)
+
+
+def test_a_sweep_builds_each_embedding_vector_once(small_corpus, tmp_path, monkeypatch):
+    # the records of a build carry no vector: a memo row goes to the store as it is
+    corpus_dir, _ = small_corpus
+    built = []
+    post_init = EmbeddingVector.__post_init__
+    monkeypatch.setattr(
+        EmbeddingVector, "__post_init__", lambda self: built.append(self) or post_init(self)
+    )
+    memo, stored = {}, 0
+    with StubEmbeddingService(dim=DIM) as svc:
+        cfg = _config(svc, tmp_path)
+        for size in (900, 1200):
+            split = replace(cfg.split, chunk_size=size)
+            report = build_knowledge_base(
+                corpus_dir, replace(cfg, split=split), store_root=tmp_path / str(size), memo=memo
+            )
+            assert report.failures == []
+            stored += report.chunk_count
+        sent = [t for r in svc.requests for t in r["input"]]
+    assert len(sent) < stored  # the second build took some rows from the memo
+    assert len(built) == len(sent) == len(set(sent)) == len(memo)
 
 
 def test_failures_are_listed_in_path_order(small_corpus, tmp_path):

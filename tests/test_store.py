@@ -16,6 +16,7 @@ from litrag.errors import (
     DimensionMismatch,
     EmptyStore,
     InvalidLambda,
+    InvalidParams,
     ZeroVector,
 )
 from litrag.ingest import Chunk
@@ -209,17 +210,30 @@ def test_upsert_insert_and_replace():
     assert store.get("c2").embedding.values == (9.0, 9.0, 9.0)
 
 
+def _upsert_as(form, store, records):
+    """``store.upsert`` of ``records``, each embedding inside its record
+    ("records") or beside it as a float32 row, as a build hands them ("rows")."""
+    if form == "records":
+        return store.upsert(records)
+    with np.errstate(over="ignore"):
+        rows = [np.array(r.embedding.values, dtype=np.float32) for r in records]
+    return store.upsert([replace(r, embedding=None) for r in records], rows)
+
+
+_FORMS = ("records", "rows")
+
+
 def test_upsert_dimension_mismatch_leaves_store_unchanged():
-    store = VectorStore(3)
-    store.upsert([_record("a", [1, 2, 3])])
-    with pytest.raises(DimensionMismatch):
-        store.upsert([_record("b", [1, 2, 3]), _record("c", [1, 2])])
-    assert len(store) == 1
-    assert store.get("b") is None
+    for form in _FORMS:
+        store = VectorStore(3)
+        store.upsert([_record("a", [1, 2, 3])])
+        with pytest.raises(DimensionMismatch, match="record 'c' has dimension 2, store expects 3"):
+            _upsert_as(form, store, [_record("b", [1, 2, 3]), _record("c", [1, 2])])
+        assert len(store) == 1
+        assert store.get("b") is None
 
 
 def test_upsert_requires_source_metadata():
-    store = VectorStore(2)
     record = ChunkRecord(
         chunk_id="x",
         doc_id="d",
@@ -229,27 +243,32 @@ def test_upsert_requires_source_metadata():
         embedding=EmbeddingVector((1.0, 2.0)),
         metadata={},
     )
-    with pytest.raises(ValueError):
-        store.upsert([record])
+    for form in _FORMS:
+        store = VectorStore(2)
+        with pytest.raises(ValueError, match="metadata must include a 'source' entry"):
+            _upsert_as(form, store, [record])
+        assert len(store) == 0
 
 
 @pytest.mark.parametrize("start, end", [(None, 10), (0, None), (-1, 10), (10, 5)])
 def test_upsert_rejects_bad_offsets_and_leaves_store_unchanged(start, end):
-    store = VectorStore(2)
-    store.upsert([_record("a", [1, 2])])
-    bad = replace(_record("b", [3, 4]), start_offset=start, end_offset=end)
-    with pytest.raises(ValueError):
-        store.upsert([_record("c", [5, 6]), bad])
-    assert [r.chunk_id for r in store.records()] == ["a"]
+    for form in _FORMS:
+        store = VectorStore(2)
+        store.upsert([_record("a", [1, 2])])
+        bad = replace(_record("b", [3, 4]), start_offset=start, end_offset=end)
+        with pytest.raises(ValueError, match="record 'b' needs int offsets"):
+            _upsert_as(form, store, [_record("c", [5, 6]), bad])
+        assert [r.chunk_id for r in store.records()] == ["a"]
 
 
 def test_upsert_rejects_repeated_chunk_id_and_leaves_store_unchanged():
-    store = VectorStore(2)
-    store.upsert([_record("x", [1, 2])])
-    with pytest.raises(ValueError):
-        store.upsert([_record("a", [1, 0]), _record("a", [0, 1])])
-    assert [r.chunk_id for r in store.records()] == ["x"]
-    assert [sr.record.chunk_id for sr in store.top_k([1, 0], 5, Metric.euclidean())] == ["x"]
+    for form in _FORMS:
+        store = VectorStore(2)
+        store.upsert([_record("x", [1, 2])])
+        with pytest.raises(ValueError, match="names the same chunk_id twice"):
+            _upsert_as(form, store, [_record("a", [1, 0]), _record("a", [0, 1])])
+        assert [r.chunk_id for r in store.records()] == ["x"]
+        assert [sr.record.chunk_id for sr in store.top_k([1, 0], 5, Metric.euclidean())] == ["x"]
 
 
 @pytest.mark.parametrize(
@@ -257,13 +276,47 @@ def test_upsert_rejects_repeated_chunk_id_and_leaves_store_unchanged():
 )
 def test_upsert_rejects_zero_or_overflowing_rows_and_leaves_store_unchanged(values, error):
     # 1e-50 is zero once rounded to float32; 1e39 overflows it
+    message = "overflows float32" if values[0] == 1e39 else "has a zero embedding"
+    for form in _FORMS:
+        store = VectorStore(2)
+        store.upsert([_record("a", [1, 0]), _record("b", [0, 1])])
+        with pytest.raises(error, match=f"record 'bad' {message}"):
+            _upsert_as(form, store, [_record("c", [1, 1]), _record("bad", values)])
+        assert [r.chunk_id for r in store.records()] == ["a", "b"]
+        result = store.top_k([1, 0.5], 3, Metric.cosine())
+        assert [sr.record.chunk_id for sr in result] == ["a", "b"]
+
+
+@pytest.mark.parametrize(
+    "records, rows",
+    [
+        ([replace(_record("b", [0, 1]), embedding=None)], []),  # fewer rows than records
+        ([replace(_record("b", [0, 1]), embedding=None)], [[0.0, 1.0], [1.0, 1.0]]),
+        ([], [[0.0, 1.0]]),
+        ([_record("b", [0, 1])], [[0.0, 1.0]]),  # a record that carries an embedding too
+    ],
+)
+def test_upsert_refuses_rows_that_do_not_pair_with_bare_records(records, rows):
     store = VectorStore(2)
-    store.upsert([_record("a", [1, 0]), _record("b", [0, 1])])
-    with pytest.raises(error):
-        store.upsert([_record("c", [1, 1]), _record("bad", values)])
-    assert [r.chunk_id for r in store.records()] == ["a", "b"]
-    result = store.top_k([1, 0.5], 3, Metric.cosine())
-    assert [sr.record.chunk_id for sr in result] == ["a", "b"]
+    store.upsert([_record("a", [1, 0])])
+    with pytest.raises(InvalidParams):
+        store.upsert(records, rows)
+    assert [r.chunk_id for r in store.records()] == ["a"]
+    assert store.get("a").embedding.values == (1.0, 0.0)
+
+
+def test_a_store_built_from_rows_persists_as_one_built_from_records(tmp_path):
+    rng = np.random.default_rng(7)
+    vectors = rng.normal(size=(30, 16)) * 10.0 ** rng.integers(-3, 4, size=(30, 1))
+    records = [_record(f"c{i:02d}", v, doc_id=f"d{i % 3}") for i, v in enumerate(vectors)]
+    by_records, by_rows = VectorStore(16), VectorStore(16)
+    for batch in (records[:10], records[10:25], records[5:30]):  # appends, then replaces
+        by_records.upsert(batch)
+        _upsert_as("rows", by_rows, batch)
+    by_records.persist(tmp_path / "records")
+    by_rows.persist(tmp_path / "rows")
+    for name in ("header.json", "records.jsonl", "matrix.bin"):
+        assert (tmp_path / "rows" / name).read_bytes() == (tmp_path / "records" / name).read_bytes()
 
 
 def test_rows_hold_no_embedding_and_a_read_only_matrix():
