@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from urllib.parse import urlsplit
 
+import numpy as np
+
 from .errors import DimensionMismatch, InvalidParams, LitragError, PartialFailure, ServiceUnreachable
 
 logger = logging.getLogger(__name__)
@@ -179,13 +181,14 @@ def token_count(text: str, tok: TokenizerConfig) -> int:
     return count
 
 
-def _post_batch(config: EmbeddingConfig, batch: list[str]) -> list[EmbeddingVector]:
+def _post_batch(config: EmbeddingConfig, batch: list[str]) -> list:
+    """The embedding rows of one reply to ``batch``, in input order, as sent."""
     payload = {"model": config.model_name, "input": batch}
     reply = post_json(config.endpoint_url, payload, ServiceUnreachable, _REQUEST_TIMEOUT_S)
     try:
         items = sorted(reply["data"], key=lambda item: item["index"])
-        vectors = [EmbeddingVector(tuple(item["embedding"])) for item in items]
-    except (KeyError, TypeError, ValueError) as exc:
+        rows = [item["embedding"] for item in items]
+    except (KeyError, TypeError) as exc:
         raise ServiceUnreachable(f"malformed embedding reply: {exc!r}") from exc
     # any other numbering leaves no way to tell which input a vector embeds
     indexes = [item["index"] for item in items]
@@ -194,29 +197,48 @@ def _post_batch(config: EmbeddingConfig, batch: list[str]) -> list[EmbeddingVect
             f"malformed embedding reply: {len(items)} vectors for {len(batch)} inputs, "
             f"indexed {indexes[:8]} instead of 0..{len(batch) - 1}"
         )
-    return vectors
+    return rows
+
+
+def _decode(reply_rows: list, out: np.ndarray, start: int) -> None:
+    """Write one reply's rows, those of inputs ``start`` on, into ``out``."""
+    for i, row in enumerate(reply_rows, start):
+        if not isinstance(row, list):
+            raise ServiceUnreachable(f"malformed embedding reply: input {i} has no list of values")
+        if len(row) != out.shape[1]:
+            raise DimensionMismatch(
+                f"service returned dimension {len(row)} for input {i}, "
+                f"expected {out.shape[1]} (misconfigured model?)"
+            )
+    try:  # a value that is a list, a string or an integer beyond float64 fails here
+        out[:] = np.array(reply_rows, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ServiceUnreachable(f"malformed embedding reply: {exc!r}") from exc
+    if not np.isfinite(out).all():  # a null converts to NaN
+        raise ServiceUnreachable("malformed embedding reply: a value is null or not finite")
 
 
 def embed_texts(
     texts: list[str],
     config: EmbeddingConfig,
     tokenizer: TokenizerConfig | None = None,
-) -> list[EmbeddingVector]:
-    """Embed ``texts`` in input order.
+) -> np.ndarray:
+    """Embed ``texts``: row i of the returned ``(len(texts), expected_dim)``
+    float64 matrix embeds ``texts[i]``.
 
-    Texts are grouped into batches of ``config.batch_size`` and issued with
-    at most ``config.max_parallel_requests`` concurrent requests. Inputs
-    whose estimated token count (``chars_per_token``, whatever the tokenizer
-    mode) exceeds the embedding model's token limit are still sent (services
-    truncate) but logged as a warning, since oversize inputs lose precision.
+    Texts go in batches of ``config.batch_size``, at most
+    ``config.max_parallel_requests`` requests at once, and each reply is
+    decoded once, straight into its rows. Inputs whose estimated token count
+    (``chars_per_token``, whatever the tokenizer mode) exceeds the embedding
+    model's token limit are still sent (services truncate) but logged as a
+    warning, since oversize inputs lose precision.
 
     Raises DimensionMismatch, after all batches and without a retry, when
     the service returns vectors of an unexpected dimension; otherwise
     ServiceUnreachable when every batch fails (``post_json`` retries a
-    transient cause once), and PartialFailure when some do. A PartialFailure
-    carries the failed input indexes and the vectors of every other input,
-    in input order with None at the failed ones, so a caller keeps what came
-    back without sending it again.
+    transient cause once, a malformed reply never), and PartialFailure, which
+    carries the failed input indexes and the matrix as ``rows``, NaN at the
+    failed ones, when some do.
     """
     if not texts:
         raise ValueError("texts must be non-empty")
@@ -233,38 +255,30 @@ def embed_texts(
             config.em_token_limit,
         )
 
-    batches = [
-        texts[i : i + config.batch_size] for i in range(0, len(texts), config.batch_size)
-    ]
+    rows = np.empty((len(texts), config.expected_dim))
+    starts = range(0, len(texts), config.batch_size)
 
-    def attempt(batch: list[str]) -> list[EmbeddingVector] | ServiceUnreachable:
-        try:
-            return _post_batch(config, batch)
+    def attempt(start: int) -> ServiceUnreachable | None:
+        batch = slice(start, start + config.batch_size)
+        try:  # a DimensionMismatch propagates, once every batch has answered
+            _decode(_post_batch(config, texts[batch]), rows[batch], start)
         except ServiceUnreachable as exc:
+            rows[batch] = np.nan
             return exc
 
-    if len(batches) == 1:  # a lone batch, as in every query, starts no worker thread
-        outcomes = [attempt(batches[0])]
+    if len(starts) == 1:  # a lone batch, as in every query, starts no worker thread
+        outcomes = [attempt(0)]
     else:
         with ThreadPoolExecutor(max_workers=config.max_parallel_requests) as pool:
-            outcomes = list(pool.map(attempt, batches))
+            outcomes = list(pool.map(attempt, starts))
 
-    failed = [i for i, out in enumerate(outcomes) if isinstance(out, ServiceUnreachable)]
-    if len(failed) == len(batches):
-        raise ServiceUnreachable(f"all {len(batches)} embedding batches failed: {outcomes[0]}")
-    vectors: list[EmbeddingVector | None] = []
-    for batch, out in zip(batches, outcomes):
-        vectors.extend([None] * len(batch) if isinstance(out, ServiceUnreachable) else out)
-    for i, vec in enumerate(vectors):
-        if vec is not None and vec.dim != config.expected_dim:
-            raise DimensionMismatch(
-                f"service returned dimension {vec.dim} for input {i}, "
-                f"expected {config.expected_dim} (misconfigured model?)"
-            )
+    failed = [start for start, out in zip(starts, outcomes) if out is not None]
+    if len(failed) == len(starts):
+        raise ServiceUnreachable(f"all {len(starts)} embedding batches failed: {outcomes[0]}")
     if failed:
         raise PartialFailure(
-            f"{len(failed)} of {len(batches)} embedding batches failed",
-            [i for i, vec in enumerate(vectors) if vec is None],
-            vectors,
+            f"{len(failed)} of {len(starts)} embedding batches failed",
+            [i for start in failed for i in range(len(texts))[start : start + config.batch_size]],
+            rows,
         )
-    return vectors
+    return rows

@@ -51,15 +51,15 @@ class PartialFailure(LitragError):
     """Some embedding batches failed, each after ``post_json``'s policy:
     a transient cause is retried once, any other fails at once.
 
-    Carries the indexes of the inputs whose batches failed, and the vectors
-    the other batches returned: ``vectors[i]`` embeds input i, and is None
-    where i is a failed index.
+    Carries the indexes of the inputs whose batches failed, and ``rows``,
+    the float64 matrix ``embed_texts`` filled: row i embeds input i, and is
+    NaN where i is a failed index.
     """
 
-    def __init__(self, message: str, failed_indexes: list[int], vectors: list):
+    def __init__(self, message: str, failed_indexes: list[int], rows):
         super().__init__(message)
         self.failed_indexes = list(failed_indexes)
-        self.vectors = list(vectors)
+        self.rows = rows
 
 
 # --- vector store ---------------------------------------------------------
@@ -73,7 +73,7 @@ class ZeroVector(LitragError):
 
 
 class NonFiniteVector(LitragError, ValueError):
-    """An embedding that overflows float32 when stored."""
+    """An embedding that is not finite, or overflows float32 when stored."""
 
 
 class InvalidLambda(InvalidParams):

@@ -360,9 +360,9 @@ def ingest_corpus(
     recorded in the report's failures and the batch goes on; any other
     exception propagates. ``on_document`` is called in path order for each
     loaded document as it streams past. A caller may index the document at
-    once, or queue it and index it later, as ``build_knowledge_base`` does
-    to embed across documents, and record a later failure with
-    ``IngestReport.fail``.
+    once, or collect it and index it once ingest returns, as
+    ``build_knowledge_base`` does to embed across documents, and record a
+    later failure with ``IngestReport.fail``.
     Document ids are file stems; a file whose stem an earlier loaded file
     took (even if ``on_document`` then failed it) fails with
     DuplicateDocument.

@@ -10,11 +10,11 @@ document's first use, its reference section is located and parsed and its
 expanded chunks are cut from the same text the chunks were cut from, and
 the result (``aux_index``) is kept for the life of the ``KnowledgeBase``.
 
-A build (``build_knowledge_base``) queues documents as ingest loads them
-and embeds them in flushes across documents: each distinct chunk text it
-needs goes to the embedding service once, in full batches, and a memo of
-float32 rows, handed to the store as they are, lets the builds of one sweep
-share what was sent. A failure still fails only the documents it touches.
+A build (``build_knowledge_base``) collects the documents ingest loads and
+makes one embedding call over the distinct chunk texts they hold: each goes
+to the embedding service once, in full batches, and a memo of float32 rows,
+handed to the store as they are, lets the builds of one sweep share what was
+sent. A failure still fails only the documents it touches.
 """
 
 from __future__ import annotations
@@ -92,90 +92,64 @@ def build_knowledge_base(
 ) -> IngestReport:
     """Ingest, embed and persist a corpus into a knowledge base directory.
 
-    ``ingest_corpus`` hands each loaded document to a queue. The queue is
-    flushed once the distinct queued texts not yet embedded reach
-    ``batch_size * max_parallel_requests``, and once more after ingest
-    returns. A flush makes one ``embed_texts`` call over those texts, in
-    first-seen order, so requests hold full batches across documents; then
-    it makes one ``store.upsert`` per queued document, in path order.
+    Once ``ingest_corpus`` has loaded every document, one ``embed_texts``
+    call embeds the distinct chunk texts not in ``memo``, in first-seen
+    order, so requests hold full batches across documents; then each
+    document is upserted, in path order.
 
-    ``memo`` maps a chunk text to its embedding as a float32 row, the
-    store's own precision, and each document's upsert takes its chunks' memo
-    rows as they are. A text in it is not sent again: ``sweep_chunking``
-    passes one memo to all the builds of a sweep. A build without one starts
-    from an empty memo. Every row that comes back enters the memo, a zero or
-    overflowing one too: the store fails each document holding it, in every
-    build that uses the memo. A text whose batch failed does not enter the
-    memo, and is not sent again in this build.
+    ``memo`` maps a chunk text to its float32 row, the store's own
+    precision, which the upsert takes as it is. A text in it is not sent
+    again: ``sweep_chunking`` passes one memo to all the builds of a sweep.
+    Every row that comes back enters the memo, a zero or overflowing one
+    too, so the store fails each document holding it in every build that
+    uses the memo; a text whose batch failed does not enter it.
 
     Failures stay per document. A document with a chunk in a failed batch
-    (a ``PartialFailure``, or a flush that raises ServiceUnreachable or
-    DimensionMismatch, which fails every queued document) fails with that
-    error, and a zero or overflowing row fails its own document at its
-    upsert. Each is recorded with ``IngestReport.fail``, which moves it
-    from the report's ``documents`` to its ``failures``, kept in path order;
-    any other LitragError while loading a document fails it inside
-    ingest's per-file isolation. Once
-    the last flush is done, ``docs/`` is created and holds a snapshot of
-    each indexed document and of no other (snapshots left by an earlier
-    build into ``root`` are deleted), and the store is persisted. A
-    snapshot that cannot be written or deleted raises IoFailure.
+    (a ``PartialFailure``, or a ServiceUnreachable or DimensionMismatch,
+    which fails every document with a text sent) fails with that error, and
+    a zero or overflowing row fails its own document at its upsert; each is
+    recorded with ``IngestReport.fail``, which keeps failures in path order.
+    A LitragError while loading a document fails it inside ingest's
+    per-file isolation. Then ``docs/`` holds a snapshot of each indexed
+    document and of no other (snapshots left by an earlier build into
+    ``root`` are deleted), and the store is persisted. A snapshot that
+    cannot be written or deleted raises IoFailure.
     """
     root = Path(store_root if store_root is not None else config.store_path)
     emb = config.embedding
     store = VectorStore(emb.expected_dim)
     memo = {} if memo is None else memo
-    queued: list[tuple[Document, list[Chunk]]] = []
-    unembedded: dict[str, None] = {}  # queued texts in neither memo nor lost, first-seen order
-    lost: dict[str, str] = {}  # a text whose batch failed in this build: the error
-    failed: dict[str, str] = {}  # source path -> error: listed by ingest, not indexed
-    indexed: list[Document] = []
-
-    def index(doc: Document, chunks: list[Chunk]) -> None:
-        queued.append((doc, chunks))
-        unembedded.update(
-            dict.fromkeys(c.text for c in chunks if c.text not in memo and c.text not in lost)
-        )
-        if len(unembedded) >= emb.batch_size * emb.max_parallel_requests:
-            flush()
-
-    def flush() -> None:
-        texts = list(unembedded)
-        unembedded.clear()
-        if texts:
-            try:
-                vectors = embed_texts(texts, emb, tokenizer=config.tokenizer)
-            except PartialFailure as exc:
-                vectors, error = exc.vectors, str(exc)
-            except LitragError as exc:  # nothing came back
-                vectors, error = [None] * len(texts), str(exc)
-            lost.update((t, error) for t, v in zip(texts, vectors) if v is None)
-            back = {t: v.values for t, v in zip(texts, vectors) if v is not None}
-            with np.errstate(over="ignore"):  # the store fails an overflowing row's document
-                memo.update(zip(back, np.array(list(back.values()), dtype=np.float32)))
-        for doc, chunks in queued:
-            error = next((lost[c.text] for c in chunks if c.text in lost), None)
-            if error is None:
-                try:
-                    store.upsert(_records(doc, chunks), [memo[c.text] for c in chunks])
-                except LitragError as exc:  # a zero or overflowing row
-                    error = str(exc)
-            if error is None:
-                indexed.append(doc)
-            else:
-                failed[doc.source_path] = error
-        queued.clear()
-
+    loaded: list[tuple[Document, list[Chunk]]] = []
     report = ingest_corpus(
         corpus_dir,
         config.split,
         extractor=extractor,
-        on_document=index,
+        on_document=lambda doc, chunks: loaded.append((doc, chunks)),
         max_workers=max_workers,
     )
-    flush()
-    for path, error in failed.items():
-        report.fail(path, error)
+    texts = list(dict.fromkeys(c.text for _, cs in loaded for c in cs if c.text not in memo))
+    lost: dict[str, str] = {}  # a text whose batch failed: the error
+    if texts:
+        try:
+            rows = embed_texts(texts, emb, tokenizer=config.tokenizer)
+        except PartialFailure as exc:
+            rows, lost = exc.rows, dict.fromkeys([texts[i] for i in exc.failed_indexes], str(exc))
+        except LitragError as exc:  # nothing came back
+            rows, lost = np.empty((0, emb.expected_dim)), dict.fromkeys(texts, str(exc))
+        with np.errstate(over="ignore"):  # the store fails an overflowing row's document
+            rows = rows.astype(np.float32)
+        memo.update((t, row) for t, row in zip(texts, rows) if t not in lost)
+    indexed: list[Document] = []
+    for doc, chunks in loaded:
+        error = next((lost[c.text] for c in chunks if c.text in lost), None)
+        if error is None:
+            try:
+                store.upsert(_records(doc, chunks), [memo[c.text] for c in chunks])
+                indexed.append(doc)
+            except LitragError as exc:  # a zero or overflowing row
+                error = str(exc)
+        if error is not None:
+            report.fail(doc.source_path, error)
     docs = root / "docs"
     written = {f"{doc.doc_id}.json" for doc in indexed}
     try:
@@ -195,7 +169,7 @@ def build_knowledge_base(
 
 
 def _records(doc: Document, chunks: list[Chunk]) -> list[ChunkRecord]:
-    """The records of ``doc``'s chunks, with ``embedding=None``: a flush
+    """The records of ``doc``'s chunks, with ``embedding=None``: a build
     hands their memo rows to ``upsert`` beside them."""
     metadata = {"source": Path(doc.source_path).name, "doc_id": doc.doc_id, "title": doc.title}
     return [ChunkRecord(**vars(chunk), embedding=None, metadata=metadata) for chunk in chunks]

@@ -361,13 +361,16 @@ class VectorStore:
         matrix rows), row i embeds record i and every record carries
         ``embedding=None``. All records are validated before any mutation, so
         a failed upsert leaves the store unchanged. A batch may name each
-        chunk_id once, and no embedding may overflow float32 or round to zero
-        in it (cosine is undefined for a zero row).
+        chunk_id once, and no row may round to zero (cosine is undefined for
+        it) or be other than finite in float32: one holding a NaN, or an
+        infinity not given as float32, "is not finite"; any other, a float32
+        infinity included (a cast's overflow), "overflows float32".
         """
-        if rows is None:
+        carried = [rec.embedding is not None for rec in records]
+        if rows is None and all(carried):
             rows = [rec.embedding.values for rec in records]
-        elif len(rows) != len(records) or any(rec.embedding is not None for rec in records):
-            raise InvalidParams("upsert takes one row per record, each with embedding=None")
+        elif rows is None or len(rows) != len(records) or any(carried):
+            raise InvalidParams("upsert takes records with embeddings, or one row per bare record")
         if not records:  # nothing to write; the buffer choice below needs a slot
             return 0
         for rec, row in zip(records, rows):
@@ -381,9 +384,15 @@ class VectorStore:
         with np.errstate(over="ignore"):  # an overflowing row is reported just below
             batch = np.array(rows, dtype=np.float32)
         batch = batch.reshape(len(records), self._dim)
-        overflow = np.flatnonzero(~np.isfinite(batch).all(axis=1))
-        if overflow.size:
-            raise NonFiniteVector(f"record {records[overflow[0]].chunk_id!r} overflows float32")
+        bad = np.flatnonzero(~np.isfinite(batch).all(axis=1))
+        if bad.size:
+            row = rows[bad[0]]
+            if getattr(row, "dtype", None) == np.float32:  # an infinity here is an overflow's
+                finite_as_given = not np.isnan(row).any()
+            else:
+                finite_as_given = np.isfinite(np.asarray(row, dtype=np.float64)).all()
+            cause = "overflows float32" if finite_as_given else "is not finite"
+            raise NonFiniteVector(f"record {records[bad[0]].chunk_id!r} {cause}")
         zero = np.flatnonzero(~batch.any(axis=1))
         if zero.size:
             raise ZeroVector(f"record {records[zero[0]].chunk_id!r} has a zero embedding")
@@ -535,7 +544,7 @@ class VectorStore:
         with self._lock:
             try:
                 path.mkdir(parents=True, exist_ok=True)
-                matrix_bytes = np.ascontiguousarray(self._matrix, dtype="<f4").tobytes()
+                matrix_bytes = np.ascontiguousarray(self._matrix, dtype="<f4").data  # no copy
                 (path / "matrix.bin").write_bytes(matrix_bytes)
                 with (path / "records.jsonl").open("w", encoding="utf-8") as fh:
                     for rec in self._records:

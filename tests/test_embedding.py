@@ -4,6 +4,7 @@ import sys
 import time
 from http.server import BaseHTTPRequestHandler
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -120,9 +121,8 @@ def test_tokenizer_config_validation():
 
 def test_single_text_returns_expected_dimension():
     with StubEmbeddingService(dim=768) as svc:
-        vectors = embed_texts(["hello world"], _config(svc))
-        assert len(vectors) == 1
-        assert vectors[0].dim == 768
+        rows = embed_texts(["hello world"], _config(svc))
+        assert rows.shape == (1, 768) and rows.dtype == np.float64
 
 
 def test_empty_input_rejected():
@@ -134,18 +134,19 @@ def test_empty_input_rejected():
 def test_batching_request_count_and_order():
     with StubEmbeddingService(dim=16) as svc:
         texts = [f"text number {i}" for i in range(10)]
-        vectors = embed_texts(texts, _config(svc, batch_size=4))
+        rows = embed_texts(texts, _config(svc, batch_size=4))
         assert len(svc.requests) == 3
         assert [len(r["input"]) for r in sorted(svc.requests, key=lambda r: r["input"][0])] in (
             [4, 4, 2],
             [2, 4, 4],
             [4, 2, 4],
         )
-        # order preservation: vector i is the deterministic embedding of text i
+        # order preservation: row i is the deterministic embedding of text i
         from litrag.testing import deterministic_embedding
 
-        for text, vec in zip(texts, vectors):
-            assert list(vec.values) == pytest.approx(deterministic_embedding(text, 16))
+        assert rows.shape == (10, 16)
+        for text, row in zip(texts, rows):
+            assert list(row) == pytest.approx(deterministic_embedding(text, 16))
 
 
 def test_parallelism_is_bounded():
@@ -168,7 +169,7 @@ def test_idempotent_against_deterministic_stub():
         config = _config(svc)
         first = embed_texts(["same text", "other"], config)
         second = embed_texts(["same text", "other"], config)
-        assert [v.values for v in first] == [v.values for v in second]
+        assert first.tobytes() == second.tobytes()
 
 
 def test_dimension_mismatch_detected():
@@ -186,14 +187,16 @@ def test_partial_failure_carries_failed_indexes():
         with pytest.raises(PartialFailure) as err:
             embed_texts(texts, _config(svc, batch_size=2))
         assert err.value.failed_indexes == [2, 3]
-        # the vectors that came back, in input order, None where a batch failed
+        # the rows that came back, in input order, NaN where a batch failed
         from litrag.testing import deterministic_embedding
 
-        got = err.value.vectors
-        assert [vec is None for vec in got] == [False, False, True, True, False, False]
-        for text, vec in zip(texts, got):
-            if vec is not None:
-                assert list(vec.values) == pytest.approx(deterministic_embedding(text, 8))
+        got = err.value.rows
+        assert got.shape == (6, 8)
+        lost = np.isnan(got).all(axis=1)
+        assert lost.tolist() == [False, False, True, True, False, False]
+        for text, row, is_lost in zip(texts, got, lost):
+            if not is_lost:
+                assert list(row) == pytest.approx(deterministic_embedding(text, 8))
 
 
 def test_all_batches_failing_is_unreachable():
@@ -243,6 +246,49 @@ def test_reply_indexes_must_number_the_inputs():
         with pytest.raises(ServiceUnreachable, match="malformed embedding reply"):
             embed_texts(["alpha", "beta"], _config(svc))
         assert len(svc.requests) == 1
+
+
+@pytest.mark.parametrize(
+    "corrupt, error, match",
+    [
+        (lambda row: row[:-1], DimensionMismatch, "dimension 3 for input 1"),
+        (lambda row: [None] + row[1:], ServiceUnreachable, "malformed embedding reply"),
+        (lambda row: ["x"] + row[1:], ServiceUnreachable, "malformed embedding reply"),
+        (lambda row: [[0.5]] + row[1:], ServiceUnreachable, "malformed embedding reply"),
+        (lambda row: [10**400] + row[1:], ServiceUnreachable, "malformed embedding reply"),
+    ],
+    ids=["ragged", "null", "string", "nested-list", "huge-integer"],
+)
+def test_a_malformed_reply_fails_its_batch_without_a_retry(corrupt, error, match):
+    # the second input's row is cut short, or holds a value no float can stand for
+    class Corrupting(StubEmbeddingService):
+        def handle_payload(self, payload):
+            status, reply = super().handle_payload(payload)
+            item = reply["data"][1]
+            item["embedding"] = corrupt(item["embedding"])
+            return status, reply
+
+    with Corrupting(dim=4) as svc:
+        with pytest.raises(error, match=match):
+            embed_texts(["alpha", "beta"], _config(svc))
+        assert len(svc.requests) == 1
+
+
+def test_a_batch_with_a_null_value_is_all_nan_in_a_partial_failure():
+    # the null is in the batch's last row, after the rest of it converted
+    class NullInPoison(StubEmbeddingService):
+        def handle_payload(self, payload):
+            status, reply = super().handle_payload(payload)
+            if "poison" in payload["input"]:
+                reply["data"][-1]["embedding"][-1] = None
+            return status, reply
+
+    with NullInPoison(dim=8) as svc:
+        with pytest.raises(PartialFailure) as err:
+            embed_texts(["a", "b", "c", "poison"], _config(svc, batch_size=2))
+        assert len(svc.requests) == 2
+    assert err.value.failed_indexes == [2, 3]
+    assert np.isnan(err.value.rows).all(axis=1).tolist() == [False, False, True, True]
 
 
 def test_failed_indexes_of_a_short_last_batch_stop_at_the_last_input():

@@ -225,31 +225,27 @@ def test_build_without_aux(small_corpus, tmp_path):
 
 
 def test_a_build_sends_full_batches_across_documents(small_corpus, tmp_path, monkeypatch):
-    corpus_dir, truths = small_corpus
-    flushes = []
+    corpus_dir, _ = small_corpus
+    calls = []
     embed = kb_mod.embed_texts
     monkeypatch.setattr(
         kb_mod,
         "embed_texts",
-        lambda texts, *a, **kw: flushes.append(len(texts)) or embed(texts, *a, **kw),
+        lambda texts, *a, **kw: calls.append(list(texts)) or embed(texts, *a, **kw),
     )
+    chunks = []
     with StubEmbeddingService(dim=DIM) as svc:
         cfg = _config(svc, tmp_path)
         cfg = replace(cfg, embedding=replace(cfg.embedding, batch_size=10, max_parallel_requests=3))
+        ingest_corpus(corpus_dir, cfg.split, on_document=lambda d, c: chunks.extend(c))
         report = build_knowledge_base(corpus_dir, cfg)
         sizes = sorted(len(r["input"]) for r in svc.requests)
     assert report.failures == [] and sum(sizes) == report.chunk_count  # no chunk text repeats
-    # a flush runs once 10 * 3 texts wait, and once more when ingest is done
-    expected, waiting = [], 0
-    for doc in report.documents:
-        waiting += doc.chunk_count
-        if waiting >= 30:
-            expected, waiting = expected + [waiting], 0
-    expected += [waiting] if waiting else []
-    assert flushes == expected
-    assert len(flushes) < len(truths)
-    # every request but the last of each flush holds batch_size texts
-    assert sizes == sorted(n for f in flushes for n in [10] * (f // 10) + [f % 10] if n)
+    # one call over the distinct texts, in the order ingest first meets them
+    assert calls == [list(dict.fromkeys(c.text for c in chunks))]
+    # every request but one holds batch_size texts
+    n = report.chunk_count
+    assert sizes == sorted([10] * (n // 10) + ([n % 10] if n % 10 else []))
 
 
 def test_a_failed_batch_fails_exactly_the_documents_with_a_chunk_in_it(
@@ -350,8 +346,8 @@ def test_a_row_beyond_float32_is_sent_once_and_fails_its_document_in_every_build
     assert set(memo) == set(sent)
 
 
-def test_a_sweep_builds_each_embedding_vector_once(small_corpus, tmp_path, monkeypatch):
-    # the records of a build carry no vector: a memo row goes to the store as it is
+def test_a_sweep_builds_no_embedding_vector(small_corpus, tmp_path, monkeypatch):
+    # a reply is decoded into one matrix and a memo row goes to the store as it is
     corpus_dir, _ = small_corpus
     built = []
     post_init = EmbeddingVector.__post_init__
@@ -370,7 +366,8 @@ def test_a_sweep_builds_each_embedding_vector_once(small_corpus, tmp_path, monke
             stored += report.chunk_count
         sent = [t for r in svc.requests for t in r["input"]]
     assert len(sent) < stored  # the second build took some rows from the memo
-    assert len(built) == len(sent) == len(set(sent)) == len(memo)
+    assert built == []
+    assert len(sent) == len(set(sent)) == len(memo)
 
 
 def test_failures_are_listed_in_path_order(small_corpus, tmp_path):

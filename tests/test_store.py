@@ -17,6 +17,7 @@ from litrag.errors import (
     EmptyStore,
     InvalidLambda,
     InvalidParams,
+    NonFiniteVector,
     ZeroVector,
 )
 from litrag.ingest import Chunk
@@ -288,12 +289,32 @@ def test_upsert_rejects_zero_or_overflowing_rows_and_leaves_store_unchanged(valu
 
 
 @pytest.mark.parametrize(
+    "row",
+    [
+        [float("nan"), 1.0],
+        [float("inf"), 1.0],
+        [1.0, float("-inf")],
+        np.array([float("nan"), 1.0], dtype=np.float32),
+    ],
+)
+def test_upsert_rejects_rows_that_are_not_finite_and_leaves_store_unchanged(row):
+    # rows form only: EmbeddingVector refuses NaN and infinities
+    store = VectorStore(2)
+    store.upsert([_record("a", [1, 0])])
+    bare = [replace(_record(cid, [1, 1]), embedding=None) for cid in ("c", "bad")]
+    with pytest.raises(NonFiniteVector, match="record 'bad' is not finite"):
+        store.upsert(bare, [[1.0, 1.0], row])
+    assert [r.chunk_id for r in store.records()] == ["a"]
+
+
+@pytest.mark.parametrize(
     "records, rows",
     [
         ([replace(_record("b", [0, 1]), embedding=None)], []),  # fewer rows than records
         ([replace(_record("b", [0, 1]), embedding=None)], [[0.0, 1.0], [1.0, 1.0]]),
         ([], [[0.0, 1.0]]),
         ([_record("b", [0, 1])], [[0.0, 1.0]]),  # a record that carries an embedding too
+        ([replace(_record("b", [0, 1]), embedding=None)], None),  # a bare record with no rows
     ],
 )
 def test_upsert_refuses_rows_that_do_not_pair_with_bare_records(records, rows):
