@@ -49,6 +49,7 @@ _NUMERIC_GROUP_RE = re.compile(NUMERIC_GROUP_PATTERN)
 # Unicode superscript digit runs attached to a word, e.g. "X¹".
 _SUPERSCRIPT_DIGITS = "\u2070\u00b9\u00b2\u00b3\u2074\u2075\u2076\u2077\u2078\u2079"
 SUPERSCRIPT_PATTERN = rf"(?<=\w)([{_SUPERSCRIPT_DIGITS}]+)"
+_SUPERSCRIPT_RE = re.compile(SUPERSCRIPT_PATTERN)
 _SUPERSCRIPT_MAP = str.maketrans(_SUPERSCRIPT_DIGITS, "0123456789")
 
 # Surname: capitalized token, at least two letters, internal hyphen or
@@ -61,6 +62,10 @@ AUTHOR_YEAR_PATTERN = (
     rf"(?:\s*,)?\s*(?:\bet\s+al\.?)?\s*\(\s*(?P<year>\d{{4}})[a-z]?\s*\)"
 )
 _AUTHOR_YEAR_RE = re.compile(AUTHOR_YEAR_PATTERN)
+# The parenthesized year every author-year match ends in: text without one
+# holds no author-year marker.
+_PAREN_YEAR_RE = re.compile(r"\(\s*\d{4}[a-z]?\s*\)")
+_NAME_SEP_RE = re.compile(_NAME_SEP)
 
 # "Surname et al. [26]" pairs an author with a numeric label; used by the
 # verifier to catch mis-attributed labels.
@@ -79,7 +84,6 @@ _MARKER_STOPWORDS = {
 YEAR_MIN, YEAR_MAX = 1800, 2100
 
 _LABEL_LINE = re.compile(r"^\s*(?:\[(\d{1,3})\]|(\d{1,3})[.\)\]])(?!\d)\s*")
-_WS = re.compile(r"\s+")
 _YEAR_WORD = re.compile(r"\b(\d{4})\b")
 _TITLE_WORD = re.compile(r"[^\W\d_]{3,}")
 
@@ -230,16 +234,28 @@ class VerificationReport:
 def fold_text(text: str) -> str:
     """Casefold, strip diacritics and normalize author separators.
 
-    Makes "Müller \\& García" comparable with "Muller and Garcia".
+    Makes "Müller \\& García" comparable with "Muller and Garcia". Text
+    that is ASCII once its ampersands are spelled out is only lowercased
+    and whitespace-collapsed: NFKD and the combining-mark filter leave
+    ASCII unchanged, and ``casefold`` equals ``lower`` on it. Other text is
+    NFKD-decomposed, its combining marks dropped, then casefolded.
     """
     text = text.replace("\\&", " and ").replace("&", " and ")
+    if text.isascii():
+        return collapse_ws(text.lower())
     decomposed = unicodedata.normalize("NFKD", text)
-    stripped = "".join(ch for ch in decomposed if not unicodedata.combining(ch))
-    return collapse_ws(stripped.casefold())
+    marks = {
+        ord(ch): None for ch in set(decomposed) if not ch.isascii() and unicodedata.combining(ch)
+    }
+    return collapse_ws(decomposed.translate(marks).casefold())
 
 
 def collapse_ws(text: str) -> str:
-    return _WS.sub(" ", text).strip()
+    """Collapse each whitespace run to one space and strip both ends.
+
+    ``str.split()`` breaks at exactly the characters ``\\s`` matches.
+    """
+    return " ".join(text.split())
 
 
 def _is_acronym(word: str) -> bool:
@@ -322,13 +338,17 @@ def locate_expanded_chunk(aux: AuxIndex, original: Chunk) -> Chunk:
 # --- marker extraction ------------------------------------------------------
 
 
+_GROUP_SEP_RE = re.compile(r"[,;\u00b7]")
+_RANGE_RE = re.compile(rf"(\d{{1,3}})\s*[{_DASH_CLASS}]\s*(\d{{1,3}})")
+
+
 def _expand_numeric_group(content: str) -> list[int]:
     numbers: list[int] = []
-    for part in re.split(r"[,;\u00b7]", content):
+    for part in _GROUP_SEP_RE.split(content):
         part = part.strip()
         if not part:
             continue
-        m = re.fullmatch(rf"(\d{{1,3}})\s*[{_DASH_CLASS}]\s*(\d{{1,3}})", part)
+        m = _RANGE_RE.fullmatch(part)
         if m:
             lo, hi = int(m.group(1)), int(m.group(2))
             if lo <= hi and hi - lo <= 100:
@@ -340,7 +360,7 @@ def _expand_numeric_group(content: str) -> list[int]:
 
 
 def _split_author_names(names: str) -> list[str]:
-    parts = re.split(_NAME_SEP, names)
+    parts = _NAME_SEP_RE.split(names)
     out = []
     for part in parts:
         part = part.strip()
@@ -360,19 +380,24 @@ def extract_citation_markers(text: str) -> list[CitationMarker]:
     ("Name et al. (YYYY)", "Name & Name (YYYY)", "Name, Name & Name (YYYY)").
     Matching tolerates hyphen variants, middle dots, braces, LaTeX-escaped
     ampersands and diacritics. Duplicates are removed, keeping
-    first-occurrence order.
+    first-occurrence order. The superscript and author-year scans run only
+    on text holding a superscript digit or a parenthesized year, the least
+    a match of each contains.
     """
     found: list[CitationMarker] = []
     for m in _NUMERIC_GROUP_RE.finditer(text):
         for n in _expand_numeric_group(m.group(1)):
             found.append(CitationMarker(kind="numeric", numbers=(n,), span=m.span()))
-    for m in re.finditer(SUPERSCRIPT_PATTERN, text):
+    has_superscript = any(map(text.__contains__, _SUPERSCRIPT_DIGITS))
+    superscripts = _SUPERSCRIPT_RE.finditer(text) if has_superscript else ()
+    for m in superscripts:
         digits = m.group(1).translate(_SUPERSCRIPT_MAP)
         if digits.isdigit() and 0 < int(digits) <= 999:
             found.append(
                 CitationMarker(kind="numeric", numbers=(int(digits),), span=m.span())
             )
-    for m in _AUTHOR_YEAR_RE.finditer(text):
+    author_years = _AUTHOR_YEAR_RE.finditer(text) if _PAREN_YEAR_RE.search(text) else ()
+    for m in author_years:
         year = int(m.group("year"))
         if not (YEAR_MIN <= year <= YEAR_MAX):
             continue

@@ -45,9 +45,14 @@ class EmbeddingVector:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(map(float, self.values)))
-        if not all(map(math.isfinite, self.values)):
+        try:
+            values = tuple(map(float, self.values))
+            finite = all(map(math.isfinite, values))
+        except OverflowError:  # an integer beyond every float
+            finite = False
+        if not finite:
             raise ValueError("embedding values must be finite (no NaN/Inf)")
+        object.__setattr__(self, "values", values)
 
     @property
     def dim(self) -> int:

@@ -69,6 +69,7 @@ from .errors import (
     InvalidLambda,
     InvalidParams,
     IoFailure,
+    LitragError,
     NonFiniteVector,
     ZeroVector,
 )
@@ -298,6 +299,20 @@ def _check_record(rec: ChunkRecord) -> None:
         )
 
 
+def _unconvertible(records: list[ChunkRecord], rows: Sequence, dim: int) -> LitragError:
+    """The refusal naming the first record whose row is not ``dim`` numbers."""
+    for rec, row in zip(records, rows):
+        try:
+            if np.array(row, dtype=np.float64).shape == (dim,):
+                continue
+        except OverflowError:  # an integer beyond every float
+            return NonFiniteVector(f"record {rec.chunk_id!r} is not finite")
+        except (TypeError, ValueError):
+            pass
+        return InvalidParams(f"record {rec.chunk_id!r} holds a value that is not a number")
+    return InvalidParams("upsert rows do not convert to float32")
+
+
 class VectorStore:
     """Exhaustive exact vector index over ChunkRecords.
 
@@ -362,9 +377,11 @@ class VectorStore:
         ``embedding=None``. All records are validated before any mutation, so
         a failed upsert leaves the store unchanged. A batch may name each
         chunk_id once, and no row may round to zero (cosine is undefined for
-        it) or be other than finite in float32: one holding a NaN, or an
-        infinity not given as float32, "is not finite"; any other, a float32
-        infinity included (a cast's overflow), "overflows float32".
+        it) or be other than finite in float32: one holding a NaN, an
+        infinity not given as float32 or an integer beyond every float "is
+        not finite"; any other, a float32 infinity included (a cast's
+        overflow), "overflows float32". A row holding a value that is not a
+        number is refused with ``InvalidParams``.
         """
         carried = [rec.embedding is not None for rec in records]
         if rows is None and all(carried):
@@ -381,9 +398,13 @@ class VectorStore:
             _check_record(rec)
         if len({rec.chunk_id for rec in records}) != len(records):
             raise ValueError("an upsert batch names the same chunk_id twice")
-        with np.errstate(over="ignore"):  # an overflowing row is reported just below
-            batch = np.array(rows, dtype=np.float32)
-        batch = batch.reshape(len(records), self._dim)
+        try:
+            with np.errstate(over="ignore"):  # an overflowing row is reported just below
+                batch = np.array(rows, dtype=np.float32)
+        except (OverflowError, TypeError, ValueError):
+            batch = None
+        if batch is None or batch.shape != (len(records), self._dim):
+            raise _unconvertible(records, rows, self._dim)
         bad = np.flatnonzero(~np.isfinite(batch).all(axis=1))
         if bad.size:
             row = rows[bad[0]]
@@ -588,9 +609,13 @@ class VectorStore:
 
         try:
             matrix_bytes = (path / "matrix.bin").read_bytes()
-            record_lines = (path / "records.jsonl").read_text(encoding="utf-8").splitlines()
+            # only "\n" ends a line: persist writes U+0085, U+2028 and U+2029 raw, and
+            # str.splitlines() would break a record at each of them
+            record_lines = (path / "records.jsonl").read_text(encoding="utf-8").split("\n")
         except OSError as exc:
             raise IoFailure(f"cannot read store files at {path}: {exc}") from exc
+        if record_lines[-1] == "":  # what follows the last record's newline
+            record_lines.pop()
 
         digest = "sha256:" + hashlib.sha256(matrix_bytes).hexdigest()
         if digest != header["checksum"]:

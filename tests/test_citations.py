@@ -1,9 +1,14 @@
 import json
 import random
+import re
+import sys
+import unicodedata
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from litrag import citations
 from litrag.citations import (
@@ -711,3 +716,108 @@ def test_verification_matches_the_pinned_reports(tmp_path):
 def test_fold_text():
     assert fold_text("Müller \\& García") == "muller and garcia"
     assert fold_text("Inﬂuence") == "influence"  # fl ligature folds
+
+
+# --- the string work against its regex and per-character oracles -------------------
+
+_SPACES = [ch for ch in map(chr, range(sys.maxunicode + 1)) if ch.isspace()]
+
+
+def _collapse_ws_oracle(text):
+    return re.sub(r"\s+", " ", text).strip()
+
+
+def _fold_text_oracle(text):
+    text = text.replace("\\&", " and ").replace("&", " and ")
+    decomposed = unicodedata.normalize("NFKD", text)
+    stripped = "".join(ch for ch in decomposed if not unicodedata.combining(ch))
+    return _collapse_ws_oracle(stripped.casefold())
+
+
+def test_regex_whitespace_is_the_str_whitespace():
+    # collapse_ws splits with str.split(), which breaks exactly where re's \s matches
+    every_char = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\s", every_char) == _SPACES
+    assert set(every_char) - set("".join(every_char.split())) == set(_SPACES)
+
+
+_FOLD_TEXT = st.lists(
+    st.one_of(
+        st.characters(max_codepoint=0x7F),
+        st.characters(min_codepoint=0x80, max_codepoint=0xFF),
+        st.characters(min_codepoint=0x300, max_codepoint=0x36F),  # combining marks
+        st.just("\u034f"),  # a nonspacing mark of combining class 0, which folding keeps
+        st.sampled_from(["\ufb00", "\ufb01", "\ufb02", "\ufb03", "\ufb04", "\ufb05", "\ufb06"]),
+        st.sampled_from(["\uff06", "\u0130", "\u1e9e", "\\&", *_SPACES]),
+    ),
+    max_size=40,
+).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_FOLD_TEXT)
+def test_fold_text_and_collapse_ws_equal_their_oracles(text):
+    assert collapse_ws(text) == _collapse_ws_oracle(text)
+    assert fold_text(text) == _fold_text_oracle(text)
+
+
+def _expand_numeric_group_oracle(content):
+    numbers = []
+    for part in re.split(r"[,;\u00b7]", content):
+        part = part.strip()
+        if not part:
+            continue
+        m = re.fullmatch(rf"(\d{{1,3}})\s*[{citations._DASH_CLASS}]\s*(\d{{1,3}})", part)
+        if m:
+            lo, hi = int(m.group(1)), int(m.group(2))
+            if lo <= hi and hi - lo <= 100:
+                numbers.extend(range(lo, hi + 1))
+            continue
+        if part.isdigit():
+            numbers.append(int(part))
+    return numbers
+
+
+def _extract_citation_markers_oracle(text):
+    """Every pattern scanned over all of ``text``, ungated and compiled per call."""
+    found = []
+    for m in re.finditer(citations.NUMERIC_GROUP_PATTERN, text):
+        for n in _expand_numeric_group_oracle(m.group(1)):
+            found.append(CitationMarker(kind="numeric", numbers=(n,), span=m.span()))
+    for m in re.finditer(citations.SUPERSCRIPT_PATTERN, text):
+        digits = m.group(1).translate(citations._SUPERSCRIPT_MAP)
+        if digits.isdigit() and 0 < int(digits) <= 999:
+            found.append(CitationMarker(kind="numeric", numbers=(int(digits),), span=m.span()))
+    for m in re.finditer(citations.AUTHOR_YEAR_PATTERN, text):
+        year = int(m.group("year"))
+        if not (citations.YEAR_MIN <= year <= citations.YEAR_MAX):
+            continue
+        names = [p.strip() for p in re.split(citations._NAME_SEP, m.group("names"))]
+        authors = [p for p in names if p and not (len(p) >= 3 and p.isupper())]
+        if not authors or authors[0] in citations._MARKER_STOPWORDS:
+            continue
+        found.append(
+            CitationMarker(kind="author_year", authors=tuple(authors), year=year, span=m.span())
+        )
+    found.sort(key=lambda mk: (mk.span[0], mk.span[1]))
+    seen, ordered = set(), []
+    for mk in found:
+        if mk.key() not in seen:
+            seen.add(mk.key())
+            ordered.append(mk)
+    return ordered
+
+
+_MARKER_PIECES = [
+    "Varga", "Müller", "García", "O'Brien", "Lee", "NASA", "In", "The", "flame", "speed",
+    " ", "  ", "\n", ", ", " and ", " & ", " \\& ", " et al. ", "et al", ".",
+    "(2001)", "(1999a)", "( 2010 )", "(1700)", "(20011)", "(", ")", "2015",
+    "[12]", "[3-5]", "[4\u20136]", "[1, 2]", "{7}", "[7\u00b79]", "[", "]",
+    "\u00b9", "\u00b2\u00b3", "\u2070", "\u2075",
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(_MARKER_PIECES), max_size=30).map("".join))
+def test_extract_citation_markers_equals_the_ungated_scan(text):
+    assert extract_citation_markers(text) == _extract_citation_markers_oracle(text)

@@ -51,6 +51,8 @@ def test_vector_dim_and_finiteness():
         EmbeddingVector((1.0, float("nan")))
     with pytest.raises(ValueError):
         EmbeddingVector((float("inf"),))
+    with pytest.raises(ValueError, match="must be finite"):
+        EmbeddingVector((10**400, 1.0))  # an integer beyond every float
 
 
 # --- token_count ---------------------------------------------------------------

@@ -414,3 +414,17 @@ def test_snapshot_holding_an_absolute_source_path_still_opens(small_corpus, tmp_
     kb = KnowledgeBase.open(cfg.store_path)
     assert kb.document("paper-00").source_path == data["source_path"]
     assert kb.aux_index("paper-00") == fresh
+
+
+def test_a_body_holding_a_unicode_line_separator_builds_a_kb_that_opens(tmp_path):
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    body = "Flame speed\n\nLaminar flames\u2028propagate at a speed set by the mixture.\n"
+    (corpus_dir / "note.txt").write_text(body, encoding="utf-8")
+    with StubEmbeddingService(dim=DIM) as svc:
+        cfg = _config(svc, tmp_path)
+        report = build_knowledge_base(corpus_dir, cfg)
+    assert report.failures == []
+    kb = KnowledgeBase.open(cfg.store_path)
+    assert len(kb.store) == report.chunk_count
+    assert any("\u2028" in rec.text for rec in kb.store.records())

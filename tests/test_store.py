@@ -295,10 +295,11 @@ def test_upsert_rejects_zero_or_overflowing_rows_and_leaves_store_unchanged(valu
         [float("inf"), 1.0],
         [1.0, float("-inf")],
         np.array([float("nan"), 1.0], dtype=np.float32),
+        [10**400, 1.0],  # an integer beyond every float
     ],
 )
 def test_upsert_rejects_rows_that_are_not_finite_and_leaves_store_unchanged(row):
-    # rows form only: EmbeddingVector refuses NaN and infinities
+    # rows form only: EmbeddingVector refuses NaN, infinities and integers beyond every float
     store = VectorStore(2)
     store.upsert([_record("a", [1, 0])])
     bare = [replace(_record(cid, [1, 1]), embedding=None) for cid in ("c", "bad")]
@@ -324,6 +325,18 @@ def test_upsert_refuses_rows_that_do_not_pair_with_bare_records(records, rows):
         store.upsert(records, rows)
     assert [r.chunk_id for r in store.records()] == ["a"]
     assert store.get("a").embedding.values == (1.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "row", [["x", 1.0], [1j, 1.0], [object(), 1.0], [[1.0], 1.0], [[1.0, 2.0], [3.0, 4.0]]]
+)
+def test_upsert_refuses_a_row_holding_a_value_that_is_not_a_number(row):
+    store = VectorStore(2)
+    store.upsert([_record("a", [1, 0])])
+    bare = [replace(_record(cid, [1, 1]), embedding=None) for cid in ("c", "bad")]
+    with pytest.raises(InvalidParams, match="record 'bad' holds a value that is not a number"):
+        store.upsert(bare, [[1.0, 1.0], row])
+    assert [r.chunk_id for r in store.records()] == ["a"]
 
 
 def test_a_store_built_from_rows_persists_as_one_built_from_records(tmp_path):
@@ -1046,6 +1059,21 @@ def test_round_trip_is_bit_exact(tmp_path):
     first = (tmp_path / "s" / "matrix.bin").read_bytes()
     second = (tmp_path / "s2" / "matrix.bin").read_bytes()
     assert first == second
+
+
+@pytest.mark.parametrize("char", ["\u2028", "\u2029", "\u0085"])
+def test_a_record_holding_a_unicode_line_separator_round_trips(tmp_path, char):
+    # records.jsonl holds these raw; only "\n" may end a record's line
+    store = VectorStore(2)
+    store.upsert([
+        replace(_record("a", [1, 0]), text=f"one{char}two"),
+        _record(f"b{char}", [0, 1], doc_id=f"doc{char}", note=f"x{char}y"),
+    ])
+    store.persist(tmp_path / "s")
+    assert char in (tmp_path / "s" / "records.jsonl").read_text(encoding="utf-8")
+    loaded = VectorStore.open(tmp_path / "s")
+    assert loaded.records() == store.records()
+    assert loaded.get(f"b{char}").metadata["note"] == f"x{char}y"
 
 
 def test_truncated_matrix_is_corrupt(tmp_path):
