@@ -21,6 +21,7 @@ import re
 from dataclasses import dataclass, field, replace
 
 from .citations import (
+    AuxIndex,
     CitationEntry,
     CitationMarker,
     VerificationReport,
@@ -344,33 +345,46 @@ class QueryChain:
 
     # -- prompt assembly -------------------------------------------------------
 
+    def _locate(self, rec: Chunk) -> Chunk:
+        """The expanded chunk around ``rec``, found without parsing its
+        document's reference section."""
+        return locate_expanded_chunk(AuxIndex(rec.doc_id, self.kb.expanded_chunks(rec.doc_id)), rec)
+
     def _assemble(
-        self, retrieved: list[ScoredRecord], mode: str
+        self,
+        retrieved: list[ScoredRecord],
+        mode: str,
+        expanded: list[Chunk] | None = None,
+        cited: int | None = None,
     ) -> tuple[str, str | None, list[CitationEntry], list[CitationMarker]]:
         """Build (context, citation_block, citation_list, unresolved) for a mode.
 
-        Citation material is looked up in each document's memoized aux
-        index. Within a document, entries are deduplicated by value and
-        unresolved markers by ``key()``; both are grouped by document in the
-        order documents first appear among ``retrieved``.
+        ``expanded`` holds each retrieved chunk's expanded chunk (located
+        here when not given). Only the first ``cited`` retrieved chunks, all
+        by default, contribute citation material, which is looked up in each
+        document's memoized aux index. Within a document, entries are
+        deduplicated by value and unresolved markers by ``key()``; both are
+        grouped by document in the order documents first appear among
+        ``retrieved``.
         """
         if mode == "plain":
             context = "\n\n".join(sr.record.text for sr in retrieved)
             return context, None, [], []
 
-        expanded_texts: dict[str, str] = {}
+        if expanded is None:
+            expanded = [self._locate(sr.record) for sr in retrieved]
+        cited = len(retrieved) if cited is None else cited
         entries_of: dict[str, dict[CitationEntry, None]] = {}
         unresolved_of: dict[str, dict[tuple, CitationMarker]] = {}
-        for sr in retrieved:
-            rec = sr.record
-            aux = self.kb.aux_index(rec.doc_id)
-            expanded = locate_expanded_chunk(aux, rec)
-            expanded_texts.setdefault(expanded.chunk_id, expanded.text)
-            resolved, missing = aux.citations(expanded)
-            entries_of.setdefault(rec.doc_id, {}).update(dict.fromkeys(resolved))
-            doc_unresolved = unresolved_of.setdefault(rec.doc_id, {})
-            for marker in missing:
-                doc_unresolved.setdefault(marker.key(), marker)
+        for i, (sr, chunk) in enumerate(zip(retrieved, expanded)):
+            doc_id = sr.record.doc_id
+            entries = entries_of.setdefault(doc_id, {})
+            doc_unresolved = unresolved_of.setdefault(doc_id, {})
+            if i < cited:
+                resolved, missing = self.kb.aux_index(doc_id).citations(chunk)
+                entries.update(dict.fromkeys(resolved))
+                for marker in missing:
+                    doc_unresolved.setdefault(marker.key(), marker)
         citation_list = [e for entries in entries_of.values() for e in entries]
         unresolved = [m for markers in unresolved_of.values() for m in markers.values()]
 
@@ -386,7 +400,8 @@ class QueryChain:
         # mode2: expanded chunks replace the originals (each contains its
         # original); the citation block stays out of the context slot.
         block = format_citation_block(citation_list)
-        return "\n\n".join(expanded_texts.values()), block, citation_list, unresolved
+        context = "\n\n".join({c.chunk_id: c.text for c in expanded}.values())
+        return context, block, citation_list, unresolved
 
     # -- the pipeline ---------------------------------------------------------
 
@@ -401,10 +416,21 @@ class QueryChain:
     ) -> AnswerBundle:
         """Run the full chain for ``question`` and return the answer bundle.
 
-        Over-budget prompts shed the lowest-scored retrieved chunk and
-        re-assemble until the budget fits; BudgetExceeded is raised only when
-        no retrieved chunk survives. No chat request is dispatched unless the
-        budget fits.
+        The prompt keeps the longest best-first prefix of the retrieved
+        chunks whose prompt fits the token budget, shedding the rest;
+        BudgetExceeded is raised only when no retrieved chunk survives. No
+        chat request is dispatched unless the budget fits.
+
+        Every retrieved chunk's expanded chunk is located first, so a
+        damaged snapshot or a stale offset fails the answer even where the
+        budget would shed that chunk. Under the heuristic tokenizer, in
+        mode1 and mode2, the prefix grows from the best chunk up, and a
+        chunk's citations (its document's reference section included) are
+        derived only once the prompt fits with the chunk's text; the
+        kept chunks, the prompt and any BudgetExceeded message are those of
+        shedding from the top. An external tokenizer's counts carry no such
+        guarantee, so with it, and in plain mode, the prompt sheds the
+        lowest-scored chunk until it fits.
         """
         cfg = self.config
         mode = mode if mode is not None else cfg.mode
@@ -433,27 +459,53 @@ class QueryChain:
         if tpl.supplement:
             question_full = f"{question} {tpl.supplement}"
 
-        while True:
-            context, block, citation_list, unresolved = self._assemble(retrieved, mode)
+        # Locating first fails the answer on a damaged snapshot or a stale
+        # offset of any retrieved chunk, a chunk the budget sheds too.
+        expanded = None if mode == "plain" else [self._locate(sr.record) for sr in retrieved]
+
+        def attempt(n: int, cited: int | None = None):
+            context, block, citation_list, unresolved = self._assemble(
+                retrieved[:n], mode, None if expanded is None else expanded[:n], cited
+            )
             prompt = render_prompt(tpl, context, question_full, citation_list=block)
             budget = budget_check(
                 prompt, cfg.tokenizer, cfg.chat.llm_token_limit, cfg.chat.reserved_for_answer
             )
-            if budget.fits:
-                break
-            if len(retrieved) == 1:
-                raise BudgetExceeded(
-                    f"prompt needs {budget.prompt_tokens} tokens plus "
-                    f"{budget.reserved_for_answer} reserved, over the "
-                    f"{budget.llm_token_limit} limit even with a single chunk"
-                )
-            dropped = retrieved[-1]
-            logger.info(
-                "over budget (%d tokens); dropping lowest-scored chunk %s",
-                budget.prompt_tokens,
-                dropped.record.chunk_id,
+            return prompt, budget, citation_list, unresolved
+
+        if mode == "plain" or cfg.tokenizer.mode != "heuristic":
+            # Shed from the top: an external tokenizer's counts need not grow
+            # with the prompt, and plain mode derives no citations to spare.
+            n = len(retrieved)
+            fitted = attempt(n)
+            while not fitted[1].fits and n > 1:
+                n -= 1
+                fitted = attempt(n)
+        else:
+            # A heuristic count grows with the prompt's length, and adding a
+            # chunk never shortens the prompt, so the kept chunks are the
+            # longest prefix that fits. A chunk's citations are derived only
+            # once the prompt fits with its text and the citations before it.
+            n, fitted = 1, attempt(1)
+            while fitted[1].fits and n < len(retrieved) and attempt(n + 1, cited=n)[1].fits:
+                grown = attempt(n + 1)
+                if not grown[1].fits:
+                    break
+                n, fitted = n + 1, grown
+        prompt, budget, citation_list, unresolved = fitted
+        if not budget.fits:
+            raise BudgetExceeded(
+                f"prompt needs {budget.prompt_tokens} tokens plus "
+                f"{budget.reserved_for_answer} reserved, over the "
+                f"{budget.llm_token_limit} limit even with a single chunk"
             )
-            retrieved = retrieved[:-1]
+        if n < len(retrieved):
+            logger.info(
+                "over budget; shed %d lowest-scored chunk(s): %s",
+                len(retrieved) - n,
+                ", ".join(sr.record.chunk_id for sr in retrieved[n:]),
+            )
+            retrieved = retrieved[:n]
         if unresolved:
             logger.warning(
                 "%d citation marker(s) could not be resolved: %s",

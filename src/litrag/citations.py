@@ -238,16 +238,19 @@ def fold_text(text: str) -> str:
     that is ASCII once its ampersands are spelled out is only lowercased
     and whitespace-collapsed: NFKD and the combining-mark filter leave
     ASCII unchanged, and ``casefold`` equals ``lower`` on it. Other text is
-    NFKD-decomposed, its combining marks dropped, then casefolded.
+    NFKD-decomposed, its combining marks and format characters (category
+    Cf, such as the soft hyphen in "Mül\u00adler") dropped, then casefolded.
     """
     text = text.replace("\\&", " and ").replace("&", " and ")
     if text.isascii():
         return collapse_ws(text.lower())
     decomposed = unicodedata.normalize("NFKD", text)
-    marks = {
-        ord(ch): None for ch in set(decomposed) if not ch.isascii() and unicodedata.combining(ch)
+    dropped = {
+        ord(ch): None
+        for ch in set(decomposed)
+        if not ch.isascii() and (unicodedata.combining(ch) or unicodedata.category(ch) == "Cf")
     }
-    return collapse_ws(decomposed.translate(marks).casefold())
+    return collapse_ws(decomposed.translate(dropped).casefold())
 
 
 def collapse_ws(text: str) -> str:
@@ -294,8 +297,11 @@ def split_expanded_chunks(doc: Document) -> list[Chunk]:
     return chunks
 
 
-def build_auxiliary_index(doc: Document) -> AuxIndex:
-    """Cut ``doc``'s expanded chunks and parse its reference section."""
+def build_auxiliary_index(
+    doc: Document, expanded_chunks: tuple[Chunk, ...] | None = None
+) -> AuxIndex:
+    """Parse ``doc``'s reference section and cut its expanded chunks, unless
+    ``expanded_chunks`` holds them already."""
     try:
         entries = extract_reference_section(doc)
     except NoReferenceSection:
@@ -303,11 +309,9 @@ def build_auxiliary_index(doc: Document) -> AuxIndex:
             "document %s has no reference section; citation list will be empty", doc.doc_id
         )
         entries = []
-    return AuxIndex(
-        doc_id=doc.doc_id,
-        expanded_chunks=tuple(split_expanded_chunks(doc)),
-        entries=tuple(entries),
-    )
+    if expanded_chunks is None:
+        expanded_chunks = tuple(split_expanded_chunks(doc))
+    return AuxIndex(doc_id=doc.doc_id, expanded_chunks=expanded_chunks, entries=tuple(entries))
 
 
 def locate_expanded_chunk(aux: AuxIndex, original: Chunk) -> Chunk:

@@ -6,9 +6,10 @@ A knowledge base is a directory:
     <root>/docs/<doc_id>.json                       document snapshot (id, body, file name)
 
 Document snapshots keep the citation guard exact at query time: on a
-document's first use, its reference section is located and parsed and its
-expanded chunks are cut from the same text the chunks were cut from, and
-the result (``aux_index``) is kept for the life of the ``KnowledgeBase``.
+document's first use its expanded chunks are cut from the same text the
+chunks were cut from (``expanded_chunks``), and when its citations are
+first needed its reference section is located and parsed (``aux_index``).
+Both are kept for the life of the ``KnowledgeBase``.
 
 A build (``build_knowledge_base``) collects the documents ingest loads and
 makes one embedding call over the distinct chunk texts they hold: each goes
@@ -24,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .citations import AuxIndex, build_auxiliary_index
+from .citations import AuxIndex, build_auxiliary_index, split_expanded_chunks
 from .config import EngineConfig
 from .embedding import embed_texts
 from .errors import (
@@ -45,6 +46,7 @@ class KnowledgeBase:
         self.root = Path(root)
         self.store = store
         self._docs: dict[str, Document] = {}
+        self._expanded: dict[str, tuple[Chunk, ...]] = {}
         self._aux: dict[str, AuxIndex] = {}
 
     @classmethod
@@ -75,9 +77,19 @@ class KnowledgeBase:
             self._docs[doc_id] = doc
         return self._docs[doc_id]
 
+    def expanded_chunks(self, doc_id: str) -> tuple[Chunk, ...]:
+        """The expanded chunks of ``doc_id``, cut on first use; its aux index
+        holds this same tuple."""
+        if doc_id not in self._expanded:
+            self._expanded[doc_id] = tuple(split_expanded_chunks(self.document(doc_id)))
+        return self._expanded[doc_id]
+
     def aux_index(self, doc_id: str) -> AuxIndex:
+        """The citation material of ``doc_id``: its expanded chunks and its
+        reference section, parsed on the first call."""
         if doc_id not in self._aux:
-            self._aux[doc_id] = build_auxiliary_index(self.document(doc_id))
+            doc = self.document(doc_id)
+            self._aux[doc_id] = build_auxiliary_index(doc, self.expanded_chunks(doc_id))
         return self._aux[doc_id]
 
 

@@ -1,4 +1,5 @@
 import random
+import shutil
 from collections import Counter
 from dataclasses import replace
 
@@ -9,23 +10,34 @@ from hypothesis import strategies as st
 import litrag.embedding as embedding_mod
 from litrag.chain import (
     CITATION_BLOCK_HEADER,
+    AnswerBundle,
     PromptTemplate,
     QueryChain,
     assemble_mode1,
     assemble_mode2,
     budget_check,
+    chat_completion,
+    format_citation_block,
     get_template,
     render_prompt,
     sensible_validation_template,
 )
-from litrag.citations import CitationEntry
-from litrag.config import default_config
+from litrag.citations import (
+    CitationEntry,
+    build_auxiliary_index,
+    locate_expanded_chunk,
+    verify_answer_citations,
+)
+from litrag.config import ChatConfig, default_config
 from litrag.embedding import EmbeddingVector, TokenizerConfig
 from litrag.errors import (
     BudgetExceeded,
     ChatServiceFailed,
+    CorruptStore,
     InvalidParams,
+    IoFailure,
     MissingSlot,
+    NoContainingChunk,
     RetrievalEmpty,
     UnknownSlot,
 )
@@ -36,6 +48,7 @@ from litrag.testing import (
     FABRICATED_CITATION,
     StubChatService,
     StubEmbeddingService,
+    StubTokenizerService,
     echo_citations_responder,
     extract_citation_block,
     make_corpus,
@@ -631,3 +644,241 @@ def test_document_without_references_resolves_nothing(no_reference_kb, caplog):
                 assert marker.key() in unresolved
     warnings = [r for r in caplog.records if "no reference section" in r.getMessage()]
     assert len(warnings) == 1
+
+
+# --- the budget search against shedding from the top ----------------------------------
+
+
+def _shed_from_the_top(documents, auxes, retrieved, mode, tpl, question_full, tok, limit, reserve):
+    """The prompt as the answer first shed it, kept as the oracle: assemble
+    every retrieved chunk with its citations, then drop the lowest-scored one
+    until the prompt fits. Returns (kept, prompt, budget, citation_list,
+    unresolved); ``auxes`` memoizes each document's aux index."""
+    while True:
+        expanded_texts, entries_of, unresolved_of = {}, {}, {}
+        for sr in retrieved:
+            rec = sr.record
+            if rec.doc_id not in auxes:
+                auxes[rec.doc_id] = build_auxiliary_index(documents(rec.doc_id))
+            aux = auxes[rec.doc_id]
+            expanded = locate_expanded_chunk(aux, rec)
+            expanded_texts.setdefault(expanded.chunk_id, expanded.text)
+            resolved, missing = aux.citations(expanded)
+            entries_of.setdefault(rec.doc_id, {}).update(dict.fromkeys(resolved))
+            doc_unresolved = unresolved_of.setdefault(rec.doc_id, {})
+            for marker in missing:
+                doc_unresolved.setdefault(marker.key(), marker)
+        citation_list = [e for entries in entries_of.values() for e in entries]
+        unresolved = [m for markers in unresolved_of.values() for m in markers.values()]
+        if mode == "mode1":
+            parts = [
+                assemble_mode1(sr.record, list(entries_of.pop(sr.record.doc_id, ())))
+                for sr in retrieved
+            ]
+            context, block = "\n\n".join(parts), None
+        else:
+            context = "\n\n".join(expanded_texts.values())
+            block = format_citation_block(citation_list)
+        prompt = render_prompt(tpl, context, question_full, citation_list=block)
+        budget = budget_check(prompt, tok, limit, reserve)
+        if budget.fits:
+            return retrieved, prompt, budget, citation_list, unresolved
+        if len(retrieved) == 1:
+            raise BudgetExceeded(
+                f"prompt needs {budget.prompt_tokens} tokens plus "
+                f"{budget.reserved_for_answer} reserved, over the "
+                f"{budget.llm_token_limit} limit even with a single chunk"
+            )
+        retrieved = retrieved[:-1]
+
+
+def _oracle_answer(chain, documents, auxes, question, k, mode, template, tok=None):
+    """``chain.answer`` with its prompt shed from the top, as a bundle's dict
+    or a BudgetExceeded message."""
+    cfg = chain.config
+    tpl = get_template(template)
+    question_full = f"{question} {tpl.supplement}" if tpl.supplement else question
+    try:
+        kept, prompt, budget, citation_list, unresolved = _shed_from_the_top(
+            documents, auxes, chain._retrieve(question, k), mode, tpl, question_full,
+            tok or cfg.tokenizer, cfg.chat.llm_token_limit, cfg.chat.reserved_for_answer,
+        )
+    except BudgetExceeded as exc:
+        return str(exc)
+    answer_text = chat_completion(cfg, prompt, cfg.chat.temperature)
+    return AnswerBundle(
+        question=question,
+        rendered_prompt=prompt,
+        answer_text=answer_text,
+        retrieved=kept,
+        citation_list=citation_list,
+        verification=verify_answer_citations(answer_text, citation_list),
+        mode=mode,
+        temperature=cfg.chat.temperature,
+        budget=budget,
+        unresolved_markers=unresolved,
+    ).to_dict()
+
+
+def _answer(chain, question, k, mode, template):
+    try:
+        return chain.answer(question, k=k, mode=mode, template=template).to_dict()
+    except BudgetExceeded as exc:
+        return str(exc)
+
+
+@pytest.fixture(scope="module")
+def services():
+    with StubEmbeddingService(dim=DIM) as emb, StubChatService(echo_citations_responder()) as chat:
+        yield emb, chat
+
+
+# mode1 takes a template with a question supplement, so that question_full differs
+_TEMPLATE = {"mode1": "qa_context_split", "mode2": "custom_citation"}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    room=st.sampled_from(range(800, 25000, 50)),
+    reserve=st.integers(0, 2048),
+    k=st.sampled_from(range(1, 9)),
+    mode=st.sampled_from(["mode1", "mode2"]),
+    chars_per_token=st.floats(0.5, 8.0),
+    doc=st.integers(0, 3),
+    seed=st.integers(0, 2),
+)
+def test_the_budget_search_keeps_what_shedding_from_the_top_keeps(
+    built_kb, services, room, reserve, k, mode, chars_per_token, doc, seed
+):
+    # ``room`` is the prompt length, in characters, that the budget leaves room for:
+    # from under one chunk's prompt to about half of eight chunks' in mode2
+    emb, chat = services
+    chain, truths = _chain(
+        built_kb,
+        emb.url,
+        chat.url,
+        chat=ChatConfig(
+            endpoint_url=chat.url,
+            llm_token_limit=reserve + max(1, round(room / chars_per_token)),
+            reserved_for_answer=reserve,
+        ),
+        tokenizer=TokenizerConfig(chars_per_token=chars_per_token),
+    )
+    question = question_for(truths[f"paper-{doc:02d}"], random.Random(seed))
+    oracle_kb = KnowledgeBase.open(built_kb[0])
+    expected = _oracle_answer(chain, oracle_kb.document, {}, question, k, mode, _TEMPLATE[mode])
+    assert _answer(chain, question, k, mode, _TEMPLATE[mode]) == expected
+
+
+def test_a_cold_answer_derives_citations_for_the_kept_chunks_and_at_most_one_more(
+    built_kb, services, monkeypatch
+):
+    parses = _counting(monkeypatch, "extract_reference_section", lambda doc: doc.doc_id)
+    extractions = _counting(monkeypatch, "extract_citation_markers", lambda text: text)
+    emb, chat = services
+    shed_docs = 0
+    for mode, limit, reserve in (("mode1", 1500, 512), ("mode2", 4096, 1024)):
+        for seed in range(3):
+            for doc_id in ("paper-00", "paper-01", "paper-02", "paper-03"):
+                chain, truths = _chain(
+                    built_kb,
+                    emb.url,
+                    chat.url,
+                    chat=ChatConfig(
+                        endpoint_url=chat.url, llm_token_limit=limit, reserved_for_answer=reserve
+                    ),
+                )
+                parses.clear()
+                extractions.clear()
+                question = question_for(truths[doc_id], random.Random(seed))
+                bundle = chain.answer(question, k=8, mode=mode)
+                kb = chain.kb
+                kept_docs = {sr.record.doc_id for sr in bundle.retrieved}
+                assert kept_docs <= set(parses) and len(set(parses) - kept_docs) <= 1
+                assert set(parses.values()) == {1}
+                kept_chunks = {
+                    locate_expanded_chunk(kb.aux_index(sr.record.doc_id), sr.record).text
+                    for sr in bundle.retrieved
+                }
+                every_chunk = {c.text for d in truths for c in kb.expanded_chunks(d)}
+                derived = {text for text in extractions if text in every_chunk}
+                assert kept_chunks <= derived and len(derived - kept_chunks) <= 1
+                all_docs = {sr.record.doc_id for sr in chain._retrieve(question, 8)}
+                shed_docs += len(all_docs - kept_docs)
+    assert shed_docs > 0  # some answers shed every chunk of a retrieved document
+
+
+@pytest.mark.parametrize("damage", ["stale offset", "damaged snapshot", "missing snapshot"])
+def test_a_broken_lowest_scored_chunk_fails_the_answer_though_the_budget_sheds_it(
+    built_kb, services, tmp_path, damage
+):
+    root = tmp_path / "kb"
+    shutil.copytree(built_kb[0], root)
+    records, _ = KnowledgeBase.open(root).store.rows()
+    best, middle, worst = (
+        next(rec for rec in records if rec.doc_id == doc_id)
+        for doc_id in ("paper-00", "paper-01", "paper-03")
+    )
+    if damage == "stale offset":
+        worst = replace(worst, start_offset=10**7, end_offset=10**7 + 5)
+    emb, chat = services
+
+    def answer(retrieved, limit, reserve=0):
+        chain, _ = _chain(
+            (root, None),
+            emb.url,
+            chat.url,
+            chat=ChatConfig(endpoint_url=chat.url, llm_token_limit=limit, reserved_for_answer=reserve),
+        )
+        chain._retrieve = lambda question, k: retrieved
+        return chain.answer("what holds?", k=len(retrieved), mode="mode2")
+
+    # the budget that keeps the best chunk alone
+    alone = answer([ScoredRecord(best, 0.9)], 10**6)
+    limit = alone.budget.prompt_tokens + 1
+    # neither the budget's check of the middle chunk nor its citations reach the worst one
+    retrieved = [ScoredRecord(best, 0.9), ScoredRecord(middle, 0.5), ScoredRecord(worst, 0.1)]
+    if damage != "stale offset":
+        assert [sr.record for sr in answer(retrieved, limit).retrieved] == [best]
+        snapshot = root / "docs" / "paper-03.json"
+        if damage == "damaged snapshot":
+            snapshot.write_text("{", encoding="utf-8")
+        else:
+            snapshot.unlink()
+    requests = len(chat.requests)
+    error = {
+        "stale offset": NoContainingChunk,
+        "damaged snapshot": CorruptStore,
+        "missing snapshot": IoFailure,
+    }[damage]
+    with pytest.raises(error):
+        answer(retrieved, limit)
+    assert len(chat.requests) == requests
+
+
+@pytest.mark.parametrize(
+    "mode, limit, reserve",
+    [("mode1", 1500, 512), ("mode2", 4096, 1024), ("mode2", 600, 100), ("mode2", 20000, 1024)],
+)
+def test_an_external_tokenizer_sees_the_requests_of_shedding_from_the_top(
+    built_kb, services, mode, limit, reserve
+):
+    emb, chat = services
+    with StubTokenizerService() as ours, StubTokenizerService() as theirs:
+        chain, truths = _chain(
+            built_kb,
+            emb.url,
+            chat.url,
+            chat=ChatConfig(endpoint_url=chat.url, llm_token_limit=limit, reserved_for_answer=reserve),
+            tokenizer=TokenizerConfig(mode="external", external_url=ours.url),
+        )
+        question = question_for(truths["paper-01"], random.Random(1))
+        got = _answer(chain, question, 6, mode, _TEMPLATE[mode])
+        oracle_kb = KnowledgeBase.open(built_kb[0])
+        expected = _oracle_answer(
+            chain, oracle_kb.document, {}, question, 6, mode, _TEMPLATE[mode],
+            tok=TokenizerConfig(mode="external", external_url=theirs.url),
+        )
+        assert got == expected
+        assert ours.requests == theirs.requests
+        assert ours.requests

@@ -383,6 +383,16 @@ def test_resolution_folds_diacritics_and_ampersands():
     assert unresolved == []
 
 
+def test_resolution_ignores_a_soft_hyphen_in_an_entry():
+    # PDF-extracted entries carry soft hyphens (U+00AD) where a line broke a word
+    entry = CitationEntry(label="", full_text="Mül\u00adler, K. (2001). Shock trains.", doc_id="d")
+    resolved, unresolved = resolve_citations(
+        extract_citation_markers("as Müller (2001) showed"), [entry]
+    )
+    assert resolved == [entry]
+    assert unresolved == []
+
+
 def test_surname_containment_is_word_bounded():
     entries = [
         CitationEntry(
@@ -716,6 +726,7 @@ def test_verification_matches_the_pinned_reports(tmp_path):
 def test_fold_text():
     assert fold_text("Müller \\& García") == "muller and garcia"
     assert fold_text("Inﬂuence") == "influence"  # fl ligature folds
+    assert fold_text("Mül\u00adler") == "muller"  # soft hyphen dropped
 
 
 # --- the string work against its regex and per-character oracles -------------------
@@ -730,7 +741,11 @@ def _collapse_ws_oracle(text):
 def _fold_text_oracle(text):
     text = text.replace("\\&", " and ").replace("&", " and ")
     decomposed = unicodedata.normalize("NFKD", text)
-    stripped = "".join(ch for ch in decomposed if not unicodedata.combining(ch))
+    stripped = "".join(
+        ch
+        for ch in decomposed
+        if not unicodedata.combining(ch) and unicodedata.category(ch) != "Cf"
+    )
     return _collapse_ws_oracle(stripped.casefold())
 
 
@@ -741,6 +756,10 @@ def test_regex_whitespace_is_the_str_whitespace():
     assert set(every_char) - set("".join(every_char.split())) == set(_SPACES)
 
 
+# Format characters (category Cf): soft hyphen, zero-width space, joiners, word
+# joiner, byte order mark, and one outside the BMP
+_FORMAT_CHARS = ["\u00ad", "\u200b", "\u200c", "\u200d", "\u2060", "\ufeff", "\U000e0001"]
+
 _FOLD_TEXT = st.lists(
     st.one_of(
         st.characters(max_codepoint=0x7F),
@@ -749,6 +768,7 @@ _FOLD_TEXT = st.lists(
         st.just("\u034f"),  # a nonspacing mark of combining class 0, which folding keeps
         st.sampled_from(["\ufb00", "\ufb01", "\ufb02", "\ufb03", "\ufb04", "\ufb05", "\ufb06"]),
         st.sampled_from(["\uff06", "\u0130", "\u1e9e", "\\&", *_SPACES]),
+        st.sampled_from(_FORMAT_CHARS),
     ),
     max_size=40,
 ).map("".join)
@@ -759,6 +779,12 @@ _FOLD_TEXT = st.lists(
 def test_fold_text_and_collapse_ws_equal_their_oracles(text):
     assert collapse_ws(text) == _collapse_ws_oracle(text)
     assert fold_text(text) == _fold_text_oracle(text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_FOLD_TEXT, st.text(max_size=40)))
+def test_folded_text_holds_no_format_character(text):
+    assert not any(unicodedata.category(ch) == "Cf" for ch in fold_text(text))
 
 
 def _expand_numeric_group_oracle(content):
