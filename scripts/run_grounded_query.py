@@ -5,7 +5,8 @@ Generates a synthetic corpus with a known citation ground truth, builds the
 knowledge base, then answers a question twice: once against a chat stub that
 cites only what the citation list offers (verification passes) and once
 against a stub that injects a fabricated article title (verification flags
-it). Prints both verification reports.
+it). Prints both verification reports, each after its verdict and the number
+of citations it verified.
 
 Usage:
     python scripts/run_grounded_query.py --workdir /tmp/grounded [--mode mode2]
@@ -75,6 +76,7 @@ def main(argv=None) -> int:
                 continue
             verdict = "PASS" if bundle.verification.passed else "FLAGGED"
             print(f"verification: {verdict}")
+            print(f"verified: {len(bundle.verification.verified)}")
             for citation, reason in bundle.verification.flagged:
                 print(f"  flagged [{reason}]: {citation}")
             print(json.dumps(bundle.verification.to_dict(), indent=2)[:400] + " ...\n")

@@ -21,7 +21,6 @@ import re
 from dataclasses import dataclass, field, replace
 
 from .citations import (
-    AuxIndex,
     CitationEntry,
     CitationMarker,
     VerificationReport,
@@ -345,22 +344,17 @@ class QueryChain:
 
     # -- prompt assembly -------------------------------------------------------
 
-    def _locate(self, rec: Chunk) -> Chunk:
-        """The expanded chunk around ``rec``, found without parsing its
-        document's reference section."""
-        return locate_expanded_chunk(AuxIndex(rec.doc_id, self.kb.expanded_chunks(rec.doc_id)), rec)
-
     def _assemble(
         self,
         retrieved: list[ScoredRecord],
         mode: str,
-        expanded: list[Chunk] | None = None,
+        expanded: list[Chunk] | None,
         cited: int | None = None,
     ) -> tuple[str, str | None, list[CitationEntry], list[CitationMarker]]:
         """Build (context, citation_block, citation_list, unresolved) for a mode.
 
-        ``expanded`` holds each retrieved chunk's expanded chunk (located
-        here when not given). Only the first ``cited`` retrieved chunks, all
+        ``expanded`` holds each retrieved chunk's expanded chunk (None in
+        plain mode). Only the first ``cited`` retrieved chunks, all
         by default, contribute citation material, which is looked up in each
         document's memoized aux index. Within a document, entries are
         deduplicated by value and unresolved markers by ``key()``; both are
@@ -371,8 +365,6 @@ class QueryChain:
             context = "\n\n".join(sr.record.text for sr in retrieved)
             return context, None, [], []
 
-        if expanded is None:
-            expanded = [self._locate(sr.record) for sr in retrieved]
         cited = len(retrieved) if cited is None else cited
         entries_of: dict[str, dict[CitationEntry, None]] = {}
         unresolved_of: dict[str, dict[tuple, CitationMarker]] = {}
@@ -461,7 +453,9 @@ class QueryChain:
 
         # Locating first fails the answer on a damaged snapshot or a stale
         # offset of any retrieved chunk, a chunk the budget sheds too.
-        expanded = None if mode == "plain" else [self._locate(sr.record) for sr in retrieved]
+        expanded = None if mode == "plain" else [
+            locate_expanded_chunk(self.kb.aux_index(sr.record.doc_id), sr.record) for sr in retrieved
+        ]
 
         def attempt(n: int, cited: int | None = None):
             context, block, citation_list, unresolved = self._assemble(

@@ -23,6 +23,7 @@ import re
 import unicodedata
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .embedding import embed_texts  # noqa: F401 - unused; perfbench's trace table hooks this name
 from .errors import NoContainingChunk, NoReferenceSection
@@ -176,18 +177,32 @@ class CitationEntry:
 
 @dataclass(frozen=True)
 class AuxIndex:
-    """A document's citation material, derived once from its snapshot.
+    """A document's citation material, each part derived once, on first use.
 
-    ``expanded_chunks`` divide the body; ``entries`` is the parsed
-    reference section (empty when the document has none). Each expanded
-    chunk's markers are extracted and resolved against ``entries`` on its
-    first use by :meth:`citations` and kept.
+    ``expanded_chunks`` divide the body of ``doc``. ``entries`` is ``doc``'s
+    parsed reference section, parsed when it is first read; it is empty when
+    the document has none (warned once) or when the index carries no
+    document. Each expanded chunk's markers are extracted and resolved
+    against ``entries`` on its first use by :meth:`citations` and kept.
+    Equality covers ``doc_id`` and ``expanded_chunks`` only.
     """
 
     doc_id: str
     expanded_chunks: tuple[Chunk, ...]
-    entries: tuple[CitationEntry, ...] = ()
+    doc: Document | None = field(default=None, repr=False, compare=False)
     _resolved: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def entries(self) -> tuple[CitationEntry, ...]:
+        if self.doc is None:
+            return ()
+        try:
+            return tuple(extract_reference_section(self.doc))
+        except NoReferenceSection:
+            logger.warning(
+                "document %s has no reference section; citation list will be empty", self.doc_id
+            )
+            return ()
 
     def citations(
         self, expanded: Chunk
@@ -297,21 +312,10 @@ def split_expanded_chunks(doc: Document) -> list[Chunk]:
     return chunks
 
 
-def build_auxiliary_index(
-    doc: Document, expanded_chunks: tuple[Chunk, ...] | None = None
-) -> AuxIndex:
-    """Parse ``doc``'s reference section and cut its expanded chunks, unless
-    ``expanded_chunks`` holds them already."""
-    try:
-        entries = extract_reference_section(doc)
-    except NoReferenceSection:
-        logger.warning(
-            "document %s has no reference section; citation list will be empty", doc.doc_id
-        )
-        entries = []
-    if expanded_chunks is None:
-        expanded_chunks = tuple(split_expanded_chunks(doc))
-    return AuxIndex(doc_id=doc.doc_id, expanded_chunks=expanded_chunks, entries=tuple(entries))
+def build_auxiliary_index(doc: Document) -> AuxIndex:
+    """``doc``'s aux index: its expanded chunks are cut here, and its
+    reference section is parsed when ``entries`` is first read."""
+    return AuxIndex(doc.doc_id, tuple(split_expanded_chunks(doc)), doc)
 
 
 def locate_expanded_chunk(aux: AuxIndex, original: Chunk) -> Chunk:

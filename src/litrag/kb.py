@@ -5,11 +5,11 @@ A knowledge base is a directory:
     <root>/header.json, records.jsonl, matrix.bin   chunk store
     <root>/docs/<doc_id>.json                       document snapshot (id, body, file name)
 
-Document snapshots keep the citation guard exact at query time: on a
-document's first use its expanded chunks are cut from the same text the
-chunks were cut from (``expanded_chunks``), and when its citations are
-first needed its reference section is located and parsed (``aux_index``).
-Both are kept for the life of the ``KnowledgeBase``.
+Document snapshots keep the citation guard exact at query time: a
+document's aux index (``aux_index``), kept for the life of the
+``KnowledgeBase``, cuts its expanded chunks from the same text the chunks
+were cut from on the document's first use, and parses its reference section
+when its citations are first needed.
 
 A build (``build_knowledge_base``) collects the documents ingest loads and
 makes one embedding call over the distinct chunk texts they hold: each goes
@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .citations import AuxIndex, build_auxiliary_index, split_expanded_chunks
+from .citations import AuxIndex, build_auxiliary_index
 from .config import EngineConfig
 from .embedding import embed_texts
 from .errors import (
@@ -40,13 +40,13 @@ from .store import ChunkRecord, VectorStore
 
 
 class KnowledgeBase:
-    """Read access to a persisted knowledge base."""
+    """Read access to a persisted knowledge base: its store, and each
+    document's snapshot and aux index, loaded on first use and kept."""
 
     def __init__(self, root: str | Path, store: VectorStore):
         self.root = Path(root)
         self.store = store
         self._docs: dict[str, Document] = {}
-        self._expanded: dict[str, tuple[Chunk, ...]] = {}
         self._aux: dict[str, AuxIndex] = {}
 
     @classmethod
@@ -77,19 +77,12 @@ class KnowledgeBase:
             self._docs[doc_id] = doc
         return self._docs[doc_id]
 
-    def expanded_chunks(self, doc_id: str) -> tuple[Chunk, ...]:
-        """The expanded chunks of ``doc_id``, cut on first use; its aux index
-        holds this same tuple."""
-        if doc_id not in self._expanded:
-            self._expanded[doc_id] = tuple(split_expanded_chunks(self.document(doc_id)))
-        return self._expanded[doc_id]
-
     def aux_index(self, doc_id: str) -> AuxIndex:
-        """The citation material of ``doc_id``: its expanded chunks and its
-        reference section, parsed on the first call."""
+        """The citation material of ``doc_id``: its expanded chunks, cut on
+        the first call, and its reference section, parsed when ``entries`` is
+        first read."""
         if doc_id not in self._aux:
-            doc = self.document(doc_id)
-            self._aux[doc_id] = build_auxiliary_index(doc, self.expanded_chunks(doc_id))
+            self._aux[doc_id] = build_auxiliary_index(self.document(doc_id))
         return self._aux[doc_id]
 
 
@@ -122,10 +115,11 @@ def build_knowledge_base(
     a zero or overflowing row fails its own document at its upsert; each is
     recorded with ``IngestReport.fail``, which keeps failures in path order.
     A LitragError while loading a document fails it inside ingest's
-    per-file isolation. Then ``docs/`` holds a snapshot of each indexed
-    document and of no other (snapshots left by an earlier build into
-    ``root`` are deleted), and the store is persisted. A snapshot that
-    cannot be written or deleted raises IoFailure.
+    per-file isolation. A build that failed documents and indexed none
+    leaves ``root`` as it was. Otherwise ``docs/`` then holds a snapshot of
+    each indexed document and of no other (snapshots left by an earlier
+    build into ``root`` are deleted), and the store is persisted. A
+    snapshot that cannot be written or deleted raises IoFailure.
     """
     root = Path(store_root if store_root is not None else config.store_path)
     emb = config.embedding
@@ -162,6 +156,8 @@ def build_knowledge_base(
                 error = str(exc)
         if error is not None:
             report.fail(doc.source_path, error)
+    if report.failures and not indexed:
+        return report  # nothing to replace what ``root`` holds with
     docs = root / "docs"
     written = {f"{doc.doc_id}.json" for doc in indexed}
     try:

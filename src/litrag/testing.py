@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
+from .chain import CITATION_BLOCK_HEADER
 from .citations import fold_text
 
 # --- deterministic embeddings -------------------------------------------------
@@ -199,15 +200,14 @@ class StubChatService(_StubService):
 
 
 def extract_citation_block(prompt: str) -> list[str]:
-    """The citation lines a rendered citation-slot prompt carries."""
+    """The citation lines a rendered prompt carries: those of its
+    citation-list slot (mode2) and of every inline citation block (mode1),
+    each up to its blank line."""
+    blocks = [block.split("\n\n", 1)[0] for block in prompt.split(CITATION_BLOCK_HEADER)[1:]]
     anchor = prompt.rfind("Citation List:")
-    if anchor == -1:
-        return []
-    tail = prompt[anchor + len("Citation List:") :]
-    end = tail.find("\n\nQuestion:")
-    if end != -1:
-        tail = tail[:end]
-    return [line.strip() for line in tail.splitlines() if line.strip()]
+    if anchor != -1:
+        blocks.append(prompt[anchor + len("Citation List:") :].split("\n\nQuestion:", 1)[0])
+    return [line.strip() for block in blocks for line in block.splitlines() if line.strip()]
 
 
 def echo_citations_responder(fabricate: str | None = None):

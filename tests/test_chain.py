@@ -286,6 +286,30 @@ def test_answer_with_echo_stub_passes_verification(built_kb):
         assert bundle.answer_text.endswith("thanks for asking!")
 
 
+def test_the_echo_responder_cites_every_inline_mode1_block(built_kb):
+    with StubEmbeddingService(dim=DIM) as emb, StubChatService(
+        echo_citations_responder()
+    ) as chat:
+        chain, truths = _chain(built_kb, emb.url, chat.url)
+        bundle = chain.answer(question_for(truths["paper-00"]), mode="mode1")
+    lines = [e.full_text for e in bundle.citation_list]
+    assert lines and extract_citation_block(bundle.rendered_prompt) == lines
+    assert all(line in bundle.answer_text for line in lines)
+    assert bundle.verification.passed
+    assert len(bundle.verification.verified) >= 1
+
+
+def test_extract_citation_block_reads_each_mode1_block_up_to_its_blank_line():
+    first, second = _entries(2), _entries(3)[2:]
+    context = "\n\n".join([
+        assemble_mode1(_record("T"), first),
+        assemble_mode1(_record("U"), []),
+        assemble_mode1(_record("V"), second),
+    ])
+    prompt = render_prompt(get_template("qa_context"), context, "q?")
+    assert extract_citation_block(prompt) == [e.full_text for e in first + second]
+
+
 def test_answer_flags_injected_fabrication(built_kb):
     with StubEmbeddingService(dim=DIM) as emb, StubChatService(
         echo_citations_responder(fabricate=FABRICATED_CITATION)
@@ -548,7 +572,9 @@ def test_assemble_matches_per_document_oracle(built_kb, data):
     documents = {rec.doc_id: chain.kb.document(rec.doc_id) for rec in records}
     expected = per_document_citations(documents, [sr.record for sr in retrieved])
     for mode in ("mode1", "mode2"):
-        _, _, citation_list, unresolved = chain._assemble(retrieved, mode)
+        _, _, citation_list, unresolved = chain._assemble(retrieved, mode, [
+            locate_expanded_chunk(chain.kb.aux_index(sr.record.doc_id), sr.record) for sr in retrieved
+        ])
         assert (citation_list, unresolved) == expected
 
 
@@ -800,7 +826,7 @@ def test_a_cold_answer_derives_citations_for_the_kept_chunks_and_at_most_one_mor
                     locate_expanded_chunk(kb.aux_index(sr.record.doc_id), sr.record).text
                     for sr in bundle.retrieved
                 }
-                every_chunk = {c.text for d in truths for c in kb.expanded_chunks(d)}
+                every_chunk = {c.text for d in truths for c in kb.aux_index(d).expanded_chunks}
                 derived = {text for text in extractions if text in every_chunk}
                 assert kept_chunks <= derived and len(derived - kept_chunks) <= 1
                 all_docs = {sr.record.doc_id for sr in chain._retrieve(question, 8)}

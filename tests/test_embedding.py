@@ -521,3 +521,48 @@ def test_litrag_imports_no_third_party_http_client():
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+class _NotJson(BaseHTTPRequestHandler):
+    """Records the request and replies with the server's ``status`` and a
+    body that is not JSON."""
+
+    protocol_version = "HTTP/1.1"
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        with self.server.state_lock:
+            self.server.requests.append({})
+        body = b"<html>maintenance</html>"
+        self.send_response(self.server.status)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.mark.parametrize("service", SERVICES)
+@pytest.mark.parametrize("status", [200, 201])
+def test_a_2xx_reply_that_is_not_json_fails_without_a_retry(service, status):
+    stub, call, error = SERVICES[service]
+    with stub() as svc:
+        svc.RequestHandlerClass, svc.status = _NotJson, status
+        with pytest.raises(error, match="malformed JSON"):
+            call(svc.url)
+        assert len(svc.requests) == 1
+
+
+@pytest.mark.parametrize("row", [0.5, "0.5", None, {"values": [0.5] * 4}])
+def test_an_embedding_row_that_is_not_a_list_fails_its_batch_without_a_retry(row):
+    class NotAList(StubEmbeddingService):
+        def handle_payload(self, payload):
+            status, reply = super().handle_payload(payload)
+            reply["data"][1]["embedding"] = row
+            return status, reply
+
+    with NotAList(dim=4) as svc:
+        with pytest.raises(ServiceUnreachable, match="input 1 has no list of values"):
+            embed_texts(["alpha", "beta"], _config(svc))
+        assert len(svc.requests) == 1

@@ -110,7 +110,7 @@ def test_a_snapshot_with_a_stored_title_and_span_derives_both(small_corpus, tmp_
     old = kb.document("paper-00")
     assert old.title == doc.title == doc.body.lstrip().splitlines()[0].strip()
     assert old.reference_section == doc.reference_section != (0, 3)
-    assert kb.aux_index("paper-00") == aux
+    assert kb.aux_index("paper-00") == aux and kb.aux_index("paper-00").entries == aux.entries != ()
 
 
 def test_each_title_and_reference_section_is_derived_at_most_once(
@@ -134,7 +134,7 @@ def test_each_title_and_reference_section_is_derived_at_most_once(
     assert sorted(titled) == sorted(truths)
 
     kb = KnowledgeBase.open(cfg.store_path)
-    kb.aux_index("paper-00")
+    kb.aux_index("paper-00").entries
     assert len(located) == 1
     assert kb.document("paper-00").reference_text() is not None
     assert len(located) == 1
@@ -413,7 +413,7 @@ def test_snapshot_holding_an_absolute_source_path_still_opens(small_corpus, tmp_
     snapshot.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
     kb = KnowledgeBase.open(cfg.store_path)
     assert kb.document("paper-00").source_path == data["source_path"]
-    assert kb.aux_index("paper-00") == fresh
+    assert kb.aux_index("paper-00") == fresh and kb.aux_index("paper-00").entries == fresh.entries != ()
 
 
 def test_a_body_holding_a_unicode_line_separator_builds_a_kb_that_opens(tmp_path):
@@ -428,3 +428,49 @@ def test_a_body_holding_a_unicode_line_separator_builds_a_kb_that_opens(tmp_path
     kb = KnowledgeBase.open(cfg.store_path)
     assert len(kb.store) == report.chunk_count
     assert any("\u2028" in rec.text for rec in kb.store.records())
+
+
+@pytest.mark.parametrize(
+    "fault, match",
+    [(dict(fail_when=lambda texts: True), "status 500"), (dict(wrong_dim=DIM + 1), "dimension")],
+    ids=["status-500", "wrong-dim"],
+)
+def test_a_build_whose_every_batch_fails_fails_every_document_and_writes_nothing(
+    small_corpus, tmp_path, monkeypatch, fault, match
+):
+    monkeypatch.setattr(embedding_mod, "_RETRY_BASE_S", 0.01)
+    corpus_dir, truths = small_corpus
+    with StubEmbeddingService(dim=DIM, **fault) as svc:
+        report = build_knowledge_base(corpus_dir, _config(svc, tmp_path))
+    assert report.document_count == 0
+    assert [Path(f.path).stem for f in report.failures] == sorted(truths)
+    assert all(re.search(match, f.error) for f in report.failures)
+    assert not (tmp_path / "kb").exists()
+
+
+def test_a_rebuild_with_the_embedding_service_down_keeps_the_knowledge_base(
+    small_corpus, tmp_path, monkeypatch
+):
+    monkeypatch.setattr(embedding_mod, "_RETRY_BASE_S", 0.01)
+    corpus_dir, truths = small_corpus
+    with StubEmbeddingService(dim=DIM) as svc:
+        cfg = _config(svc, tmp_path)
+        first = build_knowledge_base(corpus_dir, cfg)
+    before = _tree(tmp_path / "kb")
+    with StubEmbeddingService(dim=DIM, fail_when=lambda texts: True) as down:
+        report = build_knowledge_base(corpus_dir, _config(down, tmp_path))
+    assert len(report.failures) == len(truths)
+    assert _tree(tmp_path / "kb") == before
+    kb = KnowledgeBase.open(cfg.store_path)
+    assert kb.doc_ids() == sorted(truths)
+    assert len(kb.store) == first.chunk_count > 0
+
+
+def test_an_empty_corpus_still_writes_an_empty_knowledge_base(tmp_path):
+    (tmp_path / "corpus").mkdir()
+    with StubEmbeddingService(dim=DIM) as svc:
+        report = build_knowledge_base(tmp_path / "corpus", _config(svc, tmp_path))
+        assert svc.requests == []
+    assert report.failures == [] and report.document_count == 0
+    kb = KnowledgeBase.open(tmp_path / "kb")
+    assert len(kb.store) == 0 and kb.doc_ids() == []

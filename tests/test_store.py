@@ -1186,3 +1186,60 @@ def test_matrix_bytes_are_little_endian_float32(tmp_path):
     store.persist(tmp_path / "s")
     raw = (tmp_path / "s" / "matrix.bin").read_bytes()
     assert np.frombuffer(raw, dtype="<f4").tolist() == [1.5, -2.0]
+
+
+@pytest.mark.parametrize("key", ["dimension", "record_count", "format_version", "checksum"])
+def test_a_header_missing_a_key_is_corrupt(tmp_path, key):
+    import json
+
+    VectorStore(4).persist(tmp_path / "s")
+    header_path = tmp_path / "s" / "header.json"
+    header = json.loads(header_path.read_text())
+    del header[key]
+    header_path.write_text(json.dumps(header))
+    with pytest.raises(CorruptStore, match=f"missing '{key}'"):
+        VectorStore.open(tmp_path / "s")
+
+
+@pytest.mark.parametrize("version", [0, 2, "1", None])
+def test_an_unsupported_format_version_is_corrupt(tmp_path, version):
+    import json
+
+    VectorStore(4).persist(tmp_path / "s")
+    header_path = tmp_path / "s" / "header.json"
+    header = json.loads(header_path.read_text())
+    header["format_version"] = version
+    header_path.write_text(json.dumps(header))
+    with pytest.raises(CorruptStore, match="unsupported format_version"):
+        VectorStore.open(tmp_path / "s")
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda lines: lines[:-1], lambda lines: lines + lines[-1:], lambda lines: lines + [""]],
+    ids=["line-dropped", "line-repeated", "blank-line-added"],
+)
+def test_a_records_line_count_other_than_the_header_count_is_a_mismatch(tmp_path, edit):
+    # matrix.bin and its checksum still agree with the header: only the line count is off
+    store, _ = _random_store(random.Random(95), 4, 8)
+    store.persist(tmp_path / "s")
+    path = tmp_path / "s" / "records.jsonl"
+    lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+    path.write_text("".join(line + "\n" for line in edit(lines)), encoding="utf-8")
+    with pytest.raises(DimensionHeaderMismatch, match="records.jsonl holds [35] records, header says 4"):
+        VectorStore.open(tmp_path / "s")
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda store, query: store.top_k(query, 2, Metric.cosine()),
+        lambda store, query: store.mmr_select(query, MMRParams(lambda_=0.5, k=2, fetch_n=3)),
+    ],
+    ids=["top_k", "mmr_select"],
+)
+@pytest.mark.parametrize("query_dim", [3, 5])
+def test_a_query_of_the_wrong_dimension_is_refused(search, query_dim):
+    store, _ = _random_store(random.Random(96), 5, 4)
+    with pytest.raises(DimensionMismatch, match=f"query dimension {query_dim} != store dimension 4"):
+        search(store, [1.0] * query_dim)
