@@ -270,8 +270,12 @@ def ratio_table_csv(rows: list[RatioRow]) -> str:
 
 @dataclass
 class LabelStats:
+    """One label's point count, centroid and mean distance to its centroid.
+    ``centroid`` is a read-only float64 row of the centroid matrix that
+    :func:`cluster_stats` computed."""
+
     count: int
-    centroid: tuple[float, ...]
+    centroid: np.ndarray
     mean_intra_distance: float
 
 
@@ -302,7 +306,7 @@ class ClusterStats:
                 "mean_intra_distance": stats.mean_intra_distance,
             }
             if include_centroids:
-                entry["centroid"] = list(stats.centroid)
+                entry["centroid"] = stats.centroid.tolist()
             per_label[label] = entry
         return {
             "metric": self.metric.spec(),
@@ -363,7 +367,8 @@ def cluster_stats(store: VectorStore, label_by: str, m: Metric) -> ClusterStats:
     any other metric is InvalidParams, raised before any work.
 
     Counts, centroids (float64 means of each label's float32 rows, taken
-    in store order) and mean intra distances are the same bits whether a
+    in store order; each label's is a read-only row of one centroid
+    matrix) and mean intra distances are the same bits whether a
     label's rows form one run or not, and the same as those of the rows
     upcast to float64 first. Inter-centroid distances are computed by
     ``score_rows``, one centroid against the rest, except euclidean ones:
@@ -387,8 +392,8 @@ def cluster_stats(store: VectorStore, label_by: str, m: Metric) -> ClusterStats:
         groups.setdefault(str(label), []).append(i)
 
     labels = sorted(groups)
-    per_label: dict[str, LabelStats] = {}
     centroids = np.empty((len(labels), matrix.shape[1]))
+    intra = []
     for i, label in enumerate(labels):
         rows = groups[label]
         # ascending indices; one run of them (a per-document upsert) is sliced in place
@@ -397,11 +402,13 @@ def cluster_stats(store: VectorStore, label_by: str, m: Metric) -> ClusterStats:
         else:
             vectors = matrix[rows]
         centroids[i] = vectors.mean(axis=0, dtype=np.float64)
-        per_label[label] = LabelStats(
-            count=len(rows),
-            centroid=tuple(centroids[i].tolist()),
-            mean_intra_distance=float(np.mean(_cluster_distance(vectors, centroids[i], m))),
-        )
+        intra.append(float(np.mean(_cluster_distance(vectors, centroids[i], m))))
+    # before any row is handed out: a view taken earlier would stay writeable
+    centroids.flags.writeable = False
+    per_label = {
+        label: LabelStats(len(groups[label]), centroids[i], intra[i])
+        for i, label in enumerate(labels)
+    }
 
     n = len(labels)
     if m.kind == "euclidean":

@@ -50,6 +50,7 @@ On-disk layout (one directory per store):
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 import threading
@@ -199,11 +200,12 @@ def score_rows(matrix: np.ndarray, vec, m: Metric, norms: np.ndarray | None = No
         if qn == 0.0 or (own and np.any(norms == 0.0)):
             raise ZeroVector("cosine similarity is undefined for a zero vector")
         return dots / (norms * qn)
-    diff = np.abs(matrix - vec)
+    diff = matrix - vec  # a fresh float64 array, worked on in place
+    if m.kind == "euclidean":
+        return np.sqrt(np.square(diff, out=diff).sum(axis=1))  # x*x == |x|*|x| exactly
+    np.abs(diff, out=diff)
     if m.kind == "manhattan":
         return diff.sum(axis=1)
-    if m.kind == "euclidean":
-        return np.sqrt(np.square(diff).sum(axis=1))
     if m.kind == "chebyshev":
         return diff.max(axis=1, initial=0.0)
     p = float(m.p)  # type: ignore[arg-type]
@@ -587,19 +589,22 @@ class VectorStore:
         """Load a store persisted with :meth:`persist`. Round trip is bit-exact."""
         path = Path(path)
         try:
-            header = json.loads((path / "header.json").read_text())
+            header_bytes = (path / "header.json").read_bytes()
         except OSError as exc:
             raise IoFailure(f"cannot open store at {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise CorruptStore(f"header.json is not valid JSON: {exc}") from exc
+        try:
+            header = json.loads(header_bytes.decode("utf-8"))
+        except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+            raise CorruptStore(f"header.json is not valid UTF-8 JSON: {exc}") from exc
+        if not isinstance(header, dict):
+            raise CorruptStore(f"header.json holds {type(header).__name__}, not an object")
 
         for key in ("dimension", "record_count", "format_version", "checksum"):
             if key not in header:
                 raise CorruptStore(f"header.json is missing {key!r}")
-        if header["format_version"] != FORMAT_VERSION:
-            raise CorruptStore(
-                f"unsupported format_version {header['format_version']}"
-            )
+        version = header["format_version"]
+        if type(version) is not int or version != FORMAT_VERSION:
+            raise CorruptStore(f"unsupported format_version {version!r}")
         dim, count = header["dimension"], header["record_count"]
         for key, value, least in (("dimension", dim, 1), ("record_count", count, 0)):
             if type(value) is not int or value < least:
@@ -609,13 +614,9 @@ class VectorStore:
 
         try:
             matrix_bytes = (path / "matrix.bin").read_bytes()
-            # only "\n" ends a line: persist writes U+0085, U+2028 and U+2029 raw, and
-            # str.splitlines() would break a record at each of them
-            record_lines = (path / "records.jsonl").read_text(encoding="utf-8").split("\n")
+            records_bytes = (path / "records.jsonl").read_bytes()
         except OSError as exc:
             raise IoFailure(f"cannot read store files at {path}: {exc}") from exc
-        if record_lines[-1] == "":  # what follows the last record's newline
-            record_lines.pop()
 
         digest = "sha256:" + hashlib.sha256(matrix_bytes).hexdigest()
         if digest != header["checksum"]:
@@ -625,20 +626,28 @@ class VectorStore:
             raise DimensionHeaderMismatch(
                 f"matrix.bin holds {len(matrix_bytes)} bytes, header implies {dim * count * 4}"
             )
-        if len(record_lines) != count:
+        # only b"\n" ends a record: persist writes U+0085, U+2028 and U+2029 raw, and
+        # no other UTF-8 sequence holds the byte 0x0a; a last line without one still counts
+        lines = records_bytes.count(b"\n") + (records_bytes[-1:] not in (b"", b"\n"))
+        if lines != count:
             raise DimensionHeaderMismatch(
-                f"records.jsonl holds {len(record_lines)} records, header says {count}"
+                f"records.jsonl holds {lines} records, header says {count}"
             )
 
         store = cls(dim)
-        for i, line in enumerate(record_lines):
+        # one line at a time, so that no list of every line is held: its strings,
+        # freed between the records' own, would fragment the heap and raise the
+        # process's peak memory on every reopen
+        for i, line in enumerate(io.BytesIO(records_bytes)):
             try:
-                obj = json.loads(line)
+                obj = json.loads(line.decode("utf-8"))
                 obj["metadata"] = MappingProxyType(obj["metadata"])
                 rec = ChunkRecord(embedding=None, **{key: obj[key] for key in _RECORD_FIELDS})
                 _check_record(rec)
                 if store._index.setdefault(rec.chunk_id, i) != i:
                     raise ValueError(f"chunk_id {rec.chunk_id!r} is repeated")
+            except UnicodeDecodeError as exc:  # its repr would carry the whole line
+                raise CorruptStore(f"records.jsonl line {i + 1} is not UTF-8: {exc}") from exc
             except (ValueError, KeyError, TypeError) as exc:
                 raise CorruptStore(f"records.jsonl line {i + 1} is invalid: {exc!r}") from exc
             store._records.append(rec)

@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 from litrag.chain import BUILTIN_TEMPLATES
 from litrag.cli import main
 from litrag.config import config_to_dict, default_config
+from litrag.harness import cluster_stats
 from litrag.kb import build_knowledge_base
+from litrag.store import Metric, VectorStore
 from litrag.testing import (
     FABRICATED_CITATION,
     StubChatService,
@@ -487,6 +489,35 @@ def test_stats_json(cli_env, capsys):
     assert code == 0
     assert set(out["labels"]) == set(cli_env["truths"])
     assert out["mean_inter_centroid_distance"] > 0
+
+
+def test_stats_with_centroids_prints_each_centroid_as_the_tuple_did(cli_env, capsys):
+    with StubChatService() as chat:
+        config = _write_config(cli_env, chat.url)
+        code = main(["--config", config, "stats", "--include-centroids"])
+    assert code == 0
+    stats = cluster_stats(VectorStore.open(cli_env["store_root"]), "doc_id", Metric.euclidean())
+    # to_dict as it was when each centroid was a tuple of Python floats
+    expected = stats.to_dict(include_centroids=False)
+    for label, entry in expected["per_label"].items():
+        entry["centroid"] = list(tuple(float(x) for x in stats.per_label[label].centroid))
+    assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name", ["header.json", "records.jsonl"])
+def test_stats_on_a_store_file_that_is_not_utf8_exits_one_with_one_error_line(cli_env, tmp_path, capsys, name):
+    store_root = tmp_path / "kb"
+    shutil.copytree(cli_env["store_root"], store_root)
+    raw = (store_root / name).read_bytes()
+    (store_root / name).write_bytes(raw[:1] + b"\xff" + raw[1:])
+    with StubChatService() as chat:
+        config = _write_config(cli_env, chat.url, store_path=str(store_root))
+        code = main(["--config", config, "stats"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and name in captured.err
+    assert captured.err.count("\n") == 1, captured.err
 
 
 @pytest.mark.parametrize("metric", ["inner_product", "minkowski:0"])

@@ -1,5 +1,6 @@
 import csv
 import importlib.util
+import json
 import math
 import random
 from collections import Counter
@@ -445,13 +446,38 @@ def test_cluster_stats_equals_the_row_loop_bit_for_bit(layout):
         assert stats.labels == labels
         for label, (count, centroid, intra) in per_label.items():
             got = stats.per_label[label]
-            assert (got.count, got.centroid, got.mean_intra_distance) == (count, centroid, intra)
+            assert (got.count, tuple(got.centroid.tolist()), got.mean_intra_distance) == (count, centroid, intra)
         got = np.array(stats.inter_centroid_distances)
         if m.kind == "euclidean":
             # from the Gram matrix: within a few ulps of the pairwise values
             assert np.all(np.abs(got - distances) <= 1e-14 * distances)
         else:
             assert stats.inter_centroid_distances == distances.tolist()
+
+
+def test_centroids_are_read_only_float64_rows_that_serialise_as_the_tuples_did():
+    rng = np.random.default_rng(19)
+    store = _store_with(
+        {f"doc{j}": rng.standard_normal((int(rng.integers(2, 30)), 16)).tolist() for j in range(5)},
+        batch=4,
+    )
+    for spec in CLUSTER_METRICS:
+        m = Metric.parse(spec)
+        stats = cluster_stats(store, "doc_id", m)
+        _, per_label, _ = _loop_cluster_stats(store, m)
+        for label in stats.labels:
+            centroid = stats.per_label[label].centroid
+            assert centroid.dtype == np.float64 and centroid.shape == (16,)
+            assert not centroid.flags.writeable and not centroid.base.flags.writeable
+            with pytest.raises(ValueError):
+                centroid[0] = 0.0
+        # to_dict as it was when each centroid was a tuple of Python floats
+        expected = stats.to_dict(include_centroids=False)
+        for label, entry in expected["per_label"].items():
+            entry["centroid"] = list(per_label[label][1])
+        for indent in (None, 2):
+            got = json.dumps(stats.to_dict(include_centroids=True), indent=indent)
+            assert got == json.dumps(expected, indent=indent)
 
 
 def test_near_coincident_centroids_take_the_direct_distance():

@@ -1,13 +1,18 @@
 import math
+import os
 import random
+import subprocess
+import sys
 import warnings
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import litrag
 from litrag.config import RetrievalConfig
 from litrag.embedding import EmbeddingVector
 from litrag.errors import (
@@ -168,6 +173,39 @@ def test_minkowski_large_p_approaches_chebyshev():
         cheb = similarity(x, y, Metric.chebyshev())
         mink = similarity(x, y, Metric.minkowski(64))
         assert mink == pytest.approx(cheb, rel=0.05)
+
+
+def _distance_scores_of_old(matrix, vec, m):
+    """``score_rows``' distance branch as it was before it worked in place
+    (one array for the absolute difference, another for its square), kept as
+    its oracle."""
+    diff = np.abs(matrix - np.asarray(vec, dtype=np.float64))
+    if m.kind == "manhattan":
+        return diff.sum(axis=1)
+    if m.kind == "euclidean":
+        return np.sqrt(np.square(diff).sum(axis=1))
+    if m.kind == "chebyshev":
+        return diff.max(axis=1, initial=0.0)
+    return np.power(np.power(diff, m.p).sum(axis=1), 1.0 / m.p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dtype=st.sampled_from([np.float32, np.float64]),
+    n=st.integers(1, 20),
+    dim=st.integers(1, 64),
+    scale=st.sampled_from([1e-20, 1e-6, 1.0, 1e6, 1e20]),
+    seed=st.integers(0, 2**32 - 1),
+    spec=st.sampled_from(["euclidean", "manhattan", "chebyshev", "minkowski:3", "minkowski:1.5"]),
+)
+def test_distance_scores_equal_the_old_scorer_bit_for_bit(dtype, n, dim, scale, seed, spec):
+    rng = np.random.default_rng(seed)
+    matrix = (rng.standard_normal((n, dim)) * scale).astype(dtype)
+    vec = rng.standard_normal(dim) * scale
+    before = matrix.copy()
+    m = Metric.parse(spec)
+    assert score_rows(matrix, vec, m).tobytes() == _distance_scores_of_old(matrix, vec, m).tobytes()
+    assert np.array_equal(matrix, before)
 
 
 @settings(max_examples=80, deadline=None)
@@ -1201,7 +1239,7 @@ def test_a_header_missing_a_key_is_corrupt(tmp_path, key):
         VectorStore.open(tmp_path / "s")
 
 
-@pytest.mark.parametrize("version", [0, 2, "1", None])
+@pytest.mark.parametrize("version", [0, 2, "1", None, True, 1.0])
 def test_an_unsupported_format_version_is_corrupt(tmp_path, version):
     import json
 
@@ -1228,6 +1266,84 @@ def test_a_records_line_count_other_than_the_header_count_is_a_mismatch(tmp_path
     path.write_text("".join(line + "\n" for line in edit(lines)), encoding="utf-8")
     with pytest.raises(DimensionHeaderMismatch, match="records.jsonl holds [35] records, header says 4"):
         VectorStore.open(tmp_path / "s")
+
+
+@pytest.mark.parametrize("text", ["null", "5", '"header"', "[]"])
+def test_a_header_that_is_not_an_object_is_corrupt(tmp_path, text):
+    VectorStore(4).persist(tmp_path / "s")
+    (tmp_path / "s" / "header.json").write_text(text)
+    with pytest.raises(CorruptStore, match="not an object"):
+        VectorStore.open(tmp_path / "s")
+
+
+def test_undecodable_header_bytes_are_corrupt(tmp_path):
+    VectorStore(4).persist(tmp_path / "s")
+    header_path = tmp_path / "s" / "header.json"
+    raw = header_path.read_bytes()
+    header_path.write_bytes(raw[:1] + b"\xff" + raw[1:])
+    with pytest.raises(CorruptStore, match="header.json is not valid UTF-8 JSON"):
+        VectorStore.open(tmp_path / "s")
+
+
+def test_undecodable_records_bytes_are_corrupt_at_their_line(tmp_path):
+    store, _ = _random_store(random.Random(97), 3, 4)
+    store.persist(tmp_path / "s")
+    path = tmp_path / "s" / "records.jsonl"
+    lines = path.read_bytes().split(b"\n")
+    lines[1] = lines[1].replace(b"text of", b"text \xff of")
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(CorruptStore, match="records.jsonl line 2 is not UTF-8"):
+        VectorStore.open(tmp_path / "s")
+
+
+# The peak is the process's VmHWM: getrusage's ru_maxrss would start at the
+# test process's own peak, which Linux carries over to a child across exec.
+_REOPEN_PEAKS = """
+import gc, sys
+from litrag.store import VectorStore
+def peak_kib():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+peaks = []
+for _ in range(4):
+    store = None
+    gc.collect()
+    store = VectorStore.open(sys.argv[1])
+    peaks.append(peak_kib())
+print(peaks[-1] - peaks[0])
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads the peak from /proc/self/status")
+def test_reopening_a_store_does_not_raise_peak_memory(tmp_path):
+    # open reads records.jsonl one line at a time; decoding and splitting the
+    # whole file first scattered the freed lines between the records' strings,
+    # and every reopen then raised the peak by more than the file's size
+    rng = random.Random(98)
+    words = ["flame", "soot", "ignition", "kinetics", "turbulent", "premixed", "laminar"]
+    n, dim = 8000, 4
+    records = []
+    for i in range(n):
+        doc = f"doc-{i // 46:04d}"
+        text = " ".join(rng.choice(words) for _ in range(100))[:700]
+        records.append(ChunkRecord(
+            chunk_id=f"{doc}:{i % 46:05d}", doc_id=doc, text=text, start_offset=0,
+            end_offset=len(text), embedding=None, metadata={"source": f"{doc}.txt", "doc_id": doc},
+        ))
+    store = VectorStore(dim)
+    store.upsert(records, np.random.default_rng(98).standard_normal((n, dim)).astype(np.float32))
+    store.persist(tmp_path / "s")
+    size = (tmp_path / "s" / "records.jsonl").stat().st_size
+    assert size > 6_000_000
+
+    src = str(Path(litrag.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c", _REOPEN_PEAKS, str(tmp_path / "s")],
+        capture_output=True, text=True, check=True, env=env, timeout=120,
+    )
+    growth = int(out.stdout) * 1024
+    assert growth < size / 4, f"peak RSS grew {growth} bytes over three reopens of a {size}-byte file"
 
 
 @pytest.mark.parametrize(
