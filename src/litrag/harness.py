@@ -378,17 +378,15 @@ def cluster_stats(store: VectorStore, label_by: str, m: Metric) -> ClusterStats:
     with a 0.0 diagonal.
     """
     check_cluster_metric(m)
-    records, matrix = store.rows()
-    if not records:
+    ids, metadata, matrix = store.columns("chunk_id", "metadata")
+    if not ids:
         raise EmptyStore("cannot compute cluster statistics of an empty store")
 
     groups: dict[str, list[int]] = {}
-    for i, rec in enumerate(records):
-        label = rec.metadata.get(label_by)
+    for i, meta in enumerate(metadata):
+        label = meta.get(label_by)
         if label is None:
-            raise MissingLabel(
-                f"record {rec.chunk_id!r} has no metadata key {label_by!r}"
-            )
+            raise MissingLabel(f"record {ids[i]!r} has no metadata key {label_by!r}")
         groups.setdefault(str(label), []).append(i)
 
     labels = sorted(groups)
@@ -436,15 +434,15 @@ def export_embeddings(store: VectorStore, out: str | Path | TextIO) -> None:
     Values are written with full float32 round-trip precision so external
     projection tools see exactly the stored matrix.
     """
-    records, matrix = store.rows()
-    if not records:
+    ids, doc_ids, matrix = store.columns("chunk_id", "doc_id")
+    if not ids:
         raise EmptyStore("cannot export an empty store")
     is_path = isinstance(out, (str, Path))
     try:
         with open(out, "w", encoding="utf-8", newline="") if is_path else nullcontext(out) as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["chunk_id", "doc_id"] + [f"e{i}" for i in range(store.dim)])
-            for rec, row in zip(records, matrix):
-                writer.writerow([rec.chunk_id, rec.doc_id] + [repr(v) for v in row.tolist()])
+            for chunk_id, doc_id, row in zip(ids, doc_ids, matrix):
+                writer.writerow([chunk_id, doc_id] + [repr(v) for v in row.tolist()])
     except OSError as exc:
         raise IoFailure(f"cannot write embeddings to {out}: {exc}") from exc

@@ -2,8 +2,15 @@
 
 A knowledge base is a directory:
 
-    <root>/header.json, records.jsonl, matrix.bin   chunk store
-    <root>/docs/<doc_id>.json                       document snapshot (id, body, file name)
+    <root>/header.json, records.json, matrix.bin   chunk store
+    <root>/docs/<doc_id>.json                      document snapshot (id, body, file name)
+
+The chunk store is in format version 2 (see :mod:`litrag.store`): its header
+holds a sha256 of matrix.bin and one of records.json. A store in version 1,
+with records.jsonl and a checksum of matrix.bin alone, still opens, and the
+next build rewrites it in version 2. The snapshots carry no checksum. A
+build leaves ``docs/`` holding a snapshot of exactly the documents the store
+indexes; ``doc_ids`` reads those from the store.
 
 Document snapshots keep the citation guard exact at query time: a
 document's aux index (``aux_index``), kept for the life of the
@@ -56,10 +63,9 @@ class KnowledgeBase:
         return cls(root, store)
 
     def doc_ids(self) -> list[str]:
-        docs_dir = self.root / "docs"
-        if not docs_dir.is_dir():
-            return []
-        return sorted(p.stem for p in docs_dir.glob("*.json"))
+        """The sorted ids of the documents the store indexes."""
+        doc_ids, _ = self.store.columns("doc_id")
+        return sorted(set(doc_ids))
 
     def document(self, doc_id: str) -> Document:
         if doc_id not in self._docs:

@@ -4,12 +4,15 @@ The store is an exhaustive exact index (no approximate structures): the
 corpus scale this engine targets is small enough that a full scan is both
 fast and trivially verifiable. Each embedding is held once, as its row of a
 read-only float32 matrix that matches the on-disk format, so a persist/open
-round trip is bit-exact. The store hands out its own records, which carry
-``embedding=None``: retrieval (``top_k``, ``mmr_select``) and ``rows`` return
-them as they are, and only ``records`` and ``get`` attach a vector rebuilt
-from the record's row. Each record's ``metadata`` is a read-only mapping over
-the store's private copy, so a record handed out cannot change the store;
-serialise it with ``dict(rec.metadata)``.
+round trip is bit-exact. The other record fields are held as columns, one
+list per field in row order, as they are on disk, with an index from
+chunk_id to row. A :class:`ChunkRecord` is built only for a row the store
+hands out: retrieval (``top_k``, ``mmr_select``) and ``rows`` return records
+with ``embedding=None``, and only ``records`` and ``get`` attach a vector
+rebuilt from the row; ``columns`` reads fields without building any. Each
+record's ``metadata`` is a read-only mapping over the store's private copy,
+so a record handed out cannot change the store; serialise it with
+``dict(rec.metadata)``.
 
 Every score comes from one row scorer, :func:`score_rows` (a matrix and a
 vector in, one float64 score per row out): ``similarity`` is a one-row call,
@@ -41,10 +44,18 @@ float64 norm next to the matrix (computed per upsert batch and once at
 ``open``, never persisted), so cosine needs no per-query norm pass, and
 ranking partitions to the k best rows before sorting.
 
-On-disk layout (one directory per store):
-    header.json   {"dimension", "record_count", "format_version", "checksum"}
-    records.jsonl one JSON object per record, embedding values excluded
+On-disk layout (one directory per store), format version 2:
+    header.json   {"dimension", "record_count", "format_version", "checksum",
+                   "records_checksum"}
+    records.json  one JSON object of per-field arrays: chunk_id, doc_id, text,
+                  start_offset, end_offset, metadata (no embedding values)
     matrix.bin    row-major little-endian float32, row i = record i
+"checksum" is the sha256 of matrix.bin and "records_checksum" that of
+records.json, so ``open`` takes only the bytes the header was written
+with. ``persist`` writes version 2 only, the header last.
+Version 1 still opens: its records.jsonl holds one JSON object per record,
+and its header checksums matrix.bin alone. Its lines are parsed into the
+same columns, which pass the same checks.
 """
 
 from __future__ import annotations
@@ -53,9 +64,11 @@ import hashlib
 import io
 import json
 import math
+import operator
 import threading
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from types import MappingProxyType
 
@@ -76,10 +89,13 @@ from .errors import (
 )
 from .ingest import Chunk
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
-# The keys of a records.jsonl object, in the order persist writes them.
+# The record fields other than the embedding: the store's columns, in the order
+# persist writes them (and the keys of a version-1 records.jsonl object).
 _RECORD_FIELDS = ("chunk_id", "doc_id", "text", "start_offset", "end_offset", "metadata")
+# The file holding the records, by format version.
+_RECORDS_FILE = {1: "records.jsonl", 2: "records.json"}
 
 _DISTANCE_KINDS = {"minkowski", "euclidean", "manhattan", "chebyshev"}
 _SIMILARITY_KINDS = {"cosine", "inner_product"}
@@ -284,21 +300,44 @@ class MMRParams:
         return self.fetch_n if self.fetch_n is not None else 4 * self.k
 
 
-def _with_row(rec: ChunkRecord, row: np.ndarray) -> ChunkRecord:
-    """A stored record with its embedding rebuilt from its matrix row."""
-    return replace(rec, embedding=EmbeddingVector(tuple(row.tolist())))
+def _record_at(cols: dict[str, list], i: int, row: np.ndarray | None = None) -> ChunkRecord:
+    """Row i of the store's columns as a record: ``embedding=None``, or
+    ``row`` rebuilt as its embedding."""
+    embedding = None if row is None else EmbeddingVector(tuple(row.tolist()))
+    return ChunkRecord(embedding=embedding, **{key: col[i] for key, col in cols.items()})
 
 
-def _check_record(rec: ChunkRecord) -> None:
-    """The per-record checks shared by ``upsert`` and ``open``."""
-    if "source" not in rec.metadata:
-        raise ValueError(f"record {rec.chunk_id!r} metadata must include a 'source' entry")
-    start, end = rec.start_offset, rec.end_offset
-    if not (isinstance(start, int) and isinstance(end, int) and 0 <= start <= end):
-        raise ValueError(
-            f"record {rec.chunk_id!r} needs int offsets with 0 <= start <= end, "
-            f"got [{start!r}, {end!r})"
-        )
+def _fault(cols: dict[str, list]) -> tuple[int, str] | None:
+    """The first row of ``cols`` (a list per record field, metadata as
+    dicts) that no store may hold, and why; None if every row may be held.
+
+    A chunk_id, doc_id and text must be a str, offsets an int (a bool is
+    not) with 0 <= start <= end, and metadata a dict with a "source" entry.
+    ``upsert`` and ``open`` both check their rows here, before any change.
+    """
+    ids, docs, texts, starts, ends, metas = (cols[key] for key in _RECORD_FIELDS)
+    if (  # one pass per check over whole columns; the loop below names a fault
+        {str}.issuperset(map(type, chain(ids, docs, texts)))
+        and {int}.issuperset(map(type, chain(starts, ends)))
+        and {dict}.issuperset(map(type, metas))
+        and min(starts, default=0) >= 0
+        and all(map(operator.le, starts, ends))
+        and all("source" in meta for meta in metas)
+    ):
+        return None
+    for i, row in enumerate(zip(ids, docs, texts, starts, ends, metas)):
+        cid, doc, text, start, end, meta = row
+        for key, value in (("chunk_id", cid), ("doc_id", doc), ("text", text)):
+            if not isinstance(value, str):
+                return i, f"record {cid!r} needs a str {key}, got {type(value).__name__}"
+        if not (type(start) is int and type(end) is int and 0 <= start <= end):
+            return i, (
+                f"record {cid!r} needs int offsets with 0 <= start <= end, "
+                f"got [{start!r}, {end!r})"
+            )
+        if not (isinstance(meta, dict) and "source" in meta):
+            return i, f"record {cid!r} metadata must include a 'source' entry"
+    return None
 
 
 def _unconvertible(records: list[ChunkRecord], rows: Sequence, dim: int) -> LitragError:
@@ -318,15 +357,17 @@ def _unconvertible(records: list[ChunkRecord], rows: Sequence, dim: int) -> Litr
 class VectorStore:
     """Exhaustive exact vector index over ChunkRecords.
 
-    Row i of the read-only matrix is record i's embedding. The matrix is the
-    first N rows of a buffer with spare capacity, and a published row is
-    never written: an upsert that only appends writes past the published end,
-    and one that replaces a row copies into a fresh buffer. So concurrent
-    readers are safe against a single writer and never observe a partially
-    applied upsert, even through a matrix taken before it. The buffer grows
-    by doubling, so a build by per-document upserts copies each row a
-    constant number of times on average. Persisting requires quiescence (no
-    in-flight writes), which the internal lock enforces.
+    Row i of the read-only matrix is record i's embedding, and entry i of
+    each column is one of its other fields. The matrix is the first N rows
+    of a buffer with spare capacity, and a published row is never written:
+    an upsert that only appends writes past the published end, of the buffer
+    and of the columns, and one that replaces a row copies both into fresh
+    ones. So concurrent readers are safe against a single writer and never
+    observe a partially applied upsert, even through a matrix taken before
+    it. The buffer grows by doubling, so a build by per-document upserts
+    copies each row a constant number of times on average. Persisting
+    requires quiescence (no in-flight writes), which the internal lock
+    enforces.
     """
 
     def __init__(self, dim: int):
@@ -334,7 +375,7 @@ class VectorStore:
             raise InvalidParams("dimension must be positive")
         self._dim = dim
         self._lock = threading.RLock()
-        self._records: list[ChunkRecord] = []
+        self._cols: dict[str, list] = {key: [] for key in _RECORD_FIELDS}
         self._index: dict[str, int] = {}
         self._publish(np.empty((0, dim), dtype=np.float32), np.empty(0), 0)
 
@@ -351,25 +392,35 @@ class VectorStore:
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._records)
+            return len(self._matrix)
+
+    def columns(self, *names: str) -> tuple[list, ...]:
+        """One consistent snapshot: a list of each named record field
+        (``"chunk_id"``, ``"doc_id"``, ``"text"``, ``"start_offset"``,
+        ``"end_offset"``, ``"metadata"``) in row order, then the read-only
+        float32 matrix. Builds no record; each metadata is read-only."""
+        with self._lock:
+            return (*(list(self._cols[name]) for name in names), self._matrix)
 
     def rows(self) -> tuple[list[ChunkRecord], np.ndarray]:
-        """One consistent snapshot: the store's own records, each with
-        ``embedding=None`` and read-only ``metadata``, and the read-only
-        float32 matrix whose row i is record i's embedding."""
+        """One consistent snapshot: every record, with ``embedding=None`` and
+        read-only ``metadata``, and the read-only float32 matrix whose row i
+        is record i's embedding."""
         with self._lock:
-            return list(self._records), self._matrix
+            cols, matrix = self._cols, self._matrix
+            return [_record_at(cols, i) for i in range(len(matrix))], matrix
 
     def records(self) -> list[ChunkRecord]:
         """Every record with its embedding rebuilt from its row (N * dim
-        Python floats; :meth:`rows` is the cheap read)."""
-        records, matrix = self.rows()
-        return [_with_row(rec, row) for rec, row in zip(records, matrix)]
+        Python floats; :meth:`rows` is the cheaper read)."""
+        with self._lock:
+            cols, matrix = self._cols, self._matrix
+            return [_record_at(cols, i, row) for i, row in enumerate(matrix)]
 
     def get(self, chunk_id: str) -> ChunkRecord | None:
         with self._lock:
             i = self._index.get(chunk_id)
-            return _with_row(self._records[i], self._matrix[i]) if i is not None else None
+            return _record_at(self._cols, i, self._matrix[i]) if i is not None else None
 
     def upsert(self, records: list[ChunkRecord], rows: Sequence | None = None) -> int:
         """Insert or replace records by chunk_id. Returns the count applied.
@@ -377,13 +428,15 @@ class VectorStore:
         Each record carries its embedding, or, given ``rows`` (such as float32
         matrix rows), row i embeds record i and every record carries
         ``embedding=None``. All records are validated before any mutation, so
-        a failed upsert leaves the store unchanged. A batch may name each
-        chunk_id once, and no row may round to zero (cosine is undefined for
-        it) or be other than finite in float32: one holding a NaN, an
-        infinity not given as float32 or an integer beyond every float "is
-        not finite"; any other, a float32 infinity included (a cast's
-        overflow), "overflows float32". A row holding a value that is not a
-        number is refused with ``InvalidParams``.
+        a failed upsert leaves the store unchanged. A record's chunk_id,
+        doc_id and text must be str, its offsets int with 0 <= start <= end
+        and its metadata hold "source" (else ``ValueError``). A batch may
+        name each chunk_id once, and no row may round to zero (cosine is
+        undefined for it) or be other than finite in float32: one holding a
+        NaN, an infinity not given as float32 or an integer beyond every
+        float "is not finite"; any other, a float32 infinity included (a
+        cast's overflow), "overflows float32". A row holding a value that is
+        not a number is refused with ``InvalidParams``.
         """
         carried = [rec.embedding is not None for rec in records]
         if rows is None and all(carried):
@@ -397,8 +450,12 @@ class VectorStore:
                 raise DimensionMismatch(
                     f"record {rec.chunk_id!r} has dimension {len(row)}, store expects {self._dim}"
                 )
-            _check_record(rec)
-        if len({rec.chunk_id for rec in records}) != len(records):
+        batch_cols = {key: [getattr(rec, key) for rec in records] for key in _RECORD_FIELDS}
+        batch_cols["metadata"] = [dict(meta) for meta in batch_cols["metadata"]]
+        fault = _fault(batch_cols)
+        if fault is not None:
+            raise ValueError(fault[1])
+        if len(set(batch_cols["chunk_id"])) != len(records):
             raise ValueError("an upsert batch names the same chunk_id twice")
         try:
             with np.errstate(over="ignore"):  # an overflowing row is reported just below
@@ -420,18 +477,24 @@ class VectorStore:
         if zero.size:
             raise ZeroVector(f"record {records[zero[0]].chunk_id!r} has a zero embedding")
         batch_norms = _row_norms(batch)
+        batch_cols["metadata"] = list(map(MappingProxyType, batch_cols["metadata"]))
         with self._lock:
-            published = len(self._records)
-            slots = [self._index.setdefault(rec.chunk_id, len(self._index)) for rec in records]
-            for i, rec in zip(slots, records):
-                # replaces record i, or appends when i is one past the end
-                self._records[i : i + 1] = [
-                    replace(rec, embedding=None, metadata=MappingProxyType(dict(rec.metadata)))
-                ]
-            n, capacity = len(self._records), len(self._buf)
-            buf, nbuf = self._buf, self._nbuf
-            # only an append that fits writes in place, past the published rows; a replace
-            # or an overflow copies, so no row a reader may hold is ever written
+            published = len(self._matrix)
+            index = self._index
+            slots = [index.setdefault(cid, len(index)) for cid in batch_cols["chunk_id"]]
+            n, capacity = len(self._index), len(self._buf)
+            cols, buf, nbuf = self._cols, self._buf, self._nbuf
+            # only an append writes in place, past the published rows; a replace copies
+            # the columns, and a replace or an overflow the buffer, so no row a reader
+            # may hold is ever written
+            if min(slots) < published:
+                cols = {key: list(col) for key, col in cols.items()}
+            for key, col in cols.items():
+                for i, value in zip(slots, batch_cols[key]):
+                    if i < len(col):
+                        col[i] = value
+                    else:  # i is one past the end: new ids take the next slots in order
+                        col.append(value)
             if min(slots) < published or n > capacity:
                 if n > capacity:
                     capacity = max(64, 2 * capacity, n)
@@ -441,6 +504,7 @@ class VectorStore:
                 nbuf[:published] = self._norms
             buf[slots] = batch
             nbuf[slots] = batch_norms
+            self._cols = cols
             self._publish(buf, nbuf, n)
             return len(records)
 
@@ -482,7 +546,7 @@ class VectorStore:
         chunk_id, and their scores. The caller holds the lock."""
         if k <= 0:
             raise InvalidParams("k must be positive")
-        if not self._records:
+        if not len(self._matrix):
             raise EmptyStore("cannot search an empty store")
         query = _as_array(query_vec)
         if query.shape[0] != self._dim:
@@ -490,7 +554,7 @@ class VectorStore:
                 f"query dimension {query.shape[0]} != store dimension {self._dim}"
             )
         if m.is_distance:
-            rows = np.arange(len(self._records))
+            rows = np.arange(len(self._matrix))
             scores = score_rows(self._matrix, query, m, self._norms)
         else:
             rows = self._in_band(query, k, m)
@@ -503,7 +567,8 @@ class VectorStore:
         if np.isnan(kth):
             raise ValueError("the query scores NaN against the store")
         candidates = np.flatnonzero(keys <= kth).tolist()
-        candidates.sort(key=lambda j: (keys[j], self._records[rows[j]].chunk_id))
+        ids = self._cols["chunk_id"]
+        candidates.sort(key=lambda j: (keys[j], ids[rows[j]]))
         chosen = candidates[:k]
         return rows[chosen], scores[chosen]
 
@@ -517,7 +582,8 @@ class VectorStore:
         with self._lock:
             order, scores = self._rank(query_vec, k, m)
             return [
-                ScoredRecord(self._records[i], s) for i, s in zip(order.tolist(), scores.tolist())
+                ScoredRecord(_record_at(self._cols, i), s)
+                for i, s in zip(order.tolist(), scores.tolist())
             ]
 
     def mmr_select(self, query_vec, params: MMRParams) -> list[ScoredRecord]:
@@ -537,9 +603,10 @@ class VectorStore:
         with self._lock:
             order, scores = self._rank(query_vec, params.pool_size(), params.sim1)
             # chunk_id order, so argmax's first maximum is the lowest chunk_id
-            by_id = sorted(range(len(order)), key=lambda j: self._records[order[j]].chunk_id)
+            ids = self._cols["chunk_id"]
+            by_id = sorted(range(len(order)), key=lambda j: ids[order[j]])
             pool = order[by_id]
-            records = [self._records[i] for i in pool]
+            cols = self._cols  # an upsert writes none of the rows it holds now: see the class
             rows, norms = self._matrix[pool], self._norms[pool]
         sign1 = -1.0 if params.sim1.is_distance else 1.0
         sign2 = -1.0 if params.sim2.is_distance else 1.0
@@ -554,7 +621,7 @@ class VectorStore:
             objective[taken] = -np.inf
             j = int(np.argmax(objective))
             taken[j] = True
-            selected.append(ScoredRecord(records[j], float(objective[j])))
+            selected.append(ScoredRecord(_record_at(cols, int(pool[j])), float(objective[j])))
             redundancy = sign2 * score_rows(rows, rows[j], params.sim2, norms)
             penalty = redundancy if len(selected) == 1 else np.maximum(penalty, redundancy)
         return selected
@@ -562,31 +629,35 @@ class VectorStore:
     # --- persistence ---------------------------------------------------------
 
     def persist(self, path: str | Path) -> None:
-        """Write the store to ``path`` (a directory, created if needed)."""
+        """Write the store to ``path`` (a directory, created if needed) in
+        format version 2: matrix.bin, records.json, then the header that
+        checksums both; then delete a records.jsonl a version-1 store left.
+        Every byte is encoded before the first file is written."""
         path = Path(path)
         with self._lock:
+            matrix_bytes = np.ascontiguousarray(self._matrix, dtype="<f4").data  # no copy
+            columns = {**self._cols, "metadata": [dict(meta) for meta in self._cols["metadata"]]}
+            records_bytes = json.dumps(columns, ensure_ascii=False).encode("utf-8")
+            header = {
+                "dimension": self._dim,
+                "record_count": len(self._matrix),
+                "format_version": FORMAT_VERSION,
+                "checksum": _sha256(matrix_bytes),
+                "records_checksum": _sha256(records_bytes),
+            }
             try:
                 path.mkdir(parents=True, exist_ok=True)
-                matrix_bytes = np.ascontiguousarray(self._matrix, dtype="<f4").data  # no copy
                 (path / "matrix.bin").write_bytes(matrix_bytes)
-                with (path / "records.jsonl").open("w", encoding="utf-8") as fh:
-                    for rec in self._records:
-                        obj = {key: getattr(rec, key) for key in _RECORD_FIELDS}
-                        obj["metadata"] = dict(rec.metadata)
-                        fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
-                header = {
-                    "dimension": self._dim,
-                    "record_count": len(self._records),
-                    "format_version": FORMAT_VERSION,
-                    "checksum": "sha256:" + hashlib.sha256(matrix_bytes).hexdigest(),
-                }
-                (path / "header.json").write_text(json.dumps(header, indent=2))
+                (path / "records.json").write_bytes(records_bytes)
+                (path / "header.json").write_bytes(json.dumps(header, indent=2).encode("utf-8"))
+                (path / _RECORDS_FILE[1]).unlink(missing_ok=True)
             except OSError as exc:
                 raise IoFailure(f"cannot persist store to {path}: {exc}") from exc
 
     @classmethod
     def open(cls, path: str | Path) -> "VectorStore":
-        """Load a store persisted with :meth:`persist`. Round trip is bit-exact."""
+        """Load a store persisted with :meth:`persist`, in format version 2
+        or 1. Round trip is bit-exact."""
         path = Path(path)
         try:
             header_bytes = (path / "header.json").read_bytes()
@@ -603,8 +674,10 @@ class VectorStore:
             if key not in header:
                 raise CorruptStore(f"header.json is missing {key!r}")
         version = header["format_version"]
-        if type(version) is not int or version != FORMAT_VERSION:
+        if type(version) is not int or version not in _RECORDS_FILE:
             raise CorruptStore(f"unsupported format_version {version!r}")
+        if version == 2 and "records_checksum" not in header:
+            raise CorruptStore("header.json is missing 'records_checksum'")
         dim, count = header["dimension"], header["record_count"]
         for key, value, least in (("dimension", dim, 1), ("record_count", count, 0)):
             if type(value) is not int or value < least:
@@ -612,51 +685,102 @@ class VectorStore:
                     f"header.json {key} must be an integer >= {least}, got {value!r}"
                 )
 
-        try:
-            matrix_bytes = (path / "matrix.bin").read_bytes()
-            records_bytes = (path / "records.jsonl").read_bytes()
-        except OSError as exc:
-            raise IoFailure(f"cannot read store files at {path}: {exc}") from exc
+        name = _RECORDS_FILE[version]
+        if version == 2:
+            records_bytes = _read(path, name)
+            if _sha256(records_bytes) != header["records_checksum"]:
+                raise CorruptStore(f"{name} checksum mismatch (truncated or modified file)")
+            cols, where = _json_columns(records_bytes, count), f"{name} record"
+            del records_bytes  # before matrix.bin is read, so the two never add up in the peak
+        else:
+            try:
+                cols, where = _jsonl_columns(path / name, count), f"{name} line"
+            except OSError as exc:
+                raise IoFailure(f"cannot read store files at {path}: {exc}") from exc
+        fault = _fault(cols)
+        if fault is not None:
+            raise CorruptStore(f"{where} {fault[0] + 1} is invalid: {fault[1]}")
+        ids = cols["chunk_id"]
+        index = dict(zip(ids, range(count)))
+        if len(index) != count:
+            seen: set[str] = set()
+            i = next(i for i, cid in enumerate(ids) if cid in seen or seen.add(cid))
+            raise CorruptStore(f"{where} {i + 1} is invalid: chunk_id {ids[i]!r} is repeated")
 
-        digest = "sha256:" + hashlib.sha256(matrix_bytes).hexdigest()
-        if digest != header["checksum"]:
+        matrix_bytes = _read(path, "matrix.bin")
+        if _sha256(matrix_bytes) != header["checksum"]:
             raise CorruptStore("matrix checksum mismatch (truncated or modified file)")
-
         if len(matrix_bytes) != dim * count * 4:
             raise DimensionHeaderMismatch(
                 f"matrix.bin holds {len(matrix_bytes)} bytes, header implies {dim * count * 4}"
             )
-        # only b"\n" ends a record: persist writes U+0085, U+2028 and U+2029 raw, and
-        # no other UTF-8 sequence holds the byte 0x0a; a last line without one still counts
-        lines = records_bytes.count(b"\n") + (records_bytes[-1:] not in (b"", b"\n"))
-        if lines != count:
-            raise DimensionHeaderMismatch(
-                f"records.jsonl holds {lines} records, header says {count}"
-            )
+        cols["metadata"] = list(map(MappingProxyType, cols["metadata"]))
 
         store = cls(dim)
-        # one line at a time, so that no list of every line is held: its strings,
-        # freed between the records' own, would fragment the heap and raise the
-        # process's peak memory on every reopen
-        for i, line in enumerate(io.BytesIO(records_bytes)):
-            try:
-                obj = json.loads(line.decode("utf-8"))
-                obj["metadata"] = MappingProxyType(obj["metadata"])
-                rec = ChunkRecord(embedding=None, **{key: obj[key] for key in _RECORD_FIELDS})
-                _check_record(rec)
-                if store._index.setdefault(rec.chunk_id, i) != i:
-                    raise ValueError(f"chunk_id {rec.chunk_id!r} is repeated")
-            except UnicodeDecodeError as exc:  # its repr would carry the whole line
-                raise CorruptStore(f"records.jsonl line {i + 1} is not UTF-8: {exc}") from exc
-            except (ValueError, KeyError, TypeError) as exc:
-                raise CorruptStore(f"records.jsonl line {i + 1} is invalid: {exc!r}") from exc
-            store._records.append(rec)
+        store._cols, store._index = cols, index
         matrix = np.frombuffer(matrix_bytes, dtype="<f4").reshape(count, dim)
         store._publish(matrix, _row_norms(matrix), count)
         bad = np.flatnonzero(~(np.isfinite(store._norms) & (store._norms > 0.0)))
         if bad.size:
             raise CorruptStore(
-                f"matrix.bin row {bad[0]} ({store._records[bad[0]].chunk_id!r}) "
-                "is zero or not finite"
+                f"matrix.bin row {bad[0]} ({ids[bad[0]]!r}) is zero or not finite"
             )
         return store
+
+
+def _sha256(data) -> str:
+    return "sha256:" + hashlib.sha256(data).hexdigest()
+
+
+def _read(path: Path, name: str) -> bytes:
+    try:
+        return (path / name).read_bytes()
+    except OSError as exc:
+        raise IoFailure(f"cannot read store files at {path}: {exc}") from exc
+
+
+def _json_columns(data: bytes, count: int) -> dict[str, list]:
+    """The columns of a version-2 records.json: one object of ``count``-long
+    arrays, one per record field."""
+    try:
+        obj = json.loads(data.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+        raise CorruptStore(f"records.json is not valid UTF-8 JSON: {exc}") from exc
+    if not isinstance(obj, dict) or set(obj) != set(_RECORD_FIELDS):
+        raise CorruptStore(
+            f"records.json must hold one object of the arrays {', '.join(_RECORD_FIELDS)}"
+        )
+    for key in _RECORD_FIELDS:
+        if type(obj[key]) is not list:
+            raise CorruptStore(f"records.json {key} is not an array")
+        if len(obj[key]) != count:
+            raise DimensionHeaderMismatch(
+                f"records.json holds {len(obj[key])} {key} values, header says {count}"
+            )
+    return {key: obj[key] for key in _RECORD_FIELDS}
+
+
+def _jsonl_columns(path: Path, count: int) -> dict[str, list]:
+    """The columns of a version-1 records.jsonl: one object per line, read
+    from the file a line at a time. No copy of the whole file is held: one
+    freed under the records' own objects would leave a hole in the heap that
+    every reopen adds to, and so would a list of every line."""
+    with path.open("rb") as fh:
+        # only b"\n" ends a binary line, as it does a record: persist wrote U+0085,
+        # U+2028 and U+2029 raw, and no other UTF-8 sequence holds the byte 0x0a
+        lines = sum(1 for _ in fh)
+        if lines != count:
+            raise DimensionHeaderMismatch(f"records.jsonl holds {lines} records, header says {count}")
+        fh.seek(0)
+        cols: dict[str, list] = {key: [] for key in _RECORD_FIELDS}
+        for i, line in enumerate(fh):
+            try:
+                obj = json.loads(line.decode("utf-8"))
+                values = [obj[key] for key in _RECORD_FIELDS]
+            except UnicodeDecodeError as exc:  # its repr would carry the whole line
+                raise CorruptStore(f"records.jsonl line {i + 1} is not UTF-8: {exc}") from exc
+            except (ValueError, KeyError, TypeError) as exc:
+                raise CorruptStore(f"records.jsonl line {i + 1} is invalid: {exc!r}") from exc
+            for col, value in zip(cols.values(), values):
+                col.append(value)
+    return cols

@@ -504,10 +504,12 @@ def test_stats_with_centroids_prints_each_centroid_as_the_tuple_did(cli_env, cap
     assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("name", ["header.json", "records.jsonl"])
+@pytest.mark.parametrize("name", ["header.json", "records.jsonl", "records.json"])
 def test_stats_on_a_store_file_that_is_not_utf8_exits_one_with_one_error_line(cli_env, tmp_path, capsys, name):
+    # records.jsonl is a format-version-1 store's; the others are the knowledge base's
     store_root = tmp_path / "kb"
-    shutil.copytree(cli_env["store_root"], store_root)
+    v1 = Path(__file__).parent / "fixtures" / "store_v1"
+    shutil.copytree(v1 if name == "records.jsonl" else cli_env["store_root"], store_root)
     raw = (store_root / name).read_bytes()
     (store_root / name).write_bytes(raw[:1] + b"\xff" + raw[1:])
     with StubChatService() as chat:

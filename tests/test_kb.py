@@ -74,7 +74,7 @@ def test_layout_on_disk(small_corpus, tmp_path):
 
     root = Path(cfg.store_path)
     assert (root / "header.json").is_file()
-    assert (root / "records.jsonl").is_file()
+    assert (root / "records.json").is_file()
     assert (root / "matrix.bin").is_file()
     for doc_id in truths:
         assert (root / "docs" / f"{doc_id}.json").is_file()
@@ -199,6 +199,19 @@ def test_a_rebuild_deletes_snapshots_of_documents_it_did_not_index(small_corpus,
     assert kb.doc_ids() == sorted(set(truths) - {"paper-01"})
     assert {record.doc_id for record in kb.store.records()} == set(kb.doc_ids())
     assert (Path(cfg.store_path) / "docs" / "notes.txt").read_text(encoding="utf-8") == "kept"
+
+
+def test_doc_ids_are_the_documents_the_store_indexes(small_corpus, tmp_path):
+    corpus_dir, truths = small_corpus
+    with StubEmbeddingService(dim=DIM) as svc:
+        cfg = _config(svc, tmp_path)
+        build_knowledge_base(corpus_dir, cfg)
+    docs = Path(cfg.store_path) / "docs"
+    (docs / "stray.json").write_text((docs / "paper-00.json").read_text(encoding="utf-8"), encoding="utf-8")
+    (docs / "paper-01.json").unlink()
+    kb = KnowledgeBase.open(cfg.store_path)
+    assert kb.doc_ids() == sorted(truths)
+    assert kb.doc_ids() == sorted({record.doc_id for record in kb.store.records()})
 
 
 def test_unwritable_snapshots_raise_io_failure(small_corpus, tmp_path):

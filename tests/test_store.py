@@ -1,6 +1,9 @@
+import hashlib
+import json
 import math
 import os
 import random
+import shutil
 import subprocess
 import sys
 import warnings
@@ -22,6 +25,7 @@ from litrag.errors import (
     EmptyStore,
     InvalidLambda,
     InvalidParams,
+    IoFailure,
     NonFiniteVector,
     ZeroVector,
 )
@@ -72,6 +76,52 @@ def _random_store(rng, n, dim):
     # read the store's own (float32-quantized) values back for the oracles
     quantized = {r.chunk_id: list(r.embedding.values) for r in store.records()}
     return store, quantized
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _v1_copy(tmp_path) -> Path:
+    """A copy of the committed format-version-1 store (see
+    ``fixtures/make_store_v1.py``)."""
+    shutil.copytree(FIXTURES / "store_v1", tmp_path / "v1")
+    return tmp_path / "v1"
+
+
+def _write_v1(store, path) -> None:
+    """Write ``store`` in format version 1: one JSON object per record in
+    records.jsonl, and a header whose checksum covers matrix.bin alone."""
+    records, matrix = store.rows()
+    path.mkdir(parents=True)
+    (path / "matrix.bin").write_bytes(matrix.tobytes())
+    with (path / "records.jsonl").open("w", encoding="utf-8") as fh:
+        for rec in records:
+            obj = {f.name: getattr(rec, f.name) for f in fields(Chunk)}
+            obj["metadata"] = dict(rec.metadata)
+            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+    header = {
+        "dimension": store.dim,
+        "record_count": len(records),
+        "format_version": 1,
+        "checksum": "sha256:" + hashlib.sha256(matrix.tobytes()).hexdigest(),
+    }
+    (path / "header.json").write_text(json.dumps(header, indent=2))
+
+
+def _write_records_json(path, data: bytes) -> None:
+    """Replace a version-2 store's records.json and keep its header's
+    checksum of it valid, so that only the checks after it can object."""
+    (path / "records.json").write_bytes(data)
+    header = json.loads((path / "header.json").read_text())
+    header["records_checksum"] = "sha256:" + hashlib.sha256(data).hexdigest()
+    (path / "header.json").write_text(json.dumps(header, indent=2))
+
+
+def _edit_records_json(path, edit) -> None:
+    """Apply ``edit`` to the columns of a version-2 store's records.json."""
+    cols = json.loads((path / "records.json").read_text(encoding="utf-8"))
+    edit(cols)
+    _write_records_json(path, json.dumps(cols, ensure_ascii=False).encode("utf-8"))
 
 
 # --- Metric type --------------------------------------------------------------
@@ -310,6 +360,31 @@ def test_upsert_rejects_repeated_chunk_id_and_leaves_store_unchanged():
         assert [sr.record.chunk_id for sr in store.top_k([1, 0], 5, Metric.euclidean())] == ["x"]
 
 
+# a field of each kind a record must not hold, and the refusal naming it; a
+# bool is no int offset
+_MISTYPED = [
+    ("chunk_id", 5, "needs a str chunk_id, got int"),
+    ("doc_id", None, "needs a str doc_id, got NoneType"),
+    ("text", ["a", "list"], "needs a str text, got list"),
+    ("start_offset", False, "needs int offsets"),
+    ("end_offset", True, "needs int offsets"),
+]
+_MISTYPED_IDS = [key for key, _, _ in _MISTYPED]
+
+
+@pytest.mark.parametrize("key, value, match", _MISTYPED, ids=_MISTYPED_IDS)
+def test_upsert_refuses_a_field_of_the_wrong_type_and_leaves_store_unchanged(key, value, match):
+    for form in _FORMS:
+        store = VectorStore(2)
+        store.upsert([_record("a", [1, 0])])
+        bad = replace(_record("b", [0, 1]), **{key: value})
+        with pytest.raises(ValueError, match=match):
+            _upsert_as(form, store, [_record("c", [1, 1]), bad])
+        assert [r.chunk_id for r in store.records()] == ["a"]
+        picked = store.mmr_select([1, 0], MMRParams(lambda_=0.5, k=2))
+        assert [sr.record.chunk_id for sr in picked] == ["a"]
+
+
 @pytest.mark.parametrize(
     "values, error", [([0.0, 0.0], ZeroVector), ([1e-50, 0.0], ZeroVector), ([1e39, 1.0], ValueError)]
 )
@@ -387,7 +462,7 @@ def test_a_store_built_from_rows_persists_as_one_built_from_records(tmp_path):
         _upsert_as("rows", by_rows, batch)
     by_records.persist(tmp_path / "records")
     by_rows.persist(tmp_path / "rows")
-    for name in ("header.json", "records.jsonl", "matrix.bin"):
+    for name in ("header.json", "records.json", "matrix.bin"):
         assert (tmp_path / "rows" / name).read_bytes() == (tmp_path / "records" / name).read_bytes()
 
 
@@ -449,8 +524,8 @@ def test_metadata_cannot_be_changed_through_any_outlet(tmp_path):
     with pytest.raises(TypeError):
         loaded.get("a").metadata["source"] = "x"
     loaded.persist(tmp_path / "again")
-    assert (tmp_path / "again" / "records.jsonl").read_bytes() == (
-        tmp_path / "s" / "records.jsonl"
+    assert (tmp_path / "again" / "records.json").read_bytes() == (
+        tmp_path / "s" / "records.json"
     ).read_bytes()
 
 
@@ -1101,14 +1176,26 @@ def test_round_trip_is_bit_exact(tmp_path):
 
 @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\u0085"])
 def test_a_record_holding_a_unicode_line_separator_round_trips(tmp_path, char):
-    # records.jsonl holds these raw; only "\n" may end a record's line
+    # a version-1 records.jsonl holds these raw; only "\n" may end a record's line
+    path = _v1_copy(tmp_path)
+    assert char in (path / "records.jsonl").read_text(encoding="utf-8")
+    loaded = VectorStore.open(path)
+    assert loaded.get(f"a{char}").text == f"one{char}two"
+    assert loaded.get(f"b{char}").doc_id == f"doc{char}"
+    assert loaded.get(f"b{char}").metadata["note"] == f"x{char}y"
+    loaded.persist(tmp_path / "v2")
+    assert VectorStore.open(tmp_path / "v2").records() == loaded.records()
+
+
+@pytest.mark.parametrize("char", ["\u2028", "\u2029", "\u0085"])
+def test_a_record_holding_a_unicode_line_separator_round_trips_in_version_2(tmp_path, char):
     store = VectorStore(2)
     store.upsert([
         replace(_record("a", [1, 0]), text=f"one{char}two"),
         _record(f"b{char}", [0, 1], doc_id=f"doc{char}", note=f"x{char}y"),
     ])
     store.persist(tmp_path / "s")
-    assert char in (tmp_path / "s" / "records.jsonl").read_text(encoding="utf-8")
+    assert char in (tmp_path / "s" / "records.json").read_text(encoding="utf-8")
     loaded = VectorStore.open(tmp_path / "s")
     assert loaded.records() == store.records()
     assert loaded.get(f"b{char}").metadata["note"] == f"x{char}y"
@@ -1175,25 +1262,43 @@ def test_malformed_header_sizes_are_corrupt(tmp_path, key, value):
 @pytest.mark.parametrize(
     "edit",
     [
-        lambda obj: obj.pop("text"),
-        lambda obj: obj.update(chunk_id="c0000"),
-        lambda obj: obj.update(start_offset=9, end_offset=3),
-        lambda obj: obj["metadata"].pop("source"),
+        lambda obj, first: obj.pop("text"),
+        lambda obj, first: obj.update(chunk_id=first["chunk_id"]),
+        lambda obj, first: obj.update(start_offset=9, end_offset=3),
+        lambda obj, first: obj["metadata"].pop("source"),
     ],
     ids=["missing-key", "repeated-chunk-id", "reversed-offsets", "missing-source"],
 )
 def test_malformed_records_line_is_corrupt(tmp_path, edit):
-    import json
+    path = _v1_copy(tmp_path) / "records.jsonl"
+    lines = path.read_text(encoding="utf-8").split("\n")
+    obj = json.loads(lines[1])
+    edit(obj, json.loads(lines[0]))
+    lines[1] = json.dumps(obj)
+    path.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(CorruptStore, match="line 2"):
+        VectorStore.open(path.parent)
 
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda cols: cols.pop("text"), "one object of the arrays chunk_id, doc_id, text"),
+        (lambda cols: cols.update(extra=[0, 0, 0]), "one object of the arrays"),
+        (lambda cols: cols.update(text="abc"), "text is not an array"),
+        (lambda cols: cols["chunk_id"].__setitem__(1, "c0000"), "record 2 is invalid: chunk_id 'c0000' is repeated"),
+        (lambda cols: cols.update(start_offset=[0, 9, 0], end_offset=[10, 3, 10]), "record 2 is invalid"),
+        (lambda cols: cols["metadata"][1].pop("source"), "record 2 is invalid"),
+        (lambda cols: cols["metadata"].__setitem__(1, ["source"]), "record 2 is invalid"),
+    ],
+    ids=["missing-column", "unknown-column", "column-not-an-array", "repeated-chunk-id",
+         "reversed-offsets", "missing-source", "metadata-not-an-object"],
+)
+def test_malformed_records_column_is_corrupt(tmp_path, edit, match):
     store, _ = _random_store(random.Random(93), 3, 4)
     store.persist(tmp_path / "s")
-    path = tmp_path / "s" / "records.jsonl"
-    lines = path.read_text(encoding="utf-8").splitlines()
-    obj = json.loads(lines[1])
-    edit(obj)
-    lines[1] = json.dumps(obj)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with pytest.raises(CorruptStore, match="line 2"):
+    _edit_records_json(tmp_path / "s", edit)
+    with pytest.raises(CorruptStore, match=match):
         VectorStore.open(tmp_path / "s")
 
 
@@ -1226,7 +1331,9 @@ def test_matrix_bytes_are_little_endian_float32(tmp_path):
     assert np.frombuffer(raw, dtype="<f4").tolist() == [1.5, -2.0]
 
 
-@pytest.mark.parametrize("key", ["dimension", "record_count", "format_version", "checksum"])
+@pytest.mark.parametrize(
+    "key", ["dimension", "record_count", "format_version", "checksum", "records_checksum"]
+)
 def test_a_header_missing_a_key_is_corrupt(tmp_path, key):
     import json
 
@@ -1239,7 +1346,7 @@ def test_a_header_missing_a_key_is_corrupt(tmp_path, key):
         VectorStore.open(tmp_path / "s")
 
 
-@pytest.mark.parametrize("version", [0, 2, "1", None, True, 1.0])
+@pytest.mark.parametrize("version", [0, 3, "1", None, True, 1.0])
 def test_an_unsupported_format_version_is_corrupt(tmp_path, version):
     import json
 
@@ -1259,12 +1366,24 @@ def test_an_unsupported_format_version_is_corrupt(tmp_path, version):
 )
 def test_a_records_line_count_other_than_the_header_count_is_a_mismatch(tmp_path, edit):
     # matrix.bin and its checksum still agree with the header: only the line count is off
-    store, _ = _random_store(random.Random(95), 4, 8)
-    store.persist(tmp_path / "s")
-    path = tmp_path / "s" / "records.jsonl"
+    path = _v1_copy(tmp_path) / "records.jsonl"
     lines = path.read_text(encoding="utf-8").split("\n")[:-1]
     path.write_text("".join(line + "\n" for line in edit(lines)), encoding="utf-8")
-    with pytest.raises(DimensionHeaderMismatch, match="records.jsonl holds [35] records, header says 4"):
+    with pytest.raises(DimensionHeaderMismatch, match="records.jsonl holds (17|19) records, header says 18"):
+        VectorStore.open(path.parent)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda col: col[:-1], lambda col: col + col[-1:], lambda col: col + [col[0]] * 2],
+    ids=["entry-dropped", "entry-repeated", "two-entries-added"],
+)
+@pytest.mark.parametrize("key", ["chunk_id", "text", "metadata"])
+def test_a_records_column_length_other_than_the_header_count_is_a_mismatch(tmp_path, edit, key):
+    store, _ = _random_store(random.Random(95), 4, 8)
+    store.persist(tmp_path / "s")
+    _edit_records_json(tmp_path / "s", lambda cols: cols.update({key: edit(cols[key])}))
+    with pytest.raises(DimensionHeaderMismatch, match=f"records.json holds [356] {key} values, header says 4"):
         VectorStore.open(tmp_path / "s")
 
 
@@ -1286,14 +1405,176 @@ def test_undecodable_header_bytes_are_corrupt(tmp_path):
 
 
 def test_undecodable_records_bytes_are_corrupt_at_their_line(tmp_path):
-    store, _ = _random_store(random.Random(97), 3, 4)
-    store.persist(tmp_path / "s")
-    path = tmp_path / "s" / "records.jsonl"
+    path = _v1_copy(tmp_path) / "records.jsonl"
     lines = path.read_bytes().split(b"\n")
-    lines[1] = lines[1].replace(b"text of", b"text \xff of")
+    lines[1] = lines[1].replace(b"flame", b"fl\xffame", 1)
     path.write_bytes(b"\n".join(lines))
     with pytest.raises(CorruptStore, match="records.jsonl line 2 is not UTF-8"):
+        VectorStore.open(path.parent)
+
+
+@pytest.mark.parametrize("bad", [b"\xff", b"\xed\xa0\x80"], ids=["invalid-byte", "encoded-surrogate"])
+def test_undecodable_records_json_is_corrupt(tmp_path, bad):
+    store, _ = _random_store(random.Random(97), 3, 4)
+    store.persist(tmp_path / "s")
+    data = (tmp_path / "s" / "records.json").read_bytes().replace(b"text of", b"text " + bad + b" of", 1)
+    _write_records_json(tmp_path / "s", data)
+    with pytest.raises(CorruptStore, match="records.json is not valid UTF-8 JSON"):
         VectorStore.open(tmp_path / "s")
+
+
+@pytest.mark.parametrize("key, value, match", _MISTYPED, ids=_MISTYPED_IDS)
+def test_a_version_1_line_holding_a_field_of_the_wrong_type_is_corrupt(tmp_path, key, value, match):
+    path = _v1_copy(tmp_path) / "records.jsonl"
+    lines = path.read_text(encoding="utf-8").split("\n")
+    obj = json.loads(lines[1])
+    obj[key] = value
+    lines[1] = json.dumps(obj)
+    path.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(CorruptStore, match=f"records.jsonl line 2 is invalid: .*{match}"):
+        VectorStore.open(path.parent)
+
+
+@pytest.mark.parametrize("key, value, match", _MISTYPED, ids=_MISTYPED_IDS)
+def test_a_version_2_column_holding_a_field_of_the_wrong_type_is_corrupt(tmp_path, key, value, match):
+    store, _ = _random_store(random.Random(99), 3, 4)
+    store.persist(tmp_path / "s")
+    _edit_records_json(tmp_path / "s", lambda cols: cols[key].__setitem__(1, value))
+    with pytest.raises(CorruptStore, match=f"records.json record 2 is invalid: .*{match}"):
+        VectorStore.open(tmp_path / "s")
+
+
+def test_an_end_offset_changed_in_records_json_fails_its_checksum(tmp_path):
+    # the same count of records and a valid JSON file: only the checksum sees it
+    store, _ = _random_store(random.Random(99), 3, 4)
+    store.persist(tmp_path / "s")
+    path = tmp_path / "s" / "records.json"
+    data = path.read_bytes()
+    edited = data.replace(b'"end_offset": [10, 10, 10]', b'"end_offset": [10, 19, 10]')
+    assert edited != data
+    path.write_bytes(edited)
+    with pytest.raises(CorruptStore, match="records.json checksum mismatch"):
+        VectorStore.open(tmp_path / "s")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from(["header.json", "records.json", "matrix.bin"]),
+    truncate=st.booleans(),
+    bit=st.integers(0, 7),
+    data=st.data(),
+)
+def test_a_flipped_bit_or_a_cut_in_any_version_2_file_fails_open(name, truncate, bit, data):
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp)
+        VectorStore.open(FIXTURES / "store_v1").persist(path)
+        raw = (path / name).read_bytes()
+        i = data.draw(st.integers(0, len(raw) - 1), label="byte")
+        damaged = raw[:i] if truncate else raw[:i] + bytes([raw[i] ^ 1 << bit]) + raw[i + 1 :]
+        (path / name).write_bytes(damaged)
+        with pytest.raises((CorruptStore, DimensionHeaderMismatch)):
+            VectorStore.open(path)
+
+
+@pytest.mark.parametrize("partial", [False, True], ids=["nothing-written", "half-written"])
+@pytest.mark.parametrize("written", [0, 1, 2], ids=["matrix", "records", "header"])
+@pytest.mark.parametrize("change", ["metadata", "row", "append"])
+@pytest.mark.parametrize("previous", [1, 2], ids=["version-1", "version-2"])
+def test_an_interrupted_persist_leaves_the_previous_store_or_a_corrupt_one(
+    tmp_path, monkeypatch, previous, change, written, partial
+):
+    # persist writes matrix.bin, records.json, then header.json: the write of
+    # file ``written`` fails, after nothing or half of it reached the disk
+    path = _v1_copy(tmp_path)
+    if previous == 2:
+        VectorStore.open(path).persist(path)
+    before = VectorStore.open(path)
+    store = VectorStore.open(path)
+    rec = store.get("paper-01:00002")
+    if change == "metadata":
+        store.upsert([replace(rec, metadata={**rec.metadata, "note": "changed"})])
+    elif change == "row":
+        store.upsert([replace(rec, embedding=EmbeddingVector((1.0,) * store.dim))])
+    else:
+        store.upsert([replace(rec, chunk_id="new", embedding=EmbeddingVector((1.0,) * store.dim))])
+
+    write_bytes, calls = Path.write_bytes, []
+
+    def failing_write(self, data):
+        if len(calls) == written:
+            if partial:
+                write_bytes(self, bytes(data)[: len(bytes(data)) // 2])
+            raise OSError(28, "No space left on device")
+        calls.append(self.name)
+        return write_bytes(self, data)
+
+    monkeypatch.setattr(Path, "write_bytes", failing_write)
+    with pytest.raises(IoFailure, match="No space left on device"):
+        store.persist(path)
+    monkeypatch.undo()
+    try:
+        opened = VectorStore.open(path)
+    except CorruptStore:
+        assert (written, partial) != (0, False)  # the directory is as it was
+        return
+    assert opened.records() == before.records()
+    assert opened.rows()[1].tobytes() == before.rows()[1].tobytes()
+
+
+def test_a_version_1_store_opens_as_its_version_2_rewrite(tmp_path):
+    from fixtures.make_store_v1 import fixture_records
+
+    from litrag.harness import cluster_stats, export_embeddings
+
+    v1 = VectorStore.open(FIXTURES / "store_v1")
+    v1.persist(tmp_path / "v2")
+    assert json.loads((tmp_path / "v2" / "header.json").read_text())["format_version"] == 2
+    assert not (tmp_path / "v2" / "records.jsonl").exists()
+    v2 = VectorStore.open(tmp_path / "v2")
+
+    records, rows = fixture_records()
+    assert v1.rows()[0] == records
+    assert v1.rows()[1].tobytes() == rows.tobytes() == v2.rows()[1].tobytes()
+    assert v2.records() == v1.records()
+    assert [v2.get(r.chunk_id) for r in records] == [v1.get(r.chunk_id) for r in records]
+    metrics = [Metric.cosine(), Metric.inner_product(), Metric.euclidean(), Metric.manhattan(),
+               Metric.chebyshev(), Metric.minkowski(3)]
+    for query in np.random.default_rng(5).standard_normal((4, 8)):
+        for m in metrics:
+            assert v2.top_k(query, 5, m) == v1.top_k(query, 5, m)
+            params = MMRParams(lambda_=0.4, k=4, fetch_n=12, sim1=m, sim2=Metric.cosine())
+            assert v2.mmr_select(query, params) == v1.mmr_select(query, params)
+    for store in (v1, v2):
+        assert cluster_stats(store, "doc_id", Metric.euclidean()).to_dict(
+            include_centroids=True
+        ) == cluster_stats(v1, "doc_id", Metric.euclidean()).to_dict(include_centroids=True)
+    for name, store in (("v1.csv", v1), ("v2.csv", v2)):
+        export_embeddings(store, tmp_path / name)
+    assert (tmp_path / "v1.csv").read_bytes() == (tmp_path / "v2.csv").read_bytes()
+
+
+def test_the_version_1_writer_of_these_tests_writes_the_committed_fixture(tmp_path):
+    _write_v1(VectorStore.open(FIXTURES / "store_v1"), tmp_path / "v1")
+    for name in ("header.json", "records.jsonl", "matrix.bin"):
+        assert (tmp_path / "v1" / name).read_bytes() == (FIXTURES / "store_v1" / name).read_bytes()
+
+
+def test_columns_are_a_snapshot_of_read_only_fields(monkeypatch):
+    import litrag.store
+
+    store = VectorStore(2)
+    store.upsert([_record("a", [1, 0]), _record("b", [0, 1], doc_id="d2")])
+    monkeypatch.setattr(litrag.store, "_record_at", None)  # columns builds no record
+    ids, docs, metadata, matrix = store.columns("chunk_id", "doc_id", "metadata")
+    monkeypatch.undo()
+    store.upsert([_record("a", [5, 5], doc_id="d3"), _record("c", [1, 1])])
+    assert (ids, docs, matrix.tolist()) == (["a", "b"], ["doc", "d2"], [[1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(TypeError):
+        metadata[0]["source"] = "x"
+    ids.append("z")
+    assert store.columns("chunk_id", "doc_id")[:2] == (["a", "b", "c"], ["d3", "d2", "doc"])
 
 
 # The peak is the process's VmHWM: getrusage's ru_maxrss would start at the
@@ -1314,11 +1595,19 @@ print(peaks[-1] - peaks[0])
 """
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="reads the peak from /proc/self/status")
-def test_reopening_a_store_does_not_raise_peak_memory(tmp_path):
-    # open reads records.jsonl one line at a time; decoding and splitting the
-    # whole file first scattered the freed lines between the records' strings,
-    # and every reopen then raised the peak by more than the file's size
+def _reopen_peak_growth(path) -> int:
+    """How far, in bytes, three more opens of the store at ``path`` raise a
+    fresh process's peak RSS over its first open."""
+    src = str(Path(litrag.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c", _REOPEN_PEAKS, str(path)],
+        capture_output=True, text=True, check=True, env=env, timeout=120,
+    )
+    return int(out.stdout) * 1024
+
+
+def _store_of_8000_chunks() -> VectorStore:
     rng = random.Random(98)
     words = ["flame", "soot", "ignition", "kinetics", "turbulent", "premixed", "laminar"]
     n, dim = 8000, 4
@@ -1332,17 +1621,29 @@ def test_reopening_a_store_does_not_raise_peak_memory(tmp_path):
         ))
     store = VectorStore(dim)
     store.upsert(records, np.random.default_rng(98).standard_normal((n, dim)).astype(np.float32))
-    store.persist(tmp_path / "s")
+    return store
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads the peak from /proc/self/status")
+def test_reopening_a_store_does_not_raise_peak_memory(tmp_path):
+    # open parses records.json from its bytes in one call; decoding it to a str
+    # and freeing the bytes first left holes that every reopen then added to
+    _store_of_8000_chunks().persist(tmp_path / "s")
+    size = (tmp_path / "s" / "records.json").stat().st_size
+    assert size > 6_000_000
+    growth = _reopen_peak_growth(tmp_path / "s")
+    assert growth < size / 4, f"peak RSS grew {growth} bytes over three reopens of a {size}-byte file"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads the peak from /proc/self/status")
+def test_reopening_a_version_1_store_does_not_raise_peak_memory(tmp_path):
+    # open reads records.jsonl one line at a time; decoding and splitting the
+    # whole file first scattered the freed lines between the records' strings,
+    # and every reopen then raised the peak by more than the file's size
+    _write_v1(_store_of_8000_chunks(), tmp_path / "s")
     size = (tmp_path / "s" / "records.jsonl").stat().st_size
     assert size > 6_000_000
-
-    src = str(Path(litrag.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run(
-        [sys.executable, "-c", _REOPEN_PEAKS, str(tmp_path / "s")],
-        capture_output=True, text=True, check=True, env=env, timeout=120,
-    )
-    growth = int(out.stdout) * 1024
+    growth = _reopen_peak_growth(tmp_path / "s")
     assert growth < size / 4, f"peak RSS grew {growth} bytes over three reopens of a {size}-byte file"
 
 
