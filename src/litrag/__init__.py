@@ -11,7 +11,6 @@ from .chain import (
     QueryChain,
     TokenBudget,
     assemble_mode1,
-    assemble_mode2,
     budget_check,
     get_template,
     render_prompt,
@@ -83,7 +82,6 @@ __all__ = [
     "VectorStore",
     "VerificationReport",
     "assemble_mode1",
-    "assemble_mode2",
     "budget_check",
     "build_auxiliary_index",
     "build_knowledge_base",

@@ -256,12 +256,6 @@ def assemble_mode1(original: Chunk, citation_list: list[CitationEntry]) -> str:
     return out
 
 
-def assemble_mode2(expanded: Chunk, citation_list: list[CitationEntry]) -> tuple[str, str]:
-    """Expanded chunk as context; citation block kept separate for its own
-    prompt slot."""
-    return expanded.text, format_citation_block(citation_list)
-
-
 @dataclass
 class AnswerBundle:
     """Everything produced for one question, with provenance."""

@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from .embedding import EmbeddingConfig, TokenizerConfig, check_endpoint_url
-from .errors import InvalidParams, ParseError, ValidationError
+from .errors import InvalidParams, IoFailure, ParseError, ValidationError
 from .ingest import SplitParams
 from .store import Metric, MMRParams
 
@@ -258,4 +258,10 @@ def load_config(path: str | Path, env: dict | None = None) -> EngineConfig:
 
 
 def save_config(cfg: EngineConfig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(config_to_dict(cfg), indent=2) + "\n", encoding="utf-8")
+    """Write ``cfg`` to ``path`` as the JSON ``load_config`` reads; a write
+    failure raises IoFailure naming the path."""
+    path = Path(path)
+    try:
+        path.write_text(json.dumps(config_to_dict(cfg), indent=2) + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise IoFailure(f"cannot write config file {path}: {exc}") from exc

@@ -194,9 +194,6 @@ class RatioRow:
     pct_of_em_limit: float
     pct_chars_of_em_limit: float
 
-    def to_dict(self) -> dict:
-        return dict(vars(self))
-
 
 RATIO_CSV_HEADER = (
     "chunk_size_chars,chunk_overlap_chars,tokens_per_chunk,"

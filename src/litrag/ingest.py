@@ -350,22 +350,18 @@ def ingest_corpus(
     corpus_dir: str | Path,
     params: SplitParams,
     extractor: str | None = None,
-    on_document=None,
     max_workers: int = 4,
-) -> IngestReport:
+) -> tuple[IngestReport, list[tuple[Document, list[Chunk]]]]:
     """Load and split every document in ``corpus_dir``.
 
-    Files go in sorted path order, each one isolated: a LitragError while
-    loading or splitting it, or from ``on_document(document, chunks)``, is
-    recorded in the report's failures and the batch goes on; any other
-    exception propagates. ``on_document`` is called in path order for each
-    loaded document as it streams past. A caller may index the document at
-    once, or collect it and index it once ingest returns, as
-    ``build_knowledge_base`` does to embed across documents, and record a
-    later failure with ``IngestReport.fail``.
+    Returns the report and each loaded document with its chunks, both in
+    sorted path order. Each file is isolated: a LitragError while loading
+    or splitting it is recorded in the report's failures and the batch goes
+    on; any other exception propagates. A caller that loses a loaded
+    document later, as ``build_knowledge_base`` may when it embeds, records
+    that with ``IngestReport.fail``.
     Document ids are file stems; a file whose stem an earlier loaded file
-    took (even if ``on_document`` then failed it) fails with
-    DuplicateDocument.
+    took fails with DuplicateDocument.
     """
     corpus_dir = Path(corpus_dir)
     if not corpus_dir.is_dir():
@@ -378,6 +374,7 @@ def ingest_corpus(
         return doc, recursive_split(doc.body, params, doc_id=doc.doc_id)
 
     report = IngestReport()
+    loaded: list[tuple[Document, list[Chunk]]] = []
     taken: dict[str, Path] = {}
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
         futures = [(path, pool.submit(load_one, path)) for path in paths]
@@ -388,12 +385,11 @@ def ingest_corpus(
                     raise DuplicateDocument(
                         f"document id {doc.doc_id!r} is already taken by {taken[doc.doc_id]}"
                     )
-                taken[doc.doc_id] = path
-                if on_document is not None:
-                    on_document(doc, chunks)
             except LitragError as exc:
                 report.fail(str(path), str(exc))
                 continue
+            taken[doc.doc_id] = path
+            loaded.append((doc, chunks))
             report.documents.append(
                 DocumentResult(
                     doc_id=doc.doc_id,
@@ -402,4 +398,4 @@ def ingest_corpus(
                     chunk_chars=sum(len(c.text) for c in chunks),
                 )
             )
-    return report
+    return report, loaded

@@ -18,7 +18,7 @@ document's aux index (``aux_index``), kept for the life of the
 were cut from on the document's first use, and parses its reference section
 when its citations are first needed.
 
-A build (``build_knowledge_base``) collects the documents ingest loads and
+A build (``build_knowledge_base``) takes the documents ingest returns and
 makes one embedding call over the distinct chunk texts they hold: each goes
 to the embedding service once, in full batches, and a memo of float32 rows,
 handed to the store as they are, lets the builds of one sweep share what was
@@ -103,10 +103,10 @@ def build_knowledge_base(
 ) -> IngestReport:
     """Ingest, embed and persist a corpus into a knowledge base directory.
 
-    Once ``ingest_corpus`` has loaded every document, one ``embed_texts``
-    call embeds the distinct chunk texts not in ``memo``, in first-seen
-    order, so requests hold full batches across documents; then each
-    document is upserted, in path order.
+    Once ``ingest_corpus`` has returned the documents it loaded, one
+    ``embed_texts`` call embeds the distinct chunk texts not in ``memo``, in
+    first-seen order, so requests hold full batches across documents; then
+    each document is upserted, in path order.
 
     ``memo`` maps a chunk text to its float32 row, the store's own
     precision, which the upsert takes as it is. A text in it is not sent
@@ -131,13 +131,8 @@ def build_knowledge_base(
     emb = config.embedding
     store = VectorStore(emb.expected_dim)
     memo = {} if memo is None else memo
-    loaded: list[tuple[Document, list[Chunk]]] = []
-    report = ingest_corpus(
-        corpus_dir,
-        config.split,
-        extractor=extractor,
-        on_document=lambda doc, chunks: loaded.append((doc, chunks)),
-        max_workers=max_workers,
+    report, loaded = ingest_corpus(
+        corpus_dir, config.split, extractor=extractor, max_workers=max_workers
     )
     texts = list(dict.fromkeys(c.text for _, cs in loaded for c in cs if c.text not in memo))
     lost: dict[str, str] = {}  # a text whose batch failed: the error

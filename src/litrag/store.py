@@ -61,7 +61,6 @@ same columns, which pass the same checks.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import math
 import operator

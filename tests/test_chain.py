@@ -2,6 +2,7 @@ import random
 import shutil
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,6 @@ from litrag.chain import (
     PromptTemplate,
     QueryChain,
     assemble_mode1,
-    assemble_mode2,
     budget_check,
     chat_completion,
     format_citation_block,
@@ -204,19 +204,31 @@ def test_assemble_mode1_empty_list_keeps_marker():
     assert out == f"T\n\n{CITATION_BLOCK_HEADER}"
 
 
+def _assemble_mode2(expanded, entries):
+    """``QueryChain._assemble`` in mode2 of one retrieved chunk whose
+    expanded chunk resolves to ``entries``."""
+    aux = SimpleNamespace(citations=lambda chunk: (tuple(entries), ()))
+    kb = SimpleNamespace(aux_index=lambda doc_id: aux)
+    chain = QueryChain(kb, default_config("http://unused.invalid/", "http://unused.invalid/"))
+    return chain._assemble([ScoredRecord(_record("T"), 1.0)], "mode2", [expanded])
+
+
 def test_assemble_mode2_separates_block():
     expanded = Chunk(chunk_id="d:aux00", doc_id="d", text="E" * 3800, start_offset=0, end_offset=3800)
-    context, block = assemble_mode2(expanded, _entries(8))
+    context, block, citation_list, unresolved = _assemble_mode2(expanded, _entries(8))
     assert context == "E" * 3800
     assert len(block.splitlines()) == 8
+    assert block == format_citation_block(_entries(8))
     assert CITATION_BLOCK_HEADER not in context
+    assert (citation_list, unresolved) == (_entries(8), [])
 
 
 def test_assemble_mode2_zero_entries():
     expanded = Chunk(chunk_id="d:aux00", doc_id="d", text="E", start_offset=0, end_offset=1)
-    context, block = assemble_mode2(expanded, [])
+    context, block, citation_list, _ = _assemble_mode2(expanded, [])
     assert context == "E"
     assert block == ""
+    assert citation_list == []
 
 
 def test_assemble_mode1_with_fixture_entries(tmp_path):

@@ -10,7 +10,7 @@ from litrag.config import (
     load_config,
     save_config,
 )
-from litrag.errors import ParseError, ValidationError
+from litrag.errors import IoFailure, ParseError, ValidationError
 from litrag.ingest import SplitParams
 from litrag.store import Metric
 
@@ -186,6 +186,16 @@ def test_round_trip_of_defaults(tmp_path):
     out = tmp_path / "d.conf"
     save_config(cfg, out)
     assert load_config(out, env={}) == cfg
+
+
+@pytest.mark.parametrize("target", ["a-directory", "missing/saved.conf"])
+def test_a_write_failure_in_save_config_is_an_io_failure(tmp_path, target):
+    (tmp_path / "a-directory").mkdir()
+    path = tmp_path / target
+    with pytest.raises(IoFailure) as info:
+        save_config(default_config("http://e/", "http://c/"), path)
+    assert str(info.value).startswith(f"cannot write config file {path}: ")
+    assert isinstance(info.value.__cause__, OSError)
 
 
 def test_config_dict_form_is_json_stable():

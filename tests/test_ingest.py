@@ -13,7 +13,6 @@ from litrag.errors import (
     ExtractorFailed,
     FileUnreadable,
     InvalidParams,
-    ServiceUnreachable,
 )
 from litrag.ingest import (
     DEFAULT_SEPARATORS,
@@ -375,7 +374,7 @@ def _write_corpus(tmp_path, n=5, paragraphs=30):
 
 def test_ingest_directory(tmp_path):
     _write_corpus(tmp_path, n=5)
-    report = ingest_corpus(tmp_path, SplitParams(chunk_size=1000, chunk_overlap=350))
+    report, _ = ingest_corpus(tmp_path, SplitParams(chunk_size=1000, chunk_overlap=350))
     assert report.document_count == 5
     assert all(d.chunk_count > 0 for d in report.documents)
     assert report.failures == []
@@ -385,16 +384,18 @@ def test_ingest_directory(tmp_path):
 
 
 def test_ingest_empty_directory(tmp_path):
-    report = ingest_corpus(tmp_path, SplitParams(chunk_size=1000, chunk_overlap=350))
+    report, loaded = ingest_corpus(tmp_path, SplitParams(chunk_size=1000, chunk_overlap=350))
     assert report.document_count == 0
     assert report.chunk_count == 0
+    assert loaded == []
 
 
 def test_ingest_records_per_file_failures(tmp_path):
     _write_corpus(tmp_path, n=2)
     (tmp_path / "broken.txt").write_bytes(b"\xff\xfe\x00bad utf8")
-    report = ingest_corpus(tmp_path, SplitParams(chunk_size=500, chunk_overlap=100))
+    report, loaded = ingest_corpus(tmp_path, SplitParams(chunk_size=500, chunk_overlap=100))
     assert report.document_count == 2
+    assert [doc.doc_id for doc, _ in loaded] == ["doc0", "doc1"]
     assert len(report.failures) == 1
     assert "broken.txt" in report.failures[0].path
 
@@ -404,31 +405,27 @@ def test_ingest_missing_directory(tmp_path):
         ingest_corpus(tmp_path / "nope", SplitParams(chunk_size=500, chunk_overlap=100))
 
 
-def test_ingest_callback_order(tmp_path):
+def test_ingest_returns_loaded_documents_in_path_order(tmp_path):
     _write_corpus(tmp_path, n=4, paragraphs=3)
-    seen = []
-    ingest_corpus(
-        tmp_path,
-        SplitParams(chunk_size=500, chunk_overlap=100),
-        on_document=lambda doc, chunks: seen.append(doc.doc_id),
-    )
-    assert seen == sorted(seen)
+    params = SplitParams(chunk_size=500, chunk_overlap=100)
+    report, loaded = ingest_corpus(tmp_path, params)
+    seen = [doc.doc_id for doc, _ in loaded]
+    assert seen == sorted(seen) == [d.doc_id for d in report.documents]
+    for (doc, chunks), result in zip(loaded, report.documents):
+        assert doc.source_path == result.path
+        assert chunks == recursive_split(doc.body, params, doc_id=doc.doc_id)
+        assert len(chunks) == result.chunk_count
 
 
-def test_litrag_error_from_on_document_fails_that_file_and_keeps_its_id(tmp_path):
+def test_a_repeated_stem_fails_with_duplicate_document(tmp_path):
     _write_corpus(tmp_path, n=3, paragraphs=3)
     (tmp_path / "doc1.md").write_text("same stem as doc1.txt", encoding="utf-8")
-    indexed = []
-
-    def index(doc, chunks):
-        if doc.source_path.endswith("doc1.md"):
-            raise ServiceUnreachable("embedding service down")
-        indexed.append(doc.doc_id)
-
-    report = ingest_corpus(tmp_path, SplitParams(chunk_size=500, chunk_overlap=100), on_document=index)
-    assert [d.doc_id for d in report.documents] == indexed == ["doc0", "doc2"]
+    report, loaded = ingest_corpus(tmp_path, SplitParams(chunk_size=500, chunk_overlap=100))
+    assert [doc.source_path for doc, _ in loaded] == [
+        str(tmp_path / name) for name in ("doc0.txt", "doc1.md", "doc2.txt")
+    ]
+    assert [d.doc_id for d in report.documents] == ["doc0", "doc1", "doc2"]
     assert [(f.path, f.error) for f in report.failures] == [
-        (str(tmp_path / "doc1.md"), "embedding service down"),
         (str(tmp_path / "doc1.txt"), f"document id 'doc1' is already taken by {tmp_path / 'doc1.md'}"),
     ]
 
@@ -444,21 +441,11 @@ def test_programming_error_in_split_propagates(tmp_path, monkeypatch):
         ingest_corpus(tmp_path, SplitParams(chunk_size=500, chunk_overlap=100))
 
 
-def test_programming_error_in_on_document_propagates(tmp_path):
-    _write_corpus(tmp_path, n=2, paragraphs=3)
-
-    def index(doc, chunks):
-        raise TypeError("a bug, not a bad file")
-
-    with pytest.raises(TypeError, match="a bug"):
-        ingest_corpus(tmp_path, SplitParams(chunk_size=500, chunk_overlap=100), on_document=index)
-
-
 def test_unparseable_extractor_fails_each_non_text_file(tmp_path):
     _write_corpus(tmp_path, n=1, paragraphs=3)
     for name in ("a.pdf", "b.pdf"):
         (tmp_path / name).write_bytes(b"%PDF-1.4 binary")
-    report = ingest_corpus(
+    report, _ = ingest_corpus(
         tmp_path, SplitParams(chunk_size=500, chunk_overlap=100), extractor='cmd "{path}'
     )
     assert [d.doc_id for d in report.documents] == ["doc0"]
@@ -479,13 +466,10 @@ def test_extractor_naming_no_program_never_runs_the_document(tmp_path, extractor
     tool.write_text("#!/bin/sh\necho RAN-AS-PROGRAM\n")
     tool.chmod(0o755)
     _write_corpus(tmp_path, n=1, paragraphs=3)
-    chunks = []
-    report = ingest_corpus(
-        tmp_path,
-        SplitParams(chunk_size=500, chunk_overlap=100),
-        on_document=lambda doc, doc_chunks: chunks.extend(doc_chunks),
-        extractor=extractor,
+    report, loaded = ingest_corpus(
+        tmp_path, SplitParams(chunk_size=500, chunk_overlap=100), extractor=extractor
     )
+    chunks = [c for _, doc_chunks in loaded for c in doc_chunks]
     assert [d.doc_id for d in report.documents] == ["doc0"]
     assert [f.path for f in report.failures] == [str(tool)]
     assert "names no program" in report.failures[0].error
@@ -496,11 +480,7 @@ def test_extractor_naming_no_program_never_runs_the_document(tmp_path, extractor
 
 def test_study_split_settings_bound_chunk_length(tmp_path):
     _write_corpus(tmp_path, n=5)
-    collected = []
-    ingest_corpus(
-        tmp_path,
-        SplitParams(chunk_size=700, chunk_overlap=200),
-        on_document=lambda doc, chunks: collected.extend(chunks),
-    )
+    _, loaded = ingest_corpus(tmp_path, SplitParams(chunk_size=700, chunk_overlap=200))
+    collected = [c for _, chunks in loaded for c in chunks]
     assert collected
     assert all(len(c.text) <= 700 for c in collected)

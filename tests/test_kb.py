@@ -246,11 +246,11 @@ def test_a_build_sends_full_batches_across_documents(small_corpus, tmp_path, mon
         "embed_texts",
         lambda texts, *a, **kw: calls.append(list(texts)) or embed(texts, *a, **kw),
     )
-    chunks = []
     with StubEmbeddingService(dim=DIM) as svc:
         cfg = _config(svc, tmp_path)
         cfg = replace(cfg, embedding=replace(cfg.embedding, batch_size=10, max_parallel_requests=3))
-        ingest_corpus(corpus_dir, cfg.split, on_document=lambda d, c: chunks.extend(c))
+        _, loaded = ingest_corpus(corpus_dir, cfg.split)
+        chunks = [c for _, cs in loaded for c in cs]
         report = build_knowledge_base(corpus_dir, cfg)
         sizes = sorted(len(r["input"]) for r in svc.requests)
     assert report.failures == [] and sum(sizes) == report.chunk_count  # no chunk text repeats
@@ -268,11 +268,12 @@ def test_a_failed_batch_fails_exactly_the_documents_with_a_chunk_in_it(
     corpus_dir, truths = small_corpus
     (corpus_dir / "a-broken.txt").write_bytes(b"\xff\xfe bad")
     (corpus_dir / "zz-broken.txt").write_bytes(b"\xff\xfe bad")
-    chunks, memo = {}, {}
+    memo = {}
     with StubEmbeddingService(dim=DIM, fail_when=lambda texts: target in texts) as svc:
         cfg = _config(svc, tmp_path)
         cfg = replace(cfg, embedding=replace(cfg.embedding, batch_size=10, max_parallel_requests=3))
-        ingest_corpus(corpus_dir, cfg.split, on_document=lambda d, c: chunks.update({d.doc_id: c}))
+        _, loaded = ingest_corpus(corpus_dir, cfg.split)
+        chunks = {doc.doc_id: cs for doc, cs in loaded}
         target = chunks["paper-01"][0].text  # mid-build: the second document's first chunk
         report = build_knowledge_base(corpus_dir, cfg, memo=memo)
     failing = [r["input"] for r in svc.requests if target in r["input"]]

@@ -1225,6 +1225,17 @@ def test_header_record_count_mismatch(tmp_path):
         VectorStore.open(tmp_path / "s")
 
 
+def test_header_dimension_edited_with_both_checksums_intact(tmp_path):
+    store, _ = _random_store(random.Random(98), 6, 4)
+    store.persist(tmp_path / "s")
+    header_path = tmp_path / "s" / "header.json"
+    header = json.loads(header_path.read_text())
+    header["dimension"] = 2
+    header_path.write_text(json.dumps(header))
+    with pytest.raises(DimensionHeaderMismatch, match="matrix.bin holds 96 bytes, header implies 48"):
+        VectorStore.open(tmp_path / "s")
+
+
 def test_corrupt_header_json(tmp_path):
     store = VectorStore(4)
     store.persist(tmp_path / "s")
@@ -1660,3 +1671,31 @@ def test_a_query_of_the_wrong_dimension_is_refused(search, query_dim):
     store, _ = _random_store(random.Random(96), 5, 4)
     with pytest.raises(DimensionMismatch, match=f"query dimension {query_dim} != store dimension 4"):
         search(store, [1.0] * query_dim)
+
+
+METRICS = [
+    Metric.cosine(),
+    Metric.inner_product(),
+    Metric.euclidean(),
+    Metric.manhattan(),
+    Metric.chebyshev(),
+    Metric.minkowski(3),
+]
+
+
+@pytest.mark.parametrize("m", METRICS, ids=lambda m: m.spec())
+def test_an_embedding_vector_query_scores_as_its_values_do(m):
+    rng = random.Random(99)
+    store, vectors = _random_store(rng, 12, 8)
+    values = tuple(rng.uniform(-1, 1) for _ in range(8))
+
+    def bits(scored):
+        return [(sr.record.chunk_id, sr.score.hex()) for sr in scored]
+
+    query, params = EmbeddingVector(values), MMRParams(lambda_=0.5, k=4, fetch_n=8, sim1=m, sim2=m)
+    assert bits(store.top_k(query, 5, m)) == bits(store.top_k(list(values), 5, m))
+    assert bits(store.mmr_select(query, params)) == bits(store.mmr_select(list(values), params))
+    row = vectors["c0003"]
+    expected = similarity(list(values), row, m).hex()
+    assert similarity(EmbeddingVector(values), EmbeddingVector(tuple(row)), m).hex() == expected
+    assert similarity(EmbeddingVector(values), row, m).hex() == expected
