@@ -494,12 +494,6 @@ class QueryChain:
                 ", ".join(sr.record.chunk_id for sr in retrieved[n:]),
             )
             retrieved = retrieved[:n]
-        if unresolved:
-            logger.warning(
-                "%d citation marker(s) could not be resolved: %s",
-                len(unresolved),
-                "; ".join(m.display() for m in unresolved[:5]),
-            )
 
         answer_text = chat_completion(cfg, prompt, chat.temperature)
         verification = (

@@ -208,12 +208,21 @@ class AuxIndex:
         self, expanded: Chunk
     ) -> tuple[tuple[CitationEntry, ...], tuple[CitationMarker, ...]]:
         """``resolve_citations`` of the markers in ``expanded``, computed once.
+        Markers that do not resolve are warned about then, once per expanded
+        chunk, not once per answer that uses it.
 
         Concurrent first uses may both compute it; the results are equal.
         """
         if expanded.chunk_id not in self._resolved:
             markers = extract_citation_markers(expanded.text)
             resolved, unresolved = resolve_citations(markers, self.entries)
+            if unresolved:
+                logger.warning(
+                    "%d citation marker(s) in %s could not be resolved: %s",
+                    len(unresolved),
+                    expanded.chunk_id,
+                    "; ".join(m.display() for m in unresolved[:5]),
+                )
             self._resolved[expanded.chunk_id] = (tuple(resolved), tuple(unresolved))
         return self._resolved[expanded.chunk_id]
 

@@ -22,6 +22,8 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from datetime import datetime, timezone
+from email.utils import parsedate_to_datetime
 from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from urllib.parse import urlsplit
 
@@ -119,7 +121,10 @@ def post_json(url: str, payload: dict, error: type[LitragError], timeout: float)
     Each attempt opens a fresh ``http.client`` connection, whose ``timeout``
     bounds every socket operation. A failed connect, a connection dropped
     before the status line, a 5xx and a 429 are retried once, after
-    ``_RETRY_BASE_S``. Everything else fails at once: another status >= 300
+    ``_RETRY_BASE_S``; a 429 or 503 whose Retry-After header holds
+    delta-seconds or an HTTP-date (RFC 9110 sec. 10.2.3) is retried after
+    that long instead, but never after more than ``timeout`` seconds.
+    Everything else fails at once: another status >= 300
     cannot clear (a 3xx is not followed; only a 2xx is a reply), and after a
     read timeout, or a reply cut off in its body, the service already has the
     request, so a retry would double the wait. Every failure raises
@@ -134,17 +139,42 @@ def post_json(url: str, payload: dict, error: type[LitragError], timeout: float)
         try:
             return _exchange(conn, target, body, url, error)
         except _Transient as exc:
-            cause = str(exc)
+            cause, delay = str(exc), _retry_delay(exc.retry_after, timeout)
         finally:
             conn.close()
         if last_try:
             raise error(f"{url} failed after one retry: {cause}")
-        logger.warning("%s failed (%s); retrying in %.1fs", url, cause, _RETRY_BASE_S)
-        time.sleep(_RETRY_BASE_S)
+        logger.warning("%s failed (%s); retrying in %.1fs", url, cause, delay)
+        time.sleep(delay)
 
 
 class _Transient(Exception):
-    """A failed attempt that ``post_json`` retries once."""
+    """A failed attempt that ``post_json`` retries once; ``retry_after`` is
+    the Retry-After header of a 429 or 503 reply, if it sent one."""
+
+    def __init__(self, cause: str, retry_after: str | None = None):
+        super().__init__(cause)
+        self.retry_after = retry_after
+
+
+def _retry_delay(retry_after: str | None, timeout: float) -> float:
+    """The seconds to wait before the retry: what ``retry_after`` asks for,
+    delta-seconds or an HTTP-date, within 0..``timeout``; ``_RETRY_BASE_S``
+    when it is missing or is neither."""
+    if retry_after is None:
+        return _RETRY_BASE_S
+    retry_after = retry_after.strip()
+    if retry_after.isascii() and retry_after.isdigit():
+        seconds = float(retry_after)
+    else:
+        try:
+            when = parsedate_to_datetime(retry_after)
+        except (TypeError, ValueError):
+            return _RETRY_BASE_S
+        if when.tzinfo is None:  # "-0000": an HTTP-date is in UTC
+            when = when.replace(tzinfo=timezone.utc)
+        seconds = (when - datetime.now(timezone.utc)).total_seconds()
+    return min(max(seconds, 0.0), timeout)
 
 
 def _exchange(conn: HTTPConnection, target: str, body: bytes, url: str, error):
@@ -172,7 +202,7 @@ def _exchange(conn: HTTPConnection, target: str, body: bytes, url: str, error):
     cause = f"status {resp.status}: {data[:200].decode(errors='replace')}"
     if resp.status < 500 and resp.status != 429:
         raise error(f"{url} returned {cause}")
-    raise _Transient(cause)
+    raise _Transient(cause, resp.getheader("Retry-After") if resp.status in (429, 503) else None)
 
 
 def token_count(text: str, tok: TokenizerConfig) -> int:

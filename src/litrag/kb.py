@@ -5,18 +5,24 @@ A knowledge base is a directory:
     <root>/header.json, records.json, matrix.bin   chunk store
     <root>/docs/<doc_id>.json                      document snapshot (id, body, file name)
 
-The chunk store is in format version 2 (see :mod:`litrag.store`): its header
-holds a sha256 of matrix.bin and one of records.json. A store in version 1,
-with records.jsonl and a checksum of matrix.bin alone, still opens, and the
-next build rewrites it in version 2. The snapshots carry no checksum. A
-build leaves ``docs/`` holding a snapshot of exactly the documents the store
-indexes; ``doc_ids`` reads those from the store.
+The chunk store is a store of documents in format version 3 (see
+:mod:`litrag.store`), which owns the snapshots. Its records.json holds each
+chunk as its id, its document and its offsets, and a table of the documents
+with the sha256 of each snapshot; its header holds a sha256 of matrix.bin
+and one of records.json. So a chunk's text is stored once, in its
+document's body, and a snapshot that was rebuilt or modified after the store
+was written raises CorruptStore when it is first read. A knowledge base in
+format version 1 or 2, whose store holds each chunk's text and whose
+snapshots carry no checksum, still opens; the next build rewrites it in
+version 3. A build leaves ``docs/`` holding a snapshot of exactly the
+documents the store indexes; ``doc_ids`` reads those from the store.
 
 Document snapshots keep the citation guard exact at query time: a
 document's aux index (``aux_index``), kept for the life of the
 ``KnowledgeBase``, cuts its expanded chunks from the same text the chunks
 were cut from on the document's first use, and parses its reference section
-when its citations are first needed.
+when its citations are first needed. The store reads each snapshot once,
+for the text of the records it hands out and for the aux index alike.
 
 A build (``build_knowledge_base``) takes the documents ingest returns and
 makes one embedding call over the distinct chunk texts they hold: each goes
@@ -27,7 +33,6 @@ sent. A failure still fails only the documents it touches.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
@@ -35,15 +40,9 @@ import numpy as np
 from .citations import AuxIndex, build_auxiliary_index
 from .config import EngineConfig
 from .embedding import embed_texts
-from .errors import (
-    CorruptStore,
-    EmptyDocument,
-    IoFailure,
-    LitragError,
-    PartialFailure,
-)
-from .ingest import Chunk, Document, IngestReport, ingest_corpus
-from .store import ChunkRecord, VectorStore
+from .errors import LitragError, PartialFailure
+from .ingest import Document, IngestReport, ingest_corpus
+from .store import VectorStore
 
 
 class KnowledgeBase:
@@ -53,7 +52,6 @@ class KnowledgeBase:
     def __init__(self, root: str | Path, store: VectorStore):
         self.root = Path(root)
         self.store = store
-        self._docs: dict[str, Document] = {}
         self._aux: dict[str, AuxIndex] = {}
 
     @classmethod
@@ -68,20 +66,8 @@ class KnowledgeBase:
         return sorted(set(doc_ids))
 
     def document(self, doc_id: str) -> Document:
-        if doc_id not in self._docs:
-            path = self.root / "docs" / f"{doc_id}.json"
-            try:
-                doc = Document.from_dict(json.loads(path.read_text(encoding="utf-8")))
-            except OSError as exc:
-                raise IoFailure(f"no document snapshot for {doc_id!r} at {path}") from exc
-            except (ValueError, KeyError, TypeError, EmptyDocument) as exc:
-                raise CorruptStore(f"damaged document snapshot at {path}: {exc!r}") from exc
-            if doc.doc_id != doc_id:
-                raise CorruptStore(
-                    f"damaged document snapshot at {path}: it holds document {doc.doc_id!r}"
-                )
-            self._docs[doc_id] = doc
-        return self._docs[doc_id]
+        """The document ``doc_id``, as ``VectorStore.document`` reads it."""
+        return self.store.document(doc_id)
 
     def aux_index(self, doc_id: str) -> AuxIndex:
         """The citation material of ``doc_id``: its expanded chunks, cut on
@@ -122,14 +108,15 @@ def build_knowledge_base(
     recorded with ``IngestReport.fail``, which keeps failures in path order.
     A LitragError while loading a document fails it inside ingest's
     per-file isolation. A build that failed documents and indexed none
-    leaves ``root`` as it was. Otherwise ``docs/`` then holds a snapshot of
-    each indexed document and of no other (snapshots left by an earlier
-    build into ``root`` are deleted), and the store is persisted. A
-    snapshot that cannot be written or deleted raises IoFailure.
+    leaves ``root`` as it was. Otherwise the store, given each indexed
+    document with its chunks, is persisted: ``docs/`` then holds a snapshot
+    of each indexed document and of no other (snapshots left by an earlier
+    build into ``root`` are deleted). A snapshot that cannot be written or
+    deleted raises IoFailure.
     """
     root = Path(store_root if store_root is not None else config.store_path)
     emb = config.embedding
-    store = VectorStore(emb.expected_dim)
+    store = VectorStore(emb.expected_dim, documents=True)
     memo = {} if memo is None else memo
     report, loaded = ingest_corpus(
         corpus_dir, config.split, extractor=extractor, max_workers=max_workers
@@ -146,39 +133,18 @@ def build_knowledge_base(
         with np.errstate(over="ignore"):  # the store fails an overflowing row's document
             rows = rows.astype(np.float32)
         memo.update((t, row) for t, row in zip(texts, rows) if t not in lost)
-    indexed: list[Document] = []
+    indexed = False
     for doc, chunks in loaded:
         error = next((lost[c.text] for c in chunks if c.text in lost), None)
         if error is None:
             try:
-                store.upsert(_records(doc, chunks), [memo[c.text] for c in chunks])
-                indexed.append(doc)
+                store.upsert(chunks, [memo[c.text] for c in chunks], document=doc)
+                indexed = True
             except LitragError as exc:  # a zero or overflowing row
                 error = str(exc)
         if error is not None:
             report.fail(doc.source_path, error)
     if report.failures and not indexed:
         return report  # nothing to replace what ``root`` holds with
-    docs = root / "docs"
-    written = {f"{doc.doc_id}.json" for doc in indexed}
-    try:
-        docs.mkdir(parents=True, exist_ok=True)
-        for doc in indexed:
-            snapshot = {**doc.to_dict(), "source_path": Path(doc.source_path).name}
-            (docs / f"{doc.doc_id}.json").write_text(
-                json.dumps(snapshot, ensure_ascii=False), encoding="utf-8"
-            )
-        for path in docs.glob("*.json"):
-            if path.name not in written:
-                path.unlink()  # a document this build did not index
-    except OSError as exc:
-        raise IoFailure(f"cannot write document snapshots under {docs}: {exc}") from exc
     store.persist(root)
     return report
-
-
-def _records(doc: Document, chunks: list[Chunk]) -> list[ChunkRecord]:
-    """The records of ``doc``'s chunks, with ``embedding=None``: a build
-    hands their memo rows to ``upsert`` beside them."""
-    metadata = {"source": Path(doc.source_path).name, "doc_id": doc.doc_id, "title": doc.title}
-    return [ChunkRecord(**vars(chunk), embedding=None, metadata=metadata) for chunk in chunks]

@@ -14,6 +14,16 @@ record's ``metadata`` is a read-only mapping over the store's private copy,
 so a record handed out cannot change the store; serialise it with
 ``dict(rec.metadata)``.
 
+A store is one of two kinds. A *bare* store (``VectorStore(dim)``) holds
+records that carry their own text and metadata, in columns. A store of
+documents (``VectorStore(dim, documents=True)``, what a knowledge-base build
+makes) holds each chunk as its id, its document and its offsets: ``upsert``
+takes a document with its chunks and refuses a chunk whose text is not
+``body[start:end]``, so a record's text is derived, when the store hands the
+record out, from the one copy of the body, and its metadata ("source",
+"doc_id", "title") from the document. The store owns those documents'
+snapshots: ``persist`` writes them and ``document`` reads one back, checked.
+
 Every score comes from one row scorer, :func:`score_rows` (a matrix and a
 vector in, one float64 score per row out): ``similarity`` is a one-row call,
 top-k is one call on the rows that can still make the top k, and MMR makes
@@ -44,18 +54,29 @@ float64 norm next to the matrix (computed per upsert batch and once at
 ``open``, never persisted), so cosine needs no per-query norm pass, and
 ranking partitions to the k best rows before sorting.
 
-On-disk layout (one directory per store), format version 2:
+On-disk layout (one directory per store), format version 3:
     header.json   {"dimension", "record_count", "format_version", "checksum",
                    "records_checksum"}
-    records.json  one JSON object of per-field arrays: chunk_id, doc_id, text,
-                  start_offset, end_offset, metadata (no embedding values)
+    records.json  one JSON object of per-field arrays (no embedding values):
+                  a bare store's chunk_id, doc_id, text, start_offset,
+                  end_offset and metadata; a store of documents' chunk_id,
+                  doc_id, start_offset and end_offset, and "documents", a
+                  table {doc_id: {"source", "title", "sha256"}} of the
+                  documents the records name
     matrix.bin    row-major little-endian float32, row i = record i
+    docs/<doc_id>.json  a store of documents' snapshot of each document
+                  (doc_id, body, file name)
 "checksum" is the sha256 of matrix.bin and "records_checksum" that of
-records.json, so ``open`` takes only the bytes the header was written
-with. ``persist`` writes version 2 only, the header last.
-Version 1 still opens: its records.jsonl holds one JSON object per record,
-and its header checksums matrix.bin alone. Its lines are parsed into the
-same columns, which pass the same checks.
+records.json, whose table holds each snapshot's sha256, so ``open`` takes
+only the bytes the header was written with, and a snapshot is checked when
+it is first read. ``persist`` writes version 3 only: the snapshots (deleting
+any other ``docs/*.json``), then matrix.bin, records.json and the header.
+Versions 2 and 1 still open, as bare stores. A version-2 records.json is a
+bare store's: the same columns, read by the same reader. Version 1's
+records.jsonl holds one JSON object per record, and its header checksums
+matrix.bin alone; its lines are parsed into the same columns, which pass the
+same checks. The snapshots of a knowledge base written in version 1 or 2
+carry no checksum; ``document`` reads them unchecked.
 """
 
 from __future__ import annotations
@@ -64,7 +85,9 @@ import hashlib
 import json
 import math
 import operator
+import os
 import threading
+import weakref
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import chain
@@ -78,6 +101,7 @@ from .errors import (
     CorruptStore,
     DimensionHeaderMismatch,
     DimensionMismatch,
+    EmptyDocument,
     EmptyStore,
     InvalidLambda,
     InvalidParams,
@@ -86,15 +110,23 @@ from .errors import (
     NonFiniteVector,
     ZeroVector,
 )
-from .ingest import Chunk
+from .ingest import Chunk, Document
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
-# The record fields other than the embedding: the store's columns, in the order
+# The record fields other than the embedding: a bare store's columns, in the order
 # persist writes them (and the keys of a version-1 records.jsonl object).
 _RECORD_FIELDS = ("chunk_id", "doc_id", "text", "start_offset", "end_offset", "metadata")
+# A store of documents' columns: a record's text and metadata are its document's.
+_SPAN_FIELDS = ("chunk_id", "doc_id", "start_offset", "end_offset")
+# The keys of an entry of a store of documents' table, all strings.
+_TABLE_KEYS = ("source", "title", "sha256")
 # The file holding the records, by format version.
-_RECORDS_FILE = {1: "records.jsonl", 2: "records.json"}
+_RECORDS_FILE = {1: "records.jsonl", 2: "records.json", 3: "records.json"}
+# Each document parsed from a checked snapshot, by the snapshot's sha256, while
+# a store holds it: equal bytes parse to an equal document, so the stores of one
+# process (the rows of a sweep, a knowledge base reopened) share its body.
+_PARSED: weakref.WeakValueDictionary[str, Document] = weakref.WeakValueDictionary()
 
 _DISTANCE_KINDS = {"minkowski", "euclidean", "manhattan", "chebyshev"}
 _SIMILARITY_KINDS = {"cosine", "inner_product"}
@@ -299,24 +331,19 @@ class MMRParams:
         return self.fetch_n if self.fetch_n is not None else 4 * self.k
 
 
-def _record_at(cols: dict[str, list], i: int, row: np.ndarray | None = None) -> ChunkRecord:
-    """Row i of the store's columns as a record: ``embedding=None``, or
-    ``row`` rebuilt as its embedding."""
-    embedding = None if row is None else EmbeddingVector(tuple(row.tolist()))
-    return ChunkRecord(embedding=embedding, **{key: col[i] for key, col in cols.items()})
-
-
 def _fault(cols: dict[str, list]) -> tuple[int, str] | None:
-    """The first row of ``cols`` (a list per record field, metadata as
-    dicts) that no store may hold, and why; None if every row may be held.
+    """The first row of ``cols`` (a list per stored record field, metadata
+    as dicts) that no store may hold, and why; None if every row may be held.
 
     A chunk_id, doc_id and text must be a str, offsets an int (a bool is
     not) with 0 <= start <= end, and metadata a dict with a "source" entry.
+    A store of documents has no text or metadata column to check.
     ``upsert`` and ``open`` both check their rows here, before any change.
     """
-    ids, docs, texts, starts, ends, metas = (cols[key] for key in _RECORD_FIELDS)
+    strs = [key for key in ("chunk_id", "doc_id", "text") if key in cols]
+    starts, ends, metas = cols["start_offset"], cols["end_offset"], cols.get("metadata", [])
     if (  # one pass per check over whole columns; the loop below names a fault
-        {str}.issuperset(map(type, chain(ids, docs, texts)))
+        {str}.issuperset(map(type, chain.from_iterable(cols[key] for key in strs)))
         and {int}.issuperset(map(type, chain(starts, ends)))
         and {dict}.issuperset(map(type, metas))
         and min(starts, default=0) >= 0
@@ -324,19 +351,42 @@ def _fault(cols: dict[str, list]) -> tuple[int, str] | None:
         and all("source" in meta for meta in metas)
     ):
         return None
-    for i, row in enumerate(zip(ids, docs, texts, starts, ends, metas)):
-        cid, doc, text, start, end, meta = row
-        for key, value in (("chunk_id", cid), ("doc_id", doc), ("text", text)):
-            if not isinstance(value, str):
-                return i, f"record {cid!r} needs a str {key}, got {type(value).__name__}"
+    for i, cid in enumerate(cols["chunk_id"]):
+        for key in strs:
+            if not isinstance(cols[key][i], str):
+                return i, f"record {cid!r} needs a str {key}, got {type(cols[key][i]).__name__}"
+        start, end = starts[i], ends[i]
         if not (type(start) is int and type(end) is int and 0 <= start <= end):
             return i, (
                 f"record {cid!r} needs int offsets with 0 <= start <= end, "
                 f"got [{start!r}, {end!r})"
             )
-        if not (isinstance(meta, dict) and "source" in meta):
+        if metas and not (isinstance(metas[i], dict) and "source" in metas[i]):
             return i, f"record {cid!r} metadata must include a 'source' entry"
     return None
+
+
+def _span_fault(doc: Document, meta: dict, records: Sequence, cols: dict[str, list]) -> str | None:
+    """Why the first of ``records`` (a document upsert's, with ``cols`` the
+    columns ``_fault`` passed) is not a chunk of ``doc``; None if all are.
+    Each must name ``doc``, its text must be ``doc.body[start:end]`` within
+    the body, and metadata it carries must be ``meta``, the document's."""
+    body = doc.body
+    spans = zip(records, *(cols[key] for key in _RECORD_FIELDS[:5]))
+    for rec, cid, doc_id, text, start, end in spans:
+        if doc_id != doc.doc_id:
+            return f"record {cid!r} names document {doc_id!r}, not {doc.doc_id!r}"
+        if end > len(body) or text != body[start:end]:
+            return f"record {cid!r} text is not the body of {doc_id!r} at [{start}, {end})"
+        if getattr(rec, "metadata", None) and dict(rec.metadata) != meta:
+            return f"record {cid!r} metadata is not that of its document {doc_id!r}"
+    return None
+
+
+def _snapshot_bytes(doc: Document) -> bytes:
+    """The bytes of ``doc``'s snapshot: its id, its body and its file name."""
+    snapshot = {**doc.to_dict(), "source_path": Path(doc.source_path).name}
+    return json.dumps(snapshot, ensure_ascii=False).encode("utf-8")
 
 
 def _unconvertible(records: list[ChunkRecord], rows: Sequence, dim: int) -> LitragError:
@@ -369,13 +419,22 @@ class VectorStore:
     enforces.
     """
 
-    def __init__(self, dim: int):
+    def __init__(self, dim: int, *, documents: bool = False):
         if dim <= 0:
             raise InvalidParams("dimension must be positive")
         self._dim = dim
         self._lock = threading.RLock()
-        self._cols: dict[str, list] = {key: [] for key in _RECORD_FIELDS}
+        self._cols: dict[str, list] = {
+            key: [] for key in (_SPAN_FIELDS if documents else _RECORD_FIELDS)
+        }
         self._index: dict[str, int] = {}
+        # a store of documents: each document's read-only metadata; the documents
+        # held, as upsert took them or as first read; and, once opened, the
+        # directory their snapshots are read from and each snapshot's sha256
+        self._meta: dict[str, Mapping[str, object]] | None = {} if documents else None
+        self._docs: dict[str, Document] = {}
+        self._snapshots: str | None = None
+        self._sums: dict[str, str] = {}
         self._publish(np.empty((0, dim), dtype=np.float32), np.empty(0), 0)
 
     def _publish(self, buf: np.ndarray, nbuf: np.ndarray, n: int) -> None:
@@ -393,13 +452,39 @@ class VectorStore:
         with self._lock:
             return len(self._matrix)
 
+    def _record_at(self, cols: dict[str, list], i: int, row: np.ndarray | None = None) -> ChunkRecord:
+        """Row i of ``cols`` (the store's columns) as a record:
+        ``embedding=None``, or ``row`` rebuilt as its embedding. A store of
+        documents derives its text and metadata from its document."""
+        embedding = None if row is None else EmbeddingVector(tuple(row.tolist()))
+        fields = {key: col[i] for key, col in cols.items()}
+        if self._meta is not None:
+            doc_id = fields["doc_id"]
+            body = self.document(doc_id).body
+            fields["text"] = body[fields["start_offset"] : fields["end_offset"]]
+            fields["metadata"] = self._meta[doc_id]
+        return ChunkRecord(embedding=embedding, **fields)
+
+    def _column(self, name: str) -> list:
+        """Record field ``name`` of every row; the caller holds the lock.
+        Only the text of a store of documents reads its snapshots."""
+        if self._meta is None or name in self._cols:
+            return list(self._cols[name])
+        doc_ids = self._cols["doc_id"]
+        if name == "metadata":
+            return [self._meta[doc_id] for doc_id in doc_ids]
+        if name != "text":
+            raise KeyError(name)
+        spans = zip(doc_ids, self._cols["start_offset"], self._cols["end_offset"])
+        return [self.document(doc_id).body[start:end] for doc_id, start, end in spans]
+
     def columns(self, *names: str) -> tuple[list, ...]:
         """One consistent snapshot: a list of each named record field
         (``"chunk_id"``, ``"doc_id"``, ``"text"``, ``"start_offset"``,
         ``"end_offset"``, ``"metadata"``) in row order, then the read-only
         float32 matrix. Builds no record; each metadata is read-only."""
         with self._lock:
-            return (*(list(self._cols[name]) for name in names), self._matrix)
+            return (*map(self._column, names), self._matrix)
 
     def rows(self) -> tuple[list[ChunkRecord], np.ndarray]:
         """One consistent snapshot: every record, with ``embedding=None`` and
@@ -407,21 +492,73 @@ class VectorStore:
         is record i's embedding."""
         with self._lock:
             cols, matrix = self._cols, self._matrix
-            return [_record_at(cols, i) for i in range(len(matrix))], matrix
+            return [self._record_at(cols, i) for i in range(len(matrix))], matrix
 
     def records(self) -> list[ChunkRecord]:
         """Every record with its embedding rebuilt from its row (N * dim
         Python floats; :meth:`rows` is the cheaper read)."""
         with self._lock:
             cols, matrix = self._cols, self._matrix
-            return [_record_at(cols, i, row) for i, row in enumerate(matrix)]
+            return [self._record_at(cols, i, row) for i, row in enumerate(matrix)]
 
     def get(self, chunk_id: str) -> ChunkRecord | None:
         with self._lock:
             i = self._index.get(chunk_id)
-            return _record_at(self._cols, i, self._matrix[i]) if i is not None else None
+            return self._record_at(self._cols, i, self._matrix[i]) if i is not None else None
 
-    def upsert(self, records: list[ChunkRecord], rows: Sequence | None = None) -> int:
+    def document(self, doc_id: str) -> Document:
+        """Document ``doc_id`` of a store of documents: as ``upsert`` took
+        it, or read from its snapshot on first use and kept.
+
+        A snapshot whose sha256 is not the one records.json holds for it (a
+        rebuilt or modified file), or that does not hold that document,
+        raises CorruptStore naming the file; a missing one, or a document
+        the store does not hold, raises IoFailure. A bare store opened from
+        a knowledge base of format version 1 or 2 holds no sha256: it reads
+        the snapshots under its directory unchecked.
+        """
+        with self._lock:
+            if doc_id not in self._docs:
+                self._docs[doc_id] = self._load(doc_id)
+            return self._docs[doc_id]
+
+    def _load(self, doc_id: str) -> Document:
+        if self._snapshots is None or not (self._meta is None or doc_id in self._meta):
+            raise IoFailure(f"no document snapshot for {doc_id!r}: the store holds no such document")
+        # a str path and an unbuffered read: a cold answer pays for each load
+        path = os.path.join(self._snapshots, f"{doc_id}.json")
+        try:
+            with open(path, "rb", buffering=0) as fh:
+                data = fh.readall()
+        except OSError as exc:
+            raise IoFailure(f"no document snapshot for {doc_id!r} at {path}: {exc}") from exc
+        digest = None if self._meta is None else self._sums[doc_id]
+        if digest is not None and _sha256(data) != digest:
+            raise CorruptStore(
+                f"damaged document snapshot at {path}: checksum mismatch "
+                "(rebuilt or modified since the store was written)"
+            )
+        doc = None if digest is None else _PARSED.get(digest)
+        if doc is None:
+            try:
+                doc = Document.from_dict(json.loads(data.decode("utf-8")))
+            except (ValueError, KeyError, TypeError, EmptyDocument) as exc:
+                raise CorruptStore(f"damaged document snapshot at {path}: {exc!r}") from exc
+            if digest is not None:
+                _PARSED[digest] = doc
+        if doc.doc_id != doc_id:
+            raise CorruptStore(
+                f"damaged document snapshot at {path}: it holds document {doc.doc_id!r}"
+            )
+        return doc
+
+    def upsert(
+        self,
+        records: Sequence[Chunk],
+        rows: Sequence | None = None,
+        *,
+        document: Document | None = None,
+    ) -> int:
         """Insert or replace records by chunk_id. Returns the count applied.
 
         Each record carries its embedding, or, given ``rows`` (such as float32
@@ -436,12 +573,24 @@ class VectorStore:
         float "is not finite"; any other, a float32 infinity included (a
         cast's overflow), "overflows float32". A row holding a value that is
         not a number is refused with ``InvalidParams``.
+
+        A store of documents takes one ``document`` per call, and a bare
+        store none (else ``InvalidParams``). Its records may be plain
+        :class:`~litrag.ingest.Chunk` objects: each must name the document,
+        and its text must be ``document.body[start:end]`` (else
+        ``ValueError``); its metadata, if it carries any, must be the
+        document's, ``{"source": <file name>, "doc_id", "title"}``. A
+        document the store already holds must come with the same body.
         """
-        carried = [rec.embedding is not None for rec in records]
+        carried = [getattr(rec, "embedding", None) is not None for rec in records]
         if rows is None and all(carried):
             rows = [rec.embedding.values for rec in records]
         elif rows is None or len(rows) != len(records) or any(carried):
             raise InvalidParams("upsert takes records with embeddings, or one row per bare record")
+        if (document is None) != (self._meta is None):
+            raise InvalidParams(
+                "a store of documents takes records with their document, a bare store without"
+            )
         if not records:  # nothing to write; the buffer choice below needs a slot
             return 0
         for rec, row in zip(records, rows):
@@ -449,11 +598,23 @@ class VectorStore:
                 raise DimensionMismatch(
                     f"record {rec.chunk_id!r} has dimension {len(row)}, store expects {self._dim}"
                 )
-        batch_cols = {key: [getattr(rec, key) for rec in records] for key in _RECORD_FIELDS}
-        batch_cols["metadata"] = [dict(meta) for meta in batch_cols["metadata"]]
+        batch_cols = {key: [getattr(rec, key) for rec in records] for key in _RECORD_FIELDS[:5]}
+        if document is None:
+            batch_cols["metadata"] = [dict(rec.metadata) for rec in records]
+        else:
+            meta = {"source": Path(document.source_path).name, "doc_id": document.doc_id,
+                    "title": document.title}
+            batch_cols["metadata"] = [meta] * len(records)
         fault = _fault(batch_cols)
         if fault is not None:
             raise ValueError(fault[1])
+        if document is not None:
+            problem = _span_fault(document, meta, records, batch_cols)
+            if problem is None and document.doc_id in self._meta:
+                if self.document(document.doc_id).body != document.body:
+                    problem = f"the store holds document {document.doc_id!r} with another body"
+            if problem is not None:
+                raise ValueError(problem)
         if len(set(batch_cols["chunk_id"])) != len(records):
             raise ValueError("an upsert batch names the same chunk_id twice")
         try:
@@ -478,6 +639,9 @@ class VectorStore:
         batch_norms = _row_norms(batch)
         batch_cols["metadata"] = list(map(MappingProxyType, batch_cols["metadata"]))
         with self._lock:
+            if document is not None:  # a held document's body is the same: see above
+                self._meta.setdefault(document.doc_id, MappingProxyType(meta))
+                self._docs.setdefault(document.doc_id, document)
             published = len(self._matrix)
             index = self._index
             slots = [index.setdefault(cid, len(index)) for cid in batch_cols["chunk_id"]]
@@ -581,7 +745,7 @@ class VectorStore:
         with self._lock:
             order, scores = self._rank(query_vec, k, m)
             return [
-                ScoredRecord(_record_at(self._cols, i), s)
+                ScoredRecord(self._record_at(self._cols, i), s)
                 for i, s in zip(order.tolist(), scores.tolist())
             ]
 
@@ -620,7 +784,7 @@ class VectorStore:
             objective[taken] = -np.inf
             j = int(np.argmax(objective))
             taken[j] = True
-            selected.append(ScoredRecord(_record_at(cols, int(pool[j])), float(objective[j])))
+            selected.append(ScoredRecord(self._record_at(cols, int(pool[j])), float(objective[j])))
             redundancy = sign2 * score_rows(rows, rows[j], params.sim2, norms)
             penalty = redundancy if len(selected) == 1 else np.maximum(penalty, redundancy)
         return selected
@@ -629,13 +793,28 @@ class VectorStore:
 
     def persist(self, path: str | Path) -> None:
         """Write the store to ``path`` (a directory, created if needed) in
-        format version 2: matrix.bin, records.json, then the header that
-        checksums both; then delete a records.jsonl a version-1 store left.
-        Every byte is encoded before the first file is written."""
+        format version 3. A store of documents first writes the snapshot of
+        each document its records name, as ``docs/<doc_id>.json``, and
+        deletes every other ``docs/*.json``. Then matrix.bin, records.json
+        and the header that checksums both; then a records.jsonl a version-1
+        store left is deleted. Every byte is encoded before the first file
+        is written; a snapshot that cannot be written or deleted raises
+        IoFailure."""
         path = Path(path)
         with self._lock:
             matrix_bytes = np.ascontiguousarray(self._matrix, dtype="<f4").data  # no copy
-            columns = {**self._cols, "metadata": [dict(meta) for meta in self._cols["metadata"]]}
+            snapshots = None
+            if self._meta is None:
+                columns = {**self._cols, "metadata": [dict(meta) for meta in self._cols["metadata"]]}
+            else:
+                named = dict.fromkeys(self._cols["doc_id"])
+                snapshots = {doc_id: _snapshot_bytes(self.document(doc_id)) for doc_id in named}
+                table = {
+                    doc_id: {"source": self._meta[doc_id]["source"],
+                             "title": self._meta[doc_id]["title"], "sha256": _sha256(data)}
+                    for doc_id, data in snapshots.items()
+                }
+                columns = {**self._cols, "documents": table}
             records_bytes = json.dumps(columns, ensure_ascii=False).encode("utf-8")
             header = {
                 "dimension": self._dim,
@@ -644,6 +823,8 @@ class VectorStore:
                 "checksum": _sha256(matrix_bytes),
                 "records_checksum": _sha256(records_bytes),
             }
+            if snapshots is not None:
+                _write_snapshots(path / "docs", snapshots)
             try:
                 path.mkdir(parents=True, exist_ok=True)
                 (path / "matrix.bin").write_bytes(matrix_bytes)
@@ -655,8 +836,9 @@ class VectorStore:
 
     @classmethod
     def open(cls, path: str | Path) -> "VectorStore":
-        """Load a store persisted with :meth:`persist`, in format version 2
-        or 1. Round trip is bit-exact."""
+        """Load a store persisted with :meth:`persist`, in format version 3,
+        2 or 1. Round trip is bit-exact. A store of documents reads no
+        snapshot here: ``document`` reads each on first use."""
         path = Path(path)
         try:
             header_bytes = (path / "header.json").read_bytes()
@@ -675,7 +857,7 @@ class VectorStore:
         version = header["format_version"]
         if type(version) is not int or version not in _RECORDS_FILE:
             raise CorruptStore(f"unsupported format_version {version!r}")
-        if version == 2 and "records_checksum" not in header:
+        if version > 1 and "records_checksum" not in header:
             raise CorruptStore("header.json is missing 'records_checksum'")
         dim, count = header["dimension"], header["record_count"]
         for key, value, least in (("dimension", dim, 1), ("record_count", count, 0)):
@@ -684,12 +866,12 @@ class VectorStore:
                     f"header.json {key} must be an integer >= {least}, got {value!r}"
                 )
 
-        name = _RECORDS_FILE[version]
-        if version == 2:
+        name, table = _RECORDS_FILE[version], None
+        if version > 1:
             records_bytes = _read(path, name)
             if _sha256(records_bytes) != header["records_checksum"]:
                 raise CorruptStore(f"{name} checksum mismatch (truncated or modified file)")
-            cols, where = _json_columns(records_bytes, count), f"{name} record"
+            (cols, table), where = _json_columns(records_bytes, count), f"{name} record"
             del records_bytes  # before matrix.bin is read, so the two never add up in the peak
         else:
             try:
@@ -697,6 +879,9 @@ class VectorStore:
             except OSError as exc:
                 raise IoFailure(f"cannot read store files at {path}: {exc}") from exc
         fault = _fault(cols)
+        if fault is None and table is not None:
+            i = next((i for i, doc_id in enumerate(cols["doc_id"]) if doc_id not in table), None)
+            fault = None if i is None else (i, f"its document {cols['doc_id'][i]!r} is not in the table")
         if fault is not None:
             raise CorruptStore(f"{where} {fault[0] + 1} is invalid: {fault[1]}")
         ids = cols["chunk_id"]
@@ -713,10 +898,18 @@ class VectorStore:
             raise DimensionHeaderMismatch(
                 f"matrix.bin holds {len(matrix_bytes)} bytes, header implies {dim * count * 4}"
             )
-        cols["metadata"] = list(map(MappingProxyType, cols["metadata"]))
 
-        store = cls(dim)
-        store._cols, store._index = cols, index
+        store = cls(dim, documents=table is not None)
+        if table is None:
+            cols["metadata"] = list(map(MappingProxyType, cols["metadata"]))
+        else:
+            store._meta = {
+                doc_id: MappingProxyType({"source": entry["source"], "doc_id": doc_id,
+                                          "title": entry["title"]})
+                for doc_id, entry in table.items()
+            }
+            store._sums = {doc_id: entry["sha256"] for doc_id, entry in table.items()}
+        store._cols, store._index, store._snapshots = cols, index, os.path.join(path, "docs")
         matrix = np.frombuffer(matrix_bytes, dtype="<f4").reshape(count, dim)
         store._publish(matrix, _row_norms(matrix), count)
         bad = np.flatnonzero(~(np.isfinite(store._norms) & (store._norms > 0.0)))
@@ -725,6 +918,21 @@ class VectorStore:
                 f"matrix.bin row {bad[0]} ({ids[bad[0]]!r}) is zero or not finite"
             )
         return store
+
+
+def _write_snapshots(docs: Path, snapshots: dict[str, bytes]) -> None:
+    """Write each snapshot as ``docs/<doc_id>.json`` and delete every other
+    ``docs/*.json``."""
+    names = {f"{doc_id}.json" for doc_id in snapshots}
+    try:
+        docs.mkdir(parents=True, exist_ok=True)
+        for doc_id, data in snapshots.items():
+            (docs / f"{doc_id}.json").write_bytes(data)
+        for stale in docs.glob("*.json"):
+            if stale.name not in names:
+                stale.unlink()  # a document the store does not hold
+    except OSError as exc:
+        raise IoFailure(f"cannot write document snapshots under {docs}: {exc}") from exc
 
 
 def _sha256(data) -> str:
@@ -738,25 +946,41 @@ def _read(path: Path, name: str) -> bytes:
         raise IoFailure(f"cannot read store files at {path}: {exc}") from exc
 
 
-def _json_columns(data: bytes, count: int) -> dict[str, list]:
-    """The columns of a version-2 records.json: one object of ``count``-long
-    arrays, one per record field."""
+def _json_columns(data: bytes, count: int) -> tuple[dict[str, list], dict | None]:
+    """The columns of a records.json: one object of ``count``-long arrays,
+    one per stored record field; and a store of documents' table, which maps
+    each doc_id to the strings "source", "title" and "sha256" (None for a
+    bare store, whose layout is version 2's)."""
     try:
         obj = json.loads(data.decode("utf-8"))
     except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
         raise CorruptStore(f"records.json is not valid UTF-8 JSON: {exc}") from exc
-    if not isinstance(obj, dict) or set(obj) != set(_RECORD_FIELDS):
+    table = obj.pop("documents", None) if isinstance(obj, dict) else None
+    fields = _RECORD_FIELDS if table is None else _SPAN_FIELDS
+    if not isinstance(obj, dict) or set(obj) != set(fields):
         raise CorruptStore(
-            f"records.json must hold one object of the arrays {', '.join(_RECORD_FIELDS)}"
+            f"records.json must hold one object of the arrays {', '.join(fields)}"
+            + ("" if table is None else " and the documents table")
         )
-    for key in _RECORD_FIELDS:
+    for key in fields:
         if type(obj[key]) is not list:
             raise CorruptStore(f"records.json {key} is not an array")
         if len(obj[key]) != count:
             raise DimensionHeaderMismatch(
                 f"records.json holds {len(obj[key])} {key} values, header says {count}"
             )
-    return {key: obj[key] for key in _RECORD_FIELDS}
+    if table is not None and not (
+        type(table) is dict
+        and all(
+            type(entry) is dict and set(entry) == set(_TABLE_KEYS)
+            and {str}.issuperset(map(type, entry.values()))
+            for entry in table.values()
+        )
+    ):
+        raise CorruptStore(
+            "records.json documents must map each doc_id to its source, title and sha256 strings"
+        )
+    return {key: obj[key] for key in fields}, table
 
 
 def _jsonl_columns(path: Path, count: int) -> dict[str, list]:

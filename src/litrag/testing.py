@@ -88,17 +88,21 @@ class _SilentHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        for name, value in server.reply_headers.items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(data)
 
 
 class _StubService(ThreadingHTTPServer):
-    """Base for the stub services: serves on 127.0.0.1, records requests."""
+    """Base for the stub services: serves on 127.0.0.1, records requests,
+    and sends ``headers`` (name to value) with every reply."""
 
     daemon_threads = True
 
-    def __init__(self, latency_s: float = 0.0):
+    def __init__(self, latency_s: float = 0.0, headers: dict[str, str] | None = None):
         super().__init__(("127.0.0.1", 0), _SilentHandler)
+        self.reply_headers = dict(headers or {})
         self.state_lock = threading.Lock()
         self.requests: list[dict] = []
         self.inflight = 0
@@ -178,12 +182,14 @@ class StubTokenizerService(_StubService):
 
 
 class StubChatService(_StubService):
-    """Chat-completion endpoint driven by a ``responder(prompt, payload)``."""
+    """Chat-completion endpoint driven by a ``responder(prompt, payload)``.
+    A ``status`` of 400 or more replaces every reply; ``headers`` go with
+    each reply (a Retry-After, say)."""
 
-    def __init__(self, responder=None, status: int = 200):
+    def __init__(self, responder=None, status: int = 200, headers: dict[str, str] | None = None):
         self.responder = responder or (lambda prompt, payload: "thanks for asking!")
         self.status = status
-        super().__init__()
+        super().__init__(headers=headers)
 
     def handle_payload(self, payload):
         with self.state_lock:

@@ -553,20 +553,33 @@ def test_unresolved_markers_are_surfaced(built_kb):
         assert all(m.kind in ("numeric", "author_year") for m in bundle.unresolved_markers)
 
 
-def test_unresolved_warning_logged_once_per_answer(built_kb, caplog):
+def test_unresolved_warning_logged_once_per_expanded_chunk(built_kb, caplog):
     with StubEmbeddingService(dim=DIM) as emb, StubChatService(
         echo_citations_responder()
     ) as chat:
         chain, truths = _chain(built_kb, emb.url, chat.url)
         question = question_for(truths["paper-00"], random.Random(0))
-        with caplog.at_level("WARNING", logger="litrag"):
-            bundle = chain.answer(question, k=6, mode="mode2")
+        warned, bundles = [], []
+        for _ in range(3):
+            with caplog.at_level("WARNING", logger="litrag"):
+                bundles.append(chain.answer(question, k=6, mode="mode2"))
+            warned.append([r.getMessage() for r in caplog.records if "could not be resolved" in r.getMessage()])
+            caplog.clear()
     # the budget loop re-assembled the prompt several times ...
-    assert len(bundle.retrieved) < 6
-    assert bundle.unresolved_markers
-    # ... but the final unresolved list is reported once
-    warnings = [r for r in caplog.records if "could not be resolved" in r.getMessage()]
-    assert len(warnings) == 1
+    assert len(bundles[0].retrieved) < 6
+    # ... and each answer still lists its unresolved markers ...
+    assert bundles[0].unresolved_markers
+    assert all(b.unresolved_markers == bundles[0].unresolved_markers for b in bundles)
+    # ... but each expanded chunk's are warned about once, when first resolved
+    assert warned[1:] == [[], []]
+    expected = set()
+    for sr in bundles[0].retrieved:
+        aux = chain.kb.aux_index(sr.record.doc_id)
+        chunk = locate_expanded_chunk(aux, sr.record)
+        if aux.citations(chunk)[1]:
+            expected.add(chunk.chunk_id)
+    named = [message.split(" in ", 1)[1].split(" could not", 1)[0] for message in warned[0]]
+    assert len(named) == len(set(named)) and expected <= set(named)
 
 
 # --- citation material, derived once per document ----------------------------------

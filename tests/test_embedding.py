@@ -2,6 +2,8 @@ import http.client
 import subprocess
 import sys
 import time
+from datetime import datetime, timedelta, timezone
+from email.utils import format_datetime
 from http.server import BaseHTTPRequestHandler
 
 import numpy as np
@@ -566,3 +568,58 @@ def test_an_embedding_row_that_is_not_a_list_fails_its_batch_without_a_retry(row
         with pytest.raises(ServiceUnreachable, match="input 1 has no list of values"):
             embed_texts(["alpha", "beta"], _config(svc))
         assert len(svc.requests) == 1
+
+
+def _http_date(seconds_from_now: float) -> str:
+    return format_datetime(datetime.now(timezone.utc) + timedelta(seconds=seconds_from_now), usegmt=True)
+
+
+@pytest.mark.parametrize(
+    "status, retry_after, low, high",
+    [
+        (429, "3", 3.0, 3.0),
+        (503, "3", 3.0, 3.0),
+        (503, "0", 0.0, 0.0),
+        (503, "100", 10.0, 10.0),  # capped at the request timeout
+        (429, "in-5s", 3.0, 5.0),  # an HTTP-date 5 s ahead, to the second
+        (503, "in-100s", 10.0, 10.0),
+        (503, "in--100s", 0.0, 0.0),  # an HTTP-date past
+        (503, None, 0.01, 0.01),  # no header: the base pause
+        (503, "soon", 0.01, 0.01),
+        (503, "-1", 0.01, 0.01),
+        (503, "1.5", 0.01, 0.01),  # delta-seconds are whole
+        (503, "Fri, 31 Feb 2026 08:00:00 GMT", 0.01, 0.01),
+        (500, "3", 0.01, 0.01),  # only a 429 or a 503 says when to retry
+    ],
+)
+def test_a_retry_waits_as_retry_after_says(monkeypatch, status, retry_after, low, high):
+    if retry_after is not None and retry_after.startswith("in-"):
+        retry_after = _http_date(float(retry_after[3:-1]))
+    waits = []
+    monkeypatch.setattr(embedding_mod.time, "sleep", waits.append)
+    headers = {} if retry_after is None else {"Retry-After": retry_after}
+    with StubChatService(status=status, headers=headers) as svc:
+        with pytest.raises(ChatServiceFailed, match="failed after one retry"):
+            post_json(svc.url, {"messages": []}, ChatServiceFailed, timeout=10.0)
+        assert len(svc.requests) == 2
+    assert len(waits) == 1 and low <= waits[0] <= high, waits
+
+
+class _BusyOnce(StubChatService):
+    """Replies 503 to its first request and answers the ones after it."""
+
+    def handle_payload(self, payload):
+        if not self.requests:
+            with self.state_lock:
+                self.requests.append(payload)
+            return 503, {"error": "busy"}
+        return super().handle_payload(payload)
+
+
+def test_the_retry_after_a_retry_after_gets_the_reply(monkeypatch):
+    waits = []
+    monkeypatch.setattr(embedding_mod.time, "sleep", waits.append)
+    with _BusyOnce(headers={"Retry-After": "2"}) as svc:
+        assert chat_completion(default_config(svc.url, svc.url), "prompt", 0.1) == "thanks for asking!"
+        assert len(svc.requests) == 2
+    assert waits == [2.0]

@@ -11,15 +11,32 @@ import pytest
 import litrag.embedding as embedding_mod
 import litrag.ingest as ingest_mod
 import litrag.kb as kb_mod
+from litrag.chain import QueryChain
 from litrag.config import default_config
 from litrag.embedding import EmbeddingVector
-from litrag.errors import CorruptStore, IoFailure
+from litrag.errors import CorruptStore, InvalidParams, IoFailure
+from litrag.harness import cluster_stats
 from litrag.ingest import Document, ingest_corpus
 from litrag.kb import KnowledgeBase, build_knowledge_base
-from litrag.store import Metric
-from litrag.testing import StubEmbeddingService, _doc_tag, make_corpus
+from litrag.store import Metric, VectorStore
+from litrag.testing import (
+    StubChatService,
+    StubEmbeddingService,
+    _doc_tag,
+    echo_citations_responder,
+    make_corpus,
+    question_for,
+)
 
 DIM = 32
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _kb_v2_copy(tmp_path) -> Path:
+    """A copy of the committed knowledge base of store format version 2 (see
+    ``fixtures/make_kb_v2.py``)."""
+    shutil.copytree(FIXTURES / "kb_v2", tmp_path / "kb_v2")
+    return tmp_path / "kb_v2"
 
 
 @pytest.fixture()
@@ -92,21 +109,19 @@ def test_snapshots_hold_the_id_the_body_and_the_file_name(small_corpus, tmp_path
         assert data["source_path"] == f"{doc_id}.txt"
 
 
-def test_a_snapshot_with_a_stored_title_and_span_derives_both(small_corpus, tmp_path):
-    corpus_dir, _ = small_corpus
-    with StubEmbeddingService(dim=DIM) as svc:
-        cfg = _config(svc, tmp_path)
-        build_knowledge_base(corpus_dir, cfg)
-    fresh = KnowledgeBase.open(cfg.store_path)
+def test_a_snapshot_with_a_stored_title_and_span_derives_both(tmp_path):
+    # a knowledge base of format version 2, whose snapshots carry no checksum, in
+    # the snapshot layout of earlier versions, holding a wrong title and a wrong span
+    root = _kb_v2_copy(tmp_path)
+    fresh = KnowledgeBase.open(root)
     doc, aux = fresh.document("paper-00"), fresh.aux_index("paper-00")
-    snapshot = Path(cfg.store_path) / "docs" / "paper-00.json"
+    snapshot = root / "docs" / "paper-00.json"
     data = json.loads(snapshot.read_text(encoding="utf-8"))
-    # the layout of earlier versions, holding a wrong title and a wrong span
     snapshot.write_text(
         json.dumps({**data, "title": "Another title", "reference_section": [0, 3]}),
         encoding="utf-8",
     )
-    kb = KnowledgeBase.open(cfg.store_path)
+    kb = KnowledgeBase.open(root)
     old = kb.document("paper-00")
     assert old.title == doc.title == doc.body.lstrip().splitlines()[0].strip()
     assert old.reference_section == doc.reference_section != (0, 3)
@@ -211,7 +226,7 @@ def test_doc_ids_are_the_documents_the_store_indexes(small_corpus, tmp_path):
     (docs / "paper-01.json").unlink()
     kb = KnowledgeBase.open(cfg.store_path)
     assert kb.doc_ids() == sorted(truths)
-    assert kb.doc_ids() == sorted({record.doc_id for record in kb.store.records()})
+    assert kb.doc_ids() == sorted(set(kb.store.columns("doc_id")[0]))
 
 
 def test_unwritable_snapshots_raise_io_failure(small_corpus, tmp_path):
@@ -414,18 +429,16 @@ def test_kb_bytes_do_not_depend_on_where_the_corpus_sits(small_corpus, tmp_path)
     assert kb.document("paper-00").source_path == "paper-00.txt"
 
 
-def test_snapshot_holding_an_absolute_source_path_still_opens(small_corpus, tmp_path):
-    # snapshots written before the file name replaced the path
-    corpus_dir, _ = small_corpus
-    with StubEmbeddingService(dim=DIM) as svc:
-        cfg = _config(svc, tmp_path)
-        build_knowledge_base(corpus_dir, cfg)
-    snapshot = Path(cfg.store_path) / "docs" / "paper-00.json"
-    fresh = KnowledgeBase.open(cfg.store_path).aux_index("paper-00")
+def test_snapshot_holding_an_absolute_source_path_still_opens(tmp_path):
+    # snapshots written before the file name replaced the path, in a knowledge
+    # base of format version 2, whose snapshots carry no checksum
+    root = _kb_v2_copy(tmp_path)
+    snapshot = root / "docs" / "paper-00.json"
+    fresh = KnowledgeBase.open(root).aux_index("paper-00")
     data = json.loads(snapshot.read_text(encoding="utf-8"))
-    data["source_path"] = str((corpus_dir / "paper-00.txt").resolve())
+    data["source_path"] = str((tmp_path / "corpus" / "paper-00.txt").resolve())
     snapshot.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
-    kb = KnowledgeBase.open(cfg.store_path)
+    kb = KnowledgeBase.open(root)
     assert kb.document("paper-00").source_path == data["source_path"]
     assert kb.aux_index("paper-00") == fresh and kb.aux_index("paper-00").entries == fresh.entries != ()
 
@@ -488,3 +501,167 @@ def test_an_empty_corpus_still_writes_an_empty_knowledge_base(tmp_path):
     assert report.failures == [] and report.document_count == 0
     kb = KnowledgeBase.open(tmp_path / "kb")
     assert len(kb.store) == 0 and kb.doc_ids() == []
+
+
+# --- store format version 3: each chunk's text is a span of a checksummed snapshot ----------
+
+
+def _chain(root, emb_url, chat_url, dim=DIM):
+    cfg = default_config(emb_url, chat_url)
+    cfg = replace(cfg, embedding=replace(cfg.embedding, expected_dim=dim), store_path=str(root))
+    return QueryChain(KnowledgeBase.open(root), cfg)
+
+
+def test_an_open_kb_refuses_a_snapshot_rebuilt_under_it(small_corpus, tmp_path):
+    corpus_dir, truths = small_corpus
+    question = question_for(truths["paper-00"])
+    with StubEmbeddingService(dim=DIM) as svc, StubChatService(echo_citations_responder()) as chat:
+        cfg = _config(svc, tmp_path)
+        build_knowledge_base(corpus_dir, cfg)
+        chain = _chain(cfg.store_path, svc.url, chat.url)
+        for path in corpus_dir.glob("*.txt"):
+            path.write_text("Preface\n\n" + "A prefix. " * 940 + "\n\n" + path.read_text("utf-8"), "utf-8")
+        assert build_knowledge_base(corpus_dir, cfg).failures == []
+        with pytest.raises(CorruptStore, match=r"paper-\d\d\.json: checksum mismatch"):
+            chain.answer(question, mode="mode2")
+        assert chat.requests == []
+        # a fresh open reads the rebuilt knowledge base whole
+        assert _chain(cfg.store_path, svc.url, chat.url).answer(question, mode="mode2").verification.passed
+
+
+def test_a_snapshot_edited_to_another_body_is_a_corrupt_store_and_a_missing_one_io_failure(
+    small_corpus, tmp_path
+):
+    corpus_dir, _ = small_corpus
+    with StubEmbeddingService(dim=DIM) as svc:
+        cfg = _config(svc, tmp_path)
+        build_knowledge_base(corpus_dir, cfg)
+    docs = Path(cfg.store_path) / "docs"
+    data = json.loads((docs / "paper-00.json").read_text(encoding="utf-8"))
+    # valid JSON of the same document, with one character of its body changed
+    edited = {**data, "body": data["body"].replace("e", "E", 1)}
+    (docs / "paper-00.json").write_text(json.dumps(edited, ensure_ascii=False), encoding="utf-8")
+    (docs / "paper-01.json").unlink()
+    kb = KnowledgeBase.open(cfg.store_path)
+    with pytest.raises(CorruptStore, match="paper-00.json: checksum mismatch"):
+        kb.document("paper-00")
+    with pytest.raises(CorruptStore, match="paper-00.json"):
+        kb.store.records()
+    with pytest.raises(IoFailure, match="no document snapshot for 'paper-01'"):
+        kb.aux_index("paper-01")
+    assert kb.document("paper-02").doc_id == "paper-02"
+
+
+def test_upsert_refuses_a_chunk_whose_text_is_not_its_body_slice(small_corpus, tmp_path):
+    corpus_dir, _ = small_corpus
+    with StubEmbeddingService(dim=DIM) as svc:
+        cfg = _config(svc, tmp_path)
+        build_knowledge_base(corpus_dir, cfg)
+    store = VectorStore.open(cfg.store_path)
+    before = store.rows()
+    doc = store.document("paper-00")
+    records, rows = zip(*[(r, row) for r, row in zip(*before) if r.doc_id == "paper-00"])
+    changes = {
+        "text": replace(records[1], text=records[1].text + "!"),
+        "offset": replace(records[1], end_offset=records[1].end_offset - 1),
+        "past the body": replace(records[-1], end_offset=len(doc.body) + 5),
+        "document": replace(records[1], doc_id="paper-01"),
+        "metadata": replace(records[1], metadata={**records[1].metadata, "title": "Another"}),
+    }
+    for case, changed in changes.items():
+        batch = [records[0], changed, *records[2:]]
+        with pytest.raises(ValueError, match="record .* (is not|names|metadata)"):
+            store.upsert(batch, rows, document=doc)
+        assert store.rows() == before, case
+    other = replace(doc, body=doc.body + " more")
+    with pytest.raises(ValueError, match="another body"):
+        store.upsert(list(records), rows, document=other)
+    with pytest.raises(InvalidParams, match="with their document"):
+        store.upsert(list(records), rows)
+    assert store.rows() == before
+    assert store.upsert(list(records), rows, document=doc) == len(records)  # the same chunks again
+    assert store.rows()[0] == before[0]
+
+
+def test_a_kb_store_and_a_bare_store_round_trip_records_alike(small_corpus, tmp_path):
+    corpus_dir, _ = small_corpus
+    with StubEmbeddingService(dim=DIM) as svc:
+        cfg = _config(svc, tmp_path)
+        build_knowledge_base(corpus_dir, cfg)
+    kb_store = VectorStore.open(cfg.store_path)
+    records = kb_store.records()
+    bare = VectorStore(DIM)
+    bare.upsert(records)
+    bare.persist(tmp_path / "bare")
+    kb_store.persist(tmp_path / "again")
+    for path in (tmp_path / "bare", tmp_path / "again"):
+        assert VectorStore.open(path).records() == records
+    assert _tree(tmp_path / "again") == _tree(Path(cfg.store_path))
+    columns = json.loads((Path(cfg.store_path) / "records.json").read_text(encoding="utf-8"))
+    assert sorted(columns) == ["chunk_id", "doc_id", "documents", "end_offset", "start_offset"]
+    bare_columns = json.loads((tmp_path / "bare" / "records.json").read_text(encoding="utf-8"))
+    assert "text" in bare_columns and "documents" not in bare_columns
+
+
+def test_metadata_and_cluster_stats_read_no_snapshot(small_corpus, tmp_path, monkeypatch):
+    corpus_dir, truths = small_corpus
+    with StubEmbeddingService(dim=DIM) as svc:
+        cfg = _config(svc, tmp_path)
+        build_knowledge_base(corpus_dir, cfg)
+    store = VectorStore.open(cfg.store_path)
+    expected = [dict(r.metadata) for r in VectorStore.open(cfg.store_path).records()]
+    monkeypatch.setattr(VectorStore, "_load", None)
+    metadata, _ = store.columns("metadata")
+    assert [dict(m) for m in metadata] == expected
+    assert {m["doc_id"]: m["source"] for m in expected} == {d: f"{d}.txt" for d in truths}
+    stats = cluster_stats(store, "title", Metric.euclidean())
+    assert len(stats.labels) == len(truths)
+
+
+def test_a_version_2_kb_opens_answers_and_is_rewritten_by_the_next_build(tmp_path):
+    from fixtures.make_kb_v2 import DIM as V2_DIM
+    from fixtures.make_kb_v2 import SEED
+
+    root = _kb_v2_copy(tmp_path)
+    truths = make_corpus(tmp_path / "corpus", n_docs=3, seed=SEED, paragraphs_per_doc=6)
+    question = question_for(truths["paper-01"])
+    with StubEmbeddingService(dim=V2_DIM) as svc, StubChatService(echo_citations_responder()) as chat:
+        old = _chain(root, svc.url, chat.url, dim=V2_DIM)
+        bundle = old.answer(question, mode="mode2")
+        assert bundle.verification.passed and bundle.verification.verified
+        for sr in bundle.retrieved:
+            body = old.kb.document(sr.record.doc_id).body
+            assert sr.record.text == body[sr.record.start_offset : sr.record.end_offset]
+        records = old.kb.store.records()
+        cfg = _config(svc, tmp_path)
+        cfg = replace(cfg, embedding=replace(cfg.embedding, expected_dim=V2_DIM))
+        assert build_knowledge_base(tmp_path / "corpus", cfg, store_root=root).failures == []
+        new = _chain(root, svc.url, chat.url, dim=V2_DIM)
+        assert json.loads((root / "header.json").read_text())["format_version"] == 3
+        assert new.kb.store.records() == records
+        assert new.answer(question, mode="mode2").to_dict() == bundle.to_dict()
+
+
+def test_stores_opened_on_equal_snapshots_share_each_document_but_check_their_own(
+    small_corpus, tmp_path
+):
+    corpus_dir, _ = small_corpus
+    with StubEmbeddingService(dim=DIM) as svc:
+        cfg = _config(svc, tmp_path)
+        build_knowledge_base(corpus_dir, cfg, store_root=tmp_path / "a")
+        build_knowledge_base(corpus_dir, cfg, store_root=tmp_path / "b")
+    first = KnowledgeBase.open(tmp_path / "a")
+    doc = first.document("paper-00")
+    assert KnowledgeBase.open(tmp_path / "b").document("paper-00") is doc  # parsed once
+    (tmp_path / "b" / "docs" / "paper-00.json").write_bytes(_snapshot_of(doc, body=doc.body + "!"))
+    (tmp_path / "b" / "docs" / "paper-01.json").unlink()
+    first.document("paper-01")
+    second = KnowledgeBase.open(tmp_path / "b")
+    with pytest.raises(CorruptStore, match="checksum mismatch"):
+        second.document("paper-00")
+    with pytest.raises(IoFailure):
+        second.document("paper-01")
+
+
+def _snapshot_of(doc: Document, **changes) -> bytes:
+    return json.dumps({**doc.to_dict(), **changes}, ensure_ascii=False).encode("utf-8")

@@ -1357,7 +1357,7 @@ def test_a_header_missing_a_key_is_corrupt(tmp_path, key):
         VectorStore.open(tmp_path / "s")
 
 
-@pytest.mark.parametrize("version", [0, 3, "1", None, True, 1.0])
+@pytest.mark.parametrize("version", [0, 4, "1", None, True, 1.0])
 def test_an_unsupported_format_version_is_corrupt(tmp_path, version):
     import json
 
@@ -1534,14 +1534,14 @@ def test_an_interrupted_persist_leaves_the_previous_store_or_a_corrupt_one(
     assert opened.rows()[1].tobytes() == before.rows()[1].tobytes()
 
 
-def test_a_version_1_store_opens_as_its_version_2_rewrite(tmp_path):
+def test_a_version_1_store_opens_as_its_version_3_rewrite(tmp_path):
     from fixtures.make_store_v1 import fixture_records
 
     from litrag.harness import cluster_stats, export_embeddings
 
     v1 = VectorStore.open(FIXTURES / "store_v1")
     v1.persist(tmp_path / "v2")
-    assert json.loads((tmp_path / "v2" / "header.json").read_text())["format_version"] == 2
+    assert json.loads((tmp_path / "v2" / "header.json").read_text())["format_version"] == 3
     assert not (tmp_path / "v2" / "records.jsonl").exists()
     v2 = VectorStore.open(tmp_path / "v2")
 
@@ -1577,7 +1577,7 @@ def test_columns_are_a_snapshot_of_read_only_fields(monkeypatch):
 
     store = VectorStore(2)
     store.upsert([_record("a", [1, 0]), _record("b", [0, 1], doc_id="d2")])
-    monkeypatch.setattr(litrag.store, "_record_at", None)  # columns builds no record
+    monkeypatch.setattr(litrag.store.VectorStore, "_record_at", None)  # columns builds no record
     ids, docs, metadata, matrix = store.columns("chunk_id", "doc_id", "metadata")
     monkeypatch.undo()
     store.upsert([_record("a", [5, 5], doc_id="d3"), _record("c", [1, 1])])
@@ -1699,3 +1699,76 @@ def test_an_embedding_vector_query_scores_as_its_values_do(m):
     expected = similarity(list(values), row, m).hex()
     assert similarity(EmbeddingVector(values), EmbeddingVector(tuple(row)), m).hex() == expected
     assert similarity(EmbeddingVector(values), row, m).hex() == expected
+
+
+# --- a store of documents (format version 3) ------------------------------------------
+
+
+def _document_store(tmp_path=None):
+    """A store of documents holding two chunks of one document, persisted to
+    ``tmp_path / "kb"`` if given."""
+    from litrag.ingest import Document
+
+    doc = Document("d", "Title line\n\nFlames spread. Soot forms late.", "/corpus/d.txt")
+    chunks = [Chunk("d:0", "d", "Title line", 0, 10), Chunk("d:1", "d", "Flames spread.", 12, 26)]
+    store = VectorStore(2, documents=True)
+    store.upsert(chunks, [[1.0, 0.0], [0.0, 1.0]], document=doc)
+    if tmp_path is not None:
+        store.persist(tmp_path / "kb")
+    return store, doc
+
+
+def test_a_store_of_documents_derives_text_and_metadata_and_round_trips(tmp_path):
+    store, doc = _document_store(tmp_path)
+    meta = {"source": "d.txt", "doc_id": "d", "title": "Title line"}
+    records = store.records()
+    assert [(r.text, dict(r.metadata)) for r in records] == [("Title line", meta), ("Flames spread.", meta)]
+    assert VectorStore.open(tmp_path / "kb").records() == records
+    snapshot = {"doc_id": "d", "body": doc.body, "source_path": "d.txt"}
+    assert (tmp_path / "kb" / "docs" / "d.json").read_bytes() == json.dumps(snapshot).encode()
+    columns = json.loads((tmp_path / "kb" / "records.json").read_text(encoding="utf-8"))
+    digest = "sha256:" + hashlib.sha256((tmp_path / "kb" / "docs" / "d.json").read_bytes()).hexdigest()
+    assert columns["documents"] == {"d": {"source": "d.txt", "title": "Title line", "sha256": digest}}
+    assert json.loads((tmp_path / "kb" / "header.json").read_text())["format_version"] == 3
+
+
+def test_a_store_of_documents_and_a_bare_store_take_only_their_kind_of_upsert():
+    store, doc = _document_store()
+    bare = VectorStore(2)
+    with pytest.raises(InvalidParams, match="with their document"):
+        store.upsert([_record("x", [1, 1], doc_id="d")])
+    with pytest.raises(InvalidParams, match="with their document"):
+        bare.upsert([_record("x", [1, 1], doc_id="d")], document=doc)
+    assert len(store) == 2 and len(bare) == 0
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda cols: cols["documents"].pop("d"), "its document 'd' is not in the table"),
+        (lambda cols: cols["documents"]["d"].pop("title"), "documents must map each doc_id"),
+        (lambda cols: cols["documents"]["d"].update(sha256=5), "documents must map each doc_id"),
+        (lambda cols: cols.update(documents=[]), "documents must map each doc_id"),
+        (lambda cols: cols.update(text=["a", "b"]), "arrays chunk_id, doc_id, start_offset, end_offset and"),
+    ],
+)
+def test_a_damaged_documents_table_is_corrupt(tmp_path, edit, match):
+    _document_store(tmp_path)
+    _edit_records_json(tmp_path / "kb", edit)
+    with pytest.raises(CorruptStore, match=match):
+        VectorStore.open(tmp_path / "kb")
+
+
+def test_a_persist_writes_the_snapshots_of_the_documents_named_and_deletes_the_rest(tmp_path):
+    store, doc = _document_store(tmp_path)
+    docs = tmp_path / "kb" / "docs"
+    (docs / "stale.json").write_text("{}", encoding="utf-8")
+    (docs / "notes.txt").write_text("kept", encoding="utf-8")
+    other = replace(doc, doc_id="e")
+    store.upsert([Chunk("d:0", "e", "Title line", 0, 10)], [[1.0, 1.0]], document=other)
+    store.persist(tmp_path / "kb")
+    assert sorted(p.name for p in docs.iterdir()) == ["d.json", "e.json", "notes.txt"]
+    opened = VectorStore.open(tmp_path / "kb")
+    assert [(r.chunk_id, r.doc_id) for r in opened.records()] == [("d:0", "e"), ("d:1", "d")]
+    opened.persist(tmp_path / "copy")  # reads, checks and writes every snapshot it names
+    assert (tmp_path / "copy" / "docs" / "e.json").read_bytes() == (docs / "e.json").read_bytes()
