@@ -27,7 +27,7 @@ from .citations import (
     resolve_citations,
     verify_answer_citations,
 )
-from .config import EngineConfig, default_config, load_config, save_config
+from .config import EngineConfig, default_config, load_config
 from .embedding import (
     EmbeddingConfig,
     EmbeddingVector,
@@ -97,7 +97,6 @@ __all__ = [
     "recursive_split",
     "render_prompt",
     "resolve_citations",
-    "save_config",
     "similarity",
     "token_count",
     "verify_answer_citations",

@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from .embedding import EmbeddingConfig, TokenizerConfig, check_endpoint_url
-from .errors import InvalidParams, IoFailure, ParseError, ValidationError
+from .errors import InvalidParams, ParseError, ValidationError
 from .ingest import SplitParams
 from .store import Metric, MMRParams
 
@@ -256,12 +256,3 @@ def load_config(path: str | Path, env: dict | None = None) -> EngineConfig:
         raise ParseError(f"config file {path} must hold a JSON object")
     return config_from_dict(data, env=env)
 
-
-def save_config(cfg: EngineConfig, path: str | Path) -> None:
-    """Write ``cfg`` to ``path`` as the JSON ``load_config`` reads; a write
-    failure raises IoFailure naming the path."""
-    path = Path(path)
-    try:
-        path.write_text(json.dumps(config_to_dict(cfg), indent=2) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise IoFailure(f"cannot write config file {path}: {exc}") from exc

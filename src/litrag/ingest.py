@@ -93,7 +93,7 @@ class Document:
             value = getattr(self, name)
             if not isinstance(value, str):
                 raise TypeError(f"{name} is {type(value).__name__}, not a string")
-        if not self.body.strip():
+        if not self.body or self.body.isspace():  # blank, decided without a copy
             raise EmptyDocument(f"{self.source_path}: document body is empty")
 
     @cached_property
@@ -118,8 +118,8 @@ class Document:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Document":
-        """The inverse of ``to_dict``; other keys (a title or a reference
-        section stored by an earlier version) are ignored."""
+        """The inverse of ``to_dict``: the document that the ``doc_id``,
+        ``body`` and ``source_path`` of ``d`` give."""
         return cls(doc_id=d["doc_id"], body=d["body"], source_path=d["source_path"])
 
 

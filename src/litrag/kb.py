@@ -11,11 +11,12 @@ chunk as its id, its document and its offsets, and a table of the documents
 with the sha256 of each snapshot; its header holds a sha256 of matrix.bin
 and one of records.json. So a chunk's text is stored once, in its
 document's body, and a snapshot that was rebuilt or modified after the store
-was written raises CorruptStore when it is first read. A knowledge base in
-format version 1 or 2, whose store holds each chunk's text and whose
-snapshots carry no checksum, still opens; the next build rewrites it in
-version 3. A build leaves ``docs/`` holding a snapshot of exactly the
-documents the store indexes; ``doc_ids`` reads those from the store.
+was written raises CorruptStore when it is first read. Only version 3
+opens: a knowledge base of an earlier version, whose snapshots carry no
+checksum, raises CorruptStore at ``open``, and a build into its root (which
+never reads the store it replaces) rewrites it in version 3. A build
+leaves ``docs/`` holding a snapshot of exactly the documents the store
+indexes; ``doc_ids`` reads those from the store.
 
 Document snapshots keep the citation guard exact at query time: a
 document's aux index (``aux_index``), kept for the life of the

@@ -69,14 +69,12 @@ On-disk layout (one directory per store), format version 3:
 "checksum" is the sha256 of matrix.bin and "records_checksum" that of
 records.json, whose table holds each snapshot's sha256, so ``open`` takes
 only the bytes the header was written with, and a snapshot is checked when
-it is first read. ``persist`` writes version 3 only: the snapshots (deleting
-any other ``docs/*.json``), then matrix.bin, records.json and the header.
-Versions 2 and 1 still open, as bare stores. A version-2 records.json is a
-bare store's: the same columns, read by the same reader. Version 1's
-records.jsonl holds one JSON object per record, and its header checksums
-matrix.bin alone; its lines are parsed into the same columns, which pass the
-same checks. The snapshots of a knowledge base written in version 1 or 2
-carry no checksum; ``document`` reads them unchecked.
+it is first read. ``persist`` writes the snapshots (deleting any other
+``docs/*.json``), then matrix.bin, records.json and the header. ``open``
+reads version 3 only: a store written in an earlier version, whose
+snapshots carry no checksum, raises CorruptStore naming its version, and a
+rebuild (``litrag ingest``) rewrites it. A bare store holds no documents,
+so it reads no snapshot.
 """
 
 from __future__ import annotations
@@ -115,14 +113,12 @@ from .ingest import Chunk, Document
 FORMAT_VERSION = 3
 
 # The record fields other than the embedding: a bare store's columns, in the order
-# persist writes them (and the keys of a version-1 records.jsonl object).
+# persist writes them.
 _RECORD_FIELDS = ("chunk_id", "doc_id", "text", "start_offset", "end_offset", "metadata")
 # A store of documents' columns: a record's text and metadata are its document's.
 _SPAN_FIELDS = ("chunk_id", "doc_id", "start_offset", "end_offset")
 # The keys of an entry of a store of documents' table, all strings.
 _TABLE_KEYS = ("source", "title", "sha256")
-# The file holding the records, by format version.
-_RECORDS_FILE = {1: "records.jsonl", 2: "records.json", 3: "records.json"}
 # Each document parsed from a checked snapshot, by the snapshot's sha256, while
 # a store holds it: equal bytes parse to an equal document, so the stores of one
 # process (the rows of a sweep, a knowledge base reopened) share its body.
@@ -513,9 +509,7 @@ class VectorStore:
         A snapshot whose sha256 is not the one records.json holds for it (a
         rebuilt or modified file), or that does not hold that document,
         raises CorruptStore naming the file; a missing one, or a document
-        the store does not hold, raises IoFailure. A bare store opened from
-        a knowledge base of format version 1 or 2 holds no sha256: it reads
-        the snapshots under its directory unchecked.
+        the store does not hold, raises IoFailure; a bare store holds none.
         """
         with self._lock:
             if doc_id not in self._docs:
@@ -523,7 +517,8 @@ class VectorStore:
             return self._docs[doc_id]
 
     def _load(self, doc_id: str) -> Document:
-        if self._snapshots is None or not (self._meta is None or doc_id in self._meta):
+        digest = self._sums.get(doc_id)  # held by a store of documents opened from disk
+        if digest is None:
             raise IoFailure(f"no document snapshot for {doc_id!r}: the store holds no such document")
         # a str path and an unbuffered read: a cold answer pays for each load
         path = os.path.join(self._snapshots, f"{doc_id}.json")
@@ -532,20 +527,18 @@ class VectorStore:
                 data = fh.readall()
         except OSError as exc:
             raise IoFailure(f"no document snapshot for {doc_id!r} at {path}: {exc}") from exc
-        digest = None if self._meta is None else self._sums[doc_id]
-        if digest is not None and _sha256(data) != digest:
+        if _sha256(data) != digest:
             raise CorruptStore(
                 f"damaged document snapshot at {path}: checksum mismatch "
                 "(rebuilt or modified since the store was written)"
             )
-        doc = None if digest is None else _PARSED.get(digest)
+        doc = _PARSED.get(digest)
         if doc is None:
             try:
                 doc = Document.from_dict(json.loads(data.decode("utf-8")))
             except (ValueError, KeyError, TypeError, EmptyDocument) as exc:
                 raise CorruptStore(f"damaged document snapshot at {path}: {exc!r}") from exc
-            if digest is not None:
-                _PARSED[digest] = doc
+            _PARSED[digest] = doc
         if doc.doc_id != doc_id:
             raise CorruptStore(
                 f"damaged document snapshot at {path}: it holds document {doc.doc_id!r}"
@@ -796,10 +789,9 @@ class VectorStore:
         format version 3. A store of documents first writes the snapshot of
         each document its records name, as ``docs/<doc_id>.json``, and
         deletes every other ``docs/*.json``. Then matrix.bin, records.json
-        and the header that checksums both; then a records.jsonl a version-1
-        store left is deleted. Every byte is encoded before the first file
-        is written; a snapshot that cannot be written or deleted raises
-        IoFailure."""
+        and the header that checksums both. Every byte is encoded before the
+        first file is written; a snapshot that cannot be written or deleted
+        raises IoFailure."""
         path = Path(path)
         with self._lock:
             matrix_bytes = np.ascontiguousarray(self._matrix, dtype="<f4").data  # no copy
@@ -830,15 +822,16 @@ class VectorStore:
                 (path / "matrix.bin").write_bytes(matrix_bytes)
                 (path / "records.json").write_bytes(records_bytes)
                 (path / "header.json").write_bytes(json.dumps(header, indent=2).encode("utf-8"))
-                (path / _RECORDS_FILE[1]).unlink(missing_ok=True)
             except OSError as exc:
                 raise IoFailure(f"cannot persist store to {path}: {exc}") from exc
 
     @classmethod
     def open(cls, path: str | Path) -> "VectorStore":
-        """Load a store persisted with :meth:`persist`, in format version 3,
-        2 or 1. Round trip is bit-exact. A store of documents reads no
-        snapshot here: ``document`` reads each on first use."""
+        """Load a store persisted with :meth:`persist`. Round trip is
+        bit-exact. Only format version 3 opens: any other version, an
+        earlier one included, raises CorruptStore naming it. A store of
+        documents reads no snapshot here: ``document`` reads each on first
+        use."""
         path = Path(path)
         try:
             header_bytes = (path / "header.json").read_bytes()
@@ -855,9 +848,12 @@ class VectorStore:
             if key not in header:
                 raise CorruptStore(f"header.json is missing {key!r}")
         version = header["format_version"]
-        if type(version) is not int or version not in _RECORDS_FILE:
-            raise CorruptStore(f"unsupported format_version {version!r}")
-        if version > 1 and "records_checksum" not in header:
+        if type(version) is not int or version != FORMAT_VERSION:
+            raise CorruptStore(
+                f"unsupported format_version {version!r}: this litrag reads format "
+                f"{FORMAT_VERSION}; rebuild it, `litrag ingest` rewrites a knowledge base"
+            )
+        if "records_checksum" not in header:
             raise CorruptStore("header.json is missing 'records_checksum'")
         dim, count = header["dimension"], header["record_count"]
         for key, value, least in (("dimension", dim, 1), ("record_count", count, 0)):
@@ -866,30 +862,25 @@ class VectorStore:
                     f"header.json {key} must be an integer >= {least}, got {value!r}"
                 )
 
-        name, table = _RECORDS_FILE[version], None
-        if version > 1:
-            records_bytes = _read(path, name)
-            if _sha256(records_bytes) != header["records_checksum"]:
-                raise CorruptStore(f"{name} checksum mismatch (truncated or modified file)")
-            (cols, table), where = _json_columns(records_bytes, count), f"{name} record"
-            del records_bytes  # before matrix.bin is read, so the two never add up in the peak
-        else:
-            try:
-                cols, where = _jsonl_columns(path / name, count), f"{name} line"
-            except OSError as exc:
-                raise IoFailure(f"cannot read store files at {path}: {exc}") from exc
+        records_bytes = _read(path, "records.json")
+        if _sha256(records_bytes) != header["records_checksum"]:
+            raise CorruptStore("records.json checksum mismatch (truncated or modified file)")
+        cols, table = _json_columns(records_bytes, count)
+        del records_bytes  # before matrix.bin is read, so the two never add up in the peak
         fault = _fault(cols)
         if fault is None and table is not None:
             i = next((i for i, doc_id in enumerate(cols["doc_id"]) if doc_id not in table), None)
             fault = None if i is None else (i, f"its document {cols['doc_id'][i]!r} is not in the table")
         if fault is not None:
-            raise CorruptStore(f"{where} {fault[0] + 1} is invalid: {fault[1]}")
+            raise CorruptStore(f"records.json record {fault[0] + 1} is invalid: {fault[1]}")
         ids = cols["chunk_id"]
         index = dict(zip(ids, range(count)))
         if len(index) != count:
             seen: set[str] = set()
             i = next(i for i, cid in enumerate(ids) if cid in seen or seen.add(cid))
-            raise CorruptStore(f"{where} {i + 1} is invalid: chunk_id {ids[i]!r} is repeated")
+            raise CorruptStore(
+                f"records.json record {i + 1} is invalid: chunk_id {ids[i]!r} is repeated"
+            )
 
         matrix_bytes = _read(path, "matrix.bin")
         if _sha256(matrix_bytes) != header["checksum"]:
@@ -909,7 +900,8 @@ class VectorStore:
                 for doc_id, entry in table.items()
             }
             store._sums = {doc_id: entry["sha256"] for doc_id, entry in table.items()}
-        store._cols, store._index, store._snapshots = cols, index, os.path.join(path, "docs")
+            store._snapshots = os.path.join(path, "docs")
+        store._cols, store._index = cols, index
         matrix = np.frombuffer(matrix_bytes, dtype="<f4").reshape(count, dim)
         store._publish(matrix, _row_norms(matrix), count)
         bad = np.flatnonzero(~(np.isfinite(store._norms) & (store._norms > 0.0)))
@@ -950,7 +942,7 @@ def _json_columns(data: bytes, count: int) -> tuple[dict[str, list], dict | None
     """The columns of a records.json: one object of ``count``-long arrays,
     one per stored record field; and a store of documents' table, which maps
     each doc_id to the strings "source", "title" and "sha256" (None for a
-    bare store, whose layout is version 2's)."""
+    bare store)."""
     try:
         obj = json.loads(data.decode("utf-8"))
     except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
@@ -982,28 +974,3 @@ def _json_columns(data: bytes, count: int) -> tuple[dict[str, list], dict | None
         )
     return {key: obj[key] for key in fields}, table
 
-
-def _jsonl_columns(path: Path, count: int) -> dict[str, list]:
-    """The columns of a version-1 records.jsonl: one object per line, read
-    from the file a line at a time. No copy of the whole file is held: one
-    freed under the records' own objects would leave a hole in the heap that
-    every reopen adds to, and so would a list of every line."""
-    with path.open("rb") as fh:
-        # only b"\n" ends a binary line, as it does a record: persist wrote U+0085,
-        # U+2028 and U+2029 raw, and no other UTF-8 sequence holds the byte 0x0a
-        lines = sum(1 for _ in fh)
-        if lines != count:
-            raise DimensionHeaderMismatch(f"records.jsonl holds {lines} records, header says {count}")
-        fh.seek(0)
-        cols: dict[str, list] = {key: [] for key in _RECORD_FIELDS}
-        for i, line in enumerate(fh):
-            try:
-                obj = json.loads(line.decode("utf-8"))
-                values = [obj[key] for key in _RECORD_FIELDS]
-            except UnicodeDecodeError as exc:  # its repr would carry the whole line
-                raise CorruptStore(f"records.jsonl line {i + 1} is not UTF-8: {exc}") from exc
-            except (ValueError, KeyError, TypeError) as exc:
-                raise CorruptStore(f"records.jsonl line {i + 1} is invalid: {exc!r}") from exc
-            for col, value in zip(cols.values(), values):
-                col.append(value)
-    return cols

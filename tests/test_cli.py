@@ -504,12 +504,20 @@ def test_stats_with_centroids_prints_each_centroid_as_the_tuple_did(cli_env, cap
     assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("name", ["header.json", "records.jsonl", "records.json"])
-def test_stats_on_a_store_file_that_is_not_utf8_exits_one_with_one_error_line(cli_env, tmp_path, capsys, name):
-    # records.jsonl is a format-version-1 store's; the others are the knowledge base's
+@pytest.mark.parametrize(
+    "kind, name", [("kb", "header.json"), ("bare", "records.json"), ("kb", "records.json")]
+)
+def test_stats_on_a_store_file_that_is_not_utf8_exits_one_with_one_error_line(
+    cli_env, tmp_path, capsys, kind, name
+):
+    # a bare store's records.json holds each chunk's text; a knowledge base's does not
     store_root = tmp_path / "kb"
-    v1 = Path(__file__).parent / "fixtures" / "store_v1"
-    shutil.copytree(v1 if name == "records.jsonl" else cli_env["store_root"], store_root)
+    if kind == "kb":
+        shutil.copytree(cli_env["store_root"], store_root)
+    else:
+        bare = VectorStore(DIM)
+        bare.upsert(VectorStore.open(cli_env["store_root"]).records())
+        bare.persist(store_root)
     raw = (store_root / name).read_bytes()
     (store_root / name).write_bytes(raw[:1] + b"\xff" + raw[1:])
     with StubChatService() as chat:
@@ -519,6 +527,23 @@ def test_stats_on_a_store_file_that_is_not_utf8_exits_one_with_one_error_line(cl
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("error: ") and name in captured.err
+    assert captured.err.count("\n") == 1, captured.err
+
+
+def test_stats_on_a_store_whose_header_says_version_2_exits_one_naming_the_version(
+    cli_env, tmp_path, capsys
+):
+    store_root = tmp_path / "kb"
+    shutil.copytree(cli_env["store_root"], store_root)
+    header = json.loads((store_root / "header.json").read_text())
+    (store_root / "header.json").write_text(json.dumps({**header, "format_version": 2}))
+    with StubChatService() as chat:
+        config = _write_config(cli_env, chat.url, store_path=str(store_root))
+        code = main(["--config", config, "stats"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: unsupported format_version 2: this litrag reads format 3")
     assert captured.err.count("\n") == 1, captured.err
 
 

@@ -118,8 +118,10 @@ def test_a_document_is_its_body():
     assert doc.reference_section == (body.rindex("References"), len(body))
     assert doc == Document("d", body, "d.txt")
     assert doc.to_dict() == {"doc_id": "d", "body": body, "source_path": "d.txt"}
-    with pytest.raises(EmptyDocument, match="d.txt: document body is empty"):
-        Document("d", "  \n\t ", "d.txt")
+    for blank in ("", " ", "  \n\t ", "\x0b\x0c", "\u3000"):
+        with pytest.raises(EmptyDocument, match="d.txt: document body is empty"):
+            Document("d", blank, "d.txt")
+    assert Document("d", "\u3000x", "d.txt").body == "\u3000x"
     with pytest.raises(TypeError, match="body is int"):
         Document("d", 5, "d.txt")
 

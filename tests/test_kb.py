@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import shutil
@@ -29,14 +30,6 @@ from litrag.testing import (
 )
 
 DIM = 32
-FIXTURES = Path(__file__).parent / "fixtures"
-
-
-def _kb_v2_copy(tmp_path) -> Path:
-    """A copy of the committed knowledge base of store format version 2 (see
-    ``fixtures/make_kb_v2.py``)."""
-    shutil.copytree(FIXTURES / "kb_v2", tmp_path / "kb_v2")
-    return tmp_path / "kb_v2"
 
 
 @pytest.fixture()
@@ -109,25 +102,6 @@ def test_snapshots_hold_the_id_the_body_and_the_file_name(small_corpus, tmp_path
         assert data["source_path"] == f"{doc_id}.txt"
 
 
-def test_a_snapshot_with_a_stored_title_and_span_derives_both(tmp_path):
-    # a knowledge base of format version 2, whose snapshots carry no checksum, in
-    # the snapshot layout of earlier versions, holding a wrong title and a wrong span
-    root = _kb_v2_copy(tmp_path)
-    fresh = KnowledgeBase.open(root)
-    doc, aux = fresh.document("paper-00"), fresh.aux_index("paper-00")
-    snapshot = root / "docs" / "paper-00.json"
-    data = json.loads(snapshot.read_text(encoding="utf-8"))
-    snapshot.write_text(
-        json.dumps({**data, "title": "Another title", "reference_section": [0, 3]}),
-        encoding="utf-8",
-    )
-    kb = KnowledgeBase.open(root)
-    old = kb.document("paper-00")
-    assert old.title == doc.title == doc.body.lstrip().splitlines()[0].strip()
-    assert old.reference_section == doc.reference_section != (0, 3)
-    assert kb.aux_index("paper-00") == aux and kb.aux_index("paper-00").entries == aux.entries != ()
-
-
 def test_each_title_and_reference_section_is_derived_at_most_once(
     small_corpus, tmp_path, monkeypatch
 ):
@@ -175,6 +149,35 @@ def test_missing_document_snapshot(small_corpus, tmp_path):
         kb.document("no-such-doc")
 
 
+# snapshot bytes that hold no document "paper-00", from the good snapshot's text and data
+_NOT_A_DOCUMENT = {
+    "truncated": lambda good, data: good[: len(good) // 2].encode("utf-8"),
+    "not utf-8": lambda good, data: b"\xff\xfe" + good.encode("utf-8"),
+    "missing field": lambda good, data: json.dumps({k: v for k, v in data.items() if k != "body"}).encode(),
+    "not an object": lambda good, data: json.dumps([data]).encode(),
+    "body a number": lambda good, data: json.dumps({**data, "body": 5}).encode(),
+    "empty body": lambda good, data: json.dumps({**data, "body": ""}).encode(),
+    "blank body": lambda good, data: json.dumps({**data, "body": "  \n\t ", "reference_section": None}).encode(),
+    "doc_id a number": lambda good, data: json.dumps({**data, "doc_id": 7}).encode(),
+    "doc_id of another document": lambda good, data: json.dumps({**data, "doc_id": "paper-01"}).encode(),
+}
+
+
+def _reseal(root: Path, doc_id: str, raw: bytes) -> None:
+    """Write ``raw`` as ``doc_id``'s snapshot and record its sha256 in
+    records.json, keeping the header's checksum of records.json valid: a
+    knowledge base whose writer wrote these bytes, so only the checks after
+    the sha256 can object."""
+    (root / "docs" / f"{doc_id}.json").write_bytes(raw)
+    cols = json.loads((root / "records.json").read_text(encoding="utf-8"))
+    cols["documents"][doc_id]["sha256"] = "sha256:" + hashlib.sha256(raw).hexdigest()
+    records = json.dumps(cols, ensure_ascii=False).encode("utf-8")
+    (root / "records.json").write_bytes(records)
+    header = json.loads((root / "header.json").read_text())
+    header["records_checksum"] = "sha256:" + hashlib.sha256(records).hexdigest()
+    (root / "header.json").write_text(json.dumps(header, indent=2))
+
+
 def test_a_damaged_snapshot_is_a_corrupt_store(small_corpus, tmp_path):
     corpus_dir, _ = small_corpus
     with StubEmbeddingService(dim=DIM) as svc:
@@ -183,23 +186,49 @@ def test_a_damaged_snapshot_is_a_corrupt_store(small_corpus, tmp_path):
     snapshot = Path(cfg.store_path) / "docs" / "paper-00.json"
     good = snapshot.read_text(encoding="utf-8")
     data = json.loads(good)
-    damaged = {
-        "truncated": good[: len(good) // 2].encode("utf-8"),
-        "not utf-8": b"\xff\xfe" + good.encode("utf-8"),
-        "missing field": json.dumps({k: v for k, v in data.items() if k != "body"}).encode(),
-        "not an object": json.dumps([data]).encode(),
-        "body a number": json.dumps({**data, "body": 5}).encode(),
-        "empty body": json.dumps({**data, "body": ""}).encode(),
-        "blank body": json.dumps({**data, "body": "  \n\t ", "reference_section": None}).encode(),
-        "doc_id a number": json.dumps({**data, "doc_id": 7}).encode(),
-        "doc_id of another document": json.dumps({**data, "doc_id": "paper-01"}).encode(),
-    }
-    for case, raw in damaged.items():
-        snapshot.write_bytes(raw)
+    for case, damage in _NOT_A_DOCUMENT.items():
+        snapshot.write_bytes(damage(good, data))
         kb = KnowledgeBase.open(cfg.store_path)
         with pytest.raises(CorruptStore, match="paper-00.json"):
             kb.aux_index("paper-00")
         assert kb.document("paper-01").doc_id == "paper-01", case
+
+
+@pytest.mark.parametrize("case", list(_NOT_A_DOCUMENT))
+def test_a_snapshot_under_a_valid_checksum_that_holds_no_such_document_is_corrupt(
+    small_corpus, tmp_path, case
+):
+    corpus_dir, _ = small_corpus
+    with StubEmbeddingService(dim=DIM) as svc:
+        cfg = _config(svc, tmp_path)
+        build_knowledge_base(corpus_dir, cfg)
+    root = Path(cfg.store_path)
+    good = (root / "docs" / "paper-00.json").read_text(encoding="utf-8")
+    _reseal(root, "paper-00", _NOT_A_DOCUMENT[case](good, json.loads(good)))
+    kb = KnowledgeBase.open(root)
+    with pytest.raises(CorruptStore, match=r"damaged document snapshot at .*paper-00\.json: (?!checksum)"):
+        kb.aux_index("paper-00")
+    assert kb.document("paper-01").doc_id == "paper-01"
+
+
+def test_a_snapshot_with_a_stored_title_and_span_derives_both(small_corpus, tmp_path):
+    # a snapshot in the layout of earlier versions, holding a wrong title and a
+    # wrong span under a valid checksum: a document is its id, body and file name
+    corpus_dir, _ = small_corpus
+    with StubEmbeddingService(dim=DIM) as svc:
+        cfg = _config(svc, tmp_path)
+        build_knowledge_base(corpus_dir, cfg)
+    root = Path(cfg.store_path)
+    fresh = KnowledgeBase.open(root)
+    doc, aux = fresh.document("paper-00"), fresh.aux_index("paper-00")
+    data = json.loads((root / "docs" / "paper-00.json").read_text(encoding="utf-8"))
+    _reseal(root, "paper-00", json.dumps({**data, "title": "Another title", "reference_section": [0, 3]}).encode())
+    kb = KnowledgeBase.open(root)
+    old = kb.document("paper-00")
+    assert old is not doc
+    assert old.title == doc.title == doc.body.lstrip().splitlines()[0].strip()
+    assert old.reference_section == doc.reference_section != (0, 3)
+    assert kb.aux_index("paper-00") == aux and kb.aux_index("paper-00").entries == aux.entries != ()
 
 
 def test_a_rebuild_deletes_snapshots_of_documents_it_did_not_index(small_corpus, tmp_path):
@@ -429,15 +458,17 @@ def test_kb_bytes_do_not_depend_on_where_the_corpus_sits(small_corpus, tmp_path)
     assert kb.document("paper-00").source_path == "paper-00.txt"
 
 
-def test_snapshot_holding_an_absolute_source_path_still_opens(tmp_path):
-    # snapshots written before the file name replaced the path, in a knowledge
-    # base of format version 2, whose snapshots carry no checksum
-    root = _kb_v2_copy(tmp_path)
-    snapshot = root / "docs" / "paper-00.json"
+def test_snapshot_holding_an_absolute_source_path_still_opens(small_corpus, tmp_path):
+    # a snapshot written before the file name replaced the path, under a valid checksum
+    corpus_dir, _ = small_corpus
+    with StubEmbeddingService(dim=DIM) as svc:
+        cfg = _config(svc, tmp_path)
+        build_knowledge_base(corpus_dir, cfg)
+    root = Path(cfg.store_path)
     fresh = KnowledgeBase.open(root).aux_index("paper-00")
-    data = json.loads(snapshot.read_text(encoding="utf-8"))
-    data["source_path"] = str((tmp_path / "corpus" / "paper-00.txt").resolve())
-    snapshot.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
+    data = json.loads((root / "docs" / "paper-00.json").read_text(encoding="utf-8"))
+    data["source_path"] = str((corpus_dir / "paper-00.txt").resolve())
+    _reseal(root, "paper-00", json.dumps(data, ensure_ascii=False).encode("utf-8"))
     kb = KnowledgeBase.open(root)
     assert kb.document("paper-00").source_path == data["source_path"]
     assert kb.aux_index("paper-00") == fresh and kb.aux_index("paper-00").entries == fresh.entries != ()
@@ -618,28 +649,23 @@ def test_metadata_and_cluster_stats_read_no_snapshot(small_corpus, tmp_path, mon
     assert len(stats.labels) == len(truths)
 
 
-def test_a_version_2_kb_opens_answers_and_is_rewritten_by_the_next_build(tmp_path):
-    from fixtures.make_kb_v2 import DIM as V2_DIM
-    from fixtures.make_kb_v2 import SEED
-
-    root = _kb_v2_copy(tmp_path)
-    truths = make_corpus(tmp_path / "corpus", n_docs=3, seed=SEED, paragraphs_per_doc=6)
-    question = question_for(truths["paper-01"])
-    with StubEmbeddingService(dim=V2_DIM) as svc, StubChatService(echo_citations_responder()) as chat:
-        old = _chain(root, svc.url, chat.url, dim=V2_DIM)
-        bundle = old.answer(question, mode="mode2")
-        assert bundle.verification.passed and bundle.verification.verified
-        for sr in bundle.retrieved:
-            body = old.kb.document(sr.record.doc_id).body
-            assert sr.record.text == body[sr.record.start_offset : sr.record.end_offset]
-        records = old.kb.store.records()
+def test_a_kb_whose_header_says_version_2_is_refused_at_open_and_a_build_rewrites_it(
+    small_corpus, tmp_path
+):
+    # a version-2 store read its snapshots unchecked, so it would answer from a
+    # rebuilt snapshot: only version 3 opens
+    corpus_dir, truths = small_corpus
+    with StubEmbeddingService(dim=DIM) as svc:
         cfg = _config(svc, tmp_path)
-        cfg = replace(cfg, embedding=replace(cfg.embedding, expected_dim=V2_DIM))
-        assert build_knowledge_base(tmp_path / "corpus", cfg, store_root=root).failures == []
-        new = _chain(root, svc.url, chat.url, dim=V2_DIM)
-        assert json.loads((root / "header.json").read_text())["format_version"] == 3
-        assert new.kb.store.records() == records
-        assert new.answer(question, mode="mode2").to_dict() == bundle.to_dict()
+        build_knowledge_base(corpus_dir, cfg)
+        header_path = Path(cfg.store_path) / "header.json"
+        header = json.loads(header_path.read_text())
+        header_path.write_text(json.dumps({**header, "format_version": 2}))
+        with pytest.raises(CorruptStore, match="format_version 2: this litrag reads format 3; rebuild"):
+            KnowledgeBase.open(cfg.store_path)
+        assert build_knowledge_base(corpus_dir, cfg).failures == []
+    assert json.loads(header_path.read_text()) == header
+    assert KnowledgeBase.open(cfg.store_path).doc_ids() == sorted(truths)
 
 
 def test_stores_opened_on_equal_snapshots_share_each_document_but_check_their_own(

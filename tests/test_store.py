@@ -3,7 +3,6 @@ import json
 import math
 import os
 import random
-import shutil
 import subprocess
 import sys
 import warnings
@@ -29,7 +28,7 @@ from litrag.errors import (
     NonFiniteVector,
     ZeroVector,
 )
-from litrag.ingest import Chunk
+from litrag.ingest import Chunk, Document
 from litrag.store import (
     ChunkRecord,
     Metric,
@@ -78,38 +77,8 @@ def _random_store(rng, n, dim):
     return store, quantized
 
 
-FIXTURES = Path(__file__).parent / "fixtures"
-
-
-def _v1_copy(tmp_path) -> Path:
-    """A copy of the committed format-version-1 store (see
-    ``fixtures/make_store_v1.py``)."""
-    shutil.copytree(FIXTURES / "store_v1", tmp_path / "v1")
-    return tmp_path / "v1"
-
-
-def _write_v1(store, path) -> None:
-    """Write ``store`` in format version 1: one JSON object per record in
-    records.jsonl, and a header whose checksum covers matrix.bin alone."""
-    records, matrix = store.rows()
-    path.mkdir(parents=True)
-    (path / "matrix.bin").write_bytes(matrix.tobytes())
-    with (path / "records.jsonl").open("w", encoding="utf-8") as fh:
-        for rec in records:
-            obj = {f.name: getattr(rec, f.name) for f in fields(Chunk)}
-            obj["metadata"] = dict(rec.metadata)
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
-    header = {
-        "dimension": store.dim,
-        "record_count": len(records),
-        "format_version": 1,
-        "checksum": "sha256:" + hashlib.sha256(matrix.tobytes()).hexdigest(),
-    }
-    (path / "header.json").write_text(json.dumps(header, indent=2))
-
-
 def _write_records_json(path, data: bytes) -> None:
-    """Replace a version-2 store's records.json and keep its header's
+    """Replace a store's records.json and keep its header's
     checksum of it valid, so that only the checks after it can object."""
     (path / "records.json").write_bytes(data)
     header = json.loads((path / "header.json").read_text())
@@ -118,7 +87,7 @@ def _write_records_json(path, data: bytes) -> None:
 
 
 def _edit_records_json(path, edit) -> None:
-    """Apply ``edit`` to the columns of a version-2 store's records.json."""
+    """Apply ``edit`` to the columns of a store's records.json."""
     cols = json.loads((path / "records.json").read_text(encoding="utf-8"))
     edit(cols)
     _write_records_json(path, json.dumps(cols, ensure_ascii=False).encode("utf-8"))
@@ -1175,20 +1144,7 @@ def test_round_trip_is_bit_exact(tmp_path):
 
 
 @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\u0085"])
-def test_a_record_holding_a_unicode_line_separator_round_trips(tmp_path, char):
-    # a version-1 records.jsonl holds these raw; only "\n" may end a record's line
-    path = _v1_copy(tmp_path)
-    assert char in (path / "records.jsonl").read_text(encoding="utf-8")
-    loaded = VectorStore.open(path)
-    assert loaded.get(f"a{char}").text == f"one{char}two"
-    assert loaded.get(f"b{char}").doc_id == f"doc{char}"
-    assert loaded.get(f"b{char}").metadata["note"] == f"x{char}y"
-    loaded.persist(tmp_path / "v2")
-    assert VectorStore.open(tmp_path / "v2").records() == loaded.records()
-
-
-@pytest.mark.parametrize("char", ["\u2028", "\u2029", "\u0085"])
-def test_a_record_holding_a_unicode_line_separator_round_trips_in_version_2(tmp_path, char):
+def test_a_record_holding_a_unicode_line_separator_round_trips_in_records_json(tmp_path, char):
     store = VectorStore(2)
     store.upsert([
         replace(_record("a", [1, 0]), text=f"one{char}two"),
@@ -1271,27 +1227,6 @@ def test_malformed_header_sizes_are_corrupt(tmp_path, key, value):
 
 
 @pytest.mark.parametrize(
-    "edit",
-    [
-        lambda obj, first: obj.pop("text"),
-        lambda obj, first: obj.update(chunk_id=first["chunk_id"]),
-        lambda obj, first: obj.update(start_offset=9, end_offset=3),
-        lambda obj, first: obj["metadata"].pop("source"),
-    ],
-    ids=["missing-key", "repeated-chunk-id", "reversed-offsets", "missing-source"],
-)
-def test_malformed_records_line_is_corrupt(tmp_path, edit):
-    path = _v1_copy(tmp_path) / "records.jsonl"
-    lines = path.read_text(encoding="utf-8").split("\n")
-    obj = json.loads(lines[1])
-    edit(obj, json.loads(lines[0]))
-    lines[1] = json.dumps(obj)
-    path.write_text("\n".join(lines), encoding="utf-8")
-    with pytest.raises(CorruptStore, match="line 2"):
-        VectorStore.open(path.parent)
-
-
-@pytest.mark.parametrize(
     "edit, match",
     [
         (lambda cols: cols.pop("text"), "one object of the arrays chunk_id, doc_id, text"),
@@ -1357,38 +1292,26 @@ def test_a_header_missing_a_key_is_corrupt(tmp_path, key):
         VectorStore.open(tmp_path / "s")
 
 
-@pytest.mark.parametrize("version", [0, 4, "1", None, True, 1.0])
+@pytest.mark.parametrize("version", [0, 1, 2, 4, "1", None, True, 1.0])
 def test_an_unsupported_format_version_is_corrupt(tmp_path, version):
-    import json
-
     VectorStore(4).persist(tmp_path / "s")
     header_path = tmp_path / "s" / "header.json"
     header = json.loads(header_path.read_text())
     header["format_version"] = version
+    if type(version) is int and version == 1:
+        del header["records_checksum"]  # version 1 had none: the version is still what is named
     header_path.write_text(json.dumps(header))
-    with pytest.raises(CorruptStore, match="unsupported format_version"):
+    rebuild = "this litrag reads format 3; rebuild it, `litrag ingest` rewrites a knowledge base"
+    with pytest.raises(CorruptStore, match=f"unsupported format_version {version!r}: {rebuild}"):
         VectorStore.open(tmp_path / "s")
 
 
-@pytest.mark.parametrize(
-    "edit",
-    [lambda lines: lines[:-1], lambda lines: lines + lines[-1:], lambda lines: lines + [""]],
-    ids=["line-dropped", "line-repeated", "blank-line-added"],
-)
-def test_a_records_line_count_other_than_the_header_count_is_a_mismatch(tmp_path, edit):
-    # matrix.bin and its checksum still agree with the header: only the line count is off
-    path = _v1_copy(tmp_path) / "records.jsonl"
-    lines = path.read_text(encoding="utf-8").split("\n")[:-1]
-    path.write_text("".join(line + "\n" for line in edit(lines)), encoding="utf-8")
-    with pytest.raises(DimensionHeaderMismatch, match="records.jsonl holds (17|19) records, header says 18"):
-        VectorStore.open(path.parent)
+# a column one entry short, one long and two long
+_LENGTH_EDITS = [lambda col: col[:-1], lambda col: col + col[-1:], lambda col: col + [col[0]] * 2]
+_LENGTH_EDIT_IDS = ["entry-dropped", "entry-repeated", "two-entries-added"]
 
 
-@pytest.mark.parametrize(
-    "edit",
-    [lambda col: col[:-1], lambda col: col + col[-1:], lambda col: col + [col[0]] * 2],
-    ids=["entry-dropped", "entry-repeated", "two-entries-added"],
-)
+@pytest.mark.parametrize("edit", _LENGTH_EDITS, ids=_LENGTH_EDIT_IDS)
 @pytest.mark.parametrize("key", ["chunk_id", "text", "metadata"])
 def test_a_records_column_length_other_than_the_header_count_is_a_mismatch(tmp_path, edit, key):
     store, _ = _random_store(random.Random(95), 4, 8)
@@ -1415,15 +1338,6 @@ def test_undecodable_header_bytes_are_corrupt(tmp_path):
         VectorStore.open(tmp_path / "s")
 
 
-def test_undecodable_records_bytes_are_corrupt_at_their_line(tmp_path):
-    path = _v1_copy(tmp_path) / "records.jsonl"
-    lines = path.read_bytes().split(b"\n")
-    lines[1] = lines[1].replace(b"flame", b"fl\xffame", 1)
-    path.write_bytes(b"\n".join(lines))
-    with pytest.raises(CorruptStore, match="records.jsonl line 2 is not UTF-8"):
-        VectorStore.open(path.parent)
-
-
 @pytest.mark.parametrize("bad", [b"\xff", b"\xed\xa0\x80"], ids=["invalid-byte", "encoded-surrogate"])
 def test_undecodable_records_json_is_corrupt(tmp_path, bad):
     store, _ = _random_store(random.Random(97), 3, 4)
@@ -1435,19 +1349,7 @@ def test_undecodable_records_json_is_corrupt(tmp_path, bad):
 
 
 @pytest.mark.parametrize("key, value, match", _MISTYPED, ids=_MISTYPED_IDS)
-def test_a_version_1_line_holding_a_field_of_the_wrong_type_is_corrupt(tmp_path, key, value, match):
-    path = _v1_copy(tmp_path) / "records.jsonl"
-    lines = path.read_text(encoding="utf-8").split("\n")
-    obj = json.loads(lines[1])
-    obj[key] = value
-    lines[1] = json.dumps(obj)
-    path.write_text("\n".join(lines), encoding="utf-8")
-    with pytest.raises(CorruptStore, match=f"records.jsonl line 2 is invalid: .*{match}"):
-        VectorStore.open(path.parent)
-
-
-@pytest.mark.parametrize("key, value, match", _MISTYPED, ids=_MISTYPED_IDS)
-def test_a_version_2_column_holding_a_field_of_the_wrong_type_is_corrupt(tmp_path, key, value, match):
+def test_a_records_column_holding_a_field_of_the_wrong_type_is_corrupt(tmp_path, key, value, match):
     store, _ = _random_store(random.Random(99), 3, 4)
     store.persist(tmp_path / "s")
     _edit_records_json(tmp_path / "s", lambda cols: cols[key].__setitem__(1, value))
@@ -1468,52 +1370,79 @@ def test_an_end_offset_changed_in_records_json_fails_its_checksum(tmp_path):
         VectorStore.open(tmp_path / "s")
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(
-    name=st.sampled_from(["header.json", "records.json", "matrix.bin"]),
+    kind_name=st.sampled_from(
+        [(kind, name) for kind in ("bare", "documents")
+         for name in ("header.json", "records.json", "matrix.bin")] + [("documents", "docs/d.json")]
+    ),
     truncate=st.booleans(),
     bit=st.integers(0, 7),
     data=st.data(),
 )
-def test_a_flipped_bit_or_a_cut_in_any_version_2_file_fails_open(name, truncate, bit, data):
+def test_a_flipped_bit_or_a_cut_in_any_store_file_fails_open(kind_name, truncate, bit, data):
     import tempfile
 
+    kind, name = kind_name
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp)
-        VectorStore.open(FIXTURES / "store_v1").persist(path)
+        store = _random_store(random.Random(100), 12, 8)[0] if kind == "bare" else _document_store()[0]
+        store.persist(path)
         raw = (path / name).read_bytes()
         i = data.draw(st.integers(0, len(raw) - 1), label="byte")
         damaged = raw[:i] if truncate else raw[:i] + bytes([raw[i] ^ 1 << bit]) + raw[i + 1 :]
         (path / name).write_bytes(damaged)
-        with pytest.raises((CorruptStore, DimensionHeaderMismatch)):
-            VectorStore.open(path)
+        if name == "docs/d.json":  # open reads no snapshot; its first read checks it
+            opened = VectorStore.open(path)
+            with pytest.raises(CorruptStore, match="damaged document snapshot .* checksum mismatch"):
+                opened.document("d")
+        else:
+            with pytest.raises((CorruptStore, DimensionHeaderMismatch)):
+                VectorStore.open(path)
 
 
 @pytest.mark.parametrize("partial", [False, True], ids=["nothing-written", "half-written"])
 @pytest.mark.parametrize("written", [0, 1, 2], ids=["matrix", "records", "header"])
 @pytest.mark.parametrize("change", ["metadata", "row", "append"])
-@pytest.mark.parametrize("previous", [1, 2], ids=["version-1", "version-2"])
+@pytest.mark.parametrize("kind", ["bare", "documents"])
 def test_an_interrupted_persist_leaves_the_previous_store_or_a_corrupt_one(
-    tmp_path, monkeypatch, previous, change, written, partial
+    tmp_path, monkeypatch, kind, change, written, partial
 ):
-    # persist writes matrix.bin, records.json, then header.json: the write of
-    # file ``written`` fails, after nothing or half of it reached the disk
-    path = _v1_copy(tmp_path)
-    if previous == 2:
-        VectorStore.open(path).persist(path)
+    # persist writes a store of documents' snapshots, then matrix.bin, records.json
+    # and header.json: the write of store file ``written`` fails, after nothing or
+    # half of it reached the disk
+    path = tmp_path / "kb"
+    if kind == "bare":
+        _random_store(random.Random(101), 12, 8)[0].persist(path)
+    else:
+        _document_store(tmp_path)
     before = VectorStore.open(path)
     store = VectorStore.open(path)
-    rec = store.get("paper-01:00002")
-    if change == "metadata":
-        store.upsert([replace(rec, metadata={**rec.metadata, "note": "changed"})])
-    elif change == "row":
-        store.upsert([replace(rec, embedding=EmbeddingVector((1.0,) * store.dim))])
+    one = [1.0] * store.dim
+    if kind == "documents":
+        doc = store.document("d")
+        if change == "metadata":  # a second document: a new table entry and snapshot
+            other = replace(doc, doc_id="e")
+            store.upsert([Chunk("e:0", "e", "Title line", 0, 10)], [one], document=other)
+        else:
+            chunk = Chunk("d:1", "d", "Flames spread.", 12, 26)
+            if change == "append":
+                chunk = Chunk("d:2", "d", "Soot forms late.", 27, 43)
+            store.upsert([chunk], [one], document=doc)
     else:
-        store.upsert([replace(rec, chunk_id="new", embedding=EmbeddingVector((1.0,) * store.dim))])
+        rec = store.get("c0002")
+        if change == "metadata":
+            store.upsert([replace(rec, metadata={**rec.metadata, "note": "changed"})])
+        elif change == "row":
+            store.upsert([replace(rec, embedding=EmbeddingVector(tuple(one)))])
+        else:
+            store.upsert([replace(rec, chunk_id="new", embedding=EmbeddingVector(tuple(one)))])
 
     write_bytes, calls = Path.write_bytes, []
 
     def failing_write(self, data):
+        if self.parent.name == "docs":  # a snapshot: only the store files' writes count
+            return write_bytes(self, data)
         if len(calls) == written:
             if partial:
                 write_bytes(self, bytes(data)[: len(bytes(data)) // 2])
@@ -1527,49 +1456,12 @@ def test_an_interrupted_persist_leaves_the_previous_store_or_a_corrupt_one(
     monkeypatch.undo()
     try:
         opened = VectorStore.open(path)
+        records = opened.records()
     except CorruptStore:
-        assert (written, partial) != (0, False)  # the directory is as it was
+        assert (written, partial) != (0, False)  # the store files are as they were
         return
-    assert opened.records() == before.records()
+    assert records == before.records()
     assert opened.rows()[1].tobytes() == before.rows()[1].tobytes()
-
-
-def test_a_version_1_store_opens_as_its_version_3_rewrite(tmp_path):
-    from fixtures.make_store_v1 import fixture_records
-
-    from litrag.harness import cluster_stats, export_embeddings
-
-    v1 = VectorStore.open(FIXTURES / "store_v1")
-    v1.persist(tmp_path / "v2")
-    assert json.loads((tmp_path / "v2" / "header.json").read_text())["format_version"] == 3
-    assert not (tmp_path / "v2" / "records.jsonl").exists()
-    v2 = VectorStore.open(tmp_path / "v2")
-
-    records, rows = fixture_records()
-    assert v1.rows()[0] == records
-    assert v1.rows()[1].tobytes() == rows.tobytes() == v2.rows()[1].tobytes()
-    assert v2.records() == v1.records()
-    assert [v2.get(r.chunk_id) for r in records] == [v1.get(r.chunk_id) for r in records]
-    metrics = [Metric.cosine(), Metric.inner_product(), Metric.euclidean(), Metric.manhattan(),
-               Metric.chebyshev(), Metric.minkowski(3)]
-    for query in np.random.default_rng(5).standard_normal((4, 8)):
-        for m in metrics:
-            assert v2.top_k(query, 5, m) == v1.top_k(query, 5, m)
-            params = MMRParams(lambda_=0.4, k=4, fetch_n=12, sim1=m, sim2=Metric.cosine())
-            assert v2.mmr_select(query, params) == v1.mmr_select(query, params)
-    for store in (v1, v2):
-        assert cluster_stats(store, "doc_id", Metric.euclidean()).to_dict(
-            include_centroids=True
-        ) == cluster_stats(v1, "doc_id", Metric.euclidean()).to_dict(include_centroids=True)
-    for name, store in (("v1.csv", v1), ("v2.csv", v2)):
-        export_embeddings(store, tmp_path / name)
-    assert (tmp_path / "v1.csv").read_bytes() == (tmp_path / "v2.csv").read_bytes()
-
-
-def test_the_version_1_writer_of_these_tests_writes_the_committed_fixture(tmp_path):
-    _write_v1(VectorStore.open(FIXTURES / "store_v1"), tmp_path / "v1")
-    for name in ("header.json", "records.jsonl", "matrix.bin"):
-        assert (tmp_path / "v1" / name).read_bytes() == (FIXTURES / "store_v1" / name).read_bytes()
 
 
 def test_columns_are_a_snapshot_of_read_only_fields(monkeypatch):
@@ -1646,18 +1538,6 @@ def test_reopening_a_store_does_not_raise_peak_memory(tmp_path):
     assert growth < size / 4, f"peak RSS grew {growth} bytes over three reopens of a {size}-byte file"
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="reads the peak from /proc/self/status")
-def test_reopening_a_version_1_store_does_not_raise_peak_memory(tmp_path):
-    # open reads records.jsonl one line at a time; decoding and splitting the
-    # whole file first scattered the freed lines between the records' strings,
-    # and every reopen then raised the peak by more than the file's size
-    _write_v1(_store_of_8000_chunks(), tmp_path / "s")
-    size = (tmp_path / "s" / "records.jsonl").stat().st_size
-    assert size > 6_000_000
-    growth = _reopen_peak_growth(tmp_path / "s")
-    assert growth < size / 4, f"peak RSS grew {growth} bytes over three reopens of a {size}-byte file"
-
-
 @pytest.mark.parametrize(
     "search",
     [
@@ -1707,8 +1587,6 @@ def test_an_embedding_vector_query_scores_as_its_values_do(m):
 def _document_store(tmp_path=None):
     """A store of documents holding two chunks of one document, persisted to
     ``tmp_path / "kb"`` if given."""
-    from litrag.ingest import Document
-
     doc = Document("d", "Title line\n\nFlames spread. Soot forms late.", "/corpus/d.txt")
     chunks = [Chunk("d:0", "d", "Title line", 0, 10), Chunk("d:1", "d", "Flames spread.", 12, 26)]
     store = VectorStore(2, documents=True)
@@ -1772,3 +1650,73 @@ def test_a_persist_writes_the_snapshots_of_the_documents_named_and_deletes_the_r
     assert [(r.chunk_id, r.doc_id) for r in opened.records()] == [("d:0", "e"), ("d:1", "d")]
     opened.persist(tmp_path / "copy")  # reads, checks and writes every snapshot it names
     assert (tmp_path / "copy" / "docs" / "e.json").read_bytes() == (docs / "e.json").read_bytes()
+
+
+def test_a_bare_store_holds_no_documents_even_beside_snapshots(tmp_path):
+    store, _ = _random_store(random.Random(102), 3, 4)
+    _document_store(tmp_path)
+    store.persist(tmp_path / "kb")  # a bare store over a directory whose docs/ holds d.json
+    for held in (store, VectorStore.open(tmp_path / "kb")):
+        for doc_id in ("doc", "d"):
+            with pytest.raises(IoFailure, match=f"no document snapshot for {doc_id!r}"):
+                held.document(doc_id)
+
+
+@pytest.mark.parametrize("char", ["\u2028", "\u2029", "\u0085"])
+def test_a_record_holding_a_unicode_line_separator_round_trips(tmp_path, char):
+    # in a store of documents the text is read from the snapshot, the doc_id
+    # and the source from records.json
+    doc = Document(f"d{char}", f"Title{char}line\n\nFlames{char}spread.", f"/corpus/d{char}.txt")
+    chunks = [
+        Chunk("a", doc.doc_id, f"Title{char}line", 0, 10),
+        Chunk(f"b{char}", doc.doc_id, f"Flames{char}spread.", 12, 26),
+    ]
+    store = VectorStore(2, documents=True)
+    store.upsert(chunks, [[1.0, 0.0], [0.0, 1.0]], document=doc)
+    store.persist(tmp_path / "kb")
+    assert char in (tmp_path / "kb" / "docs" / f"d{char}.json").read_text(encoding="utf-8")
+    assert f"d{char}.txt" in (tmp_path / "kb" / "records.json").read_text(encoding="utf-8")
+    loaded = VectorStore.open(tmp_path / "kb")
+    assert loaded.records() == store.records()
+    assert loaded.get(f"b{char}").text == f"Flames{char}spread."
+    assert loaded.get(f"b{char}").metadata["source"] == f"d{char}.txt"
+    assert loaded.document(doc.doc_id).body == doc.body
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda cols: cols.pop("start_offset"),
+         "arrays chunk_id, doc_id, start_offset, end_offset and the documents table"),
+        (lambda cols: cols["chunk_id"].__setitem__(1, "d:0"), "record 2 is invalid: chunk_id 'd:0' is repeated"),
+        (lambda cols: cols.update(start_offset=[0, 30]), "record 2 is invalid: record 'd:1' needs int offsets"),
+        (lambda cols: cols.update(start_offset=[-1, 12]), "record 1 is invalid: record 'd:0' needs int offsets"),
+        (lambda cols: cols["documents"]["d"].update(text="x"), "documents must map each doc_id"),
+    ],
+    ids=["missing-column", "repeated-chunk-id", "reversed-offsets", "negative-offset", "table-entry-with-text"],
+)
+def test_malformed_records_column_of_a_store_of_documents_is_corrupt(tmp_path, edit, match):
+    _document_store(tmp_path)
+    _edit_records_json(tmp_path / "kb", edit)
+    with pytest.raises(CorruptStore, match=match):
+        VectorStore.open(tmp_path / "kb")
+
+
+@pytest.mark.parametrize("edit", _LENGTH_EDITS, ids=_LENGTH_EDIT_IDS)
+@pytest.mark.parametrize("key", ["doc_id", "end_offset"])
+def test_a_span_column_length_other_than_the_header_count_is_a_mismatch(tmp_path, edit, key):
+    _document_store(tmp_path)
+    _edit_records_json(tmp_path / "kb", lambda cols: cols.update({key: edit(cols[key])}))
+    with pytest.raises(DimensionHeaderMismatch, match=f"records.json holds [134] {key} values, header says 2"):
+        VectorStore.open(tmp_path / "kb")
+
+
+_MISTYPED_SPANS = [case for case in _MISTYPED if case[0] != "text"]  # a store of documents holds no text
+
+
+@pytest.mark.parametrize("key, value, match", _MISTYPED_SPANS, ids=[key for key, _, _ in _MISTYPED_SPANS])
+def test_a_span_column_holding_a_field_of_the_wrong_type_is_corrupt(tmp_path, key, value, match):
+    _document_store(tmp_path)
+    _edit_records_json(tmp_path / "kb", lambda cols: cols[key].__setitem__(1, value))
+    with pytest.raises(CorruptStore, match=f"records.json record 2 is invalid: .*{match}"):
+        VectorStore.open(tmp_path / "kb")
