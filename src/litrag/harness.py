@@ -27,7 +27,7 @@ from .embedding import TokenizerConfig, token_count
 from .errors import EmptyStore, InvalidParams, IoFailure, LitragError, MissingLabel
 from .ingest import SplitParams
 from .kb import build_knowledge_base
-from .store import Metric, VectorStore, score_rows
+from .store import Metric, VectorStore, prune_snapshots, score_rows
 
 logger = logging.getLogger(__name__)
 
@@ -130,6 +130,18 @@ def sweep_chunking(
 ) -> SweepReport:
     """Build one knowledge base per axis value and report chunk statistics.
 
+    Row ``v`` is the chunk store ``<workdir>/<axis>_<v>``. The rows share
+    one directory of document snapshots, ``<workdir>/docs``, which each
+    row's records.json names as ``"../docs"``: the first row writes each
+    snapshot, and a later row rewrites one only if its bytes differ (see
+    ``VectorStore.persist``). Each row's table holds each snapshot's
+    sha256, so a missing or altered snapshot fails that row's answers. After
+    the last row, the sweep deletes from ``<workdir>/docs`` every snapshot
+    that no row it persisted indexes; a row left in ``workdir`` by an
+    earlier sweep may name one, and then fails closed (IoFailure or
+    CorruptStore) rather than answer from another snapshot. A snapshot
+    that cannot be deleted is logged and left.
+
     The builds share one memo of chunk embeddings (see
     ``build_knowledge_base``), so a chunk text that several values cut alike
     is sent to the embedding service once per sweep; the memo lives only as
@@ -141,14 +153,17 @@ def sweep_chunking(
     workdir = Path(workdir)
     report = SweepReport(axis=spec.axis, fixed=spec.fixed)
     memo: dict[str, np.ndarray] = {}
+    indexed: set[str] = set()  # the documents of every row persisted
     for value in spec.values:
         store_path = workdir / f"{spec.axis}_{value}"
         try:
             params = spec.split_params(value, config.split)
             row_config = replace(config, split=params)
             build_report = build_knowledge_base(
-                spec.corpus_dir, row_config, store_root=store_path, memo=memo
+                spec.corpus_dir, row_config, store_root=store_path, memo=memo,
+                snapshots="../docs",
             )
+            indexed.update(d.doc_id for d in build_report.documents)
             count = build_report.chunk_count
             chars = sum(d.chunk_chars for d in build_report.documents)
             report.rows.append(
@@ -171,6 +186,10 @@ def sweep_chunking(
                     error=str(exc),
                 )
             )
+    try:
+        prune_snapshots(workdir / "docs", indexed)
+    except IoFailure as exc:  # no row names what is left: it costs disk, not answers
+        logger.warning("sweep left stale snapshots: %s", exc)
     return report
 
 

@@ -362,6 +362,11 @@ def ingest_corpus(
     that with ``IngestReport.fail``.
     Document ids are file stems; a file whose stem an earlier loaded file
     took fails with DuplicateDocument.
+
+    Plain-text loads and every split are work under the GIL, so they run
+    in the calling thread. Only a file the ``extractor`` turns into text is
+    loaded in a worker thread (at most ``max_workers``), where the
+    extractor's subprocess runs while the others wait.
     """
     corpus_dir = Path(corpus_dir)
     if not corpus_dir.is_dir():
@@ -369,18 +374,22 @@ def ingest_corpus(
 
     paths = sorted(p for p in corpus_dir.iterdir() if p.is_file() and not p.name.startswith("."))
 
-    def load_one(path: Path):
-        doc = load_document(path, extractor=extractor)
-        return doc, recursive_split(doc.body, params, doc_id=doc.doc_id)
-
     report = IngestReport()
     loaded: list[tuple[Document, list[Chunk]]] = []
     taken: dict[str, Path] = {}
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        futures = [(path, pool.submit(load_one, path)) for path in paths]
-        for path, fut in futures:
+    with ThreadPoolExecutor(max_workers=max_workers) as pool:  # threads start at a submit
+        extracting = {
+            path: pool.submit(load_document, path, extractor)
+            for path in paths
+            if extractor is not None and path.suffix.lower() not in PLAIN_TEXT_SUFFIXES
+        }
+        for path in paths:
             try:
-                doc, chunks = fut.result()
+                if path in extracting:
+                    doc = extracting[path].result()
+                else:
+                    doc = load_document(path, extractor=extractor)
+                chunks = recursive_split(doc.body, params, doc_id=doc.doc_id)
                 if doc.doc_id in taken:
                     raise DuplicateDocument(
                         f"document id {doc.doc_id!r} is already taken by {taken[doc.doc_id]}"

@@ -5,6 +5,9 @@ A knowledge base is a directory:
     <root>/header.json, records.json, matrix.bin   chunk store
     <root>/docs/<doc_id>.json                      document snapshot (id, body, file name)
 
+or, for a row of a sweep, the chunk store alone, its records.json naming
+``"../docs"`` as its snapshot directory, which the sweep's rows share.
+
 The chunk store is a store of documents in format version 3 (see
 :mod:`litrag.store`), which owns the snapshots. Its records.json holds each
 chunk as its id, its document and its offsets, and a table of the documents
@@ -15,8 +18,10 @@ was written raises CorruptStore when it is first read. Only version 3
 opens: a knowledge base of an earlier version, whose snapshots carry no
 checksum, raises CorruptStore at ``open``, and a build into its root (which
 never reads the store it replaces) rewrites it in version 3. A build
-leaves ``docs/`` holding a snapshot of exactly the documents the store
-indexes; ``doc_ids`` reads those from the store.
+into its own ``docs/`` leaves it holding a snapshot of exactly the
+documents the store indexes, and writes only the snapshots whose files do
+not already hold their bytes; ``doc_ids`` reads the documents from the
+store.
 
 Document snapshots keep the citation guard exact at query time: a
 document's aux index (``aux_index``), kept for the life of the
@@ -87,6 +92,7 @@ def build_knowledge_base(
     extractor: str | None = None,
     max_workers: int = 4,
     memo: dict[str, np.ndarray] | None = None,
+    snapshots: str = "docs",
 ) -> IngestReport:
     """Ingest, embed and persist a corpus into a knowledge base directory.
 
@@ -110,10 +116,13 @@ def build_knowledge_base(
     A LitragError while loading a document fails it inside ingest's
     per-file isolation. A build that failed documents and indexed none
     leaves ``root`` as it was. Otherwise the store, given each indexed
-    document with its chunks, is persisted: ``docs/`` then holds a snapshot
-    of each indexed document and of no other (snapshots left by an earlier
-    build into ``root`` are deleted). A snapshot that cannot be written or
-    deleted raises IoFailure.
+    document with its chunks, is persisted with its snapshots in
+    ``snapshots``, a directory relative to ``root`` (``VectorStore.persist``).
+    Its own ``docs/`` then holds a snapshot of each indexed document and of
+    no other (snapshots left by an earlier build into ``root`` are deleted);
+    a directory the rows of a sweep share, such as ``"../docs"``, gains
+    this build's snapshots and loses none. A snapshot that cannot be written
+    or deleted raises IoFailure.
     """
     root = Path(store_root if store_root is not None else config.store_path)
     emb = config.embedding
@@ -147,5 +156,5 @@ def build_knowledge_base(
             report.fail(doc.source_path, error)
     if report.failures and not indexed:
         return report  # nothing to replace what ``root`` holds with
-    store.persist(root)
+    store.persist(root, snapshots)
     return report

@@ -66,11 +66,18 @@ On-disk layout (one directory per store), format version 3:
     matrix.bin    row-major little-endian float32, row i = record i
     docs/<doc_id>.json  a store of documents' snapshot of each document
                   (doc_id, body, file name)
+A store of documents may keep its snapshots in another directory, which
+records.json then names, relative to the store's, as "snapshots": each row
+of a sweep names ``"../docs"``, one directory all the rows share, so a
+sweep writes each snapshot once and every store checks each read against
+its own table. Without the key the directory is ``docs``; a value that is
+not a nonempty str, or is an absolute path, is CorruptStore.
 "checksum" is the sha256 of matrix.bin and "records_checksum" that of
 records.json, whose table holds each snapshot's sha256, so ``open`` takes
 only the bytes the header was written with, and a snapshot is checked when
-it is first read. ``persist`` writes the snapshots (deleting any other
-``docs/*.json``), then matrix.bin, records.json and the header. ``open``
+it is first read, wherever it lies. ``persist`` writes each snapshot whose
+file does not already hold its bytes (deleting any other ``*.json`` of its
+own ``docs/`` only), then matrix.bin, records.json and the header. ``open``
 reads version 3 only: a store written in an earlier version, whose
 snapshots carry no checksum, raises CorruptStore naming its version, and a
 rebuild (``litrag ingest``) rewrites it. A bare store holds no documents,
@@ -86,7 +93,7 @@ import operator
 import os
 import threading
 import weakref
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -218,7 +225,9 @@ def _row_norms(matrix: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", matrix, matrix, dtype=np.float64))
 
 
-def score_rows(matrix: np.ndarray, vec, m: Metric, norms: np.ndarray | None = None) -> np.ndarray:
+def score_rows(
+    matrix: np.ndarray, vec, m: Metric, norms: np.ndarray | None = None, qnorm: float | None = None
+) -> np.ndarray:
     """Score each row of ``matrix`` (float32 or float64) against ``vec``
     under metric ``m``, in float64: one value per row, lower-is-more-similar
     for distances and higher-is-more-similar for cosine and inner_product.
@@ -226,7 +235,10 @@ def score_rows(matrix: np.ndarray, vec, m: Metric, norms: np.ndarray | None = No
     ``norms``, if given, must be ``_row_norms(matrix)`` of rows already
     proved nonzero, as the store's own are (``upsert`` and ``open`` reject
     zero rows); cosine uses it instead of norming every row again, and
-    checks rows for zero only when it norms them itself.
+    checks rows for zero only when it norms them itself. ``qnorm``, if
+    given, must be the ``_row_norms`` value of ``vec``, such as the store's
+    norm of a row scored against the others; cosine uses it instead of
+    norming ``vec``.
 
     The one per-row scorer. Cluster statistics take euclidean inter-centroid
     distances from a Gram matrix instead, which falls back to this function
@@ -237,7 +249,7 @@ def score_rows(matrix: np.ndarray, vec, m: Metric, norms: np.ndarray | None = No
         dots = np.einsum("ij,j->i", matrix, vec)
         if m.kind == "inner_product":
             return dots
-        qn = float(_row_norms(vec[np.newaxis])[0])
+        qn = float(_row_norms(vec[np.newaxis])[0]) if qnorm is None else qnorm
         own = norms is None
         norms = _row_norms(matrix) if own else norms
         if qn == 0.0 or (own and np.any(norms == 0.0)):
@@ -778,35 +790,45 @@ class VectorStore:
             j = int(np.argmax(objective))
             taken[j] = True
             selected.append(ScoredRecord(self._record_at(cols, int(pool[j])), float(objective[j])))
-            redundancy = sign2 * score_rows(rows, rows[j], params.sim2, norms)
+            redundancy = sign2 * score_rows(rows, rows[j], params.sim2, norms, float(norms[j]))
             penalty = redundancy if len(selected) == 1 else np.maximum(penalty, redundancy)
         return selected
 
     # --- persistence ---------------------------------------------------------
 
-    def persist(self, path: str | Path) -> None:
+    def persist(self, path: str | Path, snapshots: str = "docs") -> None:
         """Write the store to ``path`` (a directory, created if needed) in
         format version 3. A store of documents first writes the snapshot of
-        each document its records name, as ``docs/<doc_id>.json``, and
-        deletes every other ``docs/*.json``. Then matrix.bin, records.json
-        and the header that checksums both. Every byte is encoded before the
-        first file is written; a snapshot that cannot be written or deleted
-        raises IoFailure."""
+        each document its records name, as ``<doc_id>.json`` in
+        ``snapshots``, a directory named relative to ``path`` (else
+        InvalidParams): its own ``docs``, or one the rows of a sweep share,
+        which records.json then names. A snapshot whose file already holds
+        exactly its bytes is not written again. Only the store's own
+        ``docs/`` loses its other ``*.json`` files; a shared directory loses
+        nothing. Then matrix.bin, records.json and the header that checksums
+        both. Every byte is encoded before the first file is written; a
+        snapshot that cannot be written or deleted raises IoFailure."""
         path = Path(path)
+        if not _names_a_relative_dir(snapshots):
+            raise InvalidParams(
+                f"snapshots must name a directory relative to the store's, got {snapshots!r}"
+            )
         with self._lock:
             matrix_bytes = np.ascontiguousarray(self._matrix, dtype="<f4").data  # no copy
-            snapshots = None
+            encoded = None
             if self._meta is None:
                 columns = {**self._cols, "metadata": [dict(meta) for meta in self._cols["metadata"]]}
             else:
                 named = dict.fromkeys(self._cols["doc_id"])
-                snapshots = {doc_id: _snapshot_bytes(self.document(doc_id)) for doc_id in named}
+                encoded = {doc_id: _snapshot_bytes(self.document(doc_id)) for doc_id in named}
                 table = {
                     doc_id: {"source": self._meta[doc_id]["source"],
                              "title": self._meta[doc_id]["title"], "sha256": _sha256(data)}
-                    for doc_id, data in snapshots.items()
+                    for doc_id, data in encoded.items()
                 }
                 columns = {**self._cols, "documents": table}
+                if snapshots != "docs":
+                    columns["snapshots"] = snapshots
             records_bytes = json.dumps(columns, ensure_ascii=False).encode("utf-8")
             header = {
                 "dimension": self._dim,
@@ -815,8 +837,10 @@ class VectorStore:
                 "checksum": _sha256(matrix_bytes),
                 "records_checksum": _sha256(records_bytes),
             }
-            if snapshots is not None:
-                _write_snapshots(path / "docs", snapshots)
+            if encoded is not None:
+                _write_snapshots(path / snapshots, encoded)
+                if snapshots == "docs":  # a shared directory is its sweep's to prune
+                    prune_snapshots(path / snapshots, encoded)
             try:
                 path.mkdir(parents=True, exist_ok=True)
                 (path / "matrix.bin").write_bytes(matrix_bytes)
@@ -865,7 +889,7 @@ class VectorStore:
         records_bytes = _read(path, "records.json")
         if _sha256(records_bytes) != header["records_checksum"]:
             raise CorruptStore("records.json checksum mismatch (truncated or modified file)")
-        cols, table = _json_columns(records_bytes, count)
+        cols, table, snapshots = _json_columns(records_bytes, count)
         del records_bytes  # before matrix.bin is read, so the two never add up in the peak
         fault = _fault(cols)
         if fault is None and table is not None:
@@ -900,7 +924,7 @@ class VectorStore:
                 for doc_id, entry in table.items()
             }
             store._sums = {doc_id: entry["sha256"] for doc_id, entry in table.items()}
-            store._snapshots = os.path.join(path, "docs")
+            store._snapshots = os.path.join(path, snapshots)
         store._cols, store._index = cols, index
         matrix = np.frombuffer(matrix_bytes, dtype="<f4").reshape(count, dim)
         store._publish(matrix, _row_norms(matrix), count)
@@ -913,18 +937,45 @@ class VectorStore:
 
 
 def _write_snapshots(docs: Path, snapshots: dict[str, bytes]) -> None:
-    """Write each snapshot as ``docs/<doc_id>.json`` and delete every other
-    ``docs/*.json``."""
-    names = {f"{doc_id}.json" for doc_id in snapshots}
+    """Write each snapshot as ``docs/<doc_id>.json`` unless its file already
+    holds exactly those bytes: a read and compare costs a small fraction of
+    a file create."""
     try:
         docs.mkdir(parents=True, exist_ok=True)
         for doc_id, data in snapshots.items():
-            (docs / f"{doc_id}.json").write_bytes(data)
-        for stale in docs.glob("*.json"):
-            if stale.name not in names:
-                stale.unlink()  # a document the store does not hold
+            target = docs / f"{doc_id}.json"
+            if not _holds(target, data):
+                target.write_bytes(data)
     except OSError as exc:
         raise IoFailure(f"cannot write document snapshots under {docs}: {exc}") from exc
+
+
+def prune_snapshots(docs: str | Path, keep: Iterable[str]) -> None:
+    """Delete each ``<doc_id>.json`` in the directory ``docs`` whose doc_id
+    is not in ``keep``; a missing directory holds none. A file that cannot
+    be deleted raises IoFailure."""
+    names = {f"{doc_id}.json" for doc_id in keep}
+    try:
+        for stale in Path(docs).glob("*.json"):
+            if stale.name not in names:
+                stale.unlink()  # a document no store written here holds
+    except OSError as exc:
+        raise IoFailure(f"cannot delete document snapshots under {docs}: {exc}") from exc
+
+
+def _holds(path: Path, data: bytes) -> bool:
+    """Whether the file at ``path`` exists and holds exactly ``data``."""
+    try:
+        with open(path, "rb", buffering=0) as fh:
+            return fh.read(len(data) + 1) == data
+    except FileNotFoundError:
+        return False
+
+
+def _names_a_relative_dir(value) -> bool:
+    """Whether ``value`` may name a store's snapshot directory: a nonempty
+    str path that is not absolute."""
+    return type(value) is str and value != "" and not os.path.isabs(value)
 
 
 def _sha256(data) -> str:
@@ -938,16 +989,23 @@ def _read(path: Path, name: str) -> bytes:
         raise IoFailure(f"cannot read store files at {path}: {exc}") from exc
 
 
-def _json_columns(data: bytes, count: int) -> tuple[dict[str, list], dict | None]:
+def _json_columns(data: bytes, count: int) -> tuple[dict[str, list], dict | None, str]:
     """The columns of a records.json: one object of ``count``-long arrays,
-    one per stored record field; and a store of documents' table, which maps
+    one per stored record field; a store of documents' table, which maps
     each doc_id to the strings "source", "title" and "sha256" (None for a
-    bare store)."""
+    bare store); and its snapshot directory, relative to the store's:
+    "snapshots" if it names one, else "docs"."""
     try:
         obj = json.loads(data.decode("utf-8"))
     except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
         raise CorruptStore(f"records.json is not valid UTF-8 JSON: {exc}") from exc
     table = obj.pop("documents", None) if isinstance(obj, dict) else None
+    snapshots = obj.pop("snapshots", "docs") if table is not None else "docs"
+    if not _names_a_relative_dir(snapshots):
+        raise CorruptStore(
+            "records.json snapshots must name a directory relative to the store's, "
+            f"got {snapshots!r}"
+        )
     fields = _RECORD_FIELDS if table is None else _SPAN_FIELDS
     if not isinstance(obj, dict) or set(obj) != set(fields):
         raise CorruptStore(
@@ -972,5 +1030,5 @@ def _json_columns(data: bytes, count: int) -> tuple[dict[str, list], dict | None
         raise CorruptStore(
             "records.json documents must map each doc_id to its source, title and sha256 strings"
         )
-    return {key: obj[key] for key in fields}, table
+    return {key: obj[key] for key in fields}, table, snapshots
 

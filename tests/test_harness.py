@@ -1,8 +1,10 @@
 import csv
+import hashlib
 import importlib.util
 import json
 import math
 import random
+import re
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -16,7 +18,7 @@ from litrag import harness
 from litrag.chain import QueryChain
 from litrag.config import default_config
 from litrag.embedding import EmbeddingVector, TokenizerConfig
-from litrag.errors import EmptyStore, InvalidParams, MissingLabel
+from litrag.errors import CorruptStore, EmptyStore, InvalidParams, IoFailure, MissingLabel
 from litrag.harness import (
     DEFAULT_RATIO_ROWS,
     OVERLAP_SWEEP_VALUES,
@@ -177,6 +179,17 @@ def _tree(root: Path) -> dict[str, bytes]:
     return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
+def _as_sweep_row(tree: dict[str, bytes]) -> dict[str, bytes]:
+    """The files of a knowledge base as a sweep row holds them: the same
+    matrix.bin, no docs/, records.json naming "../docs" as its snapshot
+    directory, and header.json with the checksum of that records.json."""
+    records = tree["records.json"][:-1] + b', "snapshots": "../docs"}'
+    header = json.loads(tree["header.json"])
+    header["records_checksum"] = "sha256:" + hashlib.sha256(records).hexdigest()
+    header_bytes = json.dumps(header, indent=2).encode("utf-8")
+    return {"header.json": header_bytes, "matrix.bin": tree["matrix.bin"], "records.json": records}
+
+
 def test_a_sweep_embeds_each_distinct_chunk_text_once(sweep_corpus, tmp_path):
     with StubEmbeddingService(dim=DIM) as svc:
         cfg = _config(svc, tmp_path)
@@ -196,7 +209,10 @@ def test_a_sweep_embeds_each_distinct_chunk_text_once(sweep_corpus, tmp_path):
                 alone = tmp_path / "alone" / Path(row.store_path).name
                 row_cfg = replace(cfg, split=spec.split_params(row.value, cfg.split))
                 build_knowledge_base(sweep_corpus, row_cfg, store_root=alone)
-                assert _tree(Path(row.store_path)) == _tree(alone), row.store_path
+                assert _tree(Path(row.store_path)) == _as_sweep_row(_tree(alone)), row.store_path
+                shared = {f"docs/{name}": data for name, data in _tree(tmp_path / "sweep" / "docs").items()}
+                own = {name: data for name, data in _tree(alone).items() if name.startswith("docs/")}
+                assert shared == own
 
 
 def test_a_row_that_lost_a_document_says_so(tmp_path):
@@ -234,6 +250,114 @@ def test_sweep_row_answers_mode2(tmp_path):
     assert row.error is None
     assert bundle.citation_list
     assert bundle.verification.flagged == []
+
+
+def test_a_sweep_keeps_one_snapshot_directory_in_its_workdir(sweep_corpus, tmp_path):
+    spec = SweepSpec(axis="chunk_size", values=(700, 1400, 2000), fixed=200, corpus_dir=str(sweep_corpus))
+    with StubEmbeddingService(dim=DIM) as svc:
+        report = sweep_chunking(spec, _config(svc, tmp_path), tmp_path / "sweep")
+    workdir = tmp_path / "sweep"
+    assert sorted(p.name for p in workdir.iterdir()) == [
+        "chunk_size_1400", "chunk_size_2000", "chunk_size_700", "docs"
+    ]
+    for row in report.rows:
+        files = sorted(p.name for p in Path(row.store_path).iterdir())
+        assert files == ["header.json", "matrix.bin", "records.json"]
+        assert VectorStore.open(row.store_path).records()  # every snapshot read through its checksum
+    assert sorted(p.name for p in (workdir / "docs").iterdir()) == sorted(
+        f"{p.stem}.json" for p in sweep_corpus.iterdir()
+    )
+
+
+def _answer_all_modes(kb: KnowledgeBase, cfg, questions) -> list[dict]:
+    chain = QueryChain(kb, cfg)
+    return [chain.answer(q, mode=mode).to_dict() for q in questions for mode in ("plain", "mode1", "mode2")]
+
+
+def test_each_sweep_row_answers_as_the_knowledge_base_built_alone(tmp_path):
+    # the layout of a row before rows shared their snapshots is that of a
+    # knowledge base built alone into its root
+    corpus_dir = tmp_path / "corpus"
+    truths = make_corpus(corpus_dir, n_docs=3, seed=516, paragraphs_per_doc=12)
+    questions = [question_for(truths[doc_id], random.Random(i)) for i, doc_id in enumerate(sorted(truths))]
+    with StubEmbeddingService(dim=DIM) as emb, StubChatService(echo_citations_responder()) as chat:
+        cfg = _config(emb, tmp_path)
+        cfg = replace(cfg, chat=replace(cfg.chat, endpoint_url=chat.url))
+        spec = SweepSpec(axis="chunk_overlap", values=(0, 200), fixed=700, corpus_dir=str(corpus_dir))
+        report = sweep_chunking(spec, cfg, tmp_path / "sweep")
+        for row in report.rows:
+            row_cfg = replace(cfg, split=spec.split_params(row.value, cfg.split))
+            alone = tmp_path / "alone" / Path(row.store_path).name
+            build_knowledge_base(corpus_dir, row_cfg, store_root=alone)
+            by_open = KnowledgeBase(row.store_path, VectorStore.open(row.store_path))
+            expected = _answer_all_modes(KnowledgeBase.open(alone), row_cfg, questions)
+            assert _answer_all_modes(by_open, row_cfg, questions) == expected
+            assert _answer_all_modes(KnowledgeBase.open(row.store_path), row_cfg, questions) == expected
+            stores = [VectorStore.open(path) for path in (row.store_path, alone)]
+            stats = [cluster_stats(store, "doc_id", Metric.euclidean()).to_dict() for store in stores]
+            assert stats[0] == stats[1]
+            exports = [tmp_path / "row.csv", tmp_path / "alone.csv"]
+            for store, out in zip(stores, exports):
+                export_embeddings(store, out)
+            assert exports[0].read_bytes() == exports[1].read_bytes()
+
+
+@pytest.mark.parametrize("damage", ["delete", "edit"])
+def test_a_missing_or_altered_shared_snapshot_fails_the_row_answer(tmp_path, damage):
+    corpus_dir = tmp_path / "corpus"
+    truths = make_corpus(corpus_dir, n_docs=3, seed=517, paragraphs_per_doc=12)
+    with StubEmbeddingService(dim=DIM) as emb, StubChatService(echo_citations_responder()) as chat:
+        cfg = _config(emb, tmp_path)
+        cfg = replace(cfg, chat=replace(cfg.chat, endpoint_url=chat.url))
+        spec = SweepSpec(axis="chunk_size", values=(700, 1400), fixed=200, corpus_dir=str(corpus_dir))
+        report = sweep_chunking(spec, cfg, tmp_path / "sweep")
+        snapshot = tmp_path / "sweep" / "docs" / "paper-01.json"
+        if damage == "delete":
+            snapshot.unlink()
+        else:
+            snapshot.write_bytes(snapshot.read_bytes().replace(b"body", b"bodY", 1))
+        question = question_for(truths["paper-01"], random.Random(5))
+        for row in report.rows:
+            chain = QueryChain(KnowledgeBase.open(row.store_path), cfg)
+            error = IoFailure if damage == "delete" else CorruptStore
+            path = Path(row.store_path) / ".." / "docs" / "paper-01.json"
+            with pytest.raises(error, match=re.escape(str(path))):
+                chain.answer(question, mode="mode2")
+
+
+def test_a_sweep_prunes_the_snapshots_no_row_names_and_an_older_row_fails_closed(tmp_path):
+    corpus_dir = tmp_path / "corpus"
+    make_corpus(corpus_dir, n_docs=3, seed=518, paragraphs_per_doc=10)
+    workdir = tmp_path / "sweep"
+    with StubEmbeddingService(dim=DIM) as svc:
+        cfg = _config(svc, tmp_path)
+        spec = SweepSpec(axis="chunk_size", values=(700, 1400), fixed=200, corpus_dir=str(corpus_dir))
+        first = sweep_chunking(spec, cfg, workdir)
+        body = VectorStore.open(first.rows[0].store_path).document("paper-00").body
+        (corpus_dir / "paper-01.txt").unlink()
+        (corpus_dir / "paper-02.txt").write_text(
+            (corpus_dir / "paper-02.txt").read_text(encoding="utf-8") + "\nA later line.\n", encoding="utf-8"
+        )
+        sweep_chunking(replace(spec, values=(1400,)), cfg, workdir)
+    assert sorted(p.name for p in (workdir / "docs").iterdir()) == ["paper-00.json", "paper-02.json"]
+    stale = VectorStore.open(first.rows[0].store_path)  # chunk_size_700, left by the first sweep
+    assert stale.document("paper-00").body == body
+    with pytest.raises(IoFailure, match="paper-01.json"):
+        stale.document("paper-01")
+    with pytest.raises(CorruptStore, match="paper-02.json: checksum mismatch"):
+        stale.document("paper-02")
+
+
+def test_a_sweep_that_cannot_prune_logs_it_and_reports_its_rows(sweep_corpus, tmp_path, monkeypatch, caplog):
+    def failing_prune(docs, keep):
+        raise IoFailure(f"cannot delete document snapshots under {docs}: read-only")
+
+    monkeypatch.setattr(harness, "prune_snapshots", failing_prune)
+    spec = SweepSpec(axis="chunk_size", values=(700,), fixed=200, corpus_dir=str(sweep_corpus))
+    with StubEmbeddingService(dim=DIM) as svc:
+        report = sweep_chunking(spec, _config(svc, tmp_path), tmp_path / "sweep")
+    assert [row.failed for row in report.rows] == [False]
+    assert "sweep left stale snapshots: cannot delete document snapshots" in caplog.text
 
 
 # --- token ratio table ---------------------------------------------------------------

@@ -1,5 +1,8 @@
 import json
 import re
+import shlex
+import sys
+import threading
 from dataclasses import fields
 
 import pytest
@@ -441,6 +444,62 @@ def test_programming_error_in_split_propagates(tmp_path, monkeypatch):
     monkeypatch.setattr(ingest_mod, "recursive_split", broken_split)
     with pytest.raises(TypeError, match="a bug"):
         ingest_corpus(tmp_path, SplitParams(chunk_size=500, chunk_overlap=100))
+
+
+def test_a_plain_text_corpus_is_loaded_and_split_in_the_calling_thread(tmp_path, monkeypatch):
+    _write_corpus(tmp_path, n=6, paragraphs=4)
+    (tmp_path / "broken.txt").write_bytes(b"\xff\xfe bad utf8")
+    (tmp_path / "doc1.md").write_text("same stem as doc1.txt", encoding="utf-8")
+    params = SplitParams(chunk_size=500, chunk_overlap=100)
+    expected = ingest_corpus(tmp_path, params, max_workers=1)
+    load, split, threads = ingest_mod.load_document, ingest_mod.recursive_split, []
+
+    def recording(fn):
+        def call(*args, **kwargs):
+            threads.append((fn.__name__, threading.get_ident()))
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(ingest_mod, "load_document", recording(load))
+    monkeypatch.setattr(ingest_mod, "recursive_split", recording(split))
+    report, loaded = ingest_corpus(tmp_path, params, max_workers=4)
+    assert sorted(name for name, _ in threads) == ["load_document"] * 8 + ["recursive_split"] * 7
+    assert {ident for _, ident in threads} == {threading.get_ident()}
+    assert (report.to_dict(), loaded) == (expected[0].to_dict(), expected[1])
+    assert len(report.failures) == 2
+
+
+# Writes a marker for its file, then waits, up to 10 s, until four runs have
+# written theirs: it prints the file only if four extractor runs overlap.
+_RENDEZVOUS = """
+import pathlib, sys, time
+path, marks = pathlib.Path(sys.argv[1]), pathlib.Path(sys.argv[2])
+(marks / path.name).touch()
+deadline = time.monotonic() + 10
+while len(list(marks.iterdir())) < 4:
+    if time.monotonic() > deadline:
+        sys.exit("the other extractor runs did not start")
+    time.sleep(0.01)
+sys.stdout.write(path.read_text())
+"""
+
+
+def test_extractor_runs_overlap_in_worker_threads(tmp_path):
+    corpus, marks, script = tmp_path / "corpus", tmp_path / "marks", tmp_path / "rendezvous.py"
+    corpus.mkdir()
+    marks.mkdir()
+    script.write_text(_RENDEZVOUS, encoding="utf-8")
+    _write_corpus(corpus, n=1, paragraphs=3)
+    for i in range(4):
+        (corpus / f"x{i}.pdf").write_text(f"Title {i}\n\nBody of document {i}.", encoding="utf-8")
+    extractor = " ".join(map(shlex.quote, [sys.executable, str(script), "{path}", str(marks)]))
+    report, loaded = ingest_corpus(
+        corpus, SplitParams(chunk_size=500, chunk_overlap=100), extractor=extractor, max_workers=4
+    )
+    assert report.failures == []
+    assert [doc.doc_id for doc, _ in loaded] == ["doc0", "x0", "x1", "x2", "x3"]
+    assert [doc.body for doc, _ in loaded[1:]] == [f"Title {i}\n\nBody of document {i}." for i in range(4)]
+    assert sorted(p.name for p in marks.iterdir()) == [f"x{i}.pdf" for i in range(4)]
 
 
 def test_unparseable_extractor_fails_each_non_text_file(tmp_path):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import re
 import shutil
 from collections import Counter
@@ -243,6 +244,26 @@ def test_a_rebuild_deletes_snapshots_of_documents_it_did_not_index(small_corpus,
     assert kb.doc_ids() == sorted(set(truths) - {"paper-01"})
     assert {record.doc_id for record in kb.store.records()} == set(kb.doc_ids())
     assert (Path(cfg.store_path) / "docs" / "notes.txt").read_text(encoding="utf-8") == "kept"
+
+
+def test_a_rebuild_rewrites_only_the_snapshots_whose_documents_changed(small_corpus, tmp_path):
+    corpus_dir, _ = small_corpus
+    docs = tmp_path / "kb" / "docs"
+    with StubEmbeddingService(dim=DIM) as svc:
+        cfg = _config(svc, tmp_path)
+        build_knowledge_base(corpus_dir, cfg)
+        for snapshot in docs.iterdir():  # an old time, which any write would move
+            os.utime(snapshot, ns=(10**18, 10**18))
+        before = {p.name: (p.stat().st_ino, p.stat().st_mtime_ns) for p in docs.iterdir()}
+        source = corpus_dir / "paper-01.txt"
+        source.write_text(source.read_text(encoding="utf-8") + "\nA later line.\n", encoding="utf-8")
+        build_knowledge_base(corpus_dir, cfg)
+    after = {p.name: (p.stat().st_ino, p.stat().st_mtime_ns) for p in docs.iterdir()}
+    assert sorted(after) == sorted(before)
+    assert {name for name in after if after[name] != before[name]} == {"paper-01.json"}
+    kb = KnowledgeBase.open(cfg.store_path)
+    assert kb.document("paper-01").body.endswith("A later line.\n")
+    assert [record.text for record in kb.store.records()]  # every snapshot matches its checksum
 
 
 def test_doc_ids_are_the_documents_the_store_indexes(small_corpus, tmp_path):

@@ -1373,26 +1373,32 @@ def test_an_end_offset_changed_in_records_json_fails_its_checksum(tmp_path):
 @settings(max_examples=500, deadline=None)
 @given(
     kind_name=st.sampled_from(
-        [(kind, name) for kind in ("bare", "documents")
-         for name in ("header.json", "records.json", "matrix.bin")] + [("documents", "docs/d.json")]
+        [(kind, name) for kind in ("bare", "documents", "sweep row")
+         for name in ("header.json", "records.json", "matrix.bin")]
+        + [("documents", "docs/d.json"), ("sweep row", "../docs/d.json")]
     ),
     truncate=st.booleans(),
     bit=st.integers(0, 7),
     data=st.data(),
 )
 def test_a_flipped_bit_or_a_cut_in_any_store_file_fails_open(kind_name, truncate, bit, data):
+    # a sweep row's records.json names the snapshot directory it shares
     import tempfile
 
     kind, name = kind_name
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp)
-        store = _random_store(random.Random(100), 12, 8)[0] if kind == "bare" else _document_store()[0]
-        store.persist(path)
+        path = Path(tmp) / "row"
+        if kind == "bare":
+            _random_store(random.Random(100), 12, 8)[0].persist(path)
+        else:
+            _document_store()[0].persist(path, "docs" if kind == "documents" else "../docs")
+        if kind == "sweep row":
+            assert b'"snapshots": "../docs"' in (path / "records.json").read_bytes()
         raw = (path / name).read_bytes()
         i = data.draw(st.integers(0, len(raw) - 1), label="byte")
         damaged = raw[:i] if truncate else raw[:i] + bytes([raw[i] ^ 1 << bit]) + raw[i + 1 :]
         (path / name).write_bytes(damaged)
-        if name == "docs/d.json":  # open reads no snapshot; its first read checks it
+        if name.endswith("docs/d.json"):  # open reads no snapshot; its first read checks it
             opened = VectorStore.open(path)
             with pytest.raises(CorruptStore, match="damaged document snapshot .* checksum mismatch"):
                 opened.document("d")
@@ -1720,3 +1726,143 @@ def test_a_span_column_holding_a_field_of_the_wrong_type_is_corrupt(tmp_path, ke
     _edit_records_json(tmp_path / "kb", lambda cols: cols[key].__setitem__(1, value))
     with pytest.raises(CorruptStore, match=f"records.json record 2 is invalid: .*{match}"):
         VectorStore.open(tmp_path / "kb")
+
+
+@pytest.mark.parametrize(
+    "value", ["/abs/docs", "", 7, None, ["../docs"]], ids=["absolute", "empty", "int", "null", "list"]
+)
+def test_a_snapshots_key_that_is_not_a_relative_path_is_corrupt(tmp_path, value):
+    _document_store()[0].persist(tmp_path / "row", "../docs")
+    _edit_records_json(tmp_path / "row", lambda cols: cols.update(snapshots=value))
+    with pytest.raises(CorruptStore, match="records.json snapshots must name a directory relative"):
+        VectorStore.open(tmp_path / "row")
+
+
+def test_a_bare_store_naming_a_snapshot_directory_is_corrupt(tmp_path):
+    _random_store(random.Random(103), 3, 4)[0].persist(tmp_path / "s")
+    _edit_records_json(tmp_path / "s", lambda cols: cols.update(snapshots="../docs"))
+    with pytest.raises(CorruptStore, match="records.json must hold one object of the arrays"):
+        VectorStore.open(tmp_path / "s")
+
+
+@pytest.mark.parametrize("value", ["/abs/docs", "", None], ids=["absolute", "empty", "null"])
+def test_persist_refuses_a_snapshot_directory_that_is_not_a_relative_path(tmp_path, value):
+    store, _ = _document_store()
+    with pytest.raises(InvalidParams, match="snapshots must name a directory relative"):
+        store.persist(tmp_path / "row", value)
+    assert not (tmp_path / "row").exists()
+
+
+def test_a_store_reads_its_snapshots_from_the_directory_records_json_names(tmp_path):
+    store, doc = _document_store()
+    store.persist(tmp_path / "row", "../docs")
+    files = sorted(p.name for p in (tmp_path / "row").iterdir())
+    assert files == ["header.json", "matrix.bin", "records.json"]
+    columns = json.loads((tmp_path / "row" / "records.json").read_text(encoding="utf-8"))
+    assert columns["snapshots"] == "../docs"
+    store.persist(tmp_path / "own")  # the default layout names no directory
+    assert "snapshots" not in json.loads((tmp_path / "own" / "records.json").read_text(encoding="utf-8"))
+    assert (tmp_path / "docs" / "d.json").read_bytes() == (tmp_path / "own" / "docs" / "d.json").read_bytes()
+    opened = VectorStore.open(tmp_path / "row")
+    assert opened.records() == store.records()
+    assert opened.document("d").body == doc.body
+
+
+def test_a_persist_into_a_shared_directory_deletes_nothing_there(tmp_path):
+    store, _ = _document_store()
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "other.json").write_text("{}", encoding="utf-8")
+    store.persist(tmp_path / "row", "../docs")
+    assert sorted(p.name for p in (tmp_path / "docs").iterdir()) == ["d.json", "other.json"]
+
+
+@pytest.mark.parametrize("damage", ["delete", "edit"])
+def test_a_missing_or_altered_shared_snapshot_fails_the_read_naming_its_path(tmp_path, damage):
+    _document_store()[0].persist(tmp_path / "row", "../docs")
+    snapshot = tmp_path / "docs" / "d.json"
+    if damage == "delete":
+        snapshot.unlink()
+    else:
+        snapshot.write_bytes(snapshot.read_bytes().replace(b"Flames", b"Flamez"))
+    opened = VectorStore.open(tmp_path / "row")
+    error = IoFailure if damage == "delete" else CorruptStore
+    with pytest.raises(error, match=r"row/\.\./docs/d\.json"):
+        opened.records()
+
+
+def test_a_persist_writes_only_the_snapshots_whose_bytes_differ(tmp_path, monkeypatch):
+    store, doc = _document_store(tmp_path)
+    other = Document("e", "Other title\n\nIgnition delay.", "/corpus/e.txt")
+    store.upsert([Chunk("e:0", "e", "Other title", 0, 11)], [[1.0, 1.0]], document=other)
+    (tmp_path / "kb" / "docs" / "d.json").write_bytes(b"{}")  # bytes persist must replace
+    write_bytes, written = Path.write_bytes, []
+
+    def counting_write(self, data):
+        written.append(self.name)
+        return write_bytes(self, data)
+
+    monkeypatch.setattr(Path, "write_bytes", counting_write)
+    store.persist(tmp_path / "kb")
+    assert written == ["d.json", "e.json", "matrix.bin", "records.json", "header.json"]
+    written.clear()
+    store.persist(tmp_path / "kb")
+    assert written == ["matrix.bin", "records.json", "header.json"]
+    monkeypatch.undo()
+    assert VectorStore.open(tmp_path / "kb").records() == store.records()
+
+
+def _mmr_renorming(store, query, params):
+    """mmr_select as it was before a pick passed its row's norm to
+    score_rows: the pool is top_k's under sim1, sorted by chunk_id, and each
+    pick's sim2 scores come from score_rows norming every row and the picked
+    row again. The (chunk_id, score hex) of each pick."""
+    records, matrix = store.rows()
+    index = {rec.chunk_id: i for i, rec in enumerate(records)}
+    ranked = store.top_k(query, params.pool_size(), params.sim1)
+    pool = sorted((sr.record.chunk_id, sr.score) for sr in ranked)
+    rows = matrix[[index[cid] for cid, _ in pool]]
+    sign1 = -1.0 if params.sim1.is_distance else 1.0
+    sign2 = -1.0 if params.sim2.is_distance else 1.0
+    relevance = sign1 * np.array([score for _, score in pool])
+    lam = params.lambda_
+    penalty, taken, picked = np.zeros(len(pool)), np.zeros(len(pool), dtype=bool), []
+    for _ in range(min(params.k, len(pool))):
+        objective = lam * relevance - (1.0 - lam) * penalty
+        objective[taken] = -np.inf
+        j = int(np.argmax(objective))
+        taken[j] = True
+        picked.append((pool[j][0], float(objective[j]).hex()))
+        redundancy = sign2 * score_rows(rows, rows[j], params.sim2)
+        penalty = redundancy if len(picked) == 1 else np.maximum(penalty, redundancy)
+    return picked
+
+
+_ALL_METRICS = [Metric.cosine(), Metric.inner_product(), Metric.euclidean(), Metric.manhattan(),
+                Metric.chebyshev(), Metric.minkowski(3)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    dim=st.integers(1, 6),
+    data=st.data(),
+    sim1=st.sampled_from(_ALL_METRICS),
+    sim2=st.sampled_from(_ALL_METRICS),
+    lam=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+    k=st.integers(1, 8),
+    extra=st.integers(0, 8),
+)
+def test_mmr_picks_and_scores_are_those_of_renorming_each_pick(dim, data, sim1, sim2, lam, k, extra):
+    value = st.one_of(st.just(0.0), st.sampled_from([1.0, -1.0, 0.5]), st.floats(-8, 8, width=32))
+    vectors = data.draw(st.lists(st.lists(value, min_size=dim, max_size=dim), min_size=1, max_size=20))
+    store = VectorStore(dim)
+    vectors = [vec if any(vec) else [1.0] + vec[1:] for vec in vectors]  # the store refuses a zero row
+    store.upsert([_record(f"c{i:02d}", vec) for i, vec in enumerate(vectors)])
+    query = data.draw(st.lists(value, min_size=dim, max_size=dim), label="query")
+    params = MMRParams(lambda_=lam, k=k, fetch_n=k + extra, sim1=sim1, sim2=sim2)
+    try:
+        expected = _mmr_renorming(store, query, params)
+    except ZeroVector:  # a zero query under cosine is refused either way
+        with pytest.raises(ZeroVector):
+            store.mmr_select(query, params)
+        return
+    assert [(sr.record.chunk_id, sr.score.hex()) for sr in store.mmr_select(query, params)] == expected
