@@ -38,10 +38,12 @@ from .embedding import (
 from .errors import LitragError
 from .ingest import (
     Chunk,
+    Corpus,
     Document,
     IngestReport,
     SplitParams,
     ingest_corpus,
+    load_corpus,
     load_document,
     recursive_split,
 )
@@ -64,6 +66,7 @@ __all__ = [
     "ChunkRecord",
     "CitationEntry",
     "CitationMarker",
+    "Corpus",
     "Document",
     "EmbeddingConfig",
     "EmbeddingVector",
@@ -92,6 +95,7 @@ __all__ = [
     "get_template",
     "ingest_corpus",
     "load_config",
+    "load_corpus",
     "load_document",
     "locate_expanded_chunk",
     "recursive_split",

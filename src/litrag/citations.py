@@ -528,39 +528,49 @@ def _name_pattern(folded_name: str) -> re.Pattern:
     return re.compile(rf"\b{re.escape(folded_name)}\b")
 
 
-def _naming(entries: Sequence[CitationEntry], patterns, year: int) -> list[CitationEntry]:
+class _Listing:
+    """A citation list as ``_match`` reads it during one resolution or
+    verification call: its entries, each label's entries in list order
+    (``[n]`` means the first of them), and each year's entries, filtered
+    from the list once per call, when a citation first names that year."""
+
+    def __init__(self, entries: Sequence[CitationEntry]):
+        self.entries = entries
+        self.labelled: dict[str, list[CitationEntry]] = {}
+        for entry in entries:
+            if entry.label:
+                self.labelled.setdefault(entry.label, []).append(entry)
+        self._dated: dict[int, list[CitationEntry]] = {}
+
+    def dated(self, year: int) -> list[CitationEntry]:
+        """The entries, in list order, whose text contains ``year``."""
+        if year not in self._dated:
+            year_text = str(year)
+            self._dated[year] = [e for e in self.entries if year_text in e.full_text]
+        return self._dated[year]
+
+
+def _naming(listing: _Listing, patterns, year: int) -> list[CitationEntry]:
     """The entries, in list order, whose folded text matches every one of
     ``patterns`` (``_name_pattern`` of folded surnames) and contains ``year``."""
-    year_text = str(year)
-    return [
-        e for e in entries
-        if year_text in e.full_text and all(p.search(e.folded) for p in patterns)
-    ]
-
-
-def _by_label(entries: Sequence[CitationEntry]) -> dict[str, list[CitationEntry]]:
-    """Each label's entries in list order; ``[n]`` means the first of them."""
-    labelled: dict[str, list[CitationEntry]] = {}
-    for entry in entries:
-        if entry.label:
-            labelled.setdefault(entry.label, []).append(entry)
-    return labelled
+    return [e for e in listing.dated(year) if all(p.search(e.folded) for p in patterns)]
 
 
 def _match(
-    entries: Sequence[CitationEntry], labelled, label=None, patterns=(), year=None, title=None
+    listing: _Listing, label=None, patterns=(), year=None, title=None
 ) -> tuple[CitationEntry | None, str | None]:
-    """``(entry, None)`` for the entry a citation names, else ``(None, flag)``.
+    """``(entry, None)`` for the entry of ``listing`` a citation names, else
+    ``(None, flag)``.
 
     Names and a year pick the first entry naming them all and the year, or
     with a title the best title overlap among those (at least 0.6, else
     partial_title_match); a label must then agree with a numeric one (else
-    label_conflict). Otherwise a label names the first entry in
-    ``labelled`` (``_by_label(entries)``) with it, and a title the entry of
-    best overlap, at least 0.6. What matches nothing is not_in_list.
+    label_conflict). Otherwise a label names the first entry with it, and a
+    title the entry of best overlap, at least 0.6. What matches nothing is
+    not_in_list.
     """
     if patterns and year:
-        candidates = _naming(entries, patterns, year)
+        candidates = _naming(listing, patterns, year)
         if not candidates:
             return None, FLAG_NOT_IN_LIST
         best = candidates[0]
@@ -572,9 +582,9 @@ def _match(
             return None, FLAG_LABEL_CONFLICT
         return best, None
     if label:
-        best = labelled.get(label, [None])[0]
+        best = listing.labelled.get(label, [None])[0]
     else:
-        overlap, best = _best_by_title(title or "", entries)
+        overlap, best = _best_by_title(title or "", listing.entries)
         best = best if overlap >= 0.6 else None
     return (best, None) if best is not None else (None, FLAG_NOT_IN_LIST)
 
@@ -593,7 +603,7 @@ def resolve_citations(
     and the year. Markers with a number or name set that matches nothing are
     returned in ``unresolved``; entries are never invented.
     """
-    labelled = _by_label(entries)
+    listing = _Listing(entries)
 
     citation_list: list[CitationEntry] = []
     seen: set[tuple[str, str]] = set()
@@ -601,10 +611,10 @@ def resolve_citations(
 
     for marker in markers:
         if marker.kind == "numeric":
-            found = [_match(entries, labelled, label=str(n))[0] for n in marker.numbers]
+            found = [_match(listing, label=str(n))[0] for n in marker.numbers]
         else:
             patterns = [_name_pattern(a) for a in marker.folded_authors]
-            found = [_match(entries, labelled, patterns=patterns, year=marker.year)[0]]
+            found = [_match(listing, patterns=patterns, year=marker.year)[0]]
         for entry in found:
             if entry is not None and (entry.label, entry.full_text) not in seen:
                 seen.add((entry.label, entry.full_text))
@@ -688,7 +698,7 @@ def verify_answer_citations(
     if not answer_text.strip():
         return report
 
-    labelled = _by_label(citation_list)
+    listing = _Listing(citation_list)
 
     lines = answer_text.splitlines()  # the last heading opens the bibliography
     headings = [i for i, line in enumerate(lines) if _ANSWER_BIB_HEADING.match(line)]
@@ -721,7 +731,7 @@ def verify_answer_citations(
             continue
         pattern = named(name)
         for n in _expand_numeric_group(m.group(2)):
-            same = labelled.get(str(n))
+            same = listing.labelled.get(str(n))
             if same is None:
                 continue  # plain numeric handling flags it as not_in_list
             if not any(pattern.search(e.folded) for e in same):
@@ -733,10 +743,10 @@ def verify_answer_citations(
         if marker.kind == "numeric":
             if marker.numbers[0] in conflicted_numbers:
                 continue
-            entry, flag = _match(citation_list, labelled, label=str(marker.numbers[0]))
+            entry, flag = _match(listing, label=str(marker.numbers[0]))
         else:
             patterns = [named(a, f) for a, f in zip(marker.authors, marker.folded_authors)]
-            entry, flag = _match(citation_list, labelled, patterns=patterns, year=marker.year)
+            entry, flag = _match(listing, patterns=patterns, year=marker.year)
         record(marker.key(), marker.display(), entry, flag)
 
     for raw_line in bib_lines:
@@ -745,9 +755,7 @@ def verify_answer_citations(
         if not (info["authors"] or info["label"] or info["title"]):
             continue  # lines with no recognizable citation structure are prose, not citations
         patterns = [named(a) for a in info["authors"]]
-        entry, flag = _match(
-            citation_list, labelled, info["label"], patterns, info["year"], info["title"]
-        )
+        entry, flag = _match(listing, info["label"], patterns, info["year"], info["title"])
         record(("bib", line), line, entry, flag)
 
     return report

@@ -25,7 +25,7 @@ import numpy as np
 from .config import EngineConfig
 from .embedding import TokenizerConfig, token_count
 from .errors import EmptyStore, InvalidParams, IoFailure, LitragError, MissingLabel
-from .ingest import SplitParams
+from .ingest import SplitParams, load_corpus
 from .kb import build_knowledge_base
 from .store import Metric, VectorStore, prune_snapshots, score_rows
 
@@ -130,17 +130,24 @@ def sweep_chunking(
 ) -> SweepReport:
     """Build one knowledge base per axis value and report chunk statistics.
 
+    The sweep loads the corpus once (``load_corpus``), and every row's
+    build splits those same documents with its own split parameters: a
+    file edited during the sweep changes no row, each load failure is logged
+    once, and each row's build reports the load failures a build of its own
+    would. A corpus directory that cannot be read fails every row.
+
     Row ``v`` is the chunk store ``<workdir>/<axis>_<v>``. The rows share
     one directory of document snapshots, ``<workdir>/docs``, which each
-    row's records.json names as ``"../docs"``: the first row writes each
-    snapshot, and a later row rewrites one only if its bytes differ (see
-    ``VectorStore.persist``). Each row's table holds each snapshot's
-    sha256, so a missing or altered snapshot fails that row's answers. After
-    the last row, the sweep deletes from ``<workdir>/docs`` every snapshot
-    that no row it persisted indexes; a row left in ``workdir`` by an
-    earlier sweep may name one, and then fails closed (IoFailure or
-    CorruptStore) rather than answer from another snapshot. A snapshot
-    that cannot be deleted is logged and left.
+    row's records.json names as ``"../docs"``: the first row to index a
+    document writes its snapshot, unless the file already holds its bytes
+    (see ``VectorStore.persist``), and each snapshot is encoded once per
+    sweep. Each row's table holds each snapshot's sha256, so a missing or
+    altered snapshot fails that row's answers. After the last row, the
+    sweep deletes from ``<workdir>/docs`` every snapshot that no row it
+    persisted indexes; a row left in ``workdir`` by an earlier sweep may
+    name one, and then fails closed (IoFailure or CorruptStore) rather than
+    answer from another snapshot. A snapshot that cannot be deleted is
+    logged and left.
 
     The builds share one memo of chunk embeddings (see
     ``build_knowledge_base``), so a chunk text that several values cut alike
@@ -154,38 +161,38 @@ def sweep_chunking(
     report = SweepReport(axis=spec.axis, fixed=spec.fixed)
     memo: dict[str, np.ndarray] = {}
     indexed: set[str] = set()  # the documents of every row persisted
+    try:
+        corpus, load_error = load_corpus(spec.corpus_dir), None
+    except LitragError as exc:  # the directory: every row fails with it
+        corpus, load_error = None, str(exc)
     for value in spec.values:
         store_path = workdir / f"{spec.axis}_{value}"
-        try:
-            params = spec.split_params(value, config.split)
-            row_config = replace(config, split=params)
-            build_report = build_knowledge_base(
-                spec.corpus_dir, row_config, store_root=store_path, memo=memo,
-                snapshots="../docs",
-            )
-            indexed.update(d.doc_id for d in build_report.documents)
-            count = build_report.chunk_count
-            chars = sum(d.chunk_chars for d in build_report.documents)
-            report.rows.append(
-                SweepRow(
-                    value=value,
-                    chunk_count=count,
-                    mean_chunk_length=chars / count if count else 0.0,
-                    store_path=str(store_path),
-                    failed_documents=len(build_report.failures),
+        error = load_error
+        if error is None:
+            try:
+                params = spec.split_params(value, config.split)
+                row_config = replace(config, split=params)
+                build_report = build_knowledge_base(
+                    corpus, row_config, store_root=store_path, memo=memo, snapshots="../docs"
                 )
+            except LitragError as exc:
+                error = str(exc)
+        if error is not None:
+            logger.warning("sweep row %s=%d failed: %s", spec.axis, value, error)
+            report.rows.append(SweepRow(value, 0, 0.0, str(store_path), error=error))
+            continue
+        indexed.update(d.doc_id for d in build_report.documents)
+        count = build_report.chunk_count
+        chars = sum(d.chunk_chars for d in build_report.documents)
+        report.rows.append(
+            SweepRow(
+                value=value,
+                chunk_count=count,
+                mean_chunk_length=chars / count if count else 0.0,
+                store_path=str(store_path),
+                failed_documents=len(build_report.failures),
             )
-        except LitragError as exc:
-            logger.warning("sweep row %s=%d failed: %s", spec.axis, value, exc)
-            report.rows.append(
-                SweepRow(
-                    value=value,
-                    chunk_count=0,
-                    mean_chunk_length=0.0,
-                    store_path=str(store_path),
-                    error=str(exc),
-                )
-            )
+        )
     try:
         prune_snapshots(workdir / "docs", indexed)
     except IoFailure as exc:  # no row names what is left: it costs disk, not answers

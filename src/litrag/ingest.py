@@ -346,27 +346,30 @@ class IngestReport:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def ingest_corpus(
-    corpus_dir: str | Path,
-    params: SplitParams,
-    extractor: str | None = None,
-    max_workers: int = 4,
-) -> tuple[IngestReport, list[tuple[Document, list[Chunk]]]]:
-    """Load and split every document in ``corpus_dir``.
+@dataclass(frozen=True)
+class Corpus:
+    """A corpus directory as ``load_corpus`` read it: each document that
+    loaded and each file that failed, both in sorted path order. It does not
+    change, so the builds of one sweep all index the same load."""
 
-    Returns the report and each loaded document with its chunks, both in
-    sorted path order. Each file is isolated: a LitragError while loading
-    or splitting it is recorded in the report's failures and the batch goes
-    on; any other exception propagates. A caller that loses a loaded
-    document later, as ``build_knowledge_base`` may when it embeds, records
-    that with ``IngestReport.fail``.
-    Document ids are file stems; a file whose stem an earlier loaded file
-    took fails with DuplicateDocument.
+    documents: tuple[Document, ...]
+    failures: tuple[IngestFailure, ...]
 
-    Plain-text loads and every split are work under the GIL, so they run
-    in the calling thread. Only a file the ``extractor`` turns into text is
-    loaded in a worker thread (at most ``max_workers``), where the
-    extractor's subprocess runs while the others wait.
+
+def load_corpus(
+    corpus_dir: str | Path, extractor: str | None = None, max_workers: int = 4
+) -> Corpus:
+    """Load every document in ``corpus_dir``, once.
+
+    Each file is isolated: a LitragError while loading it fails that file
+    alone, logged once (``IngestReport.fail``), and the batch goes on; any
+    other exception propagates. Document ids are file stems; a file whose
+    stem an earlier loaded file took fails with DuplicateDocument.
+
+    A plain-text load is work under the GIL, so it runs in the calling
+    thread. Only a file the ``extractor`` turns into text is loaded in a
+    worker thread (at most ``max_workers``), where the extractor's
+    subprocess runs while the others wait.
     """
     corpus_dir = Path(corpus_dir)
     if not corpus_dir.is_dir():
@@ -374,9 +377,8 @@ def ingest_corpus(
 
     paths = sorted(p for p in corpus_dir.iterdir() if p.is_file() and not p.name.startswith("."))
 
-    report = IngestReport()
-    loaded: list[tuple[Document, list[Chunk]]] = []
-    taken: dict[str, Path] = {}
+    failed = IngestReport()
+    taken: dict[str, Document] = {}
     with ThreadPoolExecutor(max_workers=max_workers) as pool:  # threads start at a submit
         extracting = {
             path: pool.submit(load_document, path, extractor)
@@ -389,22 +391,48 @@ def ingest_corpus(
                     doc = extracting[path].result()
                 else:
                     doc = load_document(path, extractor=extractor)
-                chunks = recursive_split(doc.body, params, doc_id=doc.doc_id)
                 if doc.doc_id in taken:
                     raise DuplicateDocument(
-                        f"document id {doc.doc_id!r} is already taken by {taken[doc.doc_id]}"
+                        f"document id {doc.doc_id!r} is already taken by "
+                        f"{taken[doc.doc_id].source_path}"
                     )
             except LitragError as exc:
-                report.fail(str(path), str(exc))
+                failed.fail(str(path), str(exc))
                 continue
-            taken[doc.doc_id] = path
-            loaded.append((doc, chunks))
-            report.documents.append(
-                DocumentResult(
-                    doc_id=doc.doc_id,
-                    path=str(path),
-                    chunk_count=len(chunks),
-                    chunk_chars=sum(len(c.text) for c in chunks),
-                )
-            )
-    return report, loaded
+            taken[doc.doc_id] = doc
+    return Corpus(documents=tuple(taken.values()), failures=tuple(failed.failures))
+
+
+def split_corpus(
+    corpus: Corpus, params: SplitParams
+) -> tuple[IngestReport, list[tuple[Document, list[Chunk]]]]:
+    """Split each document of ``corpus`` with ``params``.
+
+    Returns a report listing each document's chunk statistics and the
+    corpus's load failures, which are not logged again, and each document
+    with its chunks, both in sorted path order. A caller that loses a
+    document later, as ``build_knowledge_base`` may when it embeds, records
+    that with ``IngestReport.fail``.
+    """
+    loaded = [(doc, recursive_split(doc.body, params, doc_id=doc.doc_id)) for doc in corpus.documents]
+    results = [
+        DocumentResult(
+            doc_id=doc.doc_id,
+            path=doc.source_path,
+            chunk_count=len(chunks),
+            chunk_chars=sum(len(c.text) for c in chunks),
+        )
+        for doc, chunks in loaded
+    ]
+    return IngestReport(documents=results, failures=list(corpus.failures)), loaded
+
+
+def ingest_corpus(
+    corpus_dir: str | Path,
+    params: SplitParams,
+    extractor: str | None = None,
+    max_workers: int = 4,
+) -> tuple[IngestReport, list[tuple[Document, list[Chunk]]]]:
+    """Load and split every document in ``corpus_dir``: ``load_corpus``,
+    then ``split_corpus`` with ``params``."""
+    return split_corpus(load_corpus(corpus_dir, extractor, max_workers), params)

@@ -30,11 +30,13 @@ were cut from on the document's first use, and parses its reference section
 when its citations are first needed. The store reads each snapshot once,
 for the text of the records it hands out and for the aux index alike.
 
-A build (``build_knowledge_base``) takes the documents ingest returns and
-makes one embedding call over the distinct chunk texts they hold: each goes
-to the embedding service once, in full batches, and a memo of float32 rows,
-handed to the store as they are, lets the builds of one sweep share what was
-sent. A failure still fails only the documents it touches.
+A build (``build_knowledge_base``) loads a corpus directory, or takes a
+``Corpus`` already loaded, splits its documents and makes one embedding call
+over the distinct chunk texts they hold: each goes to the embedding service
+once, in full batches. The builds of one sweep share one load, so every row
+indexes the same documents, and one memo of float32 rows, handed to the store
+as they are, so each text is sent once per sweep. A failure still fails only
+the documents it touches.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .citations import AuxIndex, build_auxiliary_index
 from .config import EngineConfig
 from .embedding import embed_texts
 from .errors import LitragError, PartialFailure
-from .ingest import Document, IngestReport, ingest_corpus
+from .ingest import Corpus, Document, IngestReport, load_corpus, split_corpus
 from .store import VectorStore
 
 
@@ -85,7 +87,7 @@ class KnowledgeBase:
 
 
 def build_knowledge_base(
-    corpus_dir: str | Path,
+    corpus: str | Path | Corpus,
     config: EngineConfig,
     *,
     store_root: str | Path | None = None,
@@ -94,12 +96,16 @@ def build_knowledge_base(
     memo: dict[str, np.ndarray] | None = None,
     snapshots: str = "docs",
 ) -> IngestReport:
-    """Ingest, embed and persist a corpus into a knowledge base directory.
+    """Load, split, embed and persist a corpus into a knowledge base directory.
 
-    Once ``ingest_corpus`` has returned the documents it loaded, one
-    ``embed_texts`` call embeds the distinct chunk texts not in ``memo``, in
-    first-seen order, so requests hold full batches across documents; then
-    each document is upserted, in path order.
+    ``corpus`` is a corpus directory, which ``load_corpus`` loads with
+    ``extractor`` and ``max_workers``, or a ``Corpus`` it already loaded:
+    ``sweep_chunking`` loads once and hands every row the same documents and
+    load failures, so each row reports what a build of its own directory
+    would. ``split_corpus`` splits the documents with ``config.split``; then
+    one ``embed_texts`` call embeds the distinct chunk texts not in
+    ``memo``, in first-seen order, so requests hold full batches across
+    documents, and each document is upserted, in path order.
 
     ``memo`` maps a chunk text to its float32 row, the store's own
     precision, which the upsert takes as it is. A text in it is not sent
@@ -113,7 +119,7 @@ def build_knowledge_base(
     which fails every document with a text sent) fails with that error, and
     a zero or overflowing row fails its own document at its upsert; each is
     recorded with ``IngestReport.fail``, which keeps failures in path order.
-    A LitragError while loading a document fails it inside ingest's
+    A LitragError while loading a document fails it inside the load's
     per-file isolation. A build that failed documents and indexed none
     leaves ``root`` as it was. Otherwise the store, given each indexed
     document with its chunks, is persisted with its snapshots in
@@ -128,9 +134,9 @@ def build_knowledge_base(
     emb = config.embedding
     store = VectorStore(emb.expected_dim, documents=True)
     memo = {} if memo is None else memo
-    report, loaded = ingest_corpus(
-        corpus_dir, config.split, extractor=extractor, max_workers=max_workers
-    )
+    if not isinstance(corpus, Corpus):
+        corpus = load_corpus(corpus, extractor=extractor, max_workers=max_workers)
+    report, loaded = split_corpus(corpus, config.split)
     texts = list(dict.fromkeys(c.text for _, cs in loaded for c in cs if c.text not in memo))
     lost: dict[str, str] = {}  # a text whose batch failed: the error
     if texts:

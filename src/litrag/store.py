@@ -130,6 +130,10 @@ _TABLE_KEYS = ("source", "title", "sha256")
 # a store holds it: equal bytes parse to an equal document, so the stores of one
 # process (the rows of a sweep, a knowledge base reopened) share its body.
 _PARSED: weakref.WeakValueDictionary[str, Document] = weakref.WeakValueDictionary()
+# Each document's snapshot bytes and their sha256, encoded on its first persist
+# while the document lives: they depend only on its fields, so the rows of a
+# sweep, which persist the same documents, encode and hash each once.
+_ENCODED: weakref.WeakKeyDictionary[Document, tuple[bytes, str]] = weakref.WeakKeyDictionary()
 
 _DISTANCE_KINDS = {"minkowski", "euclidean", "manhattan", "chebyshev"}
 _SIMILARITY_KINDS = {"cosine", "inner_product"}
@@ -391,10 +395,15 @@ def _span_fault(doc: Document, meta: dict, records: Sequence, cols: dict[str, li
     return None
 
 
-def _snapshot_bytes(doc: Document) -> bytes:
-    """The bytes of ``doc``'s snapshot: its id, its body and its file name."""
-    snapshot = {**doc.to_dict(), "source_path": Path(doc.source_path).name}
-    return json.dumps(snapshot, ensure_ascii=False).encode("utf-8")
+def _snapshot(doc: Document) -> tuple[bytes, str]:
+    """The bytes of ``doc``'s snapshot (its id, its body and its file name)
+    and their sha256, encoded once per document (``_ENCODED``)."""
+    encoded = _ENCODED.get(doc)
+    if encoded is None:
+        snapshot = {**doc.to_dict(), "source_path": Path(doc.source_path).name}
+        data = json.dumps(snapshot, ensure_ascii=False).encode("utf-8")
+        encoded = _ENCODED[doc] = (data, _sha256(data))
+    return encoded
 
 
 def _unconvertible(records: list[ChunkRecord], rows: Sequence, dim: int) -> LitragError:
@@ -604,12 +613,11 @@ class VectorStore:
                     f"record {rec.chunk_id!r} has dimension {len(row)}, store expects {self._dim}"
                 )
         batch_cols = {key: [getattr(rec, key) for rec in records] for key in _RECORD_FIELDS[:5]}
-        if document is None:
+        if document is None:  # a store of documents has no metadata column
             batch_cols["metadata"] = [dict(rec.metadata) for rec in records]
         else:
             meta = {"source": Path(document.source_path).name, "doc_id": document.doc_id,
                     "title": document.title}
-            batch_cols["metadata"] = [meta] * len(records)
         fault = _fault(batch_cols)
         if fault is not None:
             raise ValueError(fault[1])
@@ -642,7 +650,8 @@ class VectorStore:
         if zero.size:
             raise ZeroVector(f"record {records[zero[0]].chunk_id!r} has a zero embedding")
         batch_norms = _row_norms(batch)
-        batch_cols["metadata"] = list(map(MappingProxyType, batch_cols["metadata"]))
+        if document is None:
+            batch_cols["metadata"] = list(map(MappingProxyType, batch_cols["metadata"]))
         with self._lock:
             if document is not None:  # a held document's body is the same: see above
                 self._meta.setdefault(document.doc_id, MappingProxyType(meta))
@@ -807,7 +816,9 @@ class VectorStore:
         ``docs/`` loses its other ``*.json`` files; a shared directory loses
         nothing. Then matrix.bin, records.json and the header that checksums
         both. Every byte is encoded before the first file is written; a
-        snapshot that cannot be written or deleted raises IoFailure."""
+        document's snapshot bytes and their sha256 are encoded once while
+        the document lives, however many stores persist it. A snapshot that
+        cannot be written or deleted raises IoFailure."""
         path = Path(path)
         if not _names_a_relative_dir(snapshots):
             raise InvalidParams(
@@ -820,11 +831,11 @@ class VectorStore:
                 columns = {**self._cols, "metadata": [dict(meta) for meta in self._cols["metadata"]]}
             else:
                 named = dict.fromkeys(self._cols["doc_id"])
-                encoded = {doc_id: _snapshot_bytes(self.document(doc_id)) for doc_id in named}
+                encoded = {doc_id: _snapshot(self.document(doc_id)) for doc_id in named}
                 table = {
                     doc_id: {"source": self._meta[doc_id]["source"],
-                             "title": self._meta[doc_id]["title"], "sha256": _sha256(data)}
-                    for doc_id, data in encoded.items()
+                             "title": self._meta[doc_id]["title"], "sha256": digest}
+                    for doc_id, (_, digest) in encoded.items()
                 }
                 columns = {**self._cols, "documents": table}
                 if snapshots != "docs":
@@ -936,13 +947,13 @@ class VectorStore:
         return store
 
 
-def _write_snapshots(docs: Path, snapshots: dict[str, bytes]) -> None:
-    """Write each snapshot as ``docs/<doc_id>.json`` unless its file already
-    holds exactly those bytes: a read and compare costs a small fraction of
-    a file create."""
+def _write_snapshots(docs: Path, snapshots: dict[str, tuple[bytes, str]]) -> None:
+    """Write each snapshot (its ``_snapshot`` bytes) as ``docs/<doc_id>.json``
+    unless its file already holds exactly those bytes: a read and compare
+    costs a small fraction of a file create."""
     try:
         docs.mkdir(parents=True, exist_ok=True)
-        for doc_id, data in snapshots.items():
+        for doc_id, (data, _) in snapshots.items():
             target = docs / f"{doc_id}.json"
             if not _holds(target, data):
                 target.write_bytes(data)

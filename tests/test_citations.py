@@ -674,6 +674,75 @@ def test_verification_compiles_each_author_name_once(monkeypatch):
     assert set(built.values()) == {1}
 
 
+def _naming_oracle(entries, patterns, year):
+    """The author-year candidates by a scan of the whole list."""
+    year_text = str(year)
+    return [
+        e for e in entries
+        if year_text in e.full_text and all(p.search(e.folded) for p in patterns)
+    ]
+
+
+_SURNAMES = ["Oran", "Li", "Müller", "Muller", "Gamezo", "Lee", "Olsen"]
+_ENTRY = st.builds(
+    lambda label, names, year, tail: CitationEntry(
+        label=label, full_text=f"{', '.join(names)} ({year}). {tail}", doc_id="d"
+    ),
+    st.sampled_from(["", "1", "2", "Oran (2001)"]),
+    st.lists(st.sampled_from(_SURNAMES), max_size=3),
+    st.sampled_from([1994, 2001, 2010, 20011]),
+    st.sampled_from(["Shocks 2001, 6, 1-9.", "Flames in 1994.", "Waves."]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_ENTRY, max_size=12),
+    st.lists(
+        st.tuples(st.lists(st.sampled_from(_SURNAMES), min_size=1, max_size=2),
+                  st.sampled_from([1994, 2001, 2010, 201])),
+        max_size=6,
+    ),
+)
+def test_naming_equals_a_scan_of_the_whole_list(entries, citations_asked):
+    listing = citations._Listing(entries)  # one listing across the calls, as in one verification
+    for names, year in citations_asked:
+        patterns = [citations._name_pattern(fold_text(name)) for name in names]
+        assert citations._naming(listing, patterns, year) == _naming_oracle(entries, patterns, year)
+
+
+class _CountingText(str):
+    """Entry text that counts the substring tests made on it."""
+
+    tests = Counter()
+
+    def __contains__(self, part):
+        _CountingText.tests[part] += 1
+        return super().__contains__(part)
+
+
+def test_a_call_filters_the_list_by_each_year_once():
+    plain = _sixty_entry_fixture()
+    entries = [CitationEntry(e.label, _CountingText(e.full_text), e.doc_id) for e in plain]
+    body = (
+        "Gamezo and Oran (2001) agree with Gamezo et al. (2001) and Oran et al. (2001); "
+        "Li, Kailasanath and Oran (1994) and Li et al. (1994) saw it too."
+    )
+    answer = body + "\n\nReferences:\n" + "\n".join(
+        e.full_text for e in (plain[24], plain[25], plain[32])
+    ) + "\nGamezo, Khokhlov & Oran (2001). Shock-flame interactions in channels.\n"
+    expected = verify_answer_citations(answer, plain)
+    _CountingText.tests.clear()
+    report = verify_answer_citations(answer, entries)
+    assert (report.verified, report.flagged) == (expected.verified, expected.flagged)
+    assert report.verified
+    assert _CountingText.tests == {"2001": 60, "1994": 60}
+    _CountingText.tests.clear()
+    markers = extract_citation_markers(body)
+    assert resolve_citations(markers, entries) == resolve_citations(markers, plain)
+    assert _CountingText.tests == {"2001": 60, "1994": 60}
+
+
 def _guard_inputs(tmp_path):
     """The pinned guard outputs and the entry lists they were computed from."""
     pinned = json.loads((FIXTURES / "guard_outputs.json").read_text(encoding="utf-8"))

@@ -360,6 +360,79 @@ def test_a_sweep_that_cannot_prune_logs_it_and_reports_its_rows(sweep_corpus, tm
     assert "sweep left stale snapshots: cannot delete document snapshots" in caplog.text
 
 
+def test_a_corpus_edited_during_a_sweep_leaves_every_row_on_the_one_load(tmp_path, monkeypatch):
+    corpus_dir = tmp_path / "corpus"
+    truths = make_corpus(corpus_dir, n_docs=3, seed=519, paragraphs_per_doc=10)
+    edited = corpus_dir / "paper-01.txt"
+    loaded = {path.stem: path.read_text(encoding="utf-8") for path in corpus_dir.iterdir()}
+    build, builds = harness.build_knowledge_base, []
+
+    def editing_build(*args, **kwargs):
+        if builds:  # between the first row and the second
+            edited.write_text(loaded["paper-01"] + "\nAn edit made during the sweep.\n", encoding="utf-8")
+        builds.append(args[1].split)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "build_knowledge_base", editing_build)
+    workdir = tmp_path / "sweep"
+    with StubEmbeddingService(dim=DIM) as emb, StubChatService(echo_citations_responder()) as chat:
+        cfg = _config(emb, tmp_path)
+        cfg = replace(cfg, chat=replace(cfg.chat, endpoint_url=chat.url))
+        spec = SweepSpec(axis="chunk_size", values=(700, 1400, 2000), fixed=200, corpus_dir=str(corpus_dir))
+        report = sweep_chunking(spec, cfg, workdir)
+        assert len(builds) == 3 and "An edit" in edited.read_text(encoding="utf-8")
+        question = question_for(truths["paper-01"], random.Random(6))
+        for row in report.rows:
+            assert not row.failed
+            store = VectorStore.open(row.store_path)
+            assert store.records()  # every snapshot read through its checksum
+            assert {doc_id: store.document(doc_id).body for doc_id in loaded} == loaded
+            bundle = QueryChain(KnowledgeBase.open(row.store_path), cfg).answer(question, mode="mode2")
+            assert bundle.citation_list and bundle.verification.flagged == []
+    snapshots = {p.stem: json.loads(p.read_bytes())["body"] for p in (workdir / "docs").iterdir()}
+    assert snapshots == loaded
+
+
+def test_every_sweep_row_reports_the_load_failures_of_a_build_alone(tmp_path, monkeypatch, caplog):
+    corpus_dir = tmp_path / "corpus"
+    make_corpus(corpus_dir, n_docs=3, seed=520, paragraphs_per_doc=8)
+    (corpus_dir / "zz-broken.txt").write_bytes(b"\xff\xfe bad")
+    (corpus_dir / "empty.txt").write_text("  \n\n ", encoding="utf-8")
+    (corpus_dir / "paper-01.md").write_text("Same stem as paper-01.txt\n\nA body.\n", encoding="utf-8")
+    build, reports = harness.build_knowledge_base, []
+    monkeypatch.setattr(
+        harness, "build_knowledge_base", lambda *a, **kw: reports.append(build(*a, **kw)) or reports[-1]
+    )
+    spec = SweepSpec(axis="chunk_overlap", values=(0, 150), fixed=600, corpus_dir=str(corpus_dir))
+    with StubEmbeddingService(dim=DIM) as svc:
+        cfg = _config(svc, tmp_path)
+        caplog.clear()
+        report = sweep_chunking(spec, cfg, tmp_path / "sweep")
+        swept = caplog.text
+        for row, got in zip(report.rows, reports, strict=True):
+            row_cfg = replace(cfg, split=spec.split_params(row.value, cfg.split))
+            alone = build_knowledge_base(corpus_dir, row_cfg, store_root=tmp_path / "alone" / str(row.value))
+            assert got.to_dict() == alone.to_dict()
+            assert (row.error, row.failed_documents) == (None, len(alone.failures))
+    assert [Path(f.path).name for f in reports[0].failures] == ["empty.txt", "paper-01.txt", "zz-broken.txt"]
+    # each failure is logged once per sweep, not once per row
+    for f in reports[0].failures:
+        assert swept.count(f"failed to ingest {f.path}: {f.error}") == 1, f.path
+
+
+def test_a_sweep_loads_each_corpus_file_once(sweep_corpus, tmp_path, monkeypatch):
+    from litrag import ingest
+
+    load, loads = ingest.load_document, Counter()
+    monkeypatch.setattr(ingest, "load_document", lambda path, *a, **kw: loads.update([path.name]) or load(path, *a, **kw))
+    spec = SweepSpec(axis="chunk_size", values=SIZE_SWEEP_VALUES, fixed=500, corpus_dir=str(sweep_corpus))
+    with StubEmbeddingService(dim=DIM) as svc:
+        report = sweep_chunking(spec, _config(svc, tmp_path), tmp_path / "sweep")
+    assert not any(row.failed for row in report.rows)
+    assert loads == Counter(p.name for p in sweep_corpus.iterdir())
+    assert set(loads.values()) == {1}
+
+
 # --- token ratio table ---------------------------------------------------------------
 
 

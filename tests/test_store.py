@@ -1627,6 +1627,38 @@ def test_a_store_of_documents_and_a_bare_store_take_only_their_kind_of_upsert():
 
 
 @pytest.mark.parametrize(
+    "key, value, match",
+    _MISTYPED + [("metadata", {"title": "no source"}, "metadata is not that of its document 'd'")],
+    ids=_MISTYPED_IDS + ["metadata"],
+)
+def test_a_document_upsert_refuses_a_bad_field_as_before_and_leaves_store_unchanged(key, value, match):
+    store, doc = _document_store()
+    good = ChunkRecord("d:2", "d", "Soot forms late.", 27, 43, None, {})
+    with pytest.raises(ValueError, match=match):
+        store.upsert([good, replace(good, **{"chunk_id": "d:3", key: value})], [[1, 1], [1, 2]], document=doc)
+    assert [r.chunk_id for r in store.records()] == ["d:0", "d:1"]
+    assert store.upsert([good], [[1, 1]], document=doc) == 1
+    assert dict(store.get("d:2").metadata) == {"source": "d.txt", "doc_id": "d", "title": "Title line"}
+
+
+def test_persist_encodes_each_document_snapshot_once_for_every_store_holding_it(tmp_path, monkeypatch):
+    calls = []
+    to_dict = Document.to_dict
+    monkeypatch.setattr(Document, "to_dict", lambda doc: calls.append(doc.doc_id) or to_dict(doc))
+    doc = Document("d", "Title line\n\nFlames spread. Soot forms late.", "/corpus/d.txt")
+    for i, chunks in enumerate(([Chunk("d:0", "d", "Title line", 0, 10)],
+                                [Chunk("d:0", "d", "Title line\n\nFlames", 0, 18)])):
+        store = VectorStore(2, documents=True)
+        store.upsert(chunks, [[1.0, float(i)]], document=doc)
+        store.persist(tmp_path / f"row{i}", "../docs")
+    assert calls == ["d"]
+    snapshot = {"doc_id": "d", "body": doc.body, "source_path": "d.txt"}
+    assert (tmp_path / "docs" / "d.json").read_bytes() == json.dumps(snapshot).encode()
+    for i in range(2):
+        assert VectorStore.open(tmp_path / f"row{i}").document("d").body == doc.body
+
+
+@pytest.mark.parametrize(
     "edit, match",
     [
         (lambda cols: cols["documents"].pop("d"), "its document 'd' is not in the table"),
