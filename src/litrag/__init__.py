@@ -42,7 +42,6 @@ from .ingest import (
     Document,
     IngestReport,
     SplitParams,
-    ingest_corpus,
     load_corpus,
     load_document,
     recursive_split,
@@ -93,7 +92,6 @@ __all__ = [
     "extract_citation_markers",
     "extract_reference_section",
     "get_template",
-    "ingest_corpus",
     "load_config",
     "load_corpus",
     "load_document",

@@ -451,7 +451,12 @@ def _entry(label: str | None, lines: list[str], doc_id: str) -> CitationEntry:
     return CitationEntry(label=label or _derive_author_year_label(text), full_text=text, doc_id=doc_id)
 
 
-def _entries_from_lines(lines: list[str], doc_id: str) -> list[CitationEntry]:
+def _entries(lines: list[str], doc_id: str) -> list[CitationEntry]:
+    """The entries of a reference section's ``lines``. A line starts an
+    entry if it is a label line, if no entry is open (a blank line closes
+    one), or, in a section with no label line and no blank line, if it is
+    not indented (hanging-indent grouping)."""
+    hanging = not any(_LABEL_LINE.match(line) or not line.strip() for line in lines)
     groups: list[tuple[str | None, list[str]]] = []
     in_entry = False
     for line in lines:
@@ -459,22 +464,11 @@ def _entries_from_lines(lines: list[str], doc_id: str) -> list[CitationEntry]:
             in_entry = False
             continue
         m = _LABEL_LINE.match(line)
-        if m or not in_entry:
+        if m or not in_entry or (hanging and not line[:1].isspace()):
             groups.append((m and (m.group(1) or m.group(2)), []))
             in_entry = True
         groups[-1][1].append(line)
     return [_entry(label, group, doc_id) for label, group in groups]
-
-
-def _entries_by_indentation(lines: list[str], doc_id: str) -> list[CitationEntry]:
-    groups: list[list[str]] = []
-    for line in lines:
-        if not line.strip():
-            continue
-        if not groups or not line[:1].isspace():
-            groups.append([])
-        groups[-1].append(line)
-    return [_entry(None, group, doc_id) for group in groups]
 
 
 def extract_reference_section(doc: Document) -> list[CitationEntry]:
@@ -493,12 +487,7 @@ def extract_reference_section(doc: Document) -> list[CitationEntry]:
     lines = section.splitlines()
     if lines:
         lines = lines[1:]  # drop the heading line itself
-
-    has_labels = any(_LABEL_LINE.match(line) for line in lines)
-    has_blank = any(not line.strip() for line in lines)
-    if has_labels or has_blank:
-        return _entries_from_lines(lines, doc.doc_id)
-    return _entries_by_indentation(lines, doc.doc_id)
+    return _entries(lines, doc.doc_id)
 
 
 # --- matching ------------------------------------------------------------------

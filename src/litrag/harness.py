@@ -134,7 +134,8 @@ def sweep_chunking(
     build splits those same documents with its own split parameters: a
     file edited during the sweep changes no row, each load failure is logged
     once, and each row's build reports the load failures a build of its own
-    would. A corpus directory that cannot be read fails every row.
+    would. A corpus directory that cannot be read fails every row with
+    the same error, logged once.
 
     Row ``v`` is the chunk store ``<workdir>/<axis>_<v>``. The rows share
     one directory of document snapshots, ``<workdir>/docs``, which each
@@ -163,8 +164,9 @@ def sweep_chunking(
     indexed: set[str] = set()  # the documents of every row persisted
     try:
         corpus, load_error = load_corpus(spec.corpus_dir), None
-    except LitragError as exc:  # the directory: every row fails with it
+    except LitragError as exc:  # the directory: every row fails with it, logged once
         corpus, load_error = None, str(exc)
+        logger.warning("every sweep row failed: %s", load_error)
     for value in spec.values:
         store_path = workdir / f"{spec.axis}_{value}"
         error = load_error
@@ -177,8 +179,8 @@ def sweep_chunking(
                 )
             except LitragError as exc:
                 error = str(exc)
+                logger.warning("sweep row %s=%d failed: %s", spec.axis, value, error)
         if error is not None:
-            logger.warning("sweep row %s=%d failed: %s", spec.axis, value, error)
             report.rows.append(SweepRow(value, 0, 0.0, str(store_path), error=error))
             continue
         indexed.update(d.doc_id for d in build_report.documents)

@@ -113,15 +113,6 @@ class Document:
         start, end = self.reference_section
         return self.body[start:end]
 
-    def to_dict(self) -> dict:
-        return {"doc_id": self.doc_id, "body": self.body, "source_path": self.source_path}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Document":
-        """The inverse of ``to_dict``: the document that the ``doc_id``,
-        ``body`` and ``source_path`` of ``d`` give."""
-        return cls(doc_id=d["doc_id"], body=d["body"], source_path=d["source_path"])
-
 
 @dataclass(frozen=True)
 class Chunk:
@@ -426,13 +417,3 @@ def split_corpus(
     ]
     return IngestReport(documents=results, failures=list(corpus.failures)), loaded
 
-
-def ingest_corpus(
-    corpus_dir: str | Path,
-    params: SplitParams,
-    extractor: str | None = None,
-    max_workers: int = 4,
-) -> tuple[IngestReport, list[tuple[Document, list[Chunk]]]]:
-    """Load and split every document in ``corpus_dir``: ``load_corpus``,
-    then ``split_corpus`` with ``params``."""
-    return split_corpus(load_corpus(corpus_dir, extractor, max_workers), params)

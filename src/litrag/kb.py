@@ -3,22 +3,23 @@
 A knowledge base is a directory:
 
     <root>/header.json, records.json, matrix.bin   chunk store
-    <root>/docs/<doc_id>.json                      document snapshot (id, body, file name)
+    <root>/docs/<doc_id>.txt                       document snapshot: its body
 
 or, for a row of a sweep, the chunk store alone, its records.json naming
 ``"../docs"`` as its snapshot directory, which the sweep's rows share.
 
-The chunk store is a store of documents in format version 3 (see
+The chunk store is a store of documents in format version 4 (see
 :mod:`litrag.store`), which owns the snapshots. Its records.json holds each
 chunk as its id, its document and its offsets, and a table of the documents
-with the sha256 of each snapshot; its header holds a sha256 of matrix.bin
-and one of records.json. So a chunk's text is stored once, in its
-document's body, and a snapshot that was rebuilt or modified after the store
-was written raises CorruptStore when it is first read. Only version 3
-opens: a knowledge base of an earlier version, whose snapshots carry no
-checksum, raises CorruptStore at ``open``, and a build into its root (which
-never reads the store it replaces) rewrites it in version 3. A build
-into its own ``docs/`` leaves it holding a snapshot of exactly the
+with each one's file name, title and the sha256 of its snapshot; its header
+holds a sha256 of matrix.bin and one of records.json. So a chunk's text is
+stored once, in its document's body, a document's id and file name once, in
+the table, and a snapshot that was rebuilt or modified after the store was
+written raises CorruptStore when it is first read. Only version 4 opens: a
+knowledge base of an earlier version raises CorruptStore at ``open``, and a
+build into its root (which never reads the store it replaces) rewrites it
+in version 4, leaving a version-3 root's ``docs/*.json`` in place, unread.
+A build into its own ``docs/`` leaves it holding a snapshot of exactly the
 documents the store indexes, and writes only the snapshots whose files do
 not already hold their bytes; ``doc_ids`` reads the documents from the
 store.

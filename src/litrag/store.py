@@ -54,7 +54,7 @@ float64 norm next to the matrix (computed per upsert batch and once at
 ``open``, never persisted), so cosine needs no per-query norm pass, and
 ranking partitions to the k best rows before sorting.
 
-On-disk layout (one directory per store), format version 3:
+On-disk layout (one directory per store), format version 4:
     header.json   {"dimension", "record_count", "format_version", "checksum",
                    "records_checksum"}
     records.json  one JSON object of per-field arrays (no embedding values):
@@ -64,8 +64,9 @@ On-disk layout (one directory per store), format version 3:
                   table {doc_id: {"source", "title", "sha256"}} of the
                   documents the records name
     matrix.bin    row-major little-endian float32, row i = record i
-    docs/<doc_id>.json  a store of documents' snapshot of each document
-                  (doc_id, body, file name)
+    docs/<doc_id>.txt  a store of documents' snapshot of each document:
+                  its body's UTF-8 bytes; its id is the file name and the
+                  table key, and its file name the table's "source"
 A store of documents may keep its snapshots in another directory, which
 records.json then names, relative to the store's, as "snapshots": each row
 of a sweep names ``"../docs"``, one directory all the rows share, so a
@@ -76,12 +77,12 @@ not a nonempty str, or is an absolute path, is CorruptStore.
 records.json, whose table holds each snapshot's sha256, so ``open`` takes
 only the bytes the header was written with, and a snapshot is checked when
 it is first read, wherever it lies. ``persist`` writes each snapshot whose
-file does not already hold its bytes (deleting any other ``*.json`` of its
+file does not already hold its bytes (deleting any other ``*.txt`` of its
 own ``docs/`` only), then matrix.bin, records.json and the header. ``open``
-reads version 3 only: a store written in an earlier version, whose
-snapshots carry no checksum, raises CorruptStore naming its version, and a
-rebuild (``litrag ingest``) rewrites it. A bare store holds no documents,
-so it reads no snapshot.
+reads version 4 only: a store written in an earlier version raises
+CorruptStore naming its version, and a rebuild (``litrag ingest``) rewrites
+it; a version-3 root's ``docs/*.json`` is left in place and never read. A
+bare store holds no documents, so it reads no snapshot.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ from .errors import (
 )
 from .ingest import Chunk, Document
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 # The record fields other than the embedding: a bare store's columns, in the order
 # persist writes them.
@@ -126,10 +127,11 @@ _RECORD_FIELDS = ("chunk_id", "doc_id", "text", "start_offset", "end_offset", "m
 _SPAN_FIELDS = ("chunk_id", "doc_id", "start_offset", "end_offset")
 # The keys of an entry of a store of documents' table, all strings.
 _TABLE_KEYS = ("source", "title", "sha256")
-# Each document parsed from a checked snapshot, by the snapshot's sha256, while
-# a store holds it: equal bytes parse to an equal document, so the stores of one
-# process (the rows of a sweep, a knowledge base reopened) share its body.
-_PARSED: weakref.WeakValueDictionary[str, Document] = weakref.WeakValueDictionary()
+# Each document read from a checked snapshot, by the snapshot's sha256, its id and
+# its file name, while a store holds it: the stores of one process (the rows of a
+# sweep, a knowledge base reopened) share its body. Two documents with equal
+# bodies share a sha256, so the key holds all three.
+_PARSED: weakref.WeakValueDictionary[tuple[str, str, str], Document] = weakref.WeakValueDictionary()
 # Each document's snapshot bytes and their sha256, encoded on its first persist
 # while the document lives: they depend only on its fields, so the rows of a
 # sweep, which persist the same documents, encode and hash each once.
@@ -396,12 +398,11 @@ def _span_fault(doc: Document, meta: dict, records: Sequence, cols: dict[str, li
 
 
 def _snapshot(doc: Document) -> tuple[bytes, str]:
-    """The bytes of ``doc``'s snapshot (its id, its body and its file name)
-    and their sha256, encoded once per document (``_ENCODED``)."""
+    """The bytes of ``doc``'s snapshot (its body in UTF-8) and their
+    sha256, encoded once per document (``_ENCODED``)."""
     encoded = _ENCODED.get(doc)
     if encoded is None:
-        snapshot = {**doc.to_dict(), "source_path": Path(doc.source_path).name}
-        data = json.dumps(snapshot, ensure_ascii=False).encode("utf-8")
+        data = doc.body.encode("utf-8")
         encoded = _ENCODED[doc] = (data, _sha256(data))
     return encoded
 
@@ -527,10 +528,12 @@ class VectorStore:
         """Document ``doc_id`` of a store of documents: as ``upsert`` took
         it, or read from its snapshot on first use and kept.
 
-        A snapshot whose sha256 is not the one records.json holds for it (a
-        rebuilt or modified file), or that does not hold that document,
-        raises CorruptStore naming the file; a missing one, or a document
-        the store does not hold, raises IoFailure; a bare store holds none.
+        The document is the table's doc_id and file name ("source") and
+        the snapshot's body. A snapshot whose sha256 is not the one
+        records.json holds for it (a rebuilt or modified file), or whose
+        bytes are not UTF-8 or a blank body, raises CorruptStore naming the
+        file; a missing one, or a document the store does not hold, raises
+        IoFailure; a bare store holds none.
         """
         with self._lock:
             if doc_id not in self._docs:
@@ -542,7 +545,7 @@ class VectorStore:
         if digest is None:
             raise IoFailure(f"no document snapshot for {doc_id!r}: the store holds no such document")
         # a str path and an unbuffered read: a cold answer pays for each load
-        path = os.path.join(self._snapshots, f"{doc_id}.json")
+        path = os.path.join(self._snapshots, f"{doc_id}.txt")
         try:
             with open(path, "rb", buffering=0) as fh:
                 data = fh.readall()
@@ -553,17 +556,15 @@ class VectorStore:
                 f"damaged document snapshot at {path}: checksum mismatch "
                 "(rebuilt or modified since the store was written)"
             )
-        doc = _PARSED.get(digest)
+        source = self._meta[doc_id]["source"]
+        key = (digest, doc_id, source)
+        doc = _PARSED.get(key)
         if doc is None:
             try:
-                doc = Document.from_dict(json.loads(data.decode("utf-8")))
-            except (ValueError, KeyError, TypeError, EmptyDocument) as exc:
+                doc = Document(doc_id, data.decode("utf-8"), source)
+            except (UnicodeDecodeError, EmptyDocument) as exc:
                 raise CorruptStore(f"damaged document snapshot at {path}: {exc!r}") from exc
-            _PARSED[digest] = doc
-        if doc.doc_id != doc_id:
-            raise CorruptStore(
-                f"damaged document snapshot at {path}: it holds document {doc.doc_id!r}"
-            )
+            _PARSED[key] = doc
         return doc
 
     def upsert(
@@ -807,13 +808,13 @@ class VectorStore:
 
     def persist(self, path: str | Path, snapshots: str = "docs") -> None:
         """Write the store to ``path`` (a directory, created if needed) in
-        format version 3. A store of documents first writes the snapshot of
-        each document its records name, as ``<doc_id>.json`` in
+        format version 4. A store of documents first writes the snapshot of
+        each document its records name, its body as ``<doc_id>.txt`` in
         ``snapshots``, a directory named relative to ``path`` (else
         InvalidParams): its own ``docs``, or one the rows of a sweep share,
         which records.json then names. A snapshot whose file already holds
         exactly its bytes is not written again. Only the store's own
-        ``docs/`` loses its other ``*.json`` files; a shared directory loses
+        ``docs/`` loses its other ``*.txt`` files; a shared directory loses
         nothing. Then matrix.bin, records.json and the header that checksums
         both. Every byte is encoded before the first file is written; a
         document's snapshot bytes and their sha256 are encoded once while
@@ -863,7 +864,7 @@ class VectorStore:
     @classmethod
     def open(cls, path: str | Path) -> "VectorStore":
         """Load a store persisted with :meth:`persist`. Round trip is
-        bit-exact. Only format version 3 opens: any other version, an
+        bit-exact. Only format version 4 opens: any other version, an
         earlier one included, raises CorruptStore naming it. A store of
         documents reads no snapshot here: ``document`` reads each on first
         use."""
@@ -948,13 +949,13 @@ class VectorStore:
 
 
 def _write_snapshots(docs: Path, snapshots: dict[str, tuple[bytes, str]]) -> None:
-    """Write each snapshot (its ``_snapshot`` bytes) as ``docs/<doc_id>.json``
+    """Write each snapshot (its ``_snapshot`` bytes) as ``docs/<doc_id>.txt``
     unless its file already holds exactly those bytes: a read and compare
     costs a small fraction of a file create."""
     try:
         docs.mkdir(parents=True, exist_ok=True)
         for doc_id, (data, _) in snapshots.items():
-            target = docs / f"{doc_id}.json"
+            target = docs / f"{doc_id}.txt"
             if not _holds(target, data):
                 target.write_bytes(data)
     except OSError as exc:
@@ -962,12 +963,12 @@ def _write_snapshots(docs: Path, snapshots: dict[str, tuple[bytes, str]]) -> Non
 
 
 def prune_snapshots(docs: str | Path, keep: Iterable[str]) -> None:
-    """Delete each ``<doc_id>.json`` in the directory ``docs`` whose doc_id
+    """Delete each ``<doc_id>.txt`` in the directory ``docs`` whose doc_id
     is not in ``keep``; a missing directory holds none. A file that cannot
     be deleted raises IoFailure."""
-    names = {f"{doc_id}.json" for doc_id in keep}
+    names = {f"{doc_id}.txt" for doc_id in keep}
     try:
-        for stale in Path(docs).glob("*.json"):
+        for stale in Path(docs).glob("*.txt"):
             if stale.name not in names:
                 stale.unlink()  # a document no store written here holds
     except OSError as exc:

@@ -305,6 +305,59 @@ def test_bracket_label_style():
     assert [e.label for e in entries] == ["14", "15"]
 
 
+def _entries_by_the_two_parsers(lines: list[str], doc_id: str) -> list[CitationEntry]:
+    """The reference-entry parsing that one loop replaced: label lines and
+    blank lines split entries, and a section with neither falls back to
+    hanging-indent grouping."""
+
+    def from_lines():
+        groups, in_entry = [], False
+        for line in lines:
+            if not line.strip():
+                in_entry = False
+                continue
+            m = citations._LABEL_LINE.match(line)
+            if m or not in_entry:
+                groups.append((m and (m.group(1) or m.group(2)), []))
+                in_entry = True
+            groups[-1][1].append(line)
+        return [citations._entry(label, group, doc_id) for label, group in groups]
+
+    def by_indentation():
+        groups = []
+        for line in lines:
+            if not line.strip():
+                continue
+            if not groups or not line[:1].isspace():
+                groups.append([])
+            groups[-1].append(line)
+        return [citations._entry(None, group, doc_id) for group in groups]
+
+    has_labels = any(citations._LABEL_LINE.match(line) for line in lines)
+    has_blank = any(not line.strip() for line in lines)
+    return from_lines() if has_labels or has_blank else by_indentation()
+
+
+_REFERENCE_LINES = [
+    "", "   ", "\t", "\u3000",
+    "1. Varga, T. 1999. A title.", "[2] Okafor, C. 2000.", "3) Silva, L. 2001.", "  4] Teng, H. 2017.",
+    "12.5 not a label", "1234. not a label either",
+    "Silva, L., and B. Deshaies. 2000. Stabilization.", "Spalart, P. 1992. A model.", "Journal 1:2",
+    "    Combust. Flame 121:152-66.", "\tAIAA Paper 92-04.", "\u3000Acta 142:121.", " wraps on.",
+]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(_REFERENCE_LINES), max_size=12))
+def test_one_entry_parser_equals_the_two_it_replaced(lines):
+    got = [(e.label, e.full_text) for e in citations._entries(lines, "doc")]
+    assert got == [(e.label, e.full_text) for e in _entries_by_the_two_parsers(lines, "doc")]
+    body = "Text.\n\nReferences\n" + "\n".join(lines)
+    parsed = [(e.label, e.full_text) for e in extract_reference_section(_doc(body))]
+    section = body.splitlines()[3:]
+    assert parsed == [(e.label, e.full_text) for e in _entries_by_the_two_parsers(section, "doc")]
+
+
 def test_appendix_fixture_yields_expected_labels():
     doc = load_document(FIXTURES / "reference_section_qa.txt")
     entries = extract_reference_section(doc)

@@ -248,14 +248,14 @@ def test_query_no_verify_gates_exit_only(cli_env, capsys):
 
 def test_query_on_a_damaged_snapshot_is_a_runtime_error(cli_env, tmp_path, capsys):
     damages = {
-        "truncated": lambda text: "{",
-        "body a number": lambda text: json.dumps({**json.loads(text), "body": 5}),
+        "truncated": lambda text: text[: len(text) // 2],
+        "one character changed": lambda text: text.replace("e", "E", 1),
     }
     question = question_for(cli_env["truths"]["paper-00"])
     for case, damage in damages.items():
         store_root = tmp_path / case
         shutil.copytree(cli_env["store_root"], store_root)
-        for snapshot in (store_root / "docs").glob("*.json"):
+        for snapshot in (store_root / "docs").glob("*.txt"):
             snapshot.write_text(damage(snapshot.read_text(encoding="utf-8")), encoding="utf-8")
         with StubChatService(echo_citations_responder()) as chat:
             config = _write_config(cli_env, chat.url, store_path=str(store_root))
@@ -543,7 +543,7 @@ def test_stats_on_a_store_whose_header_says_version_2_exits_one_naming_the_versi
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert captured.err.startswith("error: unsupported format_version 2: this litrag reads format 3")
+    assert captured.err.startswith("error: unsupported format_version 2: this litrag reads format 4")
     assert captured.err.count("\n") == 1, captured.err
 
 

@@ -115,7 +115,7 @@ def test_overlap_sweep_counts_non_decreasing(sweep_corpus, tmp_path):
     assert len(parsed) == 6
 
 
-def test_failed_sweep_row_recorded_not_fatal(tmp_path):
+def test_failed_sweep_row_recorded_not_fatal(tmp_path, caplog):
     with StubEmbeddingService(dim=DIM) as svc:
         cfg = _config(svc, tmp_path)
         spec = SweepSpec(
@@ -124,9 +124,13 @@ def test_failed_sweep_row_recorded_not_fatal(tmp_path):
             fixed=100,
             corpus_dir=str(tmp_path / "missing-dir"),
         )
+        caplog.clear()
         report = sweep_chunking(spec, cfg, tmp_path / "sweep")
     assert len(report.rows) == 2
     assert all(row.error and row.failed for row in report.rows)
+    # every row fails with the directory's one error, which is logged once
+    assert {row.error for row in report.rows} == {f"{tmp_path / 'missing-dir'} is not a readable directory"}
+    assert caplog.text.count("not a readable directory") == 1
 
 
 def test_a_fault_in_a_sweep_row_propagates(monkeypatch, tmp_path):
@@ -265,7 +269,7 @@ def test_a_sweep_keeps_one_snapshot_directory_in_its_workdir(sweep_corpus, tmp_p
         assert files == ["header.json", "matrix.bin", "records.json"]
         assert VectorStore.open(row.store_path).records()  # every snapshot read through its checksum
     assert sorted(p.name for p in (workdir / "docs").iterdir()) == sorted(
-        f"{p.stem}.json" for p in sweep_corpus.iterdir()
+        f"{p.stem}.txt" for p in sweep_corpus.iterdir()
     )
 
 
@@ -311,16 +315,16 @@ def test_a_missing_or_altered_shared_snapshot_fails_the_row_answer(tmp_path, dam
         cfg = replace(cfg, chat=replace(cfg.chat, endpoint_url=chat.url))
         spec = SweepSpec(axis="chunk_size", values=(700, 1400), fixed=200, corpus_dir=str(corpus_dir))
         report = sweep_chunking(spec, cfg, tmp_path / "sweep")
-        snapshot = tmp_path / "sweep" / "docs" / "paper-01.json"
+        snapshot = tmp_path / "sweep" / "docs" / "paper-01.txt"
         if damage == "delete":
             snapshot.unlink()
         else:
-            snapshot.write_bytes(snapshot.read_bytes().replace(b"body", b"bodY", 1))
+            snapshot.write_bytes(snapshot.read_bytes().replace(b"e", b"E", 1))
         question = question_for(truths["paper-01"], random.Random(5))
         for row in report.rows:
             chain = QueryChain(KnowledgeBase.open(row.store_path), cfg)
             error = IoFailure if damage == "delete" else CorruptStore
-            path = Path(row.store_path) / ".." / "docs" / "paper-01.json"
+            path = Path(row.store_path) / ".." / "docs" / "paper-01.txt"
             with pytest.raises(error, match=re.escape(str(path))):
                 chain.answer(question, mode="mode2")
 
@@ -339,12 +343,12 @@ def test_a_sweep_prunes_the_snapshots_no_row_names_and_an_older_row_fails_closed
             (corpus_dir / "paper-02.txt").read_text(encoding="utf-8") + "\nA later line.\n", encoding="utf-8"
         )
         sweep_chunking(replace(spec, values=(1400,)), cfg, workdir)
-    assert sorted(p.name for p in (workdir / "docs").iterdir()) == ["paper-00.json", "paper-02.json"]
+    assert sorted(p.name for p in (workdir / "docs").iterdir()) == ["paper-00.txt", "paper-02.txt"]
     stale = VectorStore.open(first.rows[0].store_path)  # chunk_size_700, left by the first sweep
     assert stale.document("paper-00").body == body
-    with pytest.raises(IoFailure, match="paper-01.json"):
+    with pytest.raises(IoFailure, match="paper-01.txt"):
         stale.document("paper-01")
-    with pytest.raises(CorruptStore, match="paper-02.json: checksum mismatch"):
+    with pytest.raises(CorruptStore, match="paper-02.txt: checksum mismatch"):
         stale.document("paper-02")
 
 
@@ -389,7 +393,7 @@ def test_a_corpus_edited_during_a_sweep_leaves_every_row_on_the_one_load(tmp_pat
             assert {doc_id: store.document(doc_id).body for doc_id in loaded} == loaded
             bundle = QueryChain(KnowledgeBase.open(row.store_path), cfg).answer(question, mode="mode2")
             assert bundle.citation_list and bundle.verification.flagged == []
-    snapshots = {p.stem: json.loads(p.read_bytes())["body"] for p in (workdir / "docs").iterdir()}
+    snapshots = {p.stem: p.read_text(encoding="utf-8") for p in (workdir / "docs").iterdir()}
     assert snapshots == loaded
 
 

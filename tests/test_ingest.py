@@ -22,10 +22,11 @@ from litrag.ingest import (
     Chunk,
     Document,
     SplitParams,
-    ingest_corpus,
+    load_corpus,
     load_document,
     locate_reference_section,
     recursive_split,
+    split_corpus,
 )
 from reference_impls import reference_split_spans
 
@@ -120,7 +121,6 @@ def test_a_document_is_its_body():
     assert doc.title == "Title line"
     assert doc.reference_section == (body.rindex("References"), len(body))
     assert doc == Document("d", body, "d.txt")
-    assert doc.to_dict() == {"doc_id": "d", "body": body, "source_path": "d.txt"}
     for blank in ("", " ", "  \n\t ", "\x0b\x0c", "\u3000"):
         with pytest.raises(EmptyDocument, match="d.txt: document body is empty"):
             Document("d", blank, "d.txt")
@@ -366,7 +366,7 @@ def test_chunk_count_monotonicity_over_study_ranges():
     assert counts == sorted(counts)
 
 
-# --- ingest_corpus --------------------------------------------------------------
+# --- load_corpus and split_corpus ---------------------------------------------
 
 
 def _write_corpus(tmp_path, n=5, paragraphs=30):
@@ -379,7 +379,7 @@ def _write_corpus(tmp_path, n=5, paragraphs=30):
 
 def test_ingest_directory(tmp_path):
     _write_corpus(tmp_path, n=5)
-    report, _ = ingest_corpus(tmp_path, SplitParams(chunk_size=1000, chunk_overlap=350))
+    report, _ = split_corpus(load_corpus(tmp_path), SplitParams(chunk_size=1000, chunk_overlap=350))
     assert report.document_count == 5
     assert all(d.chunk_count > 0 for d in report.documents)
     assert report.failures == []
@@ -389,7 +389,7 @@ def test_ingest_directory(tmp_path):
 
 
 def test_ingest_empty_directory(tmp_path):
-    report, loaded = ingest_corpus(tmp_path, SplitParams(chunk_size=1000, chunk_overlap=350))
+    report, loaded = split_corpus(load_corpus(tmp_path), SplitParams(chunk_size=1000, chunk_overlap=350))
     assert report.document_count == 0
     assert report.chunk_count == 0
     assert loaded == []
@@ -398,7 +398,7 @@ def test_ingest_empty_directory(tmp_path):
 def test_ingest_records_per_file_failures(tmp_path):
     _write_corpus(tmp_path, n=2)
     (tmp_path / "broken.txt").write_bytes(b"\xff\xfe\x00bad utf8")
-    report, loaded = ingest_corpus(tmp_path, SplitParams(chunk_size=500, chunk_overlap=100))
+    report, loaded = split_corpus(load_corpus(tmp_path), SplitParams(chunk_size=500, chunk_overlap=100))
     assert report.document_count == 2
     assert [doc.doc_id for doc, _ in loaded] == ["doc0", "doc1"]
     assert len(report.failures) == 1
@@ -407,13 +407,13 @@ def test_ingest_records_per_file_failures(tmp_path):
 
 def test_ingest_missing_directory(tmp_path):
     with pytest.raises(DirectoryUnreadable):
-        ingest_corpus(tmp_path / "nope", SplitParams(chunk_size=500, chunk_overlap=100))
+        split_corpus(load_corpus(tmp_path / "nope"), SplitParams(chunk_size=500, chunk_overlap=100))
 
 
 def test_ingest_returns_loaded_documents_in_path_order(tmp_path):
     _write_corpus(tmp_path, n=4, paragraphs=3)
     params = SplitParams(chunk_size=500, chunk_overlap=100)
-    report, loaded = ingest_corpus(tmp_path, params)
+    report, loaded = split_corpus(load_corpus(tmp_path), params)
     seen = [doc.doc_id for doc, _ in loaded]
     assert seen == sorted(seen) == [d.doc_id for d in report.documents]
     for (doc, chunks), result in zip(loaded, report.documents):
@@ -425,7 +425,7 @@ def test_ingest_returns_loaded_documents_in_path_order(tmp_path):
 def test_a_repeated_stem_fails_with_duplicate_document(tmp_path):
     _write_corpus(tmp_path, n=3, paragraphs=3)
     (tmp_path / "doc1.md").write_text("same stem as doc1.txt", encoding="utf-8")
-    report, loaded = ingest_corpus(tmp_path, SplitParams(chunk_size=500, chunk_overlap=100))
+    report, loaded = split_corpus(load_corpus(tmp_path), SplitParams(chunk_size=500, chunk_overlap=100))
     assert [doc.source_path for doc, _ in loaded] == [
         str(tmp_path / name) for name in ("doc0.txt", "doc1.md", "doc2.txt")
     ]
@@ -443,7 +443,7 @@ def test_programming_error_in_split_propagates(tmp_path, monkeypatch):
 
     monkeypatch.setattr(ingest_mod, "recursive_split", broken_split)
     with pytest.raises(TypeError, match="a bug"):
-        ingest_corpus(tmp_path, SplitParams(chunk_size=500, chunk_overlap=100))
+        split_corpus(load_corpus(tmp_path), SplitParams(chunk_size=500, chunk_overlap=100))
 
 
 def test_a_plain_text_corpus_is_loaded_and_split_in_the_calling_thread(tmp_path, monkeypatch):
@@ -451,7 +451,7 @@ def test_a_plain_text_corpus_is_loaded_and_split_in_the_calling_thread(tmp_path,
     (tmp_path / "broken.txt").write_bytes(b"\xff\xfe bad utf8")
     (tmp_path / "doc1.md").write_text("same stem as doc1.txt", encoding="utf-8")
     params = SplitParams(chunk_size=500, chunk_overlap=100)
-    expected = ingest_corpus(tmp_path, params, max_workers=1)
+    expected = split_corpus(load_corpus(tmp_path, max_workers=1), params)
     load, split, threads = ingest_mod.load_document, ingest_mod.recursive_split, []
 
     def recording(fn):
@@ -462,7 +462,7 @@ def test_a_plain_text_corpus_is_loaded_and_split_in_the_calling_thread(tmp_path,
 
     monkeypatch.setattr(ingest_mod, "load_document", recording(load))
     monkeypatch.setattr(ingest_mod, "recursive_split", recording(split))
-    report, loaded = ingest_corpus(tmp_path, params, max_workers=4)
+    report, loaded = split_corpus(load_corpus(tmp_path, max_workers=4), params)
     # the repeated stem is refused when it is loaded, so it is never split
     assert sorted(name for name, _ in threads) == ["load_document"] * 8 + ["recursive_split"] * 6
     assert {ident for _, ident in threads} == {threading.get_ident()}
@@ -494,8 +494,9 @@ def test_extractor_runs_overlap_in_worker_threads(tmp_path):
     for i in range(4):
         (corpus / f"x{i}.pdf").write_text(f"Title {i}\n\nBody of document {i}.", encoding="utf-8")
     extractor = " ".join(map(shlex.quote, [sys.executable, str(script), "{path}", str(marks)]))
-    report, loaded = ingest_corpus(
-        corpus, SplitParams(chunk_size=500, chunk_overlap=100), extractor=extractor, max_workers=4
+    report, loaded = split_corpus(
+        load_corpus(corpus, extractor=extractor, max_workers=4),
+        SplitParams(chunk_size=500, chunk_overlap=100),
     )
     assert report.failures == []
     assert [doc.doc_id for doc, _ in loaded] == ["doc0", "x0", "x1", "x2", "x3"]
@@ -507,8 +508,8 @@ def test_unparseable_extractor_fails_each_non_text_file(tmp_path):
     _write_corpus(tmp_path, n=1, paragraphs=3)
     for name in ("a.pdf", "b.pdf"):
         (tmp_path / name).write_bytes(b"%PDF-1.4 binary")
-    report, _ = ingest_corpus(
-        tmp_path, SplitParams(chunk_size=500, chunk_overlap=100), extractor='cmd "{path}'
+    report, _ = split_corpus(
+        load_corpus(tmp_path, extractor='cmd "{path}'), SplitParams(chunk_size=500, chunk_overlap=100)
     )
     assert [d.doc_id for d in report.documents] == ["doc0"]
     assert [f.path for f in report.failures] == [str(tmp_path / "a.pdf"), str(tmp_path / "b.pdf")]
@@ -528,8 +529,8 @@ def test_extractor_naming_no_program_never_runs_the_document(tmp_path, extractor
     tool.write_text("#!/bin/sh\necho RAN-AS-PROGRAM\n")
     tool.chmod(0o755)
     _write_corpus(tmp_path, n=1, paragraphs=3)
-    report, loaded = ingest_corpus(
-        tmp_path, SplitParams(chunk_size=500, chunk_overlap=100), extractor=extractor
+    report, loaded = split_corpus(
+        load_corpus(tmp_path, extractor=extractor), SplitParams(chunk_size=500, chunk_overlap=100)
     )
     chunks = [c for _, doc_chunks in loaded for c in doc_chunks]
     assert [d.doc_id for d in report.documents] == ["doc0"]
@@ -542,7 +543,7 @@ def test_extractor_naming_no_program_never_runs_the_document(tmp_path, extractor
 
 def test_study_split_settings_bound_chunk_length(tmp_path):
     _write_corpus(tmp_path, n=5)
-    _, loaded = ingest_corpus(tmp_path, SplitParams(chunk_size=700, chunk_overlap=200))
+    _, loaded = split_corpus(load_corpus(tmp_path), SplitParams(chunk_size=700, chunk_overlap=200))
     collected = [c for _, chunks in loaded for c in chunks]
     assert collected
     assert all(len(c.text) <= 700 for c in collected)

@@ -18,7 +18,7 @@ from litrag.config import default_config
 from litrag.embedding import EmbeddingVector
 from litrag.errors import CorruptStore, InvalidParams, IoFailure
 from litrag.harness import cluster_stats
-from litrag.ingest import Document, ingest_corpus
+from litrag.ingest import Document, load_corpus, split_corpus
 from litrag.kb import KnowledgeBase, build_knowledge_base
 from litrag.store import Metric, VectorStore
 from litrag.testing import (
@@ -88,19 +88,22 @@ def test_layout_on_disk(small_corpus, tmp_path):
     assert (root / "records.json").is_file()
     assert (root / "matrix.bin").is_file()
     for doc_id in truths:
-        assert (root / "docs" / f"{doc_id}.json").is_file()
+        assert (root / "docs" / f"{doc_id}.txt").is_file()
     assert not (root / "aux").exists()
 
 
-def test_snapshots_hold_the_id_the_body_and_the_file_name(small_corpus, tmp_path):
+def test_a_snapshot_holds_the_body_and_the_table_its_id_and_file_name(small_corpus, tmp_path):
     corpus_dir, truths = small_corpus
     with StubEmbeddingService(dim=DIM) as svc:
         cfg = _config(svc, tmp_path)
         build_knowledge_base(corpus_dir, cfg)
+    root = Path(cfg.store_path)
+    table = json.loads((root / "records.json").read_text(encoding="utf-8"))["documents"]
+    assert sorted(table) == sorted(truths)
     for doc_id in truths:
-        data = json.loads((Path(cfg.store_path) / "docs" / f"{doc_id}.json").read_text("utf-8"))
-        assert sorted(data) == ["body", "doc_id", "source_path"]
-        assert data["source_path"] == f"{doc_id}.txt"
+        doc = ingest_mod.load_document(corpus_dir / f"{doc_id}.txt")
+        assert (root / "docs" / f"{doc_id}.txt").read_bytes() == doc.body.encode("utf-8")
+        assert table[doc_id]["source"] == f"{doc_id}.txt"
 
 
 def test_each_title_and_reference_section_is_derived_at_most_once(
@@ -150,17 +153,13 @@ def test_missing_document_snapshot(small_corpus, tmp_path):
         kb.document("no-such-doc")
 
 
-# snapshot bytes that hold no document "paper-00", from the good snapshot's text and data
+# snapshot bytes that hold no body, from the good snapshot's bytes
 _NOT_A_DOCUMENT = {
-    "truncated": lambda good, data: good[: len(good) // 2].encode("utf-8"),
-    "not utf-8": lambda good, data: b"\xff\xfe" + good.encode("utf-8"),
-    "missing field": lambda good, data: json.dumps({k: v for k, v in data.items() if k != "body"}).encode(),
-    "not an object": lambda good, data: json.dumps([data]).encode(),
-    "body a number": lambda good, data: json.dumps({**data, "body": 5}).encode(),
-    "empty body": lambda good, data: json.dumps({**data, "body": ""}).encode(),
-    "blank body": lambda good, data: json.dumps({**data, "body": "  \n\t ", "reference_section": None}).encode(),
-    "doc_id a number": lambda good, data: json.dumps({**data, "doc_id": 7}).encode(),
-    "doc_id of another document": lambda good, data: json.dumps({**data, "doc_id": "paper-01"}).encode(),
+    "cut inside a character": lambda good: good[: len(good) // 2] + "\u00e9".encode("utf-8")[:1],
+    "not utf-8": lambda good: b"\xff\xfe" + good,
+    "an encoded surrogate": lambda good: good + b"\xed\xa0\x80",
+    "empty body": lambda good: b"",
+    "blank body": lambda good: b"  \n\t ",
 }
 
 
@@ -169,7 +168,7 @@ def _reseal(root: Path, doc_id: str, raw: bytes) -> None:
     records.json, keeping the header's checksum of records.json valid: a
     knowledge base whose writer wrote these bytes, so only the checks after
     the sha256 can object."""
-    (root / "docs" / f"{doc_id}.json").write_bytes(raw)
+    (root / "docs" / f"{doc_id}.txt").write_bytes(raw)
     cols = json.loads((root / "records.json").read_text(encoding="utf-8"))
     cols["documents"][doc_id]["sha256"] = "sha256:" + hashlib.sha256(raw).hexdigest()
     records = json.dumps(cols, ensure_ascii=False).encode("utf-8")
@@ -184,13 +183,12 @@ def test_a_damaged_snapshot_is_a_corrupt_store(small_corpus, tmp_path):
     with StubEmbeddingService(dim=DIM) as svc:
         cfg = _config(svc, tmp_path)
         build_knowledge_base(corpus_dir, cfg)
-    snapshot = Path(cfg.store_path) / "docs" / "paper-00.json"
-    good = snapshot.read_text(encoding="utf-8")
-    data = json.loads(good)
+    snapshot = Path(cfg.store_path) / "docs" / "paper-00.txt"
+    good = snapshot.read_bytes()
     for case, damage in _NOT_A_DOCUMENT.items():
-        snapshot.write_bytes(damage(good, data))
+        snapshot.write_bytes(damage(good))
         kb = KnowledgeBase.open(cfg.store_path)
-        with pytest.raises(CorruptStore, match="paper-00.json"):
+        with pytest.raises(CorruptStore, match="paper-00.txt: checksum mismatch"):
             kb.aux_index("paper-00")
         assert kb.document("paper-01").doc_id == "paper-01", case
 
@@ -204,32 +202,11 @@ def test_a_snapshot_under_a_valid_checksum_that_holds_no_such_document_is_corrup
         cfg = _config(svc, tmp_path)
         build_knowledge_base(corpus_dir, cfg)
     root = Path(cfg.store_path)
-    good = (root / "docs" / "paper-00.json").read_text(encoding="utf-8")
-    _reseal(root, "paper-00", _NOT_A_DOCUMENT[case](good, json.loads(good)))
+    _reseal(root, "paper-00", _NOT_A_DOCUMENT[case]((root / "docs" / "paper-00.txt").read_bytes()))
     kb = KnowledgeBase.open(root)
-    with pytest.raises(CorruptStore, match=r"damaged document snapshot at .*paper-00\.json: (?!checksum)"):
+    with pytest.raises(CorruptStore, match=r"damaged document snapshot at .*paper-00\.txt: (?!checksum)"):
         kb.aux_index("paper-00")
     assert kb.document("paper-01").doc_id == "paper-01"
-
-
-def test_a_snapshot_with_a_stored_title_and_span_derives_both(small_corpus, tmp_path):
-    # a snapshot in the layout of earlier versions, holding a wrong title and a
-    # wrong span under a valid checksum: a document is its id, body and file name
-    corpus_dir, _ = small_corpus
-    with StubEmbeddingService(dim=DIM) as svc:
-        cfg = _config(svc, tmp_path)
-        build_knowledge_base(corpus_dir, cfg)
-    root = Path(cfg.store_path)
-    fresh = KnowledgeBase.open(root)
-    doc, aux = fresh.document("paper-00"), fresh.aux_index("paper-00")
-    data = json.loads((root / "docs" / "paper-00.json").read_text(encoding="utf-8"))
-    _reseal(root, "paper-00", json.dumps({**data, "title": "Another title", "reference_section": [0, 3]}).encode())
-    kb = KnowledgeBase.open(root)
-    old = kb.document("paper-00")
-    assert old is not doc
-    assert old.title == doc.title == doc.body.lstrip().splitlines()[0].strip()
-    assert old.reference_section == doc.reference_section != (0, 3)
-    assert kb.aux_index("paper-00") == aux and kb.aux_index("paper-00").entries == aux.entries != ()
 
 
 def test_a_rebuild_deletes_snapshots_of_documents_it_did_not_index(small_corpus, tmp_path):
@@ -238,12 +215,12 @@ def test_a_rebuild_deletes_snapshots_of_documents_it_did_not_index(small_corpus,
         cfg = _config(svc, tmp_path)
         build_knowledge_base(corpus_dir, cfg)
         (corpus_dir / "paper-01.txt").unlink()
-        (Path(cfg.store_path) / "docs" / "notes.txt").write_text("kept", encoding="utf-8")
+        (Path(cfg.store_path) / "docs" / "notes.md").write_text("kept", encoding="utf-8")
         build_knowledge_base(corpus_dir, cfg)
     kb = KnowledgeBase.open(cfg.store_path)
     assert kb.doc_ids() == sorted(set(truths) - {"paper-01"})
     assert {record.doc_id for record in kb.store.records()} == set(kb.doc_ids())
-    assert (Path(cfg.store_path) / "docs" / "notes.txt").read_text(encoding="utf-8") == "kept"
+    assert (Path(cfg.store_path) / "docs" / "notes.md").read_text(encoding="utf-8") == "kept"
 
 
 def test_a_rebuild_rewrites_only_the_snapshots_whose_documents_changed(small_corpus, tmp_path):
@@ -260,7 +237,7 @@ def test_a_rebuild_rewrites_only_the_snapshots_whose_documents_changed(small_cor
         build_knowledge_base(corpus_dir, cfg)
     after = {p.name: (p.stat().st_ino, p.stat().st_mtime_ns) for p in docs.iterdir()}
     assert sorted(after) == sorted(before)
-    assert {name for name in after if after[name] != before[name]} == {"paper-01.json"}
+    assert {name for name in after if after[name] != before[name]} == {"paper-01.txt"}
     kb = KnowledgeBase.open(cfg.store_path)
     assert kb.document("paper-01").body.endswith("A later line.\n")
     assert [record.text for record in kb.store.records()]  # every snapshot matches its checksum
@@ -272,8 +249,8 @@ def test_doc_ids_are_the_documents_the_store_indexes(small_corpus, tmp_path):
         cfg = _config(svc, tmp_path)
         build_knowledge_base(corpus_dir, cfg)
     docs = Path(cfg.store_path) / "docs"
-    (docs / "stray.json").write_text((docs / "paper-00.json").read_text(encoding="utf-8"), encoding="utf-8")
-    (docs / "paper-01.json").unlink()
+    (docs / "stray.txt").write_bytes((docs / "paper-00.txt").read_bytes())
+    (docs / "paper-01.txt").unlink()
     kb = KnowledgeBase.open(cfg.store_path)
     assert kb.doc_ids() == sorted(truths)
     assert kb.doc_ids() == sorted(set(kb.store.columns("doc_id")[0]))
@@ -314,7 +291,7 @@ def test_a_build_sends_full_batches_across_documents(small_corpus, tmp_path, mon
     with StubEmbeddingService(dim=DIM) as svc:
         cfg = _config(svc, tmp_path)
         cfg = replace(cfg, embedding=replace(cfg.embedding, batch_size=10, max_parallel_requests=3))
-        _, loaded = ingest_corpus(corpus_dir, cfg.split)
+        _, loaded = split_corpus(load_corpus(corpus_dir), cfg.split)
         chunks = [c for _, cs in loaded for c in cs]
         report = build_knowledge_base(corpus_dir, cfg)
         sizes = sorted(len(r["input"]) for r in svc.requests)
@@ -337,7 +314,7 @@ def test_a_failed_batch_fails_exactly_the_documents_with_a_chunk_in_it(
     with StubEmbeddingService(dim=DIM, fail_when=lambda texts: target in texts) as svc:
         cfg = _config(svc, tmp_path)
         cfg = replace(cfg, embedding=replace(cfg.embedding, batch_size=10, max_parallel_requests=3))
-        _, loaded = ingest_corpus(corpus_dir, cfg.split)
+        _, loaded = split_corpus(load_corpus(corpus_dir), cfg.split)
         chunks = {doc.doc_id: cs for doc, cs in loaded}
         target = chunks["paper-01"][0].text  # mid-build: the second document's first chunk
         report = build_knowledge_base(corpus_dir, cfg, memo=memo)
@@ -479,22 +456,6 @@ def test_kb_bytes_do_not_depend_on_where_the_corpus_sits(small_corpus, tmp_path)
     assert kb.document("paper-00").source_path == "paper-00.txt"
 
 
-def test_snapshot_holding_an_absolute_source_path_still_opens(small_corpus, tmp_path):
-    # a snapshot written before the file name replaced the path, under a valid checksum
-    corpus_dir, _ = small_corpus
-    with StubEmbeddingService(dim=DIM) as svc:
-        cfg = _config(svc, tmp_path)
-        build_knowledge_base(corpus_dir, cfg)
-    root = Path(cfg.store_path)
-    fresh = KnowledgeBase.open(root).aux_index("paper-00")
-    data = json.loads((root / "docs" / "paper-00.json").read_text(encoding="utf-8"))
-    data["source_path"] = str((corpus_dir / "paper-00.txt").resolve())
-    _reseal(root, "paper-00", json.dumps(data, ensure_ascii=False).encode("utf-8"))
-    kb = KnowledgeBase.open(root)
-    assert kb.document("paper-00").source_path == data["source_path"]
-    assert kb.aux_index("paper-00") == fresh and kb.aux_index("paper-00").entries == fresh.entries != ()
-
-
 def test_a_body_holding_a_unicode_line_separator_builds_a_kb_that_opens(tmp_path):
     corpus_dir = tmp_path / "corpus"
     corpus_dir.mkdir()
@@ -555,7 +516,7 @@ def test_an_empty_corpus_still_writes_an_empty_knowledge_base(tmp_path):
     assert len(kb.store) == 0 and kb.doc_ids() == []
 
 
-# --- store format version 3: each chunk's text is a span of a checksummed snapshot ----------
+# --- store format version 4: each chunk's text is a span of a checksummed snapshot ----------
 
 
 def _chain(root, emb_url, chat_url, dim=DIM):
@@ -574,7 +535,7 @@ def test_an_open_kb_refuses_a_snapshot_rebuilt_under_it(small_corpus, tmp_path):
         for path in corpus_dir.glob("*.txt"):
             path.write_text("Preface\n\n" + "A prefix. " * 940 + "\n\n" + path.read_text("utf-8"), "utf-8")
         assert build_knowledge_base(corpus_dir, cfg).failures == []
-        with pytest.raises(CorruptStore, match=r"paper-\d\d\.json: checksum mismatch"):
+        with pytest.raises(CorruptStore, match=r"paper-\d\d\.txt: checksum mismatch"):
             chain.answer(question, mode="mode2")
         assert chat.requests == []
         # a fresh open reads the rebuilt knowledge base whole
@@ -589,17 +550,16 @@ def test_a_snapshot_edited_to_another_body_is_a_corrupt_store_and_a_missing_one_
         cfg = _config(svc, tmp_path)
         build_knowledge_base(corpus_dir, cfg)
     docs = Path(cfg.store_path) / "docs"
-    data = json.loads((docs / "paper-00.json").read_text(encoding="utf-8"))
-    # valid JSON of the same document, with one character of its body changed
-    edited = {**data, "body": data["body"].replace("e", "E", 1)}
-    (docs / "paper-00.json").write_text(json.dumps(edited, ensure_ascii=False), encoding="utf-8")
-    (docs / "paper-01.json").unlink()
+    # the same document, with one character of its body changed
+    body = (docs / "paper-00.txt").read_text(encoding="utf-8")
+    (docs / "paper-00.txt").write_text(body.replace("e", "E", 1), encoding="utf-8")
+    (docs / "paper-01.txt").unlink()
     kb = KnowledgeBase.open(cfg.store_path)
-    with pytest.raises(CorruptStore, match="paper-00.json: checksum mismatch"):
+    with pytest.raises(CorruptStore, match="paper-00.txt: checksum mismatch"):
         kb.document("paper-00")
-    with pytest.raises(CorruptStore, match="paper-00.json"):
+    with pytest.raises(CorruptStore, match="paper-00.txt"):
         kb.store.records()
-    with pytest.raises(IoFailure, match="no document snapshot for 'paper-01'"):
+    with pytest.raises(IoFailure, match=r"no document snapshot for 'paper-01' at .*paper-01\.txt"):
         kb.aux_index("paper-01")
     assert kb.document("paper-02").doc_id == "paper-02"
 
@@ -674,7 +634,7 @@ def test_a_kb_whose_header_says_version_2_is_refused_at_open_and_a_build_rewrite
     small_corpus, tmp_path
 ):
     # a version-2 store read its snapshots unchecked, so it would answer from a
-    # rebuilt snapshot: only version 3 opens
+    # rebuilt snapshot: only version 4 opens
     corpus_dir, truths = small_corpus
     with StubEmbeddingService(dim=DIM) as svc:
         cfg = _config(svc, tmp_path)
@@ -682,11 +642,40 @@ def test_a_kb_whose_header_says_version_2_is_refused_at_open_and_a_build_rewrite
         header_path = Path(cfg.store_path) / "header.json"
         header = json.loads(header_path.read_text())
         header_path.write_text(json.dumps({**header, "format_version": 2}))
-        with pytest.raises(CorruptStore, match="format_version 2: this litrag reads format 3; rebuild"):
+        with pytest.raises(CorruptStore, match="format_version 2: this litrag reads format 4; rebuild"):
             KnowledgeBase.open(cfg.store_path)
         assert build_knowledge_base(corpus_dir, cfg).failures == []
     assert json.loads(header_path.read_text()) == header
     assert KnowledgeBase.open(cfg.store_path).doc_ids() == sorted(truths)
+
+
+def test_a_format_3_kb_is_refused_at_open_and_a_rebuild_leaves_its_json_snapshots_unread(
+    small_corpus, tmp_path
+):
+    corpus_dir, truths = small_corpus
+    root = tmp_path / "kb"
+    with StubEmbeddingService(dim=DIM) as svc:
+        cfg = _config(svc, tmp_path)
+        build_knowledge_base(corpus_dir, cfg)
+        # a format-3 root: its header says 3 and each snapshot wraps a body in JSON
+        header = json.loads((root / "header.json").read_text())
+        (root / "header.json").write_text(json.dumps({**header, "format_version": 3}))
+        legacy = {}
+        for snapshot in sorted((root / "docs").iterdir()):
+            wrapped = {"doc_id": snapshot.stem, "body": "An older body.", "source_path": snapshot.name}
+            legacy[f"{snapshot.stem}.json"] = json.dumps(wrapped).encode("utf-8")
+            snapshot.unlink()
+            (root / "docs" / f"{snapshot.stem}.json").write_bytes(legacy[f"{snapshot.stem}.json"])
+        with pytest.raises(CorruptStore, match="format_version 3: this litrag reads format 4; rebuild"):
+            KnowledgeBase.open(root)
+        assert build_knowledge_base(corpus_dir, cfg).failures == []
+    assert json.loads((root / "header.json").read_text()) == header
+    assert {p.name: p.read_bytes() for p in (root / "docs").glob("*.json")} == legacy
+    kb = KnowledgeBase.open(root)
+    assert kb.doc_ids() == sorted(truths)
+    assert [kb.document(doc_id).body for doc_id in truths] == [
+        ingest_mod.load_document(corpus_dir / f"{doc_id}.txt").body for doc_id in truths
+    ]
 
 
 def test_stores_opened_on_equal_snapshots_share_each_document_but_check_their_own(
@@ -700,8 +689,8 @@ def test_stores_opened_on_equal_snapshots_share_each_document_but_check_their_ow
     first = KnowledgeBase.open(tmp_path / "a")
     doc = first.document("paper-00")
     assert KnowledgeBase.open(tmp_path / "b").document("paper-00") is doc  # parsed once
-    (tmp_path / "b" / "docs" / "paper-00.json").write_bytes(_snapshot_of(doc, body=doc.body + "!"))
-    (tmp_path / "b" / "docs" / "paper-01.json").unlink()
+    (tmp_path / "b" / "docs" / "paper-00.txt").write_bytes((doc.body + "!").encode("utf-8"))
+    (tmp_path / "b" / "docs" / "paper-01.txt").unlink()
     first.document("paper-01")
     second = KnowledgeBase.open(tmp_path / "b")
     with pytest.raises(CorruptStore, match="checksum mismatch"):
@@ -709,6 +698,3 @@ def test_stores_opened_on_equal_snapshots_share_each_document_but_check_their_ow
     with pytest.raises(IoFailure):
         second.document("paper-01")
 
-
-def _snapshot_of(doc: Document, **changes) -> bytes:
-    return json.dumps({**doc.to_dict(), **changes}, ensure_ascii=False).encode("utf-8")

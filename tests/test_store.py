@@ -1292,7 +1292,7 @@ def test_a_header_missing_a_key_is_corrupt(tmp_path, key):
         VectorStore.open(tmp_path / "s")
 
 
-@pytest.mark.parametrize("version", [0, 1, 2, 4, "1", None, True, 1.0])
+@pytest.mark.parametrize("version", [0, 1, 2, 3, 5, "1", None, True, 1.0, 4.0])
 def test_an_unsupported_format_version_is_corrupt(tmp_path, version):
     VectorStore(4).persist(tmp_path / "s")
     header_path = tmp_path / "s" / "header.json"
@@ -1301,7 +1301,7 @@ def test_an_unsupported_format_version_is_corrupt(tmp_path, version):
     if type(version) is int and version == 1:
         del header["records_checksum"]  # version 1 had none: the version is still what is named
     header_path.write_text(json.dumps(header))
-    rebuild = "this litrag reads format 3; rebuild it, `litrag ingest` rewrites a knowledge base"
+    rebuild = "this litrag reads format 4; rebuild it, `litrag ingest` rewrites a knowledge base"
     with pytest.raises(CorruptStore, match=f"unsupported format_version {version!r}: {rebuild}"):
         VectorStore.open(tmp_path / "s")
 
@@ -1375,7 +1375,7 @@ def test_an_end_offset_changed_in_records_json_fails_its_checksum(tmp_path):
     kind_name=st.sampled_from(
         [(kind, name) for kind in ("bare", "documents", "sweep row")
          for name in ("header.json", "records.json", "matrix.bin")]
-        + [("documents", "docs/d.json"), ("sweep row", "../docs/d.json")]
+        + [("documents", "docs/d.txt"), ("sweep row", "../docs/d.txt")]
     ),
     truncate=st.booleans(),
     bit=st.integers(0, 7),
@@ -1398,7 +1398,7 @@ def test_a_flipped_bit_or_a_cut_in_any_store_file_fails_open(kind_name, truncate
         i = data.draw(st.integers(0, len(raw) - 1), label="byte")
         damaged = raw[:i] if truncate else raw[:i] + bytes([raw[i] ^ 1 << bit]) + raw[i + 1 :]
         (path / name).write_bytes(damaged)
-        if name.endswith("docs/d.json"):  # open reads no snapshot; its first read checks it
+        if name.endswith("docs/d.txt"):  # open reads no snapshot; its first read checks it
             opened = VectorStore.open(path)
             with pytest.raises(CorruptStore, match="damaged document snapshot .* checksum mismatch"):
                 opened.document("d")
@@ -1587,7 +1587,7 @@ def test_an_embedding_vector_query_scores_as_its_values_do(m):
     assert similarity(EmbeddingVector(values), row, m).hex() == expected
 
 
-# --- a store of documents (format version 3) ------------------------------------------
+# --- a store of documents (format version 4) ------------------------------------------
 
 
 def _document_store(tmp_path=None):
@@ -1608,12 +1608,11 @@ def test_a_store_of_documents_derives_text_and_metadata_and_round_trips(tmp_path
     records = store.records()
     assert [(r.text, dict(r.metadata)) for r in records] == [("Title line", meta), ("Flames spread.", meta)]
     assert VectorStore.open(tmp_path / "kb").records() == records
-    snapshot = {"doc_id": "d", "body": doc.body, "source_path": "d.txt"}
-    assert (tmp_path / "kb" / "docs" / "d.json").read_bytes() == json.dumps(snapshot).encode()
+    assert (tmp_path / "kb" / "docs" / "d.txt").read_bytes() == doc.body.encode("utf-8")
     columns = json.loads((tmp_path / "kb" / "records.json").read_text(encoding="utf-8"))
-    digest = "sha256:" + hashlib.sha256((tmp_path / "kb" / "docs" / "d.json").read_bytes()).hexdigest()
+    digest = "sha256:" + hashlib.sha256(doc.body.encode("utf-8")).hexdigest()
     assert columns["documents"] == {"d": {"source": "d.txt", "title": "Title line", "sha256": digest}}
-    assert json.loads((tmp_path / "kb" / "header.json").read_text())["format_version"] == 3
+    assert json.loads((tmp_path / "kb" / "header.json").read_text())["format_version"] == 4
 
 
 def test_a_store_of_documents_and_a_bare_store_take_only_their_kind_of_upsert():
@@ -1641,19 +1640,26 @@ def test_a_document_upsert_refuses_a_bad_field_as_before_and_leaves_store_unchan
     assert dict(store.get("d:2").metadata) == {"source": "d.txt", "doc_id": "d", "title": "Title line"}
 
 
+class _CountedBody(str):
+    """A body that counts its UTF-8 encodes."""
+
+    encodes = 0
+
+    def encode(self, *args, **kwargs):
+        type(self).encodes += 1
+        return str.encode(self, *args, **kwargs)
+
+
 def test_persist_encodes_each_document_snapshot_once_for_every_store_holding_it(tmp_path, monkeypatch):
-    calls = []
-    to_dict = Document.to_dict
-    monkeypatch.setattr(Document, "to_dict", lambda doc: calls.append(doc.doc_id) or to_dict(doc))
-    doc = Document("d", "Title line\n\nFlames spread. Soot forms late.", "/corpus/d.txt")
+    monkeypatch.setattr(_CountedBody, "encodes", 0)
+    doc = Document("d", _CountedBody("Title line\n\nFlames spread. Soot forms late."), "/corpus/d.txt")
     for i, chunks in enumerate(([Chunk("d:0", "d", "Title line", 0, 10)],
                                 [Chunk("d:0", "d", "Title line\n\nFlames", 0, 18)])):
         store = VectorStore(2, documents=True)
         store.upsert(chunks, [[1.0, float(i)]], document=doc)
         store.persist(tmp_path / f"row{i}", "../docs")
-    assert calls == ["d"]
-    snapshot = {"doc_id": "d", "body": doc.body, "source_path": "d.txt"}
-    assert (tmp_path / "docs" / "d.json").read_bytes() == json.dumps(snapshot).encode()
+    assert _CountedBody.encodes == 1
+    assert (tmp_path / "docs" / "d.txt").read_bytes() == str(doc.body).encode("utf-8")
     for i in range(2):
         assert VectorStore.open(tmp_path / f"row{i}").document("d").body == doc.body
 
@@ -1678,22 +1684,22 @@ def test_a_damaged_documents_table_is_corrupt(tmp_path, edit, match):
 def test_a_persist_writes_the_snapshots_of_the_documents_named_and_deletes_the_rest(tmp_path):
     store, doc = _document_store(tmp_path)
     docs = tmp_path / "kb" / "docs"
-    (docs / "stale.json").write_text("{}", encoding="utf-8")
-    (docs / "notes.txt").write_text("kept", encoding="utf-8")
+    (docs / "stale.txt").write_text("a document no longer held", encoding="utf-8")
+    (docs / "notes.md").write_text("kept", encoding="utf-8")
     other = replace(doc, doc_id="e")
     store.upsert([Chunk("d:0", "e", "Title line", 0, 10)], [[1.0, 1.0]], document=other)
     store.persist(tmp_path / "kb")
-    assert sorted(p.name for p in docs.iterdir()) == ["d.json", "e.json", "notes.txt"]
+    assert sorted(p.name for p in docs.iterdir()) == ["d.txt", "e.txt", "notes.md"]
     opened = VectorStore.open(tmp_path / "kb")
     assert [(r.chunk_id, r.doc_id) for r in opened.records()] == [("d:0", "e"), ("d:1", "d")]
     opened.persist(tmp_path / "copy")  # reads, checks and writes every snapshot it names
-    assert (tmp_path / "copy" / "docs" / "e.json").read_bytes() == (docs / "e.json").read_bytes()
+    assert (tmp_path / "copy" / "docs" / "e.txt").read_bytes() == (docs / "e.txt").read_bytes()
 
 
 def test_a_bare_store_holds_no_documents_even_beside_snapshots(tmp_path):
     store, _ = _random_store(random.Random(102), 3, 4)
     _document_store(tmp_path)
-    store.persist(tmp_path / "kb")  # a bare store over a directory whose docs/ holds d.json
+    store.persist(tmp_path / "kb")  # a bare store over a directory whose docs/ holds d.txt
     for held in (store, VectorStore.open(tmp_path / "kb")):
         for doc_id in ("doc", "d"):
             with pytest.raises(IoFailure, match=f"no document snapshot for {doc_id!r}"):
@@ -1712,7 +1718,7 @@ def test_a_record_holding_a_unicode_line_separator_round_trips(tmp_path, char):
     store = VectorStore(2, documents=True)
     store.upsert(chunks, [[1.0, 0.0], [0.0, 1.0]], document=doc)
     store.persist(tmp_path / "kb")
-    assert char in (tmp_path / "kb" / "docs" / f"d{char}.json").read_text(encoding="utf-8")
+    assert char in (tmp_path / "kb" / "docs" / f"d{char}.txt").read_text(encoding="utf-8")
     assert f"d{char}.txt" in (tmp_path / "kb" / "records.json").read_text(encoding="utf-8")
     loaded = VectorStore.open(tmp_path / "kb")
     assert loaded.records() == store.records()
@@ -1794,7 +1800,7 @@ def test_a_store_reads_its_snapshots_from_the_directory_records_json_names(tmp_p
     assert columns["snapshots"] == "../docs"
     store.persist(tmp_path / "own")  # the default layout names no directory
     assert "snapshots" not in json.loads((tmp_path / "own" / "records.json").read_text(encoding="utf-8"))
-    assert (tmp_path / "docs" / "d.json").read_bytes() == (tmp_path / "own" / "docs" / "d.json").read_bytes()
+    assert (tmp_path / "docs" / "d.txt").read_bytes() == (tmp_path / "own" / "docs" / "d.txt").read_bytes()
     opened = VectorStore.open(tmp_path / "row")
     assert opened.records() == store.records()
     assert opened.document("d").body == doc.body
@@ -1803,30 +1809,57 @@ def test_a_store_reads_its_snapshots_from_the_directory_records_json_names(tmp_p
 def test_a_persist_into_a_shared_directory_deletes_nothing_there(tmp_path):
     store, _ = _document_store()
     (tmp_path / "docs").mkdir()
-    (tmp_path / "docs" / "other.json").write_text("{}", encoding="utf-8")
+    (tmp_path / "docs" / "other.txt").write_text("Another row's document", encoding="utf-8")
     store.persist(tmp_path / "row", "../docs")
-    assert sorted(p.name for p in (tmp_path / "docs").iterdir()) == ["d.json", "other.json"]
+    assert sorted(p.name for p in (tmp_path / "docs").iterdir()) == ["d.txt", "other.txt"]
 
 
 @pytest.mark.parametrize("damage", ["delete", "edit"])
 def test_a_missing_or_altered_shared_snapshot_fails_the_read_naming_its_path(tmp_path, damage):
     _document_store()[0].persist(tmp_path / "row", "../docs")
-    snapshot = tmp_path / "docs" / "d.json"
+    snapshot = tmp_path / "docs" / "d.txt"
     if damage == "delete":
         snapshot.unlink()
     else:
         snapshot.write_bytes(snapshot.read_bytes().replace(b"Flames", b"Flamez"))
     opened = VectorStore.open(tmp_path / "row")
     error = IoFailure if damage == "delete" else CorruptStore
-    with pytest.raises(error, match=r"row/\.\./docs/d\.json"):
+    with pytest.raises(error, match=r"row/\.\./docs/d\.txt"):
         opened.records()
+
+
+def test_documents_with_equal_bodies_read_back_as_their_own(tmp_path):
+    # equal bodies make equal snapshot bytes under one sha256: each document
+    # read back is still its table's id and file name
+    body = "Title line\n\nFlames spread. Soot forms late."
+    docs = [Document("a", body, "/corpus/a.txt"), Document("b", body, "/other/b.md"),
+            Document("a", body, "/elsewhere/a.md")]
+    both = VectorStore(2, documents=True)
+    for i, doc in enumerate(docs):
+        alone = VectorStore(2, documents=True)
+        for store in (alone, both) if i < 2 else (alone,):
+            store.upsert([Chunk(f"{doc.doc_id}:0", doc.doc_id, "Title line", 0, 10)],
+                         [[1.0, float(i)]], document=doc)
+        alone.persist(tmp_path / str(i))
+    both.persist(tmp_path / "both")
+    sums = json.loads((tmp_path / "both" / "records.json").read_text(encoding="utf-8"))["documents"]
+    assert sums["a"]["sha256"] == sums["b"]["sha256"]
+    read = [(VectorStore.open(tmp_path / name), doc_id, source) for name, doc_id, source in
+            [("0", "a", "a.txt"), ("1", "b", "b.md"), ("2", "a", "a.md"),
+             ("both", "a", "a.txt"), ("both", "b", "b.md")]]
+    held = [store.document(doc_id) for store, doc_id, _ in read]  # all alive at once
+    for (store, doc_id, source), doc in zip(read, held):
+        assert (doc.doc_id, doc.source_path, doc.title, doc.body) == (doc_id, source, "Title line", body)
+        meta = {"source": source, "doc_id": doc_id, "title": "Title line"}
+        assert dict(store.get(f"{doc_id}:0").metadata) == meta
+    assert held[0] is held[3] and held[1] is held[4]  # one document per bytes, id and file name
 
 
 def test_a_persist_writes_only_the_snapshots_whose_bytes_differ(tmp_path, monkeypatch):
     store, doc = _document_store(tmp_path)
     other = Document("e", "Other title\n\nIgnition delay.", "/corpus/e.txt")
     store.upsert([Chunk("e:0", "e", "Other title", 0, 11)], [[1.0, 1.0]], document=other)
-    (tmp_path / "kb" / "docs" / "d.json").write_bytes(b"{}")  # bytes persist must replace
+    (tmp_path / "kb" / "docs" / "d.txt").write_bytes(b"Title")  # bytes persist must replace
     write_bytes, written = Path.write_bytes, []
 
     def counting_write(self, data):
@@ -1835,7 +1868,7 @@ def test_a_persist_writes_only_the_snapshots_whose_bytes_differ(tmp_path, monkey
 
     monkeypatch.setattr(Path, "write_bytes", counting_write)
     store.persist(tmp_path / "kb")
-    assert written == ["d.json", "e.json", "matrix.bin", "records.json", "header.json"]
+    assert written == ["d.txt", "e.txt", "matrix.bin", "records.json", "header.json"]
     written.clear()
     store.persist(tmp_path / "kb")
     assert written == ["matrix.bin", "records.json", "header.json"]
