@@ -352,6 +352,27 @@ def test_a_sweep_prunes_the_snapshots_no_row_names_and_an_older_row_fails_closed
         stale.document("paper-02")
 
 
+def test_a_sweep_over_a_format_3_workdir_leaves_its_json_snapshots_unread(sweep_corpus, tmp_path):
+    # a format-3 sweep left one JSON-wrapped snapshot per document in <workdir>/docs
+    docs = tmp_path / "sweep" / "docs"
+    docs.mkdir(parents=True)
+    legacy = {}
+    for path in sorted(sweep_corpus.iterdir()):
+        wrapped = {"doc_id": path.stem, "body": "An older body.", "source_path": path.name}
+        legacy[f"{path.stem}.json"] = json.dumps(wrapped).encode("utf-8")
+        (docs / f"{path.stem}.json").write_bytes(legacy[f"{path.stem}.json"])
+    spec = SweepSpec(axis="chunk_size", values=(700, 1400), fixed=200, corpus_dir=str(sweep_corpus))
+    with StubEmbeddingService(dim=DIM) as svc:
+        report = sweep_chunking(spec, _config(svc, tmp_path), tmp_path / "sweep")
+    assert [row.failed for row in report.rows] == [False, False]
+    assert {p.name: p.read_bytes() for p in docs.glob("*.json")} == legacy
+    for row in report.rows:
+        store = VectorStore.open(row.store_path)
+        assert store.records()  # every snapshot read through its checksum
+        for path in sweep_corpus.iterdir():
+            assert store.document(path.stem).body == path.read_text(encoding="utf-8")
+
+
 def test_a_sweep_that_cannot_prune_logs_it_and_reports_its_rows(sweep_corpus, tmp_path, monkeypatch, caplog):
     def failing_prune(docs, keep):
         raise IoFailure(f"cannot delete document snapshots under {docs}: read-only")

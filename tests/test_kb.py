@@ -209,6 +209,29 @@ def test_a_snapshot_under_a_valid_checksum_that_holds_no_such_document_is_corrup
     assert kb.document("paper-01").doc_id == "paper-01"
 
 
+def test_a_snapshot_resealed_with_another_body_is_that_body_under_its_own_id_and_file_name(
+    small_corpus, tmp_path
+):
+    # the table binds a doc id and a file name to the sha256 of a body and the
+    # snapshot holds nothing else: the title and reference span come from the body
+    corpus_dir, _ = small_corpus
+    with StubEmbeddingService(dim=DIM) as svc:
+        cfg = _config(svc, tmp_path)
+        build_knowledge_base(corpus_dir, cfg)
+    root = Path(cfg.store_path)
+    fresh = KnowledgeBase.open(root)
+    own, other = fresh.document("paper-00"), fresh.document("paper-01")
+    entries = fresh.aux_index("paper-01").entries
+    _reseal(root, "paper-00", (root / "docs" / "paper-01.txt").read_bytes())
+    kb = KnowledgeBase.open(root)
+    doc = kb.document("paper-00")
+    assert (doc.doc_id, doc.source_path, doc.body) == ("paper-00", "paper-00.txt", other.body)
+    assert doc.title == other.title != own.title
+    assert doc.reference_section == other.reference_section is not None
+    assert kb.aux_index("paper-00").entries == tuple(replace(e, doc_id="paper-00") for e in entries) != ()
+    assert (kb.document("paper-01").doc_id, kb.document("paper-01").source_path) == ("paper-01", "paper-01.txt")
+
+
 def test_a_rebuild_deletes_snapshots_of_documents_it_did_not_index(small_corpus, tmp_path):
     corpus_dir, truths = small_corpus
     with StubEmbeddingService(dim=DIM) as svc:
@@ -504,6 +527,23 @@ def test_a_rebuild_with_the_embedding_service_down_keeps_the_knowledge_base(
     kb = KnowledgeBase.open(cfg.store_path)
     assert kb.doc_ids() == sorted(truths)
     assert len(kb.store) == first.chunk_count > 0
+
+
+def test_a_snapshot_holds_a_non_ascii_body_as_the_utf8_bytes_of_the_loaded_body(tmp_path):
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    text = "\u00c5ngstr\u00f6m-scale soot\r\n\r\nThe flame front (\u03d5 = 0.8) reached 2 000 \u00b0C \U0001f525 here.\r\n"
+    (corpus_dir / "note.txt").write_bytes(text.encode("utf-8"))
+    with StubEmbeddingService(dim=DIM) as svc:
+        cfg = _config(svc, tmp_path)
+        assert build_knowledge_base(corpus_dir, cfg).failures == []
+    body = ingest_mod.load_document(corpus_dir / "note.txt").body
+    assert body == text.replace("\r\n", "\n")
+    root = Path(cfg.store_path)
+    assert (root / "docs" / "note.txt").read_bytes() == body.encode("utf-8")
+    kb = KnowledgeBase.open(root)
+    assert kb.document("note").body == body
+    assert any("\U0001f525" in rec.text for rec in kb.store.records())
 
 
 def test_an_empty_corpus_still_writes_an_empty_knowledge_base(tmp_path):
