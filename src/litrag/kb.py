@@ -3,7 +3,7 @@
 A knowledge base is a directory:
 
     <root>/header.json, records.json, matrix.bin   chunk store
-    <root>/docs/<doc_id>.txt                       document snapshot: its body
+    <root>/docs/<doc_id>.body                      document snapshot: its body
 
 or, for a row of a sweep, the chunk store alone, its records.json naming
 ``"../docs"`` as its snapshot directory, which the sweep's rows share.
@@ -19,10 +19,11 @@ written raises CorruptStore when it is first read. Only version 4 opens: a
 knowledge base of an earlier version raises CorruptStore at ``open``, and a
 build into its root (which never reads the store it replaces) rewrites it
 in version 4, leaving a version-3 root's ``docs/*.json`` in place, unread.
-A build into its own ``docs/`` leaves it holding a snapshot of exactly the
-documents the store indexes, and writes only the snapshots whose files do
-not already hold their bytes; ``doc_ids`` reads the documents from the
-store.
+A build into its own ``docs/`` leaves its ``*.body`` files a snapshot of
+exactly the documents the store indexes, and no other file there touched,
+so a corpus kept in that directory survives; it writes only the snapshots
+whose files do not already hold their bytes; ``doc_ids`` reads the
+documents from the store.
 
 Document snapshots keep the citation guard exact at query time: a
 document's aux index (``aux_index``), kept for the life of the

@@ -64,9 +64,11 @@ On-disk layout (one directory per store), format version 4:
                   table {doc_id: {"source", "title", "sha256"}} of the
                   documents the records name
     matrix.bin    row-major little-endian float32, row i = record i
-    docs/<doc_id>.txt  a store of documents' snapshot of each document:
-                  its body's UTF-8 bytes; its id is the file name and the
-                  table key, and its file name the table's "source"
+    docs/<doc_id>.body  a store of documents' snapshot of each document:
+                  its body's UTF-8 bytes; its id is the file's stem and
+                  the table key, and its file name the table's "source".
+                  No corpus file is a .body, so a snapshot directory that
+                  is also a corpus directory loses none of its files
 A store of documents may keep its snapshots in another directory, which
 records.json then names, relative to the store's, as "snapshots": each row
 of a sweep names ``"../docs"``, one directory all the rows share, so a
@@ -77,7 +79,7 @@ not a nonempty str, or is an absolute path, is CorruptStore.
 records.json, whose table holds each snapshot's sha256, so ``open`` takes
 only the bytes the header was written with, and a snapshot is checked when
 it is first read, wherever it lies. ``persist`` writes each snapshot whose
-file does not already hold its bytes (deleting any other ``*.txt`` of its
+file does not already hold its bytes (deleting any other ``*.body`` of its
 own ``docs/`` only), then matrix.bin, records.json and the header. ``open``
 reads version 4 only: a store written in an earlier version raises
 CorruptStore naming its version, and a rebuild (``litrag ingest``) rewrites
@@ -545,7 +547,7 @@ class VectorStore:
         if digest is None:
             raise IoFailure(f"no document snapshot for {doc_id!r}: the store holds no such document")
         # a str path and an unbuffered read: a cold answer pays for each load
-        path = os.path.join(self._snapshots, f"{doc_id}.txt")
+        path = os.path.join(self._snapshots, f"{doc_id}.body")
         try:
             with open(path, "rb", buffering=0) as fh:
                 data = fh.readall()
@@ -809,12 +811,12 @@ class VectorStore:
     def persist(self, path: str | Path, snapshots: str = "docs") -> None:
         """Write the store to ``path`` (a directory, created if needed) in
         format version 4. A store of documents first writes the snapshot of
-        each document its records name, its body as ``<doc_id>.txt`` in
+        each document its records name, its body as ``<doc_id>.body`` in
         ``snapshots``, a directory named relative to ``path`` (else
         InvalidParams): its own ``docs``, or one the rows of a sweep share,
         which records.json then names. A snapshot whose file already holds
         exactly its bytes is not written again. Only the store's own
-        ``docs/`` loses its other ``*.txt`` files; a shared directory loses
+        ``docs/`` loses its other ``*.body`` files; a shared directory loses
         nothing. Then matrix.bin, records.json and the header that checksums
         both. Every byte is encoded before the first file is written; a
         document's snapshot bytes and their sha256 are encoded once while
@@ -949,13 +951,13 @@ class VectorStore:
 
 
 def _write_snapshots(docs: Path, snapshots: dict[str, tuple[bytes, str]]) -> None:
-    """Write each snapshot (its ``_snapshot`` bytes) as ``docs/<doc_id>.txt``
+    """Write each snapshot (its ``_snapshot`` bytes) as ``docs/<doc_id>.body``
     unless its file already holds exactly those bytes: a read and compare
     costs a small fraction of a file create."""
     try:
         docs.mkdir(parents=True, exist_ok=True)
         for doc_id, (data, _) in snapshots.items():
-            target = docs / f"{doc_id}.txt"
+            target = docs / f"{doc_id}.body"
             if not _holds(target, data):
                 target.write_bytes(data)
     except OSError as exc:
@@ -963,12 +965,12 @@ def _write_snapshots(docs: Path, snapshots: dict[str, tuple[bytes, str]]) -> Non
 
 
 def prune_snapshots(docs: str | Path, keep: Iterable[str]) -> None:
-    """Delete each ``<doc_id>.txt`` in the directory ``docs`` whose doc_id
+    """Delete each ``<doc_id>.body`` in the directory ``docs`` whose doc_id
     is not in ``keep``; a missing directory holds none. A file that cannot
     be deleted raises IoFailure."""
-    names = {f"{doc_id}.txt" for doc_id in keep}
+    names = {f"{doc_id}.body" for doc_id in keep}
     try:
-        for stale in Path(docs).glob("*.txt"):
+        for stale in Path(docs).glob("*.body"):
             if stale.name not in names:
                 stale.unlink()  # a document no store written here holds
     except OSError as exc:

@@ -891,7 +891,7 @@ def test_a_broken_lowest_scored_chunk_fails_the_answer_though_the_budget_sheds_i
     retrieved = [ScoredRecord(best, 0.9), ScoredRecord(middle, 0.5), ScoredRecord(worst, 0.1)]
     if damage != "stale offset":
         assert [sr.record for sr in answer(retrieved, limit).retrieved] == [best]
-        snapshot = root / "docs" / "paper-03.txt"
+        snapshot = root / "docs" / "paper-03.body"
         if damage == "damaged snapshot":
             snapshot.write_text("References", encoding="utf-8")
         else:

@@ -255,7 +255,7 @@ def test_query_on_a_damaged_snapshot_is_a_runtime_error(cli_env, tmp_path, capsy
     for case, damage in damages.items():
         store_root = tmp_path / case
         shutil.copytree(cli_env["store_root"], store_root)
-        for snapshot in (store_root / "docs").glob("*.txt"):
+        for snapshot in (store_root / "docs").glob("*.body"):
             snapshot.write_text(damage(snapshot.read_text(encoding="utf-8")), encoding="utf-8")
         with StubChatService(echo_citations_responder()) as chat:
             config = _write_config(cli_env, chat.url, store_path=str(store_root))

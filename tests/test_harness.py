@@ -269,7 +269,7 @@ def test_a_sweep_keeps_one_snapshot_directory_in_its_workdir(sweep_corpus, tmp_p
         assert files == ["header.json", "matrix.bin", "records.json"]
         assert VectorStore.open(row.store_path).records()  # every snapshot read through its checksum
     assert sorted(p.name for p in (workdir / "docs").iterdir()) == sorted(
-        f"{p.stem}.txt" for p in sweep_corpus.iterdir()
+        f"{p.stem}.body" for p in sweep_corpus.iterdir()
     )
 
 
@@ -315,7 +315,7 @@ def test_a_missing_or_altered_shared_snapshot_fails_the_row_answer(tmp_path, dam
         cfg = replace(cfg, chat=replace(cfg.chat, endpoint_url=chat.url))
         spec = SweepSpec(axis="chunk_size", values=(700, 1400), fixed=200, corpus_dir=str(corpus_dir))
         report = sweep_chunking(spec, cfg, tmp_path / "sweep")
-        snapshot = tmp_path / "sweep" / "docs" / "paper-01.txt"
+        snapshot = tmp_path / "sweep" / "docs" / "paper-01.body"
         if damage == "delete":
             snapshot.unlink()
         else:
@@ -324,7 +324,7 @@ def test_a_missing_or_altered_shared_snapshot_fails_the_row_answer(tmp_path, dam
         for row in report.rows:
             chain = QueryChain(KnowledgeBase.open(row.store_path), cfg)
             error = IoFailure if damage == "delete" else CorruptStore
-            path = Path(row.store_path) / ".." / "docs" / "paper-01.txt"
+            path = Path(row.store_path) / ".." / "docs" / "paper-01.body"
             with pytest.raises(error, match=re.escape(str(path))):
                 chain.answer(question, mode="mode2")
 
@@ -343,12 +343,12 @@ def test_a_sweep_prunes_the_snapshots_no_row_names_and_an_older_row_fails_closed
             (corpus_dir / "paper-02.txt").read_text(encoding="utf-8") + "\nA later line.\n", encoding="utf-8"
         )
         sweep_chunking(replace(spec, values=(1400,)), cfg, workdir)
-    assert sorted(p.name for p in (workdir / "docs").iterdir()) == ["paper-00.txt", "paper-02.txt"]
+    assert sorted(p.name for p in (workdir / "docs").iterdir()) == ["paper-00.body", "paper-02.body"]
     stale = VectorStore.open(first.rows[0].store_path)  # chunk_size_700, left by the first sweep
     assert stale.document("paper-00").body == body
-    with pytest.raises(IoFailure, match="paper-01.txt"):
+    with pytest.raises(IoFailure, match="paper-01.body"):
         stale.document("paper-01")
-    with pytest.raises(CorruptStore, match="paper-02.txt: checksum mismatch"):
+    with pytest.raises(CorruptStore, match="paper-02.body: checksum mismatch"):
         stale.document("paper-02")
 
 
@@ -371,6 +371,27 @@ def test_a_sweep_over_a_format_3_workdir_leaves_its_json_snapshots_unread(sweep_
         assert store.records()  # every snapshot read through its checksum
         for path in sweep_corpus.iterdir():
             assert store.document(path.stem).body == path.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("service", ["up", "down"])
+def test_a_sweep_whose_snapshot_directory_is_its_corpus_keeps_every_corpus_file(tmp_path, monkeypatch, service):
+    # `litrag sweep --dir docs --workdir .`: the rows share <workdir>/docs, the
+    # corpus itself, which also holds a blank and an undecodable file
+    monkeypatch.setattr("litrag.embedding._RETRY_BASE_S", 0.01)
+    corpus_dir = tmp_path / "docs"
+    truths = make_corpus(corpus_dir, n_docs=3, seed=523, paragraphs_per_doc=8)
+    (corpus_dir / "empty.txt").write_text("  \n", encoding="utf-8")
+    (corpus_dir / "zz-broken.txt").write_bytes(b"\xff\xfe bad")
+    before = {p.name: p.read_bytes() for p in corpus_dir.iterdir()}
+    spec = SweepSpec(axis="chunk_size", values=(700, 1400), fixed=200, corpus_dir=str(corpus_dir))
+    fault = {} if service == "up" else {"fail_when": lambda texts: True}
+    with StubEmbeddingService(dim=DIM, **fault) as svc:
+        report = sweep_chunking(spec, _config(svc, tmp_path), tmp_path)
+    assert {p.name: p.read_bytes() for p in corpus_dir.iterdir() if p.suffix != ".body"} == before
+    indexed = sorted(truths) if service == "up" else []
+    assert sorted(p.stem for p in corpus_dir.glob("*.body")) == indexed
+    # the blank and the undecodable file fail each row, and with the service down so does every document
+    assert [row.failed_documents for row in report.rows] == [2 + len(truths) - len(indexed)] * 2
 
 
 def test_a_sweep_that_cannot_prune_logs_it_and_reports_its_rows(sweep_corpus, tmp_path, monkeypatch, caplog):

@@ -88,7 +88,7 @@ def test_layout_on_disk(small_corpus, tmp_path):
     assert (root / "records.json").is_file()
     assert (root / "matrix.bin").is_file()
     for doc_id in truths:
-        assert (root / "docs" / f"{doc_id}.txt").is_file()
+        assert (root / "docs" / f"{doc_id}.body").is_file()
     assert not (root / "aux").exists()
 
 
@@ -102,7 +102,7 @@ def test_a_snapshot_holds_the_body_and_the_table_its_id_and_file_name(small_corp
     assert sorted(table) == sorted(truths)
     for doc_id in truths:
         doc = ingest_mod.load_document(corpus_dir / f"{doc_id}.txt")
-        assert (root / "docs" / f"{doc_id}.txt").read_bytes() == doc.body.encode("utf-8")
+        assert (root / "docs" / f"{doc_id}.body").read_bytes() == doc.body.encode("utf-8")
         assert table[doc_id]["source"] == f"{doc_id}.txt"
 
 
@@ -168,7 +168,7 @@ def _reseal(root: Path, doc_id: str, raw: bytes) -> None:
     records.json, keeping the header's checksum of records.json valid: a
     knowledge base whose writer wrote these bytes, so only the checks after
     the sha256 can object."""
-    (root / "docs" / f"{doc_id}.txt").write_bytes(raw)
+    (root / "docs" / f"{doc_id}.body").write_bytes(raw)
     cols = json.loads((root / "records.json").read_text(encoding="utf-8"))
     cols["documents"][doc_id]["sha256"] = "sha256:" + hashlib.sha256(raw).hexdigest()
     records = json.dumps(cols, ensure_ascii=False).encode("utf-8")
@@ -183,12 +183,12 @@ def test_a_damaged_snapshot_is_a_corrupt_store(small_corpus, tmp_path):
     with StubEmbeddingService(dim=DIM) as svc:
         cfg = _config(svc, tmp_path)
         build_knowledge_base(corpus_dir, cfg)
-    snapshot = Path(cfg.store_path) / "docs" / "paper-00.txt"
+    snapshot = Path(cfg.store_path) / "docs" / "paper-00.body"
     good = snapshot.read_bytes()
     for case, damage in _NOT_A_DOCUMENT.items():
         snapshot.write_bytes(damage(good))
         kb = KnowledgeBase.open(cfg.store_path)
-        with pytest.raises(CorruptStore, match="paper-00.txt: checksum mismatch"):
+        with pytest.raises(CorruptStore, match="paper-00.body: checksum mismatch"):
             kb.aux_index("paper-00")
         assert kb.document("paper-01").doc_id == "paper-01", case
 
@@ -202,9 +202,9 @@ def test_a_snapshot_under_a_valid_checksum_that_holds_no_such_document_is_corrup
         cfg = _config(svc, tmp_path)
         build_knowledge_base(corpus_dir, cfg)
     root = Path(cfg.store_path)
-    _reseal(root, "paper-00", _NOT_A_DOCUMENT[case]((root / "docs" / "paper-00.txt").read_bytes()))
+    _reseal(root, "paper-00", _NOT_A_DOCUMENT[case]((root / "docs" / "paper-00.body").read_bytes()))
     kb = KnowledgeBase.open(root)
-    with pytest.raises(CorruptStore, match=r"damaged document snapshot at .*paper-00\.txt: (?!checksum)"):
+    with pytest.raises(CorruptStore, match=r"damaged document snapshot at .*paper-00\.body: (?!checksum)"):
         kb.aux_index("paper-00")
     assert kb.document("paper-01").doc_id == "paper-01"
 
@@ -222,7 +222,7 @@ def test_a_snapshot_resealed_with_another_body_is_that_body_under_its_own_id_and
     fresh = KnowledgeBase.open(root)
     own, other = fresh.document("paper-00"), fresh.document("paper-01")
     entries = fresh.aux_index("paper-01").entries
-    _reseal(root, "paper-00", (root / "docs" / "paper-01.txt").read_bytes())
+    _reseal(root, "paper-00", (root / "docs" / "paper-01.body").read_bytes())
     kb = KnowledgeBase.open(root)
     doc = kb.document("paper-00")
     assert (doc.doc_id, doc.source_path, doc.body) == ("paper-00", "paper-00.txt", other.body)
@@ -238,12 +238,27 @@ def test_a_rebuild_deletes_snapshots_of_documents_it_did_not_index(small_corpus,
         cfg = _config(svc, tmp_path)
         build_knowledge_base(corpus_dir, cfg)
         (corpus_dir / "paper-01.txt").unlink()
-        (Path(cfg.store_path) / "docs" / "notes.md").write_text("kept", encoding="utf-8")
+        (Path(cfg.store_path) / "docs" / "notes.txt").write_text("kept", encoding="utf-8")
         build_knowledge_base(corpus_dir, cfg)
     kb = KnowledgeBase.open(cfg.store_path)
     assert kb.doc_ids() == sorted(set(truths) - {"paper-01"})
     assert {record.doc_id for record in kb.store.records()} == set(kb.doc_ids())
-    assert (Path(cfg.store_path) / "docs" / "notes.md").read_text(encoding="utf-8") == "kept"
+    assert (Path(cfg.store_path) / "docs" / "notes.txt").read_text(encoding="utf-8") == "kept"
+
+
+def test_a_build_whose_snapshot_directory_is_its_corpus_keeps_every_corpus_file(tmp_path):
+    # `litrag ingest --dir <store_path>/docs`: the store's own docs/ is the corpus
+    corpus_dir = tmp_path / "kb" / "docs"
+    truths = make_corpus(corpus_dir, n_docs=3, seed=523, paragraphs_per_doc=8)
+    (corpus_dir / "empty.txt").write_text("  \n", encoding="utf-8")
+    (corpus_dir / "zz-broken.txt").write_bytes(b"\xff\xfe bad")
+    before = {p.name: p.read_bytes() for p in corpus_dir.iterdir()}
+    with StubEmbeddingService(dim=DIM) as svc:
+        report = build_knowledge_base(corpus_dir, _config(svc, tmp_path))
+    assert [Path(f.path).name for f in report.failures] == ["empty.txt", "zz-broken.txt"]
+    assert {p.name: p.read_bytes() for p in corpus_dir.iterdir() if p.suffix != ".body"} == before
+    assert sorted(p.stem for p in corpus_dir.glob("*.body")) == sorted(truths)
+    assert KnowledgeBase.open(tmp_path / "kb").doc_ids() == sorted(truths)
 
 
 def test_a_rebuild_rewrites_only_the_snapshots_whose_documents_changed(small_corpus, tmp_path):
@@ -260,7 +275,7 @@ def test_a_rebuild_rewrites_only_the_snapshots_whose_documents_changed(small_cor
         build_knowledge_base(corpus_dir, cfg)
     after = {p.name: (p.stat().st_ino, p.stat().st_mtime_ns) for p in docs.iterdir()}
     assert sorted(after) == sorted(before)
-    assert {name for name in after if after[name] != before[name]} == {"paper-01.txt"}
+    assert {name for name in after if after[name] != before[name]} == {"paper-01.body"}
     kb = KnowledgeBase.open(cfg.store_path)
     assert kb.document("paper-01").body.endswith("A later line.\n")
     assert [record.text for record in kb.store.records()]  # every snapshot matches its checksum
@@ -272,8 +287,8 @@ def test_doc_ids_are_the_documents_the_store_indexes(small_corpus, tmp_path):
         cfg = _config(svc, tmp_path)
         build_knowledge_base(corpus_dir, cfg)
     docs = Path(cfg.store_path) / "docs"
-    (docs / "stray.txt").write_bytes((docs / "paper-00.txt").read_bytes())
-    (docs / "paper-01.txt").unlink()
+    (docs / "stray.body").write_bytes((docs / "paper-00.body").read_bytes())
+    (docs / "paper-01.body").unlink()
     kb = KnowledgeBase.open(cfg.store_path)
     assert kb.doc_ids() == sorted(truths)
     assert kb.doc_ids() == sorted(set(kb.store.columns("doc_id")[0]))
@@ -540,7 +555,7 @@ def test_a_snapshot_holds_a_non_ascii_body_as_the_utf8_bytes_of_the_loaded_body(
     body = ingest_mod.load_document(corpus_dir / "note.txt").body
     assert body == text.replace("\r\n", "\n")
     root = Path(cfg.store_path)
-    assert (root / "docs" / "note.txt").read_bytes() == body.encode("utf-8")
+    assert (root / "docs" / "note.body").read_bytes() == body.encode("utf-8")
     kb = KnowledgeBase.open(root)
     assert kb.document("note").body == body
     assert any("\U0001f525" in rec.text for rec in kb.store.records())
@@ -575,7 +590,7 @@ def test_an_open_kb_refuses_a_snapshot_rebuilt_under_it(small_corpus, tmp_path):
         for path in corpus_dir.glob("*.txt"):
             path.write_text("Preface\n\n" + "A prefix. " * 940 + "\n\n" + path.read_text("utf-8"), "utf-8")
         assert build_knowledge_base(corpus_dir, cfg).failures == []
-        with pytest.raises(CorruptStore, match=r"paper-\d\d\.txt: checksum mismatch"):
+        with pytest.raises(CorruptStore, match=r"paper-\d\d\.body: checksum mismatch"):
             chain.answer(question, mode="mode2")
         assert chat.requests == []
         # a fresh open reads the rebuilt knowledge base whole
@@ -591,15 +606,15 @@ def test_a_snapshot_edited_to_another_body_is_a_corrupt_store_and_a_missing_one_
         build_knowledge_base(corpus_dir, cfg)
     docs = Path(cfg.store_path) / "docs"
     # the same document, with one character of its body changed
-    body = (docs / "paper-00.txt").read_text(encoding="utf-8")
-    (docs / "paper-00.txt").write_text(body.replace("e", "E", 1), encoding="utf-8")
-    (docs / "paper-01.txt").unlink()
+    body = (docs / "paper-00.body").read_text(encoding="utf-8")
+    (docs / "paper-00.body").write_text(body.replace("e", "E", 1), encoding="utf-8")
+    (docs / "paper-01.body").unlink()
     kb = KnowledgeBase.open(cfg.store_path)
-    with pytest.raises(CorruptStore, match="paper-00.txt: checksum mismatch"):
+    with pytest.raises(CorruptStore, match="paper-00.body: checksum mismatch"):
         kb.document("paper-00")
-    with pytest.raises(CorruptStore, match="paper-00.txt"):
+    with pytest.raises(CorruptStore, match="paper-00.body"):
         kb.store.records()
-    with pytest.raises(IoFailure, match=r"no document snapshot for 'paper-01' at .*paper-01\.txt"):
+    with pytest.raises(IoFailure, match=r"no document snapshot for 'paper-01' at .*paper-01\.body"):
         kb.aux_index("paper-01")
     assert kb.document("paper-02").doc_id == "paper-02"
 
@@ -729,8 +744,8 @@ def test_stores_opened_on_equal_snapshots_share_each_document_but_check_their_ow
     first = KnowledgeBase.open(tmp_path / "a")
     doc = first.document("paper-00")
     assert KnowledgeBase.open(tmp_path / "b").document("paper-00") is doc  # parsed once
-    (tmp_path / "b" / "docs" / "paper-00.txt").write_bytes((doc.body + "!").encode("utf-8"))
-    (tmp_path / "b" / "docs" / "paper-01.txt").unlink()
+    (tmp_path / "b" / "docs" / "paper-00.body").write_bytes((doc.body + "!").encode("utf-8"))
+    (tmp_path / "b" / "docs" / "paper-01.body").unlink()
     first.document("paper-01")
     second = KnowledgeBase.open(tmp_path / "b")
     with pytest.raises(CorruptStore, match="checksum mismatch"):

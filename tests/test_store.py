@@ -1375,7 +1375,7 @@ def test_an_end_offset_changed_in_records_json_fails_its_checksum(tmp_path):
     kind_name=st.sampled_from(
         [(kind, name) for kind in ("bare", "documents", "sweep row")
          for name in ("header.json", "records.json", "matrix.bin")]
-        + [("documents", "docs/d.txt"), ("sweep row", "../docs/d.txt")]
+        + [("documents", "docs/d.body"), ("sweep row", "../docs/d.body")]
     ),
     truncate=st.booleans(),
     bit=st.integers(0, 7),
@@ -1398,7 +1398,7 @@ def test_a_flipped_bit_or_a_cut_in_any_store_file_fails_open(kind_name, truncate
         i = data.draw(st.integers(0, len(raw) - 1), label="byte")
         damaged = raw[:i] if truncate else raw[:i] + bytes([raw[i] ^ 1 << bit]) + raw[i + 1 :]
         (path / name).write_bytes(damaged)
-        if name.endswith("docs/d.txt"):  # open reads no snapshot; its first read checks it
+        if name.endswith("docs/d.body"):  # open reads no snapshot; its first read checks it
             opened = VectorStore.open(path)
             with pytest.raises(CorruptStore, match="damaged document snapshot .* checksum mismatch"):
                 opened.document("d")
@@ -1608,7 +1608,7 @@ def test_a_store_of_documents_derives_text_and_metadata_and_round_trips(tmp_path
     records = store.records()
     assert [(r.text, dict(r.metadata)) for r in records] == [("Title line", meta), ("Flames spread.", meta)]
     assert VectorStore.open(tmp_path / "kb").records() == records
-    assert (tmp_path / "kb" / "docs" / "d.txt").read_bytes() == doc.body.encode("utf-8")
+    assert (tmp_path / "kb" / "docs" / "d.body").read_bytes() == doc.body.encode("utf-8")
     columns = json.loads((tmp_path / "kb" / "records.json").read_text(encoding="utf-8"))
     digest = "sha256:" + hashlib.sha256(doc.body.encode("utf-8")).hexdigest()
     assert columns["documents"] == {"d": {"source": "d.txt", "title": "Title line", "sha256": digest}}
@@ -1659,7 +1659,7 @@ def test_persist_encodes_each_document_snapshot_once_for_every_store_holding_it(
         store.upsert(chunks, [[1.0, float(i)]], document=doc)
         store.persist(tmp_path / f"row{i}", "../docs")
     assert _CountedBody.encodes == 1
-    assert (tmp_path / "docs" / "d.txt").read_bytes() == str(doc.body).encode("utf-8")
+    assert (tmp_path / "docs" / "d.body").read_bytes() == str(doc.body).encode("utf-8")
     for i in range(2):
         assert VectorStore.open(tmp_path / f"row{i}").document("d").body == doc.body
 
@@ -1684,22 +1684,22 @@ def test_a_damaged_documents_table_is_corrupt(tmp_path, edit, match):
 def test_a_persist_writes_the_snapshots_of_the_documents_named_and_deletes_the_rest(tmp_path):
     store, doc = _document_store(tmp_path)
     docs = tmp_path / "kb" / "docs"
-    (docs / "stale.txt").write_text("a document no longer held", encoding="utf-8")
-    (docs / "notes.md").write_text("kept", encoding="utf-8")
+    (docs / "stale.body").write_text("a document no longer held", encoding="utf-8")
+    (docs / "notes.txt").write_text("kept", encoding="utf-8")
     other = replace(doc, doc_id="e")
     store.upsert([Chunk("d:0", "e", "Title line", 0, 10)], [[1.0, 1.0]], document=other)
     store.persist(tmp_path / "kb")
-    assert sorted(p.name for p in docs.iterdir()) == ["d.txt", "e.txt", "notes.md"]
+    assert sorted(p.name for p in docs.iterdir()) == ["d.body", "e.body", "notes.txt"]
     opened = VectorStore.open(tmp_path / "kb")
     assert [(r.chunk_id, r.doc_id) for r in opened.records()] == [("d:0", "e"), ("d:1", "d")]
     opened.persist(tmp_path / "copy")  # reads, checks and writes every snapshot it names
-    assert (tmp_path / "copy" / "docs" / "e.txt").read_bytes() == (docs / "e.txt").read_bytes()
+    assert (tmp_path / "copy" / "docs" / "e.body").read_bytes() == (docs / "e.body").read_bytes()
 
 
 def test_a_bare_store_holds_no_documents_even_beside_snapshots(tmp_path):
     store, _ = _random_store(random.Random(102), 3, 4)
     _document_store(tmp_path)
-    store.persist(tmp_path / "kb")  # a bare store over a directory whose docs/ holds d.txt
+    store.persist(tmp_path / "kb")  # a bare store over a directory whose docs/ holds d.body
     for held in (store, VectorStore.open(tmp_path / "kb")):
         for doc_id in ("doc", "d"):
             with pytest.raises(IoFailure, match=f"no document snapshot for {doc_id!r}"):
@@ -1718,7 +1718,7 @@ def test_a_record_holding_a_unicode_line_separator_round_trips(tmp_path, char):
     store = VectorStore(2, documents=True)
     store.upsert(chunks, [[1.0, 0.0], [0.0, 1.0]], document=doc)
     store.persist(tmp_path / "kb")
-    assert char in (tmp_path / "kb" / "docs" / f"d{char}.txt").read_text(encoding="utf-8")
+    assert char in (tmp_path / "kb" / "docs" / f"d{char}.body").read_text(encoding="utf-8")
     assert f"d{char}.txt" in (tmp_path / "kb" / "records.json").read_text(encoding="utf-8")
     loaded = VectorStore.open(tmp_path / "kb")
     assert loaded.records() == store.records()
@@ -1800,7 +1800,7 @@ def test_a_store_reads_its_snapshots_from_the_directory_records_json_names(tmp_p
     assert columns["snapshots"] == "../docs"
     store.persist(tmp_path / "own")  # the default layout names no directory
     assert "snapshots" not in json.loads((tmp_path / "own" / "records.json").read_text(encoding="utf-8"))
-    assert (tmp_path / "docs" / "d.txt").read_bytes() == (tmp_path / "own" / "docs" / "d.txt").read_bytes()
+    assert (tmp_path / "docs" / "d.body").read_bytes() == (tmp_path / "own" / "docs" / "d.body").read_bytes()
     opened = VectorStore.open(tmp_path / "row")
     assert opened.records() == store.records()
     assert opened.document("d").body == doc.body
@@ -1809,22 +1809,22 @@ def test_a_store_reads_its_snapshots_from_the_directory_records_json_names(tmp_p
 def test_a_persist_into_a_shared_directory_deletes_nothing_there(tmp_path):
     store, _ = _document_store()
     (tmp_path / "docs").mkdir()
-    (tmp_path / "docs" / "other.txt").write_text("Another row's document", encoding="utf-8")
+    (tmp_path / "docs" / "other.body").write_text("Another row's document", encoding="utf-8")
     store.persist(tmp_path / "row", "../docs")
-    assert sorted(p.name for p in (tmp_path / "docs").iterdir()) == ["d.txt", "other.txt"]
+    assert sorted(p.name for p in (tmp_path / "docs").iterdir()) == ["d.body", "other.body"]
 
 
 @pytest.mark.parametrize("damage", ["delete", "edit"])
 def test_a_missing_or_altered_shared_snapshot_fails_the_read_naming_its_path(tmp_path, damage):
     _document_store()[0].persist(tmp_path / "row", "../docs")
-    snapshot = tmp_path / "docs" / "d.txt"
+    snapshot = tmp_path / "docs" / "d.body"
     if damage == "delete":
         snapshot.unlink()
     else:
         snapshot.write_bytes(snapshot.read_bytes().replace(b"Flames", b"Flamez"))
     opened = VectorStore.open(tmp_path / "row")
     error = IoFailure if damage == "delete" else CorruptStore
-    with pytest.raises(error, match=r"row/\.\./docs/d\.txt"):
+    with pytest.raises(error, match=r"row/\.\./docs/d\.body"):
         opened.records()
 
 
@@ -1859,7 +1859,7 @@ def test_a_persist_writes_only_the_snapshots_whose_bytes_differ(tmp_path, monkey
     store, doc = _document_store(tmp_path)
     other = Document("e", "Other title\n\nIgnition delay.", "/corpus/e.txt")
     store.upsert([Chunk("e:0", "e", "Other title", 0, 11)], [[1.0, 1.0]], document=other)
-    (tmp_path / "kb" / "docs" / "d.txt").write_bytes(b"Title")  # bytes persist must replace
+    (tmp_path / "kb" / "docs" / "d.body").write_bytes(b"Title")  # bytes persist must replace
     write_bytes, written = Path.write_bytes, []
 
     def counting_write(self, data):
@@ -1868,7 +1868,7 @@ def test_a_persist_writes_only_the_snapshots_whose_bytes_differ(tmp_path, monkey
 
     monkeypatch.setattr(Path, "write_bytes", counting_write)
     store.persist(tmp_path / "kb")
-    assert written == ["d.txt", "e.txt", "matrix.bin", "records.json", "header.json"]
+    assert written == ["d.body", "e.body", "matrix.bin", "records.json", "header.json"]
     written.clear()
     store.persist(tmp_path / "kb")
     assert written == ["matrix.bin", "records.json", "header.json"]
